@@ -40,21 +40,6 @@ def heightmap_csv(surface: SurfaceSample) -> str:
     return out.getvalue()
 
 
-def parse_heightmap_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`heightmap_csv`: (x_samples, y_samples, heights[ix, iy])."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split(",")
-    resolution = int(head[0])
-    x_min, x_max, y_min, y_max = (float(v) for v in head[1:5])
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if rows.shape != (resolution, resolution):
-        raise ValueError(f"expected {resolution} rows of {resolution} heights, "
-                         f"got {rows.shape}")
-    xs = np.linspace(x_min, x_max, resolution)
-    ys = np.linspace(y_min, y_max, resolution)
-    return xs, ys, rows[::-1].T.copy()
-
-
 def heightmap_pgm(surface: SurfaceSample) -> bytes:
     """16-bit grayscale image of the height field (top row at y_max)."""
     z = surface.heights

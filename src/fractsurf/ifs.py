@@ -8,14 +8,20 @@ the data.
 
 Two ways to materialize the attractor are provided and cross-checked:
 
-* :func:`solve_fixed_point` iterates the associated operator on a sampled
+* :func:`solve_fixed_point` solves the associated operator on a sampled
   height field; the transform of a surface candidate ``phi`` on cell
   ``E_ij`` is ``s(p) * (phi(L^-1 p) - g(L^-1 p)) + h(p)``, a sup-norm
   contraction with factor ``c_s = max sup|s|``, so the a-posteriori bound
-  ``c_s / (1 - c_s) * (last sup difference)`` controls the error against
-  the exact fixed point at the sample nodes.  Discretization bias from the
-  bilinear pull-back is estimated separately against a half-resolution
-  solve.
+  ``c_s / (1 - c_s) * |T phi - phi|`` controls the error of ``T phi``
+  against the exact fixed point at the sample nodes.  When every
+  pulled-back node lands on a sample node (uniform, knot-aligned grids) the
+  sampled operator is a pure gather ``phi -> s * phi[P] + b`` and the solver
+  composes it with itself (pointer doubling), reaching iterate ``2^k`` in
+  ``k`` rounds; otherwise it iterates the bilinear pull-back.  Either way
+  ``iterations`` counts operator applications (equivalent ones, when
+  doubling) and ``sup_diffs`` holds the residuals ``|T phi - phi|`` whose
+  last entry gives the bound.  Discretization bias from the bilinear
+  pull-back is estimated separately against a half-resolution solve.
 * :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
   graph (at a data knot) it stays on the graph exactly.
 """
@@ -33,6 +39,10 @@ from .grid import CellIndex, DataGrid, DomainMap
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
+# Rounding in the affine inversion leaves on-node weights ~3e-13 off 0 or 1.
+LATTICE_TOL = 5e-13
+# Cells per row block of a gather: a 256 KiB temporary stays in cache.
+_GATHER_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,27 @@ def _bilinear_gather(values: np.ndarray, ix, wx, iy, wy) -> np.ndarray:
             + wx * ((1 - wy) * v10 + wy * v11))
 
 
+def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """``out[:] = values[np.ix_(px, py)]``, in row blocks with small temporaries."""
+    rows = max(1, _GATHER_CELLS // len(py))
+    for r0 in range(0, len(px), rows):
+        np.take(values[px[r0:r0 + rows]], py, axis=1, out=out[r0:r0 + rows])
+    return out
+
+
+def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``max |a - b|`` in row blocks, without a full-size temporary."""
+    rows = max(1, _GATHER_CELLS // a.shape[1])
+    return max(float(np.max(np.abs(a[r0:r0 + rows] - b[r0:r0 + rows])))
+               for r0 in range(0, len(a), rows))
+
+
+def _on_lattice(w: np.ndarray) -> bool:
+    """Whether every bilinear weight is within LATTICE_TOL of 0 or 1."""
+    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL))
+
+
 def _build_axis(knots: tuple[float, ...], resolution: int):
     """Knot-aligned sample axis: per-cell linspaces with exact knot endpoints.
 
@@ -177,6 +208,12 @@ class OperatorGrid:
     free field at the pulled-back points, and the bilinear gather indices)
     are fixed across iterations, so one application is a gather plus a
     fused multiply-add.
+
+    When every bilinear weight on both axes is within ``LATTICE_TOL`` of 0
+    or 1, the plan is a *lattice* plan: the weights snap to 0 or 1, the
+    integer node indices ``px``, ``py`` replace indices and weights, and
+    ``b = h - s * g`` replaces ``g``, so that ``apply`` is the pure gather
+    ``s * phi[P] + b``.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -194,7 +231,7 @@ class OperatorGrid:
         r = resolution
         self.s_values = np.empty((r, r))
         self.h_values = np.empty((r, r))
-        self.g_values = np.empty((r, r))
+        g = np.empty((r, r))
         x_pre = np.empty(r)
         y_pre = np.empty(r)
         x_starts = np.concatenate([[0], np.cumsum(self.x_blocks)])
@@ -209,16 +246,30 @@ class OperatorGrid:
             y_pre[sl_y] = dmap.axis_y.invert(by, tol=1e-9)
             self.s_values[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
             self.h_values[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
-            self.g_values[sl_x, sl_y] = system.free(cell)(x_pre[sl_x][:, None],
-                                                          y_pre[sl_y][None, :])
-        self.ix, self.wx = _axis_weights(self.x_samples, x_pre)
-        self.iy, self.wy = _axis_weights(self.y_samples, y_pre)
+            g[sl_x, sl_y] = system.free(cell)(x_pre[sl_x][:, None], y_pre[sl_y][None, :])
+        ix, wx = _axis_weights(self.x_samples, x_pre)
+        iy, wy = _axis_weights(self.y_samples, y_pre)
+        self.lattice = _on_lattice(wx) and _on_lattice(wy)
+        if self.lattice:
+            self.px = ix + (wx > 0.5)
+            self.py = iy + (wy > 0.5)
+            g *= self.s_values
+            self.b_values = np.subtract(self.h_values, g, out=g)
+        else:
+            self.g_values = g
+            self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
 
     def initial(self) -> np.ndarray:
         """Blend patchwork: continuous, interpolates the data, cheap."""
         return self.h_values.copy()
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
+        if self.lattice:
+            phi = np.asarray(phi, dtype=float)
+            out = _gather(phi, self.px, self.py, np.empty_like(phi))
+            out *= self.s_values
+            out += self.b_values
+            return out
         pulled = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
         return self.s_values * (pulled - self.g_values) + self.h_values
 
@@ -297,36 +348,88 @@ def _half_resolution(plan: OperatorGrid) -> int | None:
     return half
 
 
-def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
-                      max_iter: int = 10000, estimate_bias: bool = True) -> SurfaceSample:
-    """Iterate the surface transform until the a-posteriori bound meets tol.
+def _no_convergence(max_iter: int, bound: float, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"no convergence in {max_iter} iterations; last bound {bound:.3g} "
+        f"(tol {tol:.3g})", last_bound=bound)
 
-    The iteration starts from the blend patchwork and stops when
-    ``c_s / (1 - c_s) * sup|phi_k - phi_{k-1}| <= tol`` (immediately, with a
-    zero bound, when all scaling fields are zero).  ``estimate_bias``
-    additionally solves at half resolution and reports the largest
-    disagreement after bilinear upsampling, an empirical estimate of the
-    discretization bias that roughly halves when resolution doubles.
-    """
-    plan = OperatorGrid(system, resolution)
-    c_s = system.certificate.c_s
-    factor = c_s / (1.0 - c_s)
+
+def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
+    """Plain fixed-point iteration from the blend patchwork."""
     phi = plan.initial()
     diffs: list[float] = []
     bound = math.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         nxt = plan.apply(phi)
-        diff = float(np.max(np.abs(nxt - phi)))
+        diff = _sup_distance(nxt, phi)
         diffs.append(diff)
         phi = nxt
         bound = factor * diff
         if bound <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations; last bound {bound:.3g} "
-            f"(tol {tol:.3g})", last_bound=bound)
+            return phi, iterations, diffs, bound
+    raise _no_convergence(max_iter, bound, tol)
+
+
+def _double(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
+    """Pointer doubling on a lattice plan, from phi_0 = h.
+
+    ``(a, b, px, py)`` represents ``T^N phi = a * phi[px, py] + b`` and
+    ``phi`` holds ``phi_N = T^N h``.  Each round applies the plan once to
+    measure the residual ``|T phi_N - phi_N|``; unless that meets the bound,
+    it sets ``phi_2N = T^N phi_N`` and squares the map: ``b <- a * b[P] + b``,
+    ``a <- a * a[P]``, ``P <- P[P]``.  Residuals shrink by ``c_s^N`` per
+    round.  Returns ``T phi_N`` and ``N + 1`` equivalent applications.
+    """
+    phi = plan.h_values
+    px, py = plan.px, plan.py
+    n = 0
+    diffs: list[float] = []
+    while True:
+        nxt = plan.apply(phi)
+        diff = _sup_distance(nxt, phi)
+        diffs.append(diff)
+        bound = factor * diff
+        if bound <= tol:
+            return nxt, n + 1, diffs, bound
+        if max(2 * n, 1) + 1 > max_iter:
+            raise _no_convergence(max_iter, bound, tol)
+        if n == 0:  # phi_1 = T h is at hand and (s, b, P) is T^1
+            phi, n = nxt, 1
+            a, b = plan.s_values.copy(), plan.b_values.copy()
+            continue
+        phi, spare = _gather(phi, px, py, out=nxt), phi
+        phi *= a
+        phi += b
+        _gather(b, px, py, out=spare)
+        spare *= a
+        b += spare
+        _gather(a, px, py, out=spare)
+        a *= spare
+        del spare  # free it before the next apply allocates its output
+        px, py = px[px], py[py]
+        n *= 2
+
+
+def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
+                      max_iter: int = 10000, estimate_bias: bool = True) -> SurfaceSample:
+    """Solve the sampled surface transform until the a-posteriori bound meets tol.
+
+    Lattice plans are solved by pointer doubling, others by iteration from
+    the blend patchwork.  Both stop at the first candidate ``phi`` with
+    ``c_s / (1 - c_s) * |T phi - phi| <= tol`` and return ``T phi`` (after
+    one application, with a zero bound, when all scaling fields are zero).
+    ``iterations`` counts operator applications, equivalent ones when
+    doubling; ``ConvergenceError`` is raised before it would pass
+    ``max_iter``.  ``estimate_bias`` additionally solves at half resolution
+    and reports the largest disagreement after bilinear upsampling, an
+    empirical estimate of the discretization bias that roughly halves when
+    resolution doubles.
+    """
+    plan = OperatorGrid(system, resolution)
+    c_s = system.certificate.c_s
+    factor = c_s / (1.0 - c_s)
+    solve = _double if plan.lattice else _iterate
+    phi, iterations, diffs, bound = solve(plan, factor, tol, max_iter)
 
     bias = None
     if estimate_bias:

@@ -56,10 +56,6 @@ class PipelineResult:
     dimension: DimensionReport | None = None
     metric: MetricReport | None = None
 
-    @property
-    def exit_status(self) -> int:
-        return 0
-
 
 def _build_scaling(cfg: JobConfig, grid: DataGrid) -> dict[CellIndex, ScalingField]:
     fields = {}
