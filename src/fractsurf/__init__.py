@@ -22,9 +22,9 @@ from .errors import (BlendCompatibilityError, BlendValidationError,
                      OutOfDomainError, ScaleResolutionError)
 from .fixtures import fixture_config, fixture_names
 from .grid import (AxisMap, CellIndex, DataGrid, DomainMap, build_domain_maps,
-                   invert_map, load_grid_text, locate_cell)
-from .ifs import (ContractionCertificate, IfsSystem, MetricReport, SurfaceSample,
-                  apply_T, assemble_ifs, certify_metric, chaos_game, eval_F,
+                   load_grid_text, locate_cell, sample_axes)
+from .ifs import (ContractionCertificate, IfsSystem, MetricReport, OperatorGrid,
+                  SurfaceSample, assemble_ifs, certify_metric, chaos_game, eval_F,
                   solve_fixed_point)
 from .pipeline import BuiltJob, PipelineResult, build_system, run_pipeline
 from .scaling import (InteriorExtrema, MagnitudeCertificate, ScalingField,

@@ -32,19 +32,18 @@ from .utils import (PiecewisePoly, compile_xy_expression, poly2d_gradient_bound,
 INTERP_TOL = 1e-12
 EDGE_MATCH_TOL = 1e-9
 EDGE_MATCH_SAMPLES = 1024
+#: highest piece degree that boundary method 'quadratic' accepts
+QUADRATIC_MAX_DEGREE = 2
 
 
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Curve along one knot line.
 
-    ``along='y'`` means the curve lives on a vertical line x = fixed_value
-    and is evaluated in y (one per x knot); ``along='x'`` the transpose.
+    ``q[i]`` lives on the vertical line x = x_knots[i] and is evaluated in
+    y; ``r[j]`` lives on y = y_knots[j] and is evaluated in x.
     """
 
-    along: str
-    index: int
-    fixed_value: float
     poly: PiecewisePoly
 
     def __call__(self, t):
@@ -112,24 +111,22 @@ def build_boundary_curves(grid: DataGrid, method: str = "linear",
             for label, group in (("q", q_coeffs), ("r", r_coeffs)):
                 for idx, pieces in enumerate(group):
                     for p, c in enumerate(pieces):
-                        if len(c) > 3:
+                        if len(c) > QUADRATIC_MAX_DEGREE + 1:
                             raise FractsurfError(
-                                f"{label}[{idx}] piece {p + 1} has degree "
-                                f"{len(c) - 1} > 2 for method 'quadratic'")
+                                f"{label}[{idx}] piece {p + 1} has degree {len(c) - 1} "
+                                f"> {QUADRATIC_MAX_DEGREE} for method 'quadratic'")
         q_lists = [[tuple(float(v) for v in c) for c in pieces] for pieces in q_coeffs]
         r_lists = [[tuple(float(v) for v in c) for c in pieces] for pieces in r_coeffs]
 
     qs = []
     for i, pieces in enumerate(q_lists):
-        curve = BoundaryCurve("y", i, grid.x_knots[i],
-                              PiecewisePoly(grid.y_knots, tuple(tuple(c) for c in pieces)))
+        curve = BoundaryCurve(PiecewisePoly(grid.y_knots, tuple(tuple(c) for c in pieces)))
         _validate_curve(f"q[{i}] (knot line x={grid.x_knots[i]})", curve,
                         grid.y_knots, grid.z[i, :])
         qs.append(curve)
     rs = []
     for j, pieces in enumerate(r_lists):
-        curve = BoundaryCurve("x", j, grid.y_knots[j],
-                              PiecewisePoly(grid.x_knots, tuple(tuple(c) for c in pieces)))
+        curve = BoundaryCurve(PiecewisePoly(grid.x_knots, tuple(tuple(c) for c in pieces)))
         _validate_curve(f"r[{j}] (knot line y={grid.y_knots[j]})", curve,
                         grid.x_knots, grid.z[:, j])
         rs.append(curve)

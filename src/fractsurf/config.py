@@ -3,10 +3,16 @@
 The schema (documented in the README) has sections ``grid``, ``scaling``,
 ``boundary``, ``blend``, ``free_field``, ``solver``, ``chaos``,
 ``dimension`` and ``output``.  Parsing validates everything it can decide
-without running the pipeline — unknown keys, missing cells, duplicate
-cells, non-increasing knots, resolutions that cannot align with the knot
-lines — and reports *all* problems at once, each with a path-like locator,
-rather than stopping at the first.
+without running the pipeline — unknown keys, duplicate cells,
+non-increasing knots — and reports *all* problems at once, each with a
+path-like locator, rather than stopping at the first.  Optional keys take
+their defaults from the ``*Spec`` dataclass fields.
+
+The rules that need the realized grid (cell coverage, curve and piece
+counts, resolutions on the sample lattice) live in :func:`grid_errors`.
+Parsing runs it for inline and fixture grids; file grids are not read at
+parse time, so :func:`~fractsurf.pipeline.build_system` runs it again on
+every job, after any command-line override.
 
 ``parse_config(serialize_config(cfg)) == cfg`` holds for every valid
 configuration: serialization writes the canonical complete document with
@@ -19,9 +25,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .boundary import QUADRATIC_MAX_DEGREE
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
-from .grid import DataGrid, load_grid_text
+from .grid import DataGrid, load_grid_text, sample_axes
 from .utils import compile_xy_expression
 
 _REQUIRED_SECTIONS = ("grid", "scaling", "boundary", "blend", "solver")
@@ -318,7 +325,7 @@ def _parse_scaling(err: _Collector, doc) -> tuple[ScalingSpec, ...]:
                 continue
             out.append(ScalingSpec(
                 cell=cell, form=form, psi=psi,
-                exponents=exps, outer=str(spec.get("outer", "identity")),
+                exponents=exps, outer=str(spec.get("outer", ScalingSpec.outer)),
                 psi_lipschitz=psi_lip, psi_sup=psi_sup))
         else:
             _check_unknown(err, path, spec, ("cell", "form", "expr", "lipschitz"))
@@ -363,9 +370,9 @@ def _parse_boundary(err: _Collector, doc) -> BoundarySpec | None:
             p = _pieces(err, f"boundary.{label}[{k}]", pieces)
             if p is None:
                 return None
-            if method == "quadratic" and any(len(c) > 3 for c in p):
-                err.add(f"boundary.{label}[{k}]",
-                        "quadratic method allows degree <= 2 pieces only")
+            if method == "quadratic" and any(len(c) > QUADRATIC_MAX_DEGREE + 1 for c in p):
+                err.add(f"boundary.{label}[{k}]", "quadratic method allows degree "
+                        f"<= {QUADRATIC_MAX_DEGREE} pieces only")
                 return None
             curves.append(p)
         groups[label] = tuple(curves)
@@ -408,30 +415,27 @@ def _parse_blend(err: _Collector, doc) -> BlendSpec | None:
     return BlendSpec("explicit", tables=tuple(out))
 
 
-def _alignment_ok(knots, resolution: int) -> bool:
-    span = knots[-1] - knots[0]
-    for a, b in zip(knots, knots[1:]):
-        ideal = (resolution - 1) * (b - a) / span
-        if abs(ideal - round(ideal)) > 1e-9 or round(ideal) < 1:
-            return False
-    return True
+def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
+    """Every rule ``cfg`` breaks on its realized grid, as (path, message) pairs.
 
-
-def _cross_checks(err: _Collector, grid: DataGrid | None, cfg_parts: dict):
-    """Validation that needs the realized grid: cell coverage and alignment."""
-    if grid is None:
-        return
+    The rules: each cell covered exactly once by ``scaling.fields`` (and by
+    ``blend.tables`` in explicit mode), boundary curve and piece counts that
+    match the grid, ``solver.resolution`` and ``dimension.resolution`` on
+    the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), and
+    ``dimension.epsilon`` inside half the narrowest cell.  Sections that
+    failed to parse (``None``) are skipped.
+    """
+    err = _Collector()
     cells = {(c.i, c.j) for c in grid.cells()}
-    scaling = cfg_parts.get("scaling") or ()
-    if scaling:
-        got = {s.cell for s in scaling}
+    if cfg.scaling:
+        got = {s.cell for s in cfg.scaling}
         for cell in sorted(got - cells):
             err.add("scaling.fields", f"cell {list(cell)} is outside the {grid.n}x{grid.m} grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
             err.add("scaling.fields",
                     f"missing scaling specs for cells {[list(c) for c in missing]}")
-    boundary = cfg_parts.get("boundary")
+    boundary = cfg.boundary
     if boundary is not None and boundary.method != "linear":
         if len(boundary.q) != grid.n + 1:
             err.add("boundary.q", f"need {grid.n + 1} curves, got {len(boundary.q)}")
@@ -443,7 +447,7 @@ def _cross_checks(err: _Collector, grid: DataGrid | None, cfg_parts: dict):
         for k, curve in enumerate(boundary.r):
             if len(curve) != grid.n:
                 err.add(f"boundary.r[{k}]", f"need {grid.n} pieces, got {len(curve)}")
-    blend = cfg_parts.get("blend")
+    blend = cfg.blend
     if blend is not None and blend.mode == "explicit" and blend.tables:
         got = {cell for cell, _ in blend.tables}
         for cell in sorted(got - cells):
@@ -452,28 +456,22 @@ def _cross_checks(err: _Collector, grid: DataGrid | None, cfg_parts: dict):
         if missing and not (got - cells):
             err.add("blend.tables",
                     f"missing blend tables for cells {[list(c) for c in missing]}")
-    solver = cfg_parts.get("solver")
-    if solver is not None:
-        min_r = 4 * max(grid.n, grid.m) + 1
-        if solver.resolution < min_r:
-            err.add("solver.resolution",
-                    f"too coarse for a {grid.n}x{grid.m} grid; need at least {min_r}")
-        elif not (_alignment_ok(grid.x_knots, solver.resolution)
-                  and _alignment_ok(grid.y_knots, solver.resolution)):
-            err.add("solver.resolution",
-                    f"{solver.resolution} is not knot-aligned: (R-1) times each cell "
-                    "fraction must be a whole number of sample intervals")
-    dim = cfg_parts.get("dimension")
-    if dim is not None and dim.resolution is not None:
-        if not (_alignment_ok(grid.x_knots, dim.resolution)
-                and _alignment_ok(grid.y_knots, dim.resolution)):
-            err.add("dimension.resolution", f"{dim.resolution} is not knot-aligned")
-    if dim is not None and dim.epsilon is not None:
+    resolutions = {"solver.resolution": cfg.solver.resolution if cfg.solver else None,
+                   "dimension.resolution": cfg.dimension.resolution}
+    for path, resolution in resolutions.items():
+        if resolution is not None:
+            try:
+                sample_axes(grid, resolution)
+            except FractsurfError as exc:
+                err.add(path, str(exc))
+    eps = cfg.dimension.epsilon
+    if eps is not None:
         half = min(min(b - a for a, b in zip(grid.x_knots, grid.x_knots[1:])),
                    min(b - a for a, b in zip(grid.y_knots, grid.y_knots[1:]))) / 2
-        if not (0 < dim.epsilon < half):
+        if not (0 < eps < half):
             err.add("dimension.epsilon",
-                    f"must sit in (0, {half!r}) for this grid, got {dim.epsilon!r}")
+                    f"must sit in (0, {half!r}) for this grid, got {eps!r}")
+    return err.errors
 
 
 def parse_config_document(doc: dict) -> JobConfig:
@@ -499,7 +497,7 @@ def parse_config_document(doc: dict) -> JobConfig:
             err.add("free_field", "expected an object")
         else:
             _check_unknown(err, "free_field", fdoc, ("expr", "lipschitz", "sup_abs"))
-            expr = fdoc.get("expr", "0")
+            expr = fdoc.get("expr", FreeFieldSpec.expr)
             if not isinstance(expr, str):
                 err.add("free_field.expr", "expected an expression string")
             else:
@@ -507,7 +505,8 @@ def parse_config_document(doc: dict) -> JobConfig:
                     compile_xy_expression(expr)
                 except ValueError as exc:
                     err.add("free_field.expr", str(exc))
-            lip = _number(err, "free_field.lipschitz", fdoc.get("lipschitz", 0.0), minimum=0.0)
+            lip = _number(err, "free_field.lipschitz",
+                          fdoc.get("lipschitz", FreeFieldSpec.lipschitz), minimum=0.0)
             sup = None
             if fdoc.get("sup_abs") is not None:
                 sup = _number(err, "free_field.sup_abs", fdoc.get("sup_abs"), minimum=0.0)
@@ -523,8 +522,8 @@ def parse_config_document(doc: dict) -> JobConfig:
             _check_unknown(err, "solver", sdoc, ("resolution", "tol", "max_iter"))
             res = _number(err, "solver.resolution", sdoc.get("resolution"),
                           integer=True, minimum=5)
-            tol = _number(err, "solver.tol", sdoc.get("tol", 1e-6), strict_min=0.0)
-            mx = _number(err, "solver.max_iter", sdoc.get("max_iter", 10000),
+            tol = _number(err, "solver.tol", sdoc.get("tol", SolverSpec.tol), strict_min=0.0)
+            mx = _number(err, "solver.max_iter", sdoc.get("max_iter", SolverSpec.max_iter),
                          integer=True, minimum=1)
             if res is not None and tol is not None and mx is not None:
                 solver = SolverSpec(resolution=res, tol=tol, max_iter=mx)
@@ -536,10 +535,11 @@ def parse_config_document(doc: dict) -> JobConfig:
             err.add("chaos", "expected an object")
         else:
             _check_unknown(err, "chaos", cdoc, ("points", "seed", "burn_in"))
-            pts = _number(err, "chaos.points", cdoc.get("points", 100000),
+            pts = _number(err, "chaos.points", cdoc.get("points", ChaosSpec.points),
                           integer=True, minimum=1)
-            seed = _number(err, "chaos.seed", cdoc.get("seed", 0), integer=True, minimum=0)
-            burn = _number(err, "chaos.burn_in", cdoc.get("burn_in", 100),
+            seed = _number(err, "chaos.seed", cdoc.get("seed", ChaosSpec.seed),
+                           integer=True, minimum=0)
+            burn = _number(err, "chaos.burn_in", cdoc.get("burn_in", ChaosSpec.burn_in),
                            integer=True, minimum=0)
             if seed is not None and seed > 2 ** 64 - 1:
                 err.add("chaos.seed", "must fit in 64 bits")
@@ -554,7 +554,7 @@ def parse_config_document(doc: dict) -> JobConfig:
             err.add("dimension", "expected an object")
         else:
             _check_unknown(err, "dimension", ddoc, ("depth", "epsilon", "resolution"))
-            depth = _number(err, "dimension.depth", ddoc.get("depth", 4),
+            depth = _number(err, "dimension.depth", ddoc.get("depth", DimensionSpec.depth),
                             integer=True, minimum=1)
             eps = None
             if ddoc.get("epsilon") is not None:
@@ -588,19 +588,19 @@ def parse_config_document(doc: dict) -> JobConfig:
                 stem = name
             output = OutputSpec(directory=directory, stem=stem)
 
-    grid = None
+    cfg = JobConfig(name=name, grid=grid_spec, scaling=scaling, boundary=boundary,
+                    blend=blend, free_field=free, solver=solver, chaos=chaos,
+                    dimension=dimension, output=output)
     grid_clean = not any(p == "grid" or p.startswith("grid.") for p, _ in err.errors)
     if grid_spec is not None and grid_clean and grid_spec.source != "file":
         try:
             grid = realize_grid(grid_spec)
         except FractsurfError as exc:
             err.add("grid", str(exc))
-    _cross_checks(err, grid, {"scaling": scaling, "boundary": boundary,
-                              "blend": blend, "solver": solver, "dimension": dimension})
+        else:
+            err.errors += grid_errors(cfg, grid)
     err.raise_if_any()
-    return JobConfig(name=name, grid=grid_spec, scaling=scaling, boundary=boundary,
-                     blend=blend, free_field=free, solver=solver, chaos=chaos,
-                     dimension=dimension, output=output)
+    return cfg
 
 
 def parse_config(text: str) -> JobConfig:

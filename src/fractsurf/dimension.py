@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import FractsurfError, ScaleResolutionError
-from .grid import CellIndex, DataGrid
+from .grid import CellIndex, DataGrid, alignment_base, min_resolution
 from .ifs import SurfaceSample
 from .scaling import ScalingField, interior_extrema
 
@@ -272,26 +271,18 @@ def natural_scales(grid: DataGrid, depth: int) -> list[float]:
     return [span / grid.n ** k for k in range(1, depth + 1)]
 
 
-def alignment_base(grid: DataGrid) -> int:
-    """Smallest A such that A times every knot fraction is an integer."""
-    base = 1
-    for knots in (grid.x_knots, grid.y_knots):
-        span = knots[-1] - knots[0]
-        for k in knots[1:-1]:
-            frac = Fraction((k - knots[0]) / span).limit_denominator(10 ** 9)
-            base = math.lcm(base, frac.denominator)
-    return base
-
-
 def dimension_resolution(grid: DataGrid, depth: int,
                          min_per_box: int = MIN_SAMPLES_PER_BOX) -> int:
-    """Smallest knot-aligned resolution resolving all scales down to depth."""
+    """Smallest lattice resolution resolving all scales down to depth.
+
+    ``R - 1`` is the smallest multiple of ``lcm(alignment_base, n^depth)``
+    that gives every finest box ``min_per_box`` sample intervals and ``R``
+    at least the grid's :func:`~fractsurf.grid.min_resolution`.
+    """
     finest_boxes = grid.n ** depth
     step = math.lcm(alignment_base(grid), finest_boxes)
-    intervals = step
-    while intervals < min_per_box * finest_boxes:
-        intervals += step
-    return intervals + 1
+    need = max(min_per_box * finest_boxes, min_resolution(grid) - 1)
+    return -(-need // step) * step + 1
 
 
 def _column_extrema(h: np.ndarray, bx: int, wx: int, by: int, wy: int):

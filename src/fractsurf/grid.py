@@ -9,6 +9,11 @@ rectangle onto the cell.  Maps are kept affine on purpose: closed-form
 inverses, exact Lipschitz constants, and the contraction bookkeeping the
 fixed-point machinery depends on.
 
+Solvers sample the rectangle on an ``R x R`` lattice with every knot on a
+sample line.  :func:`sample_axes` is the one place that decides which ``R``
+admit such a lattice: at least :func:`min_resolution`, with ``R - 1`` a
+multiple of :func:`alignment_base`.
+
 Example
 -------
 >>> import numpy as np
@@ -21,12 +26,14 @@ CellIndex(i=1, j=2)
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidGridError, OutOfDomainError
+from .errors import FractsurfError, InvalidGridError, OutOfDomainError
 
 #: absolute tolerance for inverse round-trips and image/tiling checks
 MAP_TOL = 1e-12
@@ -224,9 +231,49 @@ def locate_cell(grid: DataGrid, point) -> CellIndex:
     return CellIndex(max(i, 1), max(j, 1))
 
 
-def invert_map(dmap: DomainMap, point, tol: float = MAP_TOL):
-    """Closed-form inverse of a cell map; errors if the point is off-image."""
-    return dmap.invert(point, tol)
+def _knot_fractions(knots: Sequence[float]) -> list[Fraction]:
+    """Each knot's offset from the first knot as an exact fraction of the span."""
+    span = knots[-1] - knots[0]
+    return [Fraction((k - knots[0]) / span).limit_denominator(10 ** 9) for k in knots]
+
+
+def alignment_base(grid: DataGrid) -> int:
+    """Smallest A such that A times every knot fraction is an integer."""
+    return math.lcm(*(f.denominator for knots in (grid.x_knots, grid.y_knots)
+                      for f in _knot_fractions(knots)))
+
+
+def min_resolution(grid: DataGrid) -> int:
+    """Fewest samples per axis: four sample intervals per cell of the longer axis."""
+    return 4 * max(grid.n, grid.m) + 1
+
+
+def sample_axes(grid: DataGrid, resolution: int):
+    """The sample lattice: ``resolution`` samples per axis, every knot on one.
+
+    The lattice exists iff ``resolution`` is at least :func:`min_resolution`
+    and ``resolution - 1`` is a multiple of :func:`alignment_base`; otherwise
+    this raises.  Returns ``((x_samples, x_blocks), (y_samples, y_blocks))``
+    where ``blocks[k]`` is the number of sample intervals inside cell
+    ``k + 1`` of that axis; each cell is sampled by its own linspace, so the
+    knots are exact sample values.
+    """
+    floor = min_resolution(grid)
+    if resolution < floor:
+        raise FractsurfError(f"resolution {resolution} is too coarse for a "
+                             f"{grid.n}x{grid.m} grid; need at least {floor}")
+    base = alignment_base(grid)
+    if (resolution - 1) % base:
+        raise FractsurfError(
+            f"resolution {resolution} is not knot-aligned: R - 1 must be a multiple "
+            f"of the grid's alignment base {base}")
+    axes = []
+    for knots in (grid.x_knots, grid.y_knots):
+        stops = [int(f * (resolution - 1)) for f in _knot_fractions(knots)]
+        blocks = [b - a for a, b in zip(stops, stops[1:])]
+        parts = [np.linspace(lo, hi, k + 1) for lo, hi, k in zip(knots, knots[1:], blocks)]
+        axes.append((np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), blocks))
+    return tuple(axes)
 
 
 def load_grid_text(text: str) -> DataGrid:

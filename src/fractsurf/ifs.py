@@ -8,8 +8,11 @@ the data.
 
 Two ways to materialize the attractor are provided and cross-checked:
 
-* :func:`solve_fixed_point` solves the associated operator on a sampled
-  height field; the transform of a surface candidate ``phi`` on cell
+* :func:`solve_fixed_point` solves the associated operator on a height
+  field sampled on the grid's sample lattice
+  (:func:`~fractsurf.grid.sample_axes`: every knot on a sample line, so a
+  resolution below the floor or off the alignment base raises); the
+  transform of a surface candidate ``phi`` on cell
   ``E_ij`` is ``s(p) * (phi(L^-1 p) - g(L^-1 p)) + h(p)``, a sup-norm
   contraction with factor ``c_s = max sup|s|``, so the a-posteriori bound
   ``c_s / (1 - c_s) * |T phi - phi|`` controls the error of ``T phi``
@@ -21,7 +24,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   ``iterations`` counts operator applications (equivalent ones, when
   doubling) and ``sup_diffs`` holds the residuals ``|T phi - phi|`` whose
   last entry gives the bound.  Discretization bias from the bilinear
-  pull-back is estimated separately against a half-resolution solve.
+  pull-back is estimated separately against a half-resolution solve, when
+  ``R - 1`` is even and the half resolution has a sample lattice of its own.
 * :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
   graph (at a data knot) it stays on the graph exactly.
 """
@@ -35,7 +39,7 @@ import numpy as np
 
 from .boundary import QField
 from .errors import ConvergenceError, FractsurfError, InvalidGridError
-from .grid import CellIndex, DataGrid, DomainMap
+from .grid import CellIndex, DataGrid, DomainMap, sample_axes
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
@@ -176,31 +180,6 @@ def _on_lattice(w: np.ndarray) -> bool:
     return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL))
 
 
-def _build_axis(knots: tuple[float, ...], resolution: int):
-    """Knot-aligned sample axis: per-cell linspaces with exact knot endpoints.
-
-    Returns (samples, block_sizes) where block_sizes[i] is the number of
-    intervals inside cell i+1.  Raises when the resolution cannot place
-    every knot exactly on a sample line.
-    """
-    span = knots[-1] - knots[0]
-    sizes = []
-    for k in range(len(knots) - 1):
-        ideal = (resolution - 1) * (knots[k + 1] - knots[k]) / span
-        m = round(ideal)
-        if m < 1 or abs(ideal - m) > 1e-9:
-            raise FractsurfError(
-                f"resolution {resolution} is not knot-aligned: cell {k + 1} would "
-                f"need {ideal:.6g} sample intervals; choose R so that (R-1) times "
-                "each cell fraction is an integer")
-        sizes.append(int(m))
-    if sum(sizes) != resolution - 1:
-        raise FractsurfError(f"resolution {resolution} does not split across cells")
-    parts = [np.linspace(knots[k], knots[k + 1], sizes[k] + 1) for k in range(len(sizes))]
-    samples = np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
-    return samples, sizes
-
-
 class OperatorGrid:
     """Precomputed sampled form of the surface transform at one resolution.
 
@@ -218,15 +197,10 @@ class OperatorGrid:
 
     def __init__(self, system: IfsSystem, resolution: int):
         grid = system.grid
-        min_r = 4 * max(grid.n, grid.m) + 1
-        if resolution < min_r:
-            raise FractsurfError(
-                f"resolution {resolution} too coarse; need at least {min_r} "
-                f"for a {grid.n}x{grid.m} grid")
         self.system = system
         self.resolution = resolution
-        self.x_samples, self.x_blocks = _build_axis(grid.x_knots, resolution)
-        self.y_samples, self.y_blocks = _build_axis(grid.y_knots, resolution)
+        ((self.x_samples, self.x_blocks),
+         (self.y_samples, self.y_blocks)) = sample_axes(grid, resolution)
 
         r = resolution
         self.s_values = np.empty((r, r))
@@ -272,13 +246,6 @@ class OperatorGrid:
             return out
         pulled = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
         return self.s_values * (pulled - self.g_values) + self.h_values
-
-
-def apply_T(system: IfsSystem, phi: np.ndarray) -> np.ndarray:
-    """One application of the surface transform to a sampled height field."""
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise FractsurfError("phi must be a square R x R sample grid")
-    return OperatorGrid(system, phi.shape[0]).apply(phi)
 
 
 @dataclass(frozen=True)
@@ -336,14 +303,13 @@ class SurfaceSample:
 
 
 def _half_resolution(plan: OperatorGrid) -> int | None:
-    r = plan.resolution
-    if (r - 1) % 2 != 0:
+    """The resolution whose lattice is every other node of this one, if it exists."""
+    if (plan.resolution - 1) % 2:
         return None
-    if any(b % 2 for b in plan.x_blocks) or any(b % 2 for b in plan.y_blocks):
-        return None
-    half = (r - 1) // 2 + 1
-    grid = plan.system.grid
-    if half < 4 * max(grid.n, grid.m) + 1:
+    half = (plan.resolution - 1) // 2 + 1
+    try:
+        sample_axes(plan.system.grid, half)
+    except FractsurfError:
         return None
     return half
 
@@ -528,13 +494,10 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
     max_ratio = 0.0
     for cell in system.cells():
         dmap = system.maps[cell]
-        def w(points):
-            lx, ly = dmap((points[:, 0], points[:, 1]))
-            fz = (system.scalings[cell](lx, ly) * points[:, 2]
-                  + system.q_fields[cell](points[:, 0], points[:, 1]))
-            return lx, ly, fz
-        plx, ply, plz = w(p)
-        qlx, qly, qlz = w(q)
+        plx, ply = dmap((p[:, 0], p[:, 1]))
+        qlx, qly = dmap((q[:, 0], q[:, 1]))
+        plz = eval_F(system, cell, p[:, 0], p[:, 1], p[:, 2])
+        qlz = eval_F(system, cell, q[:, 0], q[:, 1], q[:, 2])
         wdist = (np.abs(plx - qlx) + np.abs(ply - qly) + theta * np.abs(plz - qlz))
         ratios = wdist[keep] / dist[keep]
         max_ratio = max(max_ratio, float(ratios.max()))

@@ -19,9 +19,9 @@ import numpy as np
 from .boundary import (CurveNetwork, FreeField, PatchBlend, build_boundary_curves,
                        build_coons_blend, build_free_field, build_Q,
                        load_explicit_blend)
-from .config import JobConfig, realize_grid, serialize_config
+from .config import JobConfig, grid_errors, realize_grid, serialize_config
 from .dimension import DimensionReport, dimension_report, dimension_resolution
-from .errors import FractsurfError
+from .errors import ConfigurationError, FractsurfError
 from .exports import (counts_csv, dimension_report_text, heightmap_csv,
                       heightmap_pgm, write_bytes, write_text, xyz_text)
 from .grid import CellIndex, DataGrid, build_domain_maps
@@ -76,11 +76,17 @@ def _build_scaling(cfg: JobConfig, grid: DataGrid) -> dict[CellIndex, ScalingFie
 def build_system(cfg: JobConfig) -> BuiltJob:
     """Realize the grid and assemble the certified function system.
 
-    Raises the underlying validation error (curve interpolation, blend
-    edge mismatch, magnitude violation with its witness, ...) if any
-    ingredient fails certification.
+    Checks the configuration against the realized grid first
+    (:func:`~fractsurf.config.grid_errors`), so file grids and command-line
+    overrides fail with the same located ``ConfigurationError`` as inline
+    grids at parse time.  Then raises the underlying validation error
+    (curve interpolation, blend edge mismatch, magnitude violation with its
+    witness, ...) if any ingredient fails certification.
     """
     grid = realize_grid(cfg.grid)
+    errors = grid_errors(cfg, grid)
+    if errors:
+        raise ConfigurationError(errors)
     maps = build_domain_maps(grid)
     if cfg.boundary.method == "linear":
         curves = build_boundary_curves(grid, method="linear")
@@ -95,8 +101,6 @@ def build_system(cfg: JobConfig) -> BuiltJob:
     else:
         tables = {CellIndex(*cell): coeffs for cell, coeffs in cfg.blend.tables}
         for cell in grid.cells():
-            if cell not in tables:
-                raise FractsurfError(f"no blend table for cell ({cell.i},{cell.j})")
             blends[cell] = load_explicit_blend(grid, curves, cell, tables[cell])
     free = build_free_field(grid.rect, cfg.free_field.expr, cfg.free_field.lipschitz,
                             sup_abs=cfg.free_field.sup_abs)

@@ -117,15 +117,6 @@ class PiecewisePoly:
             gaps.append(abs(float(lo) - float(hi)))
         return gaps
 
-    def derivative_bound(self) -> float:
-        """Sound bound on |d/dt| over the whole support (coefficient sums)."""
-        best = 0.0
-        for k, c in enumerate(self.coeffs):
-            tmax = max(abs(self.knots[k]), abs(self.knots[k + 1]))
-            bound = sum(abs(ci) * i * tmax ** (i - 1) for i, ci in enumerate(c) if i > 0)
-            best = max(best, float(bound))
-        return best
-
 
 def poly_outer(cx: Sequence[float], cy: Sequence[float]) -> np.ndarray:
     """Monomial table of the product p(x) * q(y) from 1-D ascending coeffs."""

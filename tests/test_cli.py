@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from fractsurf.cli import main
 from fractsurf.config import parse_config_document, serialize_config
-from fractsurf.fixtures import fixture_config
+from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config
 
 
 @pytest.fixture()
@@ -146,7 +146,59 @@ def test_invalid_config_file_exits_one(runner, tmp_path):
 
 
 def test_misaligned_resolution_override_exits_one(runner, tmp_path):
-    result = run(runner, "surface", "--fixture", "flat2x2",
-                 "--out", str(tmp_path), "--resolution", "18")
-    assert result.exit_code == 1
-    assert "error:" in result.output + result.stderr
+    # every command checks the override against the grid, validate included
+    for command, fixture, resolution in (("surface", "flat2x2", "18"),
+                                         ("validate", "example2a", "100")):
+        result = run(runner, command, "--fixture", fixture,
+                     "--out", str(tmp_path), "--resolution", resolution)
+        assert result.exit_code == 1
+        err = result.output + result.stderr
+        assert "error: invalid configuration" in err
+        assert "solver.resolution" in err
+        assert "knot-aligned" in err
+
+
+def _example2a_on_a_file_grid(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("x: " + " ".join(map(repr, X_KNOTS)) + "\n"
+                    + "y: " + " ".join(map(repr, Y_KNOTS)) + "\n"
+                    + "".join(" ".join(map(repr, row)) + "\n" for row in Z_ROWS),
+                    encoding="utf-8")
+    doc = fixture_config("example2a")
+    doc["grid"] = {"source": "file", "path": str(grid)}
+    return doc
+
+
+def _file_grid_missing_cell(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["scaling"]["fields"].pop()  # cell [4, 3]
+    return doc
+
+
+def _file_grid_short_curve(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["boundary"]["r"][0].pop()
+    return doc
+
+
+def _dimension_below_floor(tmp_path):
+    doc = fixture_config("flat2x2")
+    doc["dimension"]["resolution"] = 5
+    return doc
+
+
+@pytest.mark.parametrize("make_doc, path", [
+    (_file_grid_missing_cell, "scaling.fields"),
+    (_file_grid_short_curve, "boundary.r[0]"),
+    (_dimension_below_floor, "dimension.resolution"),
+], ids=["file-grid-missing-cell", "file-grid-short-curve", "dimension-below-floor"])
+def test_grid_rule_violations_exit_one_with_their_path(runner, tmp_path, make_doc, path):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(make_doc(tmp_path)), encoding="utf-8")
+    for command in ("validate", "dimension"):
+        result = run(runner, command, "--config", str(config), "--out", str(tmp_path))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+        err = result.output + result.stderr
+        assert "error: invalid configuration" in err
+        assert f"  {path}: " in err

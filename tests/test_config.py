@@ -15,6 +15,7 @@ from fractsurf.config import (
     serialize_config,
 )
 from fractsurf.fixtures import fixture_config, fixture_names
+from fractsurf.pipeline import build_system
 
 
 def error_paths(excinfo):
@@ -96,6 +97,10 @@ def test_file_grid_defers_grid_dependent_checks(tmp_path):
     assert cfg.grid.source == "file"
     grid = realize_grid(cfg.grid)
     assert grid.n == grid.m == 2
+    # ... and are run when the job is built
+    with pytest.raises(ConfigurationError) as excinfo:
+        build_system(cfg)
+    assert error_paths(excinfo) == ["solver.resolution"]
 
 
 # --- structural errors --------------------------------------------------------
@@ -332,11 +337,14 @@ def test_dimension_epsilon_must_fit_inside_a_cell(eps):
 
 
 def test_dimension_resolution_alignment_is_checked():
-    doc = fixture_config("example2a")
-    doc["dimension"]["resolution"] = 100
-    with pytest.raises(ConfigurationError) as excinfo:
-        parse_config_document(doc)
-    assert "dimension.resolution" in error_paths(excinfo)
+    for name, resolution, message in (("example2a", 100, "knot-aligned"),
+                                      ("flat2x2", 5, "at least 9")):
+        doc = fixture_config(name)
+        doc["dimension"]["resolution"] = resolution
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config_document(doc)
+        assert "dimension.resolution" in error_paths(excinfo)
+        assert any(message in msg for _, msg in excinfo.value.errors)
 
 
 @given(

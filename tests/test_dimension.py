@@ -12,6 +12,7 @@ from fractsurf.dimension import (alignment_base, box_count, box_count_points,
                                  natural_scales, theoretical_bounds)
 from fractsurf.errors import FractsurfError, ScaleResolutionError
 from fractsurf.fixtures import fixture_config
+from fractsurf.grid import DataGrid
 from fractsurf.ifs import SurfaceSample, solve_fixed_point
 from fractsurf.pipeline import build_system
 
@@ -144,6 +145,9 @@ def test_dimension_resolution_rule(flat_job, example2a_job):
     assert dimension_resolution(flat_job.grid, 5) == 129
     # lcm(12, 4^4) = 768; first multiple >= 4*256 = 1024 is 1536
     assert dimension_resolution(example2a_job.grid, 4) == 1537
+    # 2x4 cells: 4 * 2^1 = 8 intervals resolve the boxes, the 4 y cells need 16
+    tall = DataGrid((0.0, 0.5, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0), np.zeros((3, 5)))
+    assert dimension_resolution(tall, 1) == 17
 
 
 # --- box counting ------------------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fractsurf.errors import InvalidGridError, OutOfDomainError
+from fractsurf.errors import FractsurfError, InvalidGridError, OutOfDomainError
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import (AxisMap, CellIndex, DataGrid, build_domain_maps,
-                            invert_map, load_grid_text, locate_cell)
+                            load_grid_text, locate_cell, sample_axes)
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +84,13 @@ def test_locate_cell_examples(grid):
 
 
 def test_invert_map_example(grid, maps):
-    x, y = invert_map(maps[CellIndex(2, 1)], (0.375, 1 / 6))
+    x, y = maps[CellIndex(2, 1)].invert((0.375, 1 / 6))
     assert (x, y) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_invert_rejects_points_off_image(grid, maps):
     with pytest.raises(OutOfDomainError):
-        invert_map(maps[CellIndex(1, 1)], (0.9, 0.9))
+        maps[CellIndex(1, 1)].invert((0.9, 0.9))
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -113,7 +113,7 @@ def test_invert_round_trip(x, y):
     maps = build_domain_maps(grid)
     for m in maps.values():
         px, py = m.axis_x(x), m.axis_y(y)
-        rx, ry = invert_map(m, (px, py))
+        rx, ry = m.invert((px, py))
         assert abs(rx - x) < 1e-12 and abs(ry - y) < 1e-12
 
 
@@ -135,3 +135,23 @@ def test_load_grid_text_round_trip(grid):
     g = load_grid_text(text)
     assert g.n == 4 and g.m == 3
     np.testing.assert_allclose(g.z, grid.z, atol=1e-15)
+
+
+def test_sample_axes_put_every_knot_on_a_sample(grid):
+    # alignment base 12: x fractions are quarters, y fractions thirds
+    (xs, x_blocks), (ys, y_blocks) = sample_axes(grid, 25)
+    assert x_blocks == [6, 6, 6, 6] and y_blocks == [8, 8, 8]
+    assert len(xs) == len(ys) == 25
+    assert [xs[6 * k] for k in range(5)] == list(grid.x_knots)
+    assert [ys[8 * k] for k in range(4)] == list(grid.y_knots)
+    nonuniform = DataGrid((0.0, 0.25, 1.0), (0.0, 0.375, 0.75, 1.0), np.zeros((3, 4)))
+    (_, x_blocks), (_, y_blocks) = sample_axes(nonuniform, 17)
+    assert x_blocks == [4, 12] and y_blocks == [6, 6, 4]
+
+
+@pytest.mark.parametrize("resolution, message", [(13, "at least 17"),
+                                                 (24, "knot-aligned"),
+                                                 (31, "knot-aligned")])
+def test_sample_axes_reject_coarse_or_misaligned_resolutions(grid, resolution, message):
+    with pytest.raises(FractsurfError, match=message):
+        sample_axes(grid, resolution)

@@ -4,8 +4,8 @@ import pytest
 from fractsurf.config import parse_config_document
 from fractsurf.errors import ConvergenceError, FractsurfError, InvalidGridError
 from fractsurf.fixtures import fixture_config
-from fractsurf.grid import CellIndex, invert_map
-from fractsurf.ifs import (apply_T, assemble_ifs, certify_metric, chaos_game,
+from fractsurf.grid import CellIndex
+from fractsurf.ifs import (OperatorGrid, assemble_ifs, certify_metric, chaos_game,
                            eval_F, solve_fixed_point)
 from fractsurf.pipeline import build_system
 
@@ -69,7 +69,7 @@ def test_apply_T_interpolates_knots_for_any_field():
     job = small_fractal_job()
     rng = np.random.default_rng(5)
     phi = rng.normal(size=(13, 13))
-    out = apply_T(job.system, phi)
+    out = OperatorGrid(job.system, 13).apply(phi)
     knot_ids = [0, 6, 12]
     for a, xi in enumerate(knot_ids):
         for b, yj in enumerate(knot_ids):
@@ -78,8 +78,9 @@ def test_apply_T_interpolates_knots_for_any_field():
 
 def test_apply_T_with_zero_scaling_is_constant(flat_job):
     rng = np.random.default_rng(6)
-    out1 = apply_T(flat_job.system, rng.normal(size=(13, 13)))
-    out2 = apply_T(flat_job.system, rng.normal(size=(13, 13)) * 100)
+    plan = OperatorGrid(flat_job.system, 13)
+    out1 = plan.apply(rng.normal(size=(13, 13)))
+    out2 = plan.apply(rng.normal(size=(13, 13)) * 100)
     np.testing.assert_array_equal(out1, out2)
     np.testing.assert_allclose(out1, 0.7, atol=1e-12)
 
@@ -87,7 +88,7 @@ def test_apply_T_with_zero_scaling_is_constant(flat_job):
 def test_apply_T_rejects_misaligned_resolution(example2a_job):
     # (R-1) = 11 is not divisible by the 4x3 cell structure
     with pytest.raises(FractsurfError):
-        apply_T(example2a_job.system, np.zeros((12, 12)))
+        OperatorGrid(example2a_job.system, 12)
 
 
 def test_solver_enforces_minimum_resolution(example2a_job):
@@ -126,7 +127,7 @@ def test_continuity_across_interior_knot_lines(example2a_solved, example2a_job):
                 left, right = CellIndex(i, j), CellIndex(i + 1, j)
                 vals = []
                 for cell in (left, right):
-                    px, py = invert_map(system.maps[cell], (x_edge, y))
+                    px, py = system.maps[cell].invert((x_edge, y))
                     z = surface.evaluate(px, py)
                     vals.append(eval_F(system, cell, px, py, z))
                 worst = max(worst, abs(vals[0] - vals[1]))
