@@ -25,6 +25,9 @@ from .dimension import DimensionReport
 from .ifs import SurfaceSample
 from .utils import format_float
 
+# Points converted to Python floats at a time by xyz_text.
+_POINT_BLOCK = 4096
+
 
 def heightmap_csv(surface: SurfaceSample) -> str:
     xs = surface.x_samples
@@ -34,9 +37,10 @@ def heightmap_csv(surface: SurfaceSample) -> str:
               format_float(ys[0]), format_float(ys[-1])]
     out.write(",".join(header) + "\n")
     # heights is indexed [ix, iy]; emit rows from y_max down to y_min.
-    z = surface.heights
-    for iy in range(len(ys) - 1, -1, -1):
-        out.write(",".join(format_float(v) for v in z[:, iy]) + "\n")
+    # repr of the Python floats from tolist() is format_float, per element;
+    # one row at a time, so only one row of Python floats is alive.
+    for row in surface.heights[:, ::-1].T:
+        out.write(",".join(map(repr, row.tolist())) + "\n")
     return out.getvalue()
 
 
@@ -62,8 +66,9 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
 
 def xyz_text(points: np.ndarray) -> str:
     out = io.StringIO()
-    for x, y, z in points:
-        out.write(f"{format_float(x)} {format_float(y)} {format_float(z)}\n")
+    for r0 in range(0, len(points), _POINT_BLOCK):
+        for point in points[r0:r0 + _POINT_BLOCK].tolist():
+            out.write(" ".join(map(repr, point)) + "\n")
     return out.getvalue()
 
 

@@ -290,15 +290,15 @@ def load_grid_text(text: str) -> DataGrid:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("x:"):
-            xs = [float(v) for v in line[2:].split()]
-        elif line.startswith("y:"):
-            ys = [float(v) for v in line[2:].split()]
-        else:
-            try:
+        try:
+            if line.startswith("x:"):
+                xs = [float(v) for v in line[2:].split()]
+            elif line.startswith("y:"):
+                ys = [float(v) for v in line[2:].split()]
+            else:
                 rows.append([float(v) for v in line.split()])
-            except ValueError as exc:
-                raise InvalidGridError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise InvalidGridError(f"line {lineno}: {exc}") from None
     if xs is None or ys is None:
         raise InvalidGridError("grid text needs 'x:' and 'y:' knot lines")
     if len(rows) != len(ys):

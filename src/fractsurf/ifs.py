@@ -20,7 +20,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   pulled-back node lands on a sample node (uniform, knot-aligned grids) the
   sampled operator is a pure gather ``phi -> s * phi[P] + b`` and the solver
   composes it with itself (pointer doubling), reaching iterate ``2^k`` in
-  ``k`` rounds; otherwise it iterates the bilinear pull-back.  Either way
+  ``k`` rounds; otherwise it iterates the bilinear pull-back, a separable
+  gather in two 1-D passes (along y, then along x).  Either way
   ``iterations`` counts operator applications (equivalent ones, when
   doubling) and ``sup_diffs`` holds the residuals ``|T phi - phi|`` whose
   last entry gives the bound.  Discretization bias from the bilinear
@@ -43,8 +44,12 @@ from .grid import CellIndex, DataGrid, DomainMap, sample_axes
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
-# Rounding in the affine inversion leaves on-node weights ~3e-13 off 0 or 1.
-LATTICE_TOL = 5e-13
+# Rounding in the affine inversion is relative to the coordinates, so in units
+# of one sample interval it grows with R - 1: on the fixtures, on-node weights
+# come out up to 3.3e-16 * (R - 1) off 0 or 1.  A weight within
+# LATTICE_TOL * (R - 1) counts as on a node; fractional weights of
+# knot-aligned grids stay far above that.
+LATTICE_TOL = 4e-15
 # Cells per row block of a gather: a 256 KiB temporary stays in cache.
 _GATHER_CELLS = 1 << 15
 
@@ -148,15 +153,39 @@ def _axis_weights(axis: np.ndarray, t: np.ndarray):
 
 
 def _bilinear_gather(values: np.ndarray, ix, wx, iy, wy) -> np.ndarray:
-    """Separable bilinear gather; wx broadcast over rows, wy over columns."""
-    wx = wx[:, None]
-    wy = wy[None, :]
-    v00 = values[np.ix_(ix, iy)]
-    v10 = values[np.ix_(ix + 1, iy)]
-    v01 = values[np.ix_(ix, iy + 1)]
-    v11 = values[np.ix_(ix + 1, iy + 1)]
-    return ((1 - wx) * ((1 - wy) * v00 + wy * v01)
-            + wx * ((1 - wy) * v10 + wy * v11))
+    """``values`` interpolated at rows ``ix + wx`` and columns ``iy + wy``.
+
+    Two 1-D passes in row blocks: along y on every row,
+    ``c = (1 - wy) * values[:, iy] + wy * values[:, iy + 1]``, then along x,
+    ``out = (1 - wx) * c[ix] + wx * c[ix + 1]``.  Each element sees the same
+    floating-point operations as the four-corner formula
+    ``(1 - wx) * ((1 - wy) * v00 + wy * v01) + wx * ((1 - wy) * v10 + wy * v11)``,
+    so results are bit-identical to it.  Only ``c`` and ``out`` are full size.
+    """
+    rows = max(1, _GATHER_CELLS // len(iy))
+    spare = np.empty((rows, len(iy)))
+    iy1, vy = iy + 1, 1 - wy
+    c = np.empty((len(values), len(iy)))
+    for r0 in range(0, len(values), rows):
+        block, c_blk = values[r0:r0 + rows], c[r0:r0 + rows]
+        tmp = spare[:len(c_blk)]
+        np.take(block, iy, axis=1, out=c_blk)
+        c_blk *= vy
+        np.take(block, iy1, axis=1, out=tmp)
+        tmp *= wy
+        c_blk += tmp
+    ix1, vx, wx = ix + 1, (1 - wx)[:, None], wx[:, None]
+    out = np.empty((len(ix), len(iy)))
+    for r0 in range(0, len(ix), rows):
+        sl = slice(r0, r0 + rows)
+        o_blk = out[sl]
+        tmp = spare[:len(o_blk)]
+        np.take(c, ix[sl], axis=0, out=o_blk)
+        o_blk *= vx[sl]
+        np.take(c, ix1[sl], axis=0, out=tmp)
+        tmp *= wx[sl]
+        o_blk += tmp
+    return out
 
 
 def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -175,24 +204,26 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
                for r0 in range(0, len(a), rows))
 
 
-def _on_lattice(w: np.ndarray) -> bool:
-    """Whether every bilinear weight is within LATTICE_TOL of 0 or 1."""
-    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL))
+def _on_lattice(w: np.ndarray, intervals: int) -> bool:
+    """Whether every bilinear weight is within ``LATTICE_TOL * intervals`` of 0 or 1."""
+    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL * intervals))
 
 
 class OperatorGrid:
     """Precomputed sampled form of the surface transform at one resolution.
 
     All position-dependent quantities (the scaling field, the blend, the
-    free field at the pulled-back points, and the bilinear gather indices)
-    are fixed across iterations, so one application is a gather plus a
-    fused multiply-add.
+    free field at the pulled-back points, and the bilinear gather indices
+    and weights) are fixed across iterations.  One application of a
+    bilinear plan is the two-pass :func:`_bilinear_gather` (along y, then
+    along x) followed by ``s * (. - g) + h`` in place on its output.
 
-    When every bilinear weight on both axes is within ``LATTICE_TOL`` of 0
-    or 1, the plan is a *lattice* plan: the weights snap to 0 or 1, the
-    integer node indices ``px``, ``py`` replace indices and weights, and
-    ``b = h - s * g`` replaces ``g``, so that ``apply`` is the pure gather
-    ``s * phi[P] + b``.
+    When every bilinear weight on both axes is within
+    ``LATTICE_TOL * (R - 1)`` of 0 or 1 (rounding of the inversion, relative
+    to the sample spacing), the plan is a *lattice* plan: the weights snap
+    to 0 or 1, the integer node indices ``px``, ``py`` replace indices and
+    weights, and ``b = h - s * g`` replaces ``g``, so that ``apply`` is the
+    pure gather ``s * phi[P] + b``.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -223,7 +254,7 @@ class OperatorGrid:
             g[sl_x, sl_y] = system.free(cell)(x_pre[sl_x][:, None], y_pre[sl_y][None, :])
         ix, wx = _axis_weights(self.x_samples, x_pre)
         iy, wy = _axis_weights(self.y_samples, y_pre)
-        self.lattice = _on_lattice(wx) and _on_lattice(wy)
+        self.lattice = _on_lattice(wx, r - 1) and _on_lattice(wy, r - 1)
         if self.lattice:
             self.px = ix + (wx > 0.5)
             self.py = iy + (wy > 0.5)
@@ -238,14 +269,17 @@ class OperatorGrid:
         return self.h_values.copy()
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
+        phi = np.asarray(phi, dtype=float)
         if self.lattice:
-            phi = np.asarray(phi, dtype=float)
             out = _gather(phi, self.px, self.py, np.empty_like(phi))
             out *= self.s_values
             out += self.b_values
             return out
-        pulled = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
-        return self.s_values * (pulled - self.g_values) + self.h_values
+        out = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
+        out -= self.g_values
+        out *= self.s_values
+        out += self.h_values
+        return out
 
 
 @dataclass(frozen=True)

@@ -79,11 +79,17 @@ def build_system(cfg: JobConfig) -> BuiltJob:
     Checks the configuration against the realized grid first
     (:func:`~fractsurf.config.grid_errors`), so file grids and command-line
     overrides fail with the same located ``ConfigurationError`` as inline
-    grids at parse time.  Then raises the underlying validation error
-    (curve interpolation, blend edge mismatch, magnitude violation with its
-    witness, ...) if any ingredient fails certification.
+    grids at parse time; an unreadable grid file fails at ``grid.path`` and
+    a malformed one at ``grid``.  Then raises the underlying validation
+    error (curve interpolation, blend edge mismatch, magnitude violation
+    with its witness, ...) if any ingredient fails certification.
     """
-    grid = realize_grid(cfg.grid)
+    try:
+        grid = realize_grid(cfg.grid)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError([("grid.path", f"cannot read grid file: {exc}")]) from None
+    except FractsurfError as exc:
+        raise ConfigurationError([("grid", str(exc))]) from None
     errors = grid_errors(cfg, grid)
     if errors:
         raise ConfigurationError(errors)

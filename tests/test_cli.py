@@ -181,6 +181,29 @@ def _file_grid_short_curve(tmp_path):
     return doc
 
 
+def _file_grid_missing_file(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["grid"]["path"] = str(tmp_path / "no-such-grid.txt")
+    return doc
+
+
+def _file_grid_short_row(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    grid = tmp_path / "grid.txt"
+    lines = grid.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]  # last height row one value short
+    grid.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return doc
+
+
+def _file_grid_bad_knot(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    grid = tmp_path / "grid.txt"
+    text = grid.read_text(encoding="utf-8")
+    grid.write_text(text.replace("x: ", "x: zero ", 1), encoding="utf-8")
+    return doc
+
+
 def _dimension_below_floor(tmp_path):
     doc = fixture_config("flat2x2")
     doc["dimension"]["resolution"] = 5
@@ -190,8 +213,12 @@ def _dimension_below_floor(tmp_path):
 @pytest.mark.parametrize("make_doc, path", [
     (_file_grid_missing_cell, "scaling.fields"),
     (_file_grid_short_curve, "boundary.r[0]"),
+    (_file_grid_missing_file, "grid.path"),
+    (_file_grid_short_row, "grid"),
+    (_file_grid_bad_knot, "grid"),
     (_dimension_below_floor, "dimension.resolution"),
-], ids=["file-grid-missing-cell", "file-grid-short-curve", "dimension-below-floor"])
+], ids=["file-grid-missing-cell", "file-grid-short-curve", "file-grid-missing-file",
+        "file-grid-short-row", "file-grid-bad-knot", "dimension-below-floor"])
 def test_grid_rule_violations_exit_one_with_their_path(runner, tmp_path, make_doc, path):
     config = tmp_path / "job.json"
     config.write_text(json.dumps(make_doc(tmp_path)), encoding="utf-8")

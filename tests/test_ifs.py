@@ -86,9 +86,9 @@ def test_apply_T_with_zero_scaling_is_constant(flat_job):
 
 
 def test_apply_T_rejects_misaligned_resolution(example2a_job):
-    # (R-1) = 11 is not divisible by the 4x3 cell structure
-    with pytest.raises(FractsurfError):
-        OperatorGrid(example2a_job.system, 12)
+    # above the floor 17, but R - 1 = 29 is not a multiple of the alignment base 12
+    with pytest.raises(FractsurfError, match="knot-aligned"):
+        OperatorGrid(example2a_job.system, 30)
 
 
 def test_solver_enforces_minimum_resolution(example2a_job):

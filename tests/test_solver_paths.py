@@ -11,8 +11,9 @@ import pytest
 from fractsurf import ifs
 from fractsurf.config import parse_config_document
 from fractsurf.errors import ConvergenceError
+from fractsurf.fixtures import fixture_config, fixture_names
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
-from fractsurf.pipeline import build_system
+from fractsurf.pipeline import _dimension_resolution, build_system
 
 LATTICE_R = 97
 TOL = 1e-6
@@ -128,3 +129,78 @@ def test_nonuniform_grid_takes_the_bilinear_path():
     assert surface.knot_error(job.grid) <= surface.error_bound
     assert surface.error_bound == c / (1 - c) * surface.sup_diffs[-1]
     assert surface.bias_estimate is not None
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixtures_take_the_lattice_path_at_both_resolutions(name):
+    # rounding of the inversion grows with R; it must not push an aligned grid off
+    job = build_system(parse_config_document(fixture_config(name)))
+    for resolution in (job.config.solver.resolution, _dimension_resolution(job)):
+        assert OperatorGrid(job.system, resolution).lattice, resolution
+
+
+def test_nonuniform_grid_stays_bilinear_at_both_resolutions():
+    job = nonuniform_job()
+    for resolution in (job.config.solver.resolution, _dimension_resolution(job)):
+        assert not OperatorGrid(job.system, resolution).lattice, resolution
+
+
+def four_corner_gather(values, ix, wx, iy, wy):
+    """Reference bilinear gather: all four corners at once."""
+    wx = wx[:, None]
+    wy = wy[None, :]
+    v00 = values[np.ix_(ix, iy)]
+    v10 = values[np.ix_(ix + 1, iy)]
+    v01 = values[np.ix_(ix, iy + 1)]
+    v11 = values[np.ix_(ix + 1, iy + 1)]
+    return ((1 - wx) * ((1 - wy) * v00 + wy * v01)
+            + wx * ((1 - wy) * v10 + wy * v11))
+
+
+@pytest.mark.parametrize("block_cells", [ifs._GATHER_CELLS, 1000],
+                         ids=["one-block", "ragged-blocks"])
+def test_two_pass_gather_equals_the_four_corner_formula(block_cells, monkeypatch):
+    monkeypatch.setattr(ifs, "_GATHER_CELLS", block_cells)  # 1000: 15 rows per block
+    job = nonuniform_job()
+    plan = OperatorGrid(job.system, job.config.solver.resolution)
+    rng = np.random.default_rng(11)
+    phi = rng.normal(size=(plan.resolution, plan.resolution))
+    square = (plan.ix, plan.wx, plan.iy, plan.wy)
+    assert np.array_equal(ifs._bilinear_gather(phi, *square),
+                          four_corner_gather(phi, *square))
+    expected = plan.s_values * (four_corner_gather(phi, *square) - plan.g_values) \
+        + plan.h_values
+    assert np.array_equal(plan.apply(phi), expected)
+    # coarse -> fine, as in the bias estimate: 33 x 17 values onto 65 x 65 nodes
+    coarse_x, coarse_y = plan.x_samples[::2], plan.y_samples[::4]
+    coarse = rng.normal(size=(len(coarse_x), len(coarse_y)))
+    up = (*ifs._axis_weights(coarse_x, plan.x_samples),
+          *ifs._axis_weights(coarse_y, plan.y_samples))
+    assert np.array_equal(ifs._bilinear_gather(coarse, *up),
+                          four_corner_gather(coarse, *up))
+
+
+def test_bilinear_solve_matches_the_four_corner_iteration():
+    job = nonuniform_job()
+    cfg = job.config.solver
+    surface = solve_fixed_point(job.system, cfg.resolution, tol=cfg.tol)
+    c = surface.contraction
+
+    def reference_solve(resolution):
+        plan = OperatorGrid(job.system, resolution)
+        phi, diffs = plan.initial(), []
+        while True:
+            nxt = plan.s_values * (four_corner_gather(phi, plan.ix, plan.wx, plan.iy, plan.wy)
+                                   - plan.g_values) + plan.h_values
+            diffs.append(float(np.max(np.abs(nxt - phi))))
+            phi = nxt
+            if c / (1 - c) * diffs[-1] <= cfg.tol:
+                return plan, phi, diffs
+
+    plan, heights, diffs = reference_solve(cfg.resolution)
+    assert surface.sup_diffs == tuple(diffs)
+    assert np.array_equal(surface.heights, heights)
+    half, coarse, _ = reference_solve((cfg.resolution - 1) // 2 + 1)
+    up = four_corner_gather(coarse, *ifs._axis_weights(half.x_samples, plan.x_samples),
+                            *ifs._axis_weights(half.y_samples, plan.y_samples))
+    assert surface.bias_estimate == float(np.max(np.abs(up - heights)))
