@@ -18,13 +18,17 @@ Two ways to materialize the attractor are provided and cross-checked:
   ``c_s / (1 - c_s) * |T phi - phi|`` controls the error of ``T phi``
   against the exact fixed point at the sample nodes.  When every
   pulled-back node lands on a sample node (uniform, knot-aligned grids) the
-  sampled operator is a pure gather ``phi -> s * phi[P] + b`` and the solver
-  composes it with itself (pointer doubling), reaching iterate ``2^k`` in
-  ``k`` rounds; otherwise it iterates the bilinear pull-back, a separable
-  gather in two 1-D passes (along y, then along x).  Either way
-  ``iterations`` counts operator applications (equivalent ones, when
-  doubling) and ``sup_diffs`` holds the residuals ``|T phi - phi|`` whose
-  last entry gives the bound.  Discretization bias from the bilinear
+  sampled operator is a pure gather ``phi -> s * phi[P] + b``.  ``P`` maps
+  every node into ``image(P)`` and ``image(P)`` into itself, so the solver
+  descends the chain of images to the core on which ``P`` is a permutation,
+  composes the gather with itself there (pointer doubling, iterate ``2^k``
+  in ``k`` rounds), lifts the core's fixed point back to every node with one
+  gather per level and certifies it with one last application.  Otherwise
+  it iterates the bilinear pull-back, a separable gather in two 1-D passes
+  (along y, then along x).  Either way ``iterations`` counts operator
+  applications (equivalent ones on lattice plans) and ``sup_diffs`` holds
+  the residuals ``|T phi - phi|``; the last entry, measured on every node,
+  gives the bound.  Discretization bias from the bilinear
   pull-back is estimated separately against a half-resolution solve, when
   ``R - 1`` is even and the half resolution has a sample lattice of its own.
 * :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
@@ -45,10 +49,11 @@ from .scaling import ScalingField
 
 TILING_TOL = 1e-12
 # Rounding in the affine inversion is relative to the coordinates, so in units
-# of one sample interval it grows with R - 1: on the fixtures, on-node weights
-# come out up to 3.3e-16 * (R - 1) off 0 or 1.  A weight within
-# LATTICE_TOL * (R - 1) counts as on a node; fractional weights of
-# knot-aligned grids stay far above that.
+# of one sample interval it grows with R - 1 and with the coordinates' size
+# against the span: on the fixtures, on-node weights come out up to
+# 3.3e-16 * (R - 1) off 0 or 1.  A weight within
+# LATTICE_TOL * (R - 1) * max(1, max|knot| / span) counts as on a node;
+# fractional weights of knot-aligned grids stay far above that.
 LATTICE_TOL = 4e-15
 # Cells per row block of a gather: a 256 KiB temporary stays in cache.
 _GATHER_CELLS = 1 << 15
@@ -197,6 +202,25 @@ def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
     return out
 
 
+def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
+          b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(rows, cols)``, in row blocks.
+
+    Blocks hold as many rows as fit ``_GATHER_CELLS`` at the full width of
+    ``s``, because the rows of ``s`` and ``b`` are taken before their
+    columns; so no temporary is larger than a block.
+    """
+    out = np.empty((len(rows), len(cols)))
+    step = max(1, _GATHER_CELLS // s.shape[1])
+    for r0 in range(0, len(rows), step):
+        sl = slice(r0, r0 + step)
+        blk = out[sl]
+        np.take(values[px[sl]], py, axis=1, out=blk)
+        blk *= np.take(s[rows[sl]], cols, axis=1)
+        blk += np.take(b[rows[sl]], cols, axis=1)
+    return out
+
+
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``max |a - b|`` in row blocks, without a full-size temporary."""
     rows = max(1, _GATHER_CELLS // a.shape[1])
@@ -204,9 +228,14 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
                for r0 in range(0, len(a), rows))
 
 
-def _on_lattice(w: np.ndarray, intervals: int) -> bool:
-    """Whether every bilinear weight is within ``LATTICE_TOL * intervals`` of 0 or 1."""
-    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL * intervals))
+def _on_lattice(w: np.ndarray, knots) -> bool:
+    """Whether every bilinear weight on an axis with these knots is on a node.
+
+    The bound is ``LATTICE_TOL * (len(w) - 1) * max(1, max|knot| / span)``.
+    """
+    span = knots[-1] - knots[0]
+    scale = max(1.0, max(abs(knots[0]), abs(knots[-1])) / span)
+    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL * (len(w) - 1) * scale))
 
 
 class OperatorGrid:
@@ -219,11 +248,12 @@ class OperatorGrid:
     along x) followed by ``s * (. - g) + h`` in place on its output.
 
     When every bilinear weight on both axes is within
-    ``LATTICE_TOL * (R - 1)`` of 0 or 1 (rounding of the inversion, relative
-    to the sample spacing), the plan is a *lattice* plan: the weights snap
-    to 0 or 1, the integer node indices ``px``, ``py`` replace indices and
-    weights, and ``b = h - s * g`` replaces ``g``, so that ``apply`` is the
-    pure gather ``s * phi[P] + b``.
+    ``LATTICE_TOL * (R - 1) * max(1, max|knot| / span)`` of 0 or 1 (rounding
+    of the inversion, relative to the coordinates and measured in sample
+    intervals), the plan is a *lattice* plan: the weights snap to 0 or 1,
+    the integer node indices ``px``, ``py`` (one 1-D array per axis) replace
+    indices and weights, and ``b = h - s * g`` replaces ``g``, so that
+    ``apply`` is the pure gather ``s * phi[P] + b``.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -254,7 +284,7 @@ class OperatorGrid:
             g[sl_x, sl_y] = system.free(cell)(x_pre[sl_x][:, None], y_pre[sl_y][None, :])
         ix, wx = _axis_weights(self.x_samples, x_pre)
         iy, wy = _axis_weights(self.y_samples, y_pre)
-        self.lattice = _on_lattice(wx, r - 1) and _on_lattice(wy, r - 1)
+        self.lattice = _on_lattice(wx, grid.x_knots) and _on_lattice(wy, grid.y_knots)
         if self.lattice:
             self.px = ix + (wx > 0.5)
             self.py = iy + (wy > 0.5)
@@ -370,65 +400,130 @@ def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
     raise _no_convergence(max_iter, bound, tol)
 
 
-def _double(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
-    """Pointer doubling on a lattice plan, from phi_0 = h.
+def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
+            phi: np.ndarray, factor: float, tol: float, max_iter: int):
+    """Pointer doubling of the gather ``T phi = s * phi[px, py] + b`` from ``phi_1 = phi``.
 
-    ``(a, b, px, py)`` represents ``T^N phi = a * phi[px, py] + b`` and
-    ``phi`` holds ``phi_N = T^N h``.  Each round applies the plan once to
-    measure the residual ``|T phi_N - phi_N|``; unless that meets the bound,
-    it sets ``phi_2N = T^N phi_N`` and squares the map: ``b <- a * b[P] + b``,
-    ``a <- a * a[P]``, ``P <- P[P]``.  Residuals shrink by ``c_s^N`` per
-    round.  Returns ``T phi_N`` and ``N + 1`` equivalent applications.
+    ``(a, c, qx, qy)`` represents ``T^N phi = a * phi[qx, qy] + c`` and
+    ``phi`` holds ``phi_N``.  Each round applies ``T`` once to measure the
+    residual ``|T phi_N - phi_N|``; unless that meets the bound, it sets
+    ``phi_2N = T^N phi_N`` and squares the map: ``c <- a * c[Q] + c``,
+    ``a <- a * a[Q]``, ``Q <- Q[Q]``.  Residuals shrink by ``c_s^N`` per
+    round.  Returns ``T phi_N`` and ``N + 1`` equivalent applications
+    (``phi_1`` counts as one); ``phi`` is reused as scratch.
     """
-    phi = plan.h_values
-    px, py = plan.px, plan.py
-    n = 0
+    a, c, qx, qy = s.copy(), b.copy(), px, py
+    n = 1
     diffs: list[float] = []
     while True:
-        nxt = plan.apply(phi)
+        nxt = _gather(phi, px, py, np.empty_like(phi))
+        nxt *= s
+        nxt += b
         diff = _sup_distance(nxt, phi)
         diffs.append(diff)
         bound = factor * diff
         if bound <= tol:
             return nxt, n + 1, diffs, bound
-        if max(2 * n, 1) + 1 > max_iter:
+        if 2 * n + 1 > max_iter:
             raise _no_convergence(max_iter, bound, tol)
-        if n == 0:  # phi_1 = T h is at hand and (s, b, P) is T^1
-            phi, n = nxt, 1
-            a, b = plan.s_values.copy(), plan.b_values.copy()
-            continue
-        phi, spare = _gather(phi, px, py, out=nxt), phi
+        phi, spare = _gather(phi, qx, qy, out=nxt), phi
         phi *= a
-        phi += b
-        _gather(b, px, py, out=spare)
+        phi += c
+        _gather(c, qx, qy, out=spare)
         spare *= a
-        b += spare
-        _gather(a, px, py, out=spare)
+        c += spare
+        _gather(a, qx, qy, out=spare)
         a *= spare
-        del spare  # free it before the next apply allocates its output
-        px, py = px[px], py[py]
+        del spare  # free it before the next round allocates its output
+        qx, qy = qx[qx], qy[qy]
         n *= 2
+
+
+def _image_chain(p: np.ndarray) -> list[np.ndarray]:
+    """Nodes of all, ``image(p)``, ``image(p|image(p))``, ... down to the core.
+
+    Each entry is ``p`` of the one before and lies inside it, so the chain
+    shrinks until ``p`` permutes its last entry, the core.  (A mask, not
+    ``np.unique``, which imports ``numpy.ma``: about 1 MB of peak RSS.)
+    """
+    chain = [np.arange(len(p))]
+    while True:
+        hit = np.zeros(len(p), dtype=bool)
+        hit[p[chain[-1]]] = True
+        image = np.flatnonzero(hit)
+        if len(image) == len(chain[-1]):
+            return chain
+        chain.append(image)
+
+
+def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
+    """Fixed point of a lattice plan: doubling on the core of ``P``, then one gather per level.
+
+    ``P = (px, py)`` maps every node into ``image(P)``, which ``P`` maps into
+    itself, so the fixed point on level ``k`` of the image chain (nodes
+    ``X_k x Y_k``, :func:`_image_chain` per axis) follows from the one on
+    level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  Round 0
+    applies the plan to ``h`` on every node and returns ``T h`` when that
+    meets the bound.  Otherwise :func:`_double` solves on the core, where
+    ``P`` is a permutation, from ``T h`` restricted to it; one gather per
+    level lifts the result back to every node, and one more application of
+    the plan gives the returned heights, whose residual on every node (the
+    last of ``sup_diffs``) gives the bound.  The count is ``N + 1`` on the
+    core plus one per level plus the last application, and stays within
+    ``max_iter``.
+    """
+    h = plan.h_values
+    nxt = plan.apply(h)
+    diffs = [_sup_distance(nxt, h)]
+    bound = factor * diffs[0]
+    if bound <= tol:
+        return nxt, 1, diffs, bound
+    xs, ys = _image_chain(plan.px), _image_chain(plan.py)
+    levels = max(len(xs), len(ys)) - 1
+    if levels + 3 > max_iter:  # two applications on the core, the levels, the last one
+        raise _no_convergence(max_iter, bound, tol)
+    xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
+    ys += ys[-1:] * (levels + 2 - len(ys))
+    # P from level k into positions on level k + 1
+    lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
+    ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
+    core = np.ix_(xs[-1], ys[-1])
+    phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
+                                    nxt[core], factor, tol, max_iter - levels - 1)
+    del nxt
+    for k in reversed(range(levels)):
+        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, xs[k], ys[k])
+    heights = plan.apply(phi)
+    diffs += core_diffs
+    diffs.append(_sup_distance(heights, phi))
+    bound = factor * diffs[-1]
+    if bound > tol:  # at most c_s^(levels + 2) times the core's bound, so only rounding
+        raise ConvergenceError(
+            f"lifted surface misses the bound by rounding: {bound:.3g} (tol {tol:.3g})",
+            last_bound=bound)
+    return heights, n + levels + 1, diffs, bound
 
 
 def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
                       max_iter: int = 10000, estimate_bias: bool = True) -> SurfaceSample:
     """Solve the sampled surface transform until the a-posteriori bound meets tol.
 
-    Lattice plans are solved by pointer doubling, others by iteration from
-    the blend patchwork.  Both stop at the first candidate ``phi`` with
-    ``c_s / (1 - c_s) * |T phi - phi| <= tol`` and return ``T phi`` (after
-    one application, with a zero bound, when all scaling fields are zero).
-    ``iterations`` counts operator applications, equivalent ones when
-    doubling; ``ConvergenceError`` is raised before it would pass
-    ``max_iter``.  ``estimate_bias`` additionally solves at half resolution
-    and reports the largest disagreement after bilinear upsampling, an
-    empirical estimate of the discretization bias that roughly halves when
-    resolution doubles.
+    Lattice plans are solved by :func:`_descend` (doubling on the core of
+    the pull-back, one gather per level back to every node), others by
+    iteration from the blend patchwork.  Both return ``T phi`` for a
+    candidate ``phi`` with ``c_s / (1 - c_s) * |T phi - phi| <= tol``
+    measured on every node (after one application, with a zero bound, when
+    all scaling fields are zero).  ``iterations`` counts operator
+    applications, equivalent ones on lattice plans; ``ConvergenceError`` is
+    raised before it would pass ``max_iter``.  ``estimate_bias``
+    additionally solves at half resolution and reports the largest
+    disagreement after bilinear upsampling, an empirical estimate of the
+    discretization bias that roughly halves when resolution doubles.
     """
     plan = OperatorGrid(system, resolution)
     c_s = system.certificate.c_s
     factor = c_s / (1.0 - c_s)
-    solve = _double if plan.lattice else _iterate
+    solve = _descend if plan.lattice else _iterate
     phi, iterations, diffs, bound = solve(plan, factor, tol, max_iter)
 
     bias = None

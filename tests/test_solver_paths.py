@@ -1,17 +1,20 @@
-"""The two solver paths: pointer doubling on lattice plans, iteration otherwise.
+"""The two solver paths: the knot-image descent on lattice plans, iteration otherwise.
 
 On uniform, knot-aligned grids every pulled-back sample node lands on a node,
-so the sampled operator is a pure gather and the solver doubles it.  Grids
-with non-uniform knots take fractional bilinear weights and keep the plain
-iteration.
+so the sampled operator is a pure gather; the solver doubles it on the core of
+the pull-back and lifts the result to every node.  Grids with non-uniform
+knots take fractional bilinear weights and keep the plain iteration.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractsurf import ifs
 from fractsurf.config import parse_config_document
 from fractsurf.errors import ConvergenceError
-from fractsurf.fixtures import fixture_config, fixture_names
+from fractsurf.fixtures import PSI_A, X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config, fixture_names
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
@@ -54,24 +57,53 @@ def test_doubled_surface_has_a_small_residual(example2a_job):
     assert residual <= (1 + surface.contraction) * surface.error_bound
 
 
+def image_chain(p):
+    """Reference: all nodes, then image(p) of the previous entry, until p permutes it."""
+    chain = [np.arange(len(p))]
+    while len(np.unique(p[chain[-1]])) < len(chain[-1]):
+        chain.append(np.unique(p[chain[-1]]))
+    return chain
+
+
 def test_doubling_history_follows_its_definitions(example2a_job):
     system = example2a_job.system
     c = system.certificate.c_s
     surface = solve_fixed_point(system, LATTICE_R, tol=TOL, estimate_bias=False)
     diffs = surface.sup_diffs
-    rounds = len(diffs)
-    assert rounds >= 3
-    # round k >= 1 starts from phi_N with N = 2^(k-1); the result is T phi_N
-    assert surface.iterations == 2 ** (rounds - 2) + 1
+    core_rounds = len(diffs) - 2
+    assert core_rounds >= 3
     plan = OperatorGrid(system, LATTICE_R)
+    xs, ys = image_chain(plan.px), image_chain(plan.py)
+    levels = max(len(xs), len(ys)) - 1
+    xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
+    ys += ys[-1:] * (levels + 2 - len(ys))
+    assert levels >= 1 and len(xs[-1]) < LATTICE_R
+    # core round j starts from phi_N with N = 2^j; then one gather per level, then T
+    assert surface.iterations == 2 ** (core_rounds - 1) + 1 + levels + 1
+    # round 0 is T h on every node; core rounds 0 and 1 equal plain iteration on the core
     phi0 = plan.initial()
     phi1 = plan.apply(phi0)
     phi2 = plan.apply(phi1)
+    phi3 = plan.apply(phi2)
+    core = np.ix_(xs[-1], ys[-1])
     assert diffs[0] == float(np.max(np.abs(phi1 - phi0)))
-    assert diffs[1] == float(np.max(np.abs(phi2 - phi1)))
-    for k in range(1, rounds - 1):
-        assert diffs[k + 1] <= c ** (2 ** (k - 1)) * diffs[k]
-    assert surface.error_bound == pytest.approx(c / (1 - c) * diffs[-1], rel=1e-12)
+    assert diffs[1] == float(np.max(np.abs(phi2[core] - phi1[core])))
+    assert diffs[2] == float(np.max(np.abs(phi3[core] - phi2[core])))
+    assert diffs[1] <= c * diffs[0]
+    for j in range(core_rounds - 1):
+        assert diffs[j + 2] <= c ** (2 ** j) * diffs[j + 1]
+    # the core's result, lifted level by level with s * phi[P] + b, then T once more
+    lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
+    ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
+    phi, *_ = ifs._double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
+                          phi1[core], c / (1 - c), TOL, 10000)
+    for k in reversed(range(levels)):
+        nodes = np.ix_(xs[k], ys[k])
+        phi = plan.s_values[nodes] * phi[np.ix_(lx[k], ly[k])] + plan.b_values[nodes]
+    assert np.array_equal(surface.heights, plan.apply(phi))
+    assert diffs[-1] == float(np.max(np.abs(surface.heights - phi)))
+    assert surface.error_bound == c / (1 - c) * diffs[-1]
+    assert surface.error_bound <= TOL
 
 
 def test_doubling_stops_before_passing_max_iter(example2a_job):
@@ -87,8 +119,135 @@ def test_doubling_stops_before_passing_max_iter(example2a_job):
         assert err.value.last_bound > TOL
 
 
-def nonuniform_job(psi_sup: float = 0.6):
-    """Knot-aligned but non-uniform: x knots [0, .25, 1], y knots [0, .375, .75, 1]."""
+@pytest.mark.parametrize("name", fixture_names())
+def test_descent_agrees_with_full_grid_doubling(name):
+    job = build_system(parse_config_document(fixture_config(name)))
+    cfg = job.config.solver
+    surface = solve_fixed_point(job.system, cfg.resolution, tol=cfg.tol,
+                                max_iter=cfg.max_iter, estimate_bias=False)
+    c = surface.contraction
+    plan = OperatorGrid(job.system, cfg.resolution)
+    doubled, _, _, bound = ifs._double(plan.s_values, plan.b_values, plan.px, plan.py,
+                                       plan.apply(plan.initial()), c / (1 - c),
+                                       cfg.tol, cfg.max_iter)
+    assert surface.error_bound <= cfg.tol and bound <= cfg.tol
+    gap = float(np.max(np.abs(surface.heights - doubled)))
+    assert gap <= surface.error_bound + bound
+    residual = float(np.max(np.abs(plan.apply(surface.heights) - surface.heights)))
+    assert residual <= (1 + c) * surface.error_bound
+
+
+def uniform_pullback(cells: int, resolution: int) -> np.ndarray:
+    """Pulled-back node indices on an axis of equal cells; a shared knot goes to the later cell."""
+    block = (resolution - 1) // cells
+    nodes = np.arange(resolution)
+    return (nodes - np.minimum(nodes // block, cells - 1) * block) * cells
+
+
+def test_uniform_pullback_matches_a_real_plan(example2a_job):
+    plan = OperatorGrid(example2a_job.system, LATTICE_R)
+    assert np.array_equal(plan.px, uniform_pullback(4, LATTICE_R))
+    assert np.array_equal(plan.py, uniform_pullback(3, LATTICE_R))
+
+
+class GatherPlan:
+    """A lattice plan from bare arrays: ``apply`` is ``s * phi[P] + b``."""
+
+    lattice = True
+
+    def __init__(self, s, b, h, px, py):
+        self.s_values, self.b_values, self.h_values, self.px, self.py = s, b, h, px, py
+
+    def initial(self):
+        return self.h_values.copy()
+
+    def apply(self, phi):
+        return self.s_values * phi[np.ix_(self.px, self.py)] + self.b_values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 12),
+       st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
+def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed):
+    # one cell on an axis is the identity pull-back; R - 1 off a power of the cell
+    # count leaves a core that P permutes in cycles
+    resolution = n * m * k + 1
+    rng = np.random.default_rng(seed)
+    shape = (resolution, resolution)
+    plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), rng.normal(size=shape),
+                      uniform_pullback(n, resolution), uniform_pullback(m, resolution))
+    factor, tol = c / (1 - c), 1e-9
+    heights, iterations, diffs, bound = ifs._descend(plan, factor, tol, 10000)
+    doubled, _, _, doubled_bound = ifs._double(plan.s_values, plan.b_values, plan.px, plan.py,
+                                               plan.apply(plan.initial()), factor, tol, 10000)
+    assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
+    # the bounds hold in exact arithmetic; each floating-point application adds
+    # rounding of an ulp or two, which the contraction sums to at most
+    # 1 / (1 - c) times that (seen: one ulp when the bounds are 3e-17)
+    rounding = 4 * np.finfo(float).eps * float(np.max(np.abs(heights))) / (1 - c)
+    assert float(np.max(np.abs(heights - doubled))) <= bound + doubled_bound + rounding
+    residual = float(np.max(np.abs(plan.apply(heights) - heights)))
+    assert residual <= (1 + c) * bound + rounding
+
+
+def test_descent_raises_when_rounding_keeps_the_lifted_bound_above_tol():
+    # on the core the bound meets tol = 1e-16; the lifted surface's residual
+    # on every node is one rounding step, which the bound must not hide
+    rng = np.random.default_rng(459)  # one of 14 such seeds below 3000
+    shape = (5, 5)
+    plan = GatherPlan(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape),
+                      rng.normal(size=shape), uniform_pullback(2, 5), uniform_pullback(2, 5))
+    with pytest.raises(ConvergenceError, match="rounding") as err:
+        ifs._descend(plan, 1.0, 1e-16, 10000)
+    assert err.value.last_bound > 1e-16
+
+
+def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
+    # arrays live at the call do not count; the plan's s, h, b and two
+    # full-size iterates are five
+    resolution = 1025
+    tracemalloc.start()
+    try:
+        solve_fixed_point(band_job.system, resolution, estimate_bias=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
+
+
+def shifted_example2a_job(shift: float):
+    """example2a's grid moved by ``shift``: its heights and quartic fields, linear curves."""
+    doc = {
+        "name": "example2a-shifted",
+        "grid": {"source": "inline", "x_knots": [x + shift for x in X_KNOTS],
+                 "y_knots": [y + shift for y in Y_KNOTS], "z_rows": Z_ROWS},
+        "scaling": {"fields": [{"cell": [i, j], "form": "separable-quartic", "psi": psi}
+                               for (i, j), psi in sorted(PSI_A.items())]},
+        "boundary": {"method": "linear"},
+        "blend": {"mode": "coons"},
+        "free_field": {"expr": "0", "lipschitz": 0.0, "sup_abs": 0.0},
+        "solver": {"resolution": LATTICE_R, "tol": TOL, "max_iter": 10000},
+        "chaos": {"points": 1000, "seed": 1, "burn_in": 100},
+        "dimension": {"depth": 3, "epsilon": None, "resolution": None},
+        "output": {"directory": None, "stem": "example2a-shifted"},
+    }
+    return build_system(parse_config_document(doc))
+
+
+def test_knots_away_from_the_origin_keep_the_lattice_path():
+    # the inversion's rounding is relative to |x|: 3.5e-10 of a sample interval
+    # at R = 1537 for knots near 1000
+    near, far = shifted_example2a_job(0.0), shifted_example2a_job(1000.0)
+    for resolution in (LATTICE_R, 769):
+        assert OperatorGrid(far.system, resolution).lattice, resolution
+        a = solve_fixed_point(near.system, resolution, tol=TOL, estimate_bias=False)
+        b = solve_fixed_point(far.system, resolution, tol=TOL, estimate_bias=False)
+        gap = float(np.max(np.abs(a.heights - b.heights)))
+        assert gap <= a.error_bound + b.error_bound, resolution
+
+
+def nonuniform_job(psi_sup: float = 0.6, shift: float = 0.0):
+    """Knot-aligned but non-uniform: x knots [0, .25, 1], y knots [0, .375, .75, 1], plus shift."""
     x_knots = [0.0, 0.25, 1.0]
     y_knots = [0.0, 0.375, 0.75, 1.0]
     z_rows = [[0.0, 0.4, 0.1], [0.6, 1.0, 0.2], [0.3, 0.9, 0.5], [0.1, 0.2, 0.7]]
@@ -103,8 +262,8 @@ def nonuniform_job(psi_sup: float = 0.6):
                            "psi": sign * psi_sup / ((dx / 2) ** 2 * (dy / 2) ** 2)})
     doc = {
         "name": "nonuniform-small",
-        "grid": {"source": "inline", "x_knots": x_knots, "y_knots": y_knots,
-                 "z_rows": z_rows},
+        "grid": {"source": "inline", "x_knots": [x + shift for x in x_knots],
+                 "y_knots": [y + shift for y in y_knots], "z_rows": z_rows},
         "scaling": {"fields": fields},
         "boundary": {"method": "linear"},
         "blend": {"mode": "coons"},
@@ -141,6 +300,12 @@ def test_fixtures_take_the_lattice_path_at_both_resolutions(name):
 
 def test_nonuniform_grid_stays_bilinear_at_both_resolutions():
     job = nonuniform_job()
+    for resolution in (job.config.solver.resolution, _dimension_resolution(job)):
+        assert not OperatorGrid(job.system, resolution).lattice, resolution
+
+
+def test_nonuniform_grid_away_from_the_origin_stays_bilinear():
+    job = nonuniform_job(shift=1000.0)
     for resolution in (job.config.solver.resolution, _dimension_resolution(job)):
         assert not OperatorGrid(job.system, resolution).lattice, resolution
 
