@@ -5,8 +5,14 @@ The schema (documented in the README) has sections ``grid``, ``scaling``,
 ``dimension`` and ``output``.  Parsing validates everything it can decide
 without running the pipeline — unknown keys, duplicate cells,
 non-increasing knots — and reports *all* problems at once, each with a
-path-like locator, rather than stopping at the first.  Optional keys take
-their defaults from the ``*Spec`` dataclass fields.
+path-like locator, rather than stopping at the first.
+
+The flat sections ``free_field``, ``solver``, ``chaos``, ``dimension`` and
+``output`` are defined once, by the fields of their ``*Spec`` dataclasses:
+each field (see :func:`_key`) gives a key, its default and its check, and
+:func:`_parse_flat`, the unknown-key check and :func:`config_document` all
+read them.  The other sections have one shape per variant and keep their own
+parsers; the keys of each ``scaling.fields`` form are in ``SCALING_KEYS``.
 
 The rules that need the realized grid (cell coverage, curve and piece
 counts, resolutions on the sample lattice) live in :func:`grid_errors`.
@@ -20,23 +26,108 @@ shortest round-trip float representation (the ``json`` module's default).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .boundary import QUADRATIC_MAX_DEGREE
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
 from .grid import DataGrid, load_grid_text, sample_axes
+from .scaling import OUTER_MAPS, PRODUCT_EXPONENT_MIN
 from .utils import compile_xy_expression
 
 _REQUIRED_SECTIONS = ("grid", "scaling", "boundary", "blend", "solver")
 _ALL_SECTIONS = _REQUIRED_SECTIONS + ("name", "free_field", "chaos", "dimension", "output")
 
-SCALING_FORMS = ("separable-quartic", "polynomial-product", "expression")
+# the keys each form of a ``scaling.fields`` entry takes, in document order
+SCALING_KEYS = {
+    "separable-quartic": ("cell", "form", "psi"),
+    "polynomial-product": ("cell", "form", "psi", "exponents", "outer",
+                           "psi_lipschitz", "psi_sup"),
+    "expression": ("cell", "form", "expr", "lipschitz"),
+}
+SCALING_FORMS = tuple(SCALING_KEYS)
 BOUNDARY_METHODS = ("linear", "quadratic", "pieces")
 BLEND_MODES = ("coons", "explicit")
+
+
+class _Collector:
+    def __init__(self):
+        self.errors: list[tuple[str, str]] = []
+
+    def add(self, path: str, message: str):
+        self.errors.append((path, message))
+
+    def raise_if_any(self):
+        if self.errors:
+            raise ConfigurationError(self.errors)
+
+
+def _check_unknown(err: _Collector, path: str, doc: dict, allowed):
+    for key in doc:
+        if key not in allowed:
+            err.add(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _number(err: _Collector, path: str, value, *, minimum=None, strict_min=None,
+            integer=False, bits=None):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        err.add(path, f"expected a number, got {value!r}")
+        return None
+    if integer and not float(value).is_integer():
+        err.add(path, f"expected an integer, got {value!r}")
+        return None
+    if not math.isfinite(value):
+        err.add(path, "must be finite")
+        return None
+    if minimum is not None and value < minimum:
+        err.add(path, f"must be >= {minimum}, got {value!r}")
+        return None
+    if strict_min is not None and value <= strict_min:
+        err.add(path, f"must be > {strict_min}, got {value!r}")
+        return None
+    if bits is not None and value >= 2 ** bits:
+        err.add(path, f"must fit in {bits} bits")
+        return None
+    return int(value) if integer else float(value)
+
+
+def _expression(err: _Collector, path: str, value) -> str | None:
+    if not isinstance(value, str):
+        err.add(path, "expected an expression string")
+        return None
+    try:
+        compile_xy_expression(value)
+    except ValueError as exc:
+        err.add(path, str(exc))
+        return None
+    return value
+
+
+def _nonempty(err: _Collector, path: str, value) -> str | None:
+    if not isinstance(value, str) or not value:
+        err.add(path, "expected a non-empty string")
+        return None
+    return value
+
+
+def _path(err: _Collector, path: str, value) -> str | None:
+    if not isinstance(value, str):
+        err.add(path, "expected a path string or null")
+        return None
+    return value
+
+
+def _key(default=MISSING, check=_number, **bounds):
+    """A flat-section key: required without a default, nullable when it is ``None``.
+
+    ``check(err, path, value, **bounds)`` returns the parsed value, or
+    ``None`` after reporting the problem.
+    """
+    return dataclasses.field(default=default, metadata={"check": check, "bounds": bounds})
 
 
 @dataclass(frozen=True)
@@ -77,36 +168,36 @@ class BlendSpec:
 
 @dataclass(frozen=True)
 class FreeFieldSpec:
-    expr: str = "0"
-    lipschitz: float = 0.0
-    sup_abs: float | None = None
+    expr: str = _key("0", _expression)
+    lipschitz: float = _key(0.0, minimum=0.0)
+    sup_abs: float | None = _key(None, minimum=0.0)
 
 
 @dataclass(frozen=True)
 class SolverSpec:
-    resolution: int
-    tol: float = 1e-6
-    max_iter: int = 10000
+    resolution: int = _key(integer=True, minimum=5)
+    tol: float = _key(1e-6, strict_min=0.0)
+    max_iter: int = _key(10000, integer=True, minimum=1)
 
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    points: int = 100000
-    seed: int = 0
-    burn_in: int = 100
+    points: int = _key(100000, integer=True, minimum=1)
+    seed: int = _key(0, integer=True, minimum=0, bits=64)
+    burn_in: int = _key(100, integer=True, minimum=0)
 
 
 @dataclass(frozen=True)
 class DimensionSpec:
-    depth: int = 4
-    epsilon: float | None = None
-    resolution: int | None = None
+    depth: int = _key(4, integer=True, minimum=1)
+    epsilon: float | None = _key(None, strict_min=0.0)
+    resolution: int | None = _key(None, integer=True, minimum=5)
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    directory: str | None = None
-    stem: str = "surface"
+    directory: str | None = _key(None, _path)
+    stem: str = _key("surface", _nonempty)
 
 
 @dataclass(frozen=True)
@@ -123,69 +214,26 @@ class JobConfig:
     output: OutputSpec
 
 
-class _Collector:
-    def __init__(self):
-        self.errors: list[tuple[str, str]] = []
-
-    def add(self, path: str, message: str):
-        self.errors.append((path, message))
-
-    def raise_if_any(self):
-        if self.errors:
-            raise ConfigurationError(self.errors)
-
-
-def _check_unknown(err: _Collector, path: str, doc: dict, allowed):
-    for key in doc:
-        if key not in allowed:
-            err.add(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _number(err: _Collector, path: str, value, *, minimum=None, strict_min=None,
-            integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        err.add(path, f"expected a number, got {value!r}")
-        return None
-    if integer and not float(value).is_integer():
-        err.add(path, f"expected an integer, got {value!r}")
-        return None
-    if not math.isfinite(value):
-        err.add(path, "must be finite")
-        return None
-    if minimum is not None and value < minimum:
-        err.add(path, f"must be >= {minimum}, got {value!r}")
-        return None
-    if strict_min is not None and value <= strict_min:
-        err.add(path, f"must be > {strict_min}, got {value!r}")
-        return None
-    return int(value) if integer else float(value)
-
-
-def _float_list(err: _Collector, path: str, value) -> tuple[float, ...] | None:
-    if not isinstance(value, (list, tuple)) or not value:
-        err.add(path, "expected a non-empty list of numbers")
-        return None
-    out = []
-    for k, v in enumerate(value):
-        f = _number(err, f"{path}[{k}]", v)
-        if f is None:
+def _list_of(item, message: str):
+    """A check for a non-empty list whose entries pass ``item``; it stops at the first bad one."""
+    def check(err: _Collector, path: str, value) -> tuple | None:
+        if not isinstance(value, (list, tuple)) or not value:
+            err.add(path, message)
             return None
-        out.append(f)
-    return tuple(out)
+        out = []
+        for k, v in enumerate(value):
+            parsed = item(err, f"{path}[{k}]", v)
+            if parsed is None:
+                return None
+            out.append(parsed)
+        return tuple(out)
+    return check
 
 
-def _pieces(err: _Collector, path: str, value) -> tuple[tuple[float, ...], ...] | None:
-    """A list of per-interval ascending coefficient lists."""
-    if not isinstance(value, (list, tuple)) or not value:
-        err.add(path, "expected a list of coefficient lists")
-        return None
-    out = []
-    for k, piece in enumerate(value):
-        c = _float_list(err, f"{path}[{k}]", piece)
-        if c is None:
-            return None
-        out.append(c)
-    return tuple(out)
+_float_list = _list_of(_number, "expected a non-empty list of numbers")
+_height_rows = _list_of(_float_list, "expected a list of height rows (one per y knot)")
+# a list of per-interval ascending coefficient lists
+_pieces = _list_of(_float_list, "expected a list of coefficient lists")
 
 
 def _parse_grid(err: _Collector, doc) -> GridSpec | None:
@@ -200,18 +248,7 @@ def _parse_grid(err: _Collector, doc) -> GridSpec | None:
         _check_unknown(err, "grid", doc, ("source", "x_knots", "y_knots", "z_rows"))
         xs = _float_list(err, "grid.x_knots", doc.get("x_knots"))
         ys = _float_list(err, "grid.y_knots", doc.get("y_knots"))
-        rows = doc.get("z_rows")
-        z = None
-        if not isinstance(rows, (list, tuple)) or not rows:
-            err.add("grid.z_rows", "expected a list of height rows (one per y knot)")
-        else:
-            z = []
-            for k, row in enumerate(rows):
-                r = _float_list(err, f"grid.z_rows[{k}]", row)
-                if r is None:
-                    z = None
-                    break
-                z.append(r)
+        z = _height_rows(err, "grid.z_rows", doc.get("z_rows"))
         for label, knots in (("x_knots", xs), ("y_knots", ys)):
             if knots is not None:
                 if len(knots) < 2:
@@ -225,7 +262,7 @@ def _parse_grid(err: _Collector, doc) -> GridSpec | None:
                 z = None
         if xs is None or ys is None or z is None:
             return None
-        return GridSpec("inline", xs, ys, tuple(z))
+        return GridSpec("inline", xs, ys, z)
     if source == "file":
         _check_unknown(err, "grid", doc, ("source", "path"))
         path = doc.get("path")
@@ -286,29 +323,19 @@ def _parse_scaling(err: _Collector, doc) -> tuple[ScalingSpec, ...]:
             err.add(f"{path}.cell", f"duplicate scaling spec for cell {list(cell)}")
             continue
         seen.add(cell)
+        _check_unknown(err, path, spec, SCALING_KEYS[form])
         if form == "separable-quartic":
-            _check_unknown(err, path, spec, ("cell", "form", "psi"))
             psi = _number(err, f"{path}.psi", spec.get("psi"))
             if psi is None:
                 continue
             out.append(ScalingSpec(cell=cell, form=form, psi=psi))
         elif form == "polynomial-product":
-            _check_unknown(err, path, spec,
-                           ("cell", "form", "psi", "exponents", "outer",
-                            "psi_lipschitz", "psi_sup"))
             psi = spec.get("psi")
-            psi_lip = None
-            if "psi_lipschitz" in spec and spec["psi_lipschitz"] is not None:
-                psi_lip = _number(err, f"{path}.psi_lipschitz",
-                                  spec["psi_lipschitz"], minimum=0.0)
-            psi_sup = None
-            if spec.get("psi_sup") is not None:
-                psi_sup = _number(err, f"{path}.psi_sup", spec["psi_sup"], minimum=0.0)
+            psi_lip, psi_sup = (None if spec.get(key) is None
+                                else _number(err, f"{path}.{key}", spec[key], minimum=0.0)
+                                for key in ("psi_lipschitz", "psi_sup"))
             if isinstance(psi, str):
-                try:
-                    compile_xy_expression(psi)
-                except ValueError as exc:
-                    err.add(f"{path}.psi", str(exc))
+                if _expression(err, f"{path}.psi", psi) is None:
                     continue
                 if psi_lip is None:
                     err.add(f"{path}.psi_lipschitz",
@@ -318,25 +345,22 @@ def _parse_scaling(err: _Collector, doc) -> tuple[ScalingSpec, ...]:
                 continue
             else:
                 psi = float(psi)
-            exponents = spec.get("exponents", [1.0, 1.0, 1.0, 1.0])
-            exps = _float_list(err, f"{path}.exponents", exponents)
+            exps = _float_list(err, f"{path}.exponents", spec.get("exponents", [1.0] * 4))
             if exps is None or len(exps) != 4:
                 err.add(f"{path}.exponents", "expected four exponents")
                 continue
+            if min(exps) < PRODUCT_EXPONENT_MIN:
+                err.add(f"{path}.exponents", f"must be >= {PRODUCT_EXPONENT_MIN} to keep the "
+                                             f"Lipschitz certification sound, got {list(exps)}")
+            outer = spec.get("outer", ScalingSpec.outer)
+            if not isinstance(outer, str) or outer not in OUTER_MAPS:
+                err.add(f"{path}.outer", f"must be one of {'/'.join(OUTER_MAPS)}, got {outer!r}")
             out.append(ScalingSpec(
-                cell=cell, form=form, psi=psi,
-                exponents=exps, outer=str(spec.get("outer", ScalingSpec.outer)),
+                cell=cell, form=form, psi=psi, exponents=exps, outer=outer,
                 psi_lipschitz=psi_lip, psi_sup=psi_sup))
         else:
-            _check_unknown(err, path, spec, ("cell", "form", "expr", "lipschitz"))
-            expr = spec.get("expr")
-            if not isinstance(expr, str):
-                err.add(f"{path}.expr", "expected an expression string")
-                continue
-            try:
-                compile_xy_expression(expr)
-            except ValueError as exc:
-                err.add(f"{path}.expr", str(exc))
+            expr = _expression(err, f"{path}.expr", spec.get("expr"))
+            if expr is None:
                 continue
             lip = _number(err, f"{path}.lipschitz", spec.get("lipschitz"), minimum=0.0)
             if lip is None:
@@ -474,6 +498,35 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     return err.errors
 
 
+def _parse_flat(err: _Collector, doc: dict, section: str, spec, **defaults):
+    """Parse a section whose keys, defaults and checks are the fields of ``spec``.
+
+    ``defaults`` override field defaults.  A key that fails its check reads
+    as null where null is its default, so :func:`grid_errors` still sees the
+    section's other keys; any other failure gives the default section, or
+    ``None`` when the section has a required key.
+    """
+    keys = dataclasses.fields(spec)
+    fallback = None if any(f.default is MISSING for f in keys) else spec(**defaults)
+    if section not in doc:
+        return fallback
+    sdoc = doc[section]
+    if not isinstance(sdoc, dict):
+        err.add(section, "expected an object")
+        return fallback
+    _check_unknown(err, section, sdoc, [f.name for f in keys])
+    values, failed = {}, False
+    for f in keys:
+        default = defaults.get(f.name, f.default)
+        value = sdoc.get(f.name, None if default is MISSING else default)
+        if value is not None or default is not None:
+            value = f.metadata["check"](err, f"{section}.{f.name}", value,
+                                        **f.metadata["bounds"])
+            failed |= value is None and default is not None
+        values[f.name] = value
+    return fallback if failed else spec(**values)
+
+
 def parse_config_document(doc: dict) -> JobConfig:
     """Validate a configuration document, collecting every error."""
     err = _Collector()
@@ -490,103 +543,12 @@ def parse_config_document(doc: dict) -> JobConfig:
     boundary = _parse_boundary(err, doc["boundary"]) if "boundary" in doc else None
     blend = _parse_blend(err, doc["blend"]) if "blend" in doc else None
 
-    free = FreeFieldSpec()
-    if "free_field" in doc:
-        fdoc = doc["free_field"]
-        if not isinstance(fdoc, dict):
-            err.add("free_field", "expected an object")
-        else:
-            _check_unknown(err, "free_field", fdoc, ("expr", "lipschitz", "sup_abs"))
-            expr = fdoc.get("expr", FreeFieldSpec.expr)
-            if not isinstance(expr, str):
-                err.add("free_field.expr", "expected an expression string")
-            else:
-                try:
-                    compile_xy_expression(expr)
-                except ValueError as exc:
-                    err.add("free_field.expr", str(exc))
-            lip = _number(err, "free_field.lipschitz",
-                          fdoc.get("lipschitz", FreeFieldSpec.lipschitz), minimum=0.0)
-            sup = None
-            if fdoc.get("sup_abs") is not None:
-                sup = _number(err, "free_field.sup_abs", fdoc.get("sup_abs"), minimum=0.0)
-            if isinstance(expr, str) and lip is not None:
-                free = FreeFieldSpec(expr=expr, lipschitz=lip, sup_abs=sup)
-
-    solver = None
-    if "solver" in doc:
-        sdoc = doc["solver"]
-        if not isinstance(sdoc, dict):
-            err.add("solver", "expected an object")
-        else:
-            _check_unknown(err, "solver", sdoc, ("resolution", "tol", "max_iter"))
-            res = _number(err, "solver.resolution", sdoc.get("resolution"),
-                          integer=True, minimum=5)
-            tol = _number(err, "solver.tol", sdoc.get("tol", SolverSpec.tol), strict_min=0.0)
-            mx = _number(err, "solver.max_iter", sdoc.get("max_iter", SolverSpec.max_iter),
-                         integer=True, minimum=1)
-            if res is not None and tol is not None and mx is not None:
-                solver = SolverSpec(resolution=res, tol=tol, max_iter=mx)
-
-    chaos = ChaosSpec()
-    if "chaos" in doc:
-        cdoc = doc["chaos"]
-        if not isinstance(cdoc, dict):
-            err.add("chaos", "expected an object")
-        else:
-            _check_unknown(err, "chaos", cdoc, ("points", "seed", "burn_in"))
-            pts = _number(err, "chaos.points", cdoc.get("points", ChaosSpec.points),
-                          integer=True, minimum=1)
-            seed = _number(err, "chaos.seed", cdoc.get("seed", ChaosSpec.seed),
-                           integer=True, minimum=0)
-            burn = _number(err, "chaos.burn_in", cdoc.get("burn_in", ChaosSpec.burn_in),
-                           integer=True, minimum=0)
-            if seed is not None and seed > 2 ** 64 - 1:
-                err.add("chaos.seed", "must fit in 64 bits")
-                seed = None
-            if pts is not None and seed is not None and burn is not None:
-                chaos = ChaosSpec(points=pts, seed=seed, burn_in=burn)
-
-    dimension = DimensionSpec()
-    if "dimension" in doc:
-        ddoc = doc["dimension"]
-        if not isinstance(ddoc, dict):
-            err.add("dimension", "expected an object")
-        else:
-            _check_unknown(err, "dimension", ddoc, ("depth", "epsilon", "resolution"))
-            depth = _number(err, "dimension.depth", ddoc.get("depth", DimensionSpec.depth),
-                            integer=True, minimum=1)
-            eps = None
-            if ddoc.get("epsilon") is not None:
-                eps = _number(err, "dimension.epsilon", ddoc.get("epsilon"), strict_min=0.0)
-            res = None
-            if ddoc.get("resolution") is not None:
-                res = _number(err, "dimension.resolution", ddoc.get("resolution"),
-                              integer=True, minimum=5)
-            if depth is not None:
-                dimension = DimensionSpec(depth=depth, epsilon=eps, resolution=res)
-
-    name = doc.get("name", "job")
-    if not isinstance(name, str) or not name:
-        err.add("name", "expected a non-empty string")
-        name = "job"
-
-    output = OutputSpec(stem=name)
-    if "output" in doc:
-        odoc = doc["output"]
-        if not isinstance(odoc, dict):
-            err.add("output", "expected an object")
-        else:
-            _check_unknown(err, "output", odoc, ("directory", "stem"))
-            directory = odoc.get("directory")
-            if directory is not None and not isinstance(directory, str):
-                err.add("output.directory", "expected a path string or null")
-                directory = None
-            stem = odoc.get("stem", name)
-            if not isinstance(stem, str) or not stem:
-                err.add("output.stem", "expected a non-empty string")
-                stem = name
-            output = OutputSpec(directory=directory, stem=stem)
+    free = _parse_flat(err, doc, "free_field", FreeFieldSpec)
+    solver = _parse_flat(err, doc, "solver", SolverSpec)
+    chaos = _parse_flat(err, doc, "chaos", ChaosSpec)
+    dimension = _parse_flat(err, doc, "dimension", DimensionSpec)
+    name = _nonempty(err, "name", doc.get("name", "job")) or "job"
+    output = _parse_flat(err, doc, "output", OutputSpec, stem=name)
 
     cfg = JobConfig(name=name, grid=grid_spec, scaling=scaling, boundary=boundary,
                     blend=blend, free_field=free, solver=solver, chaos=chaos,
@@ -622,23 +584,9 @@ def config_document(cfg: JobConfig) -> dict:
         grid["path"] = cfg.grid.path
     else:
         grid["name"] = cfg.grid.fixture
-    fields = []
-    for s in cfg.scaling:
-        entry: dict = {"cell": list(s.cell), "form": s.form}
-        if s.form == "separable-quartic":
-            entry["psi"] = s.psi
-        elif s.form == "polynomial-product":
-            entry["psi"] = s.psi
-            entry["exponents"] = list(s.exponents)
-            entry["outer"] = s.outer
-            if s.psi_lipschitz is not None:
-                entry["psi_lipschitz"] = s.psi_lipschitz
-            if s.psi_sup is not None:
-                entry["psi_sup"] = s.psi_sup
-        else:
-            entry["expr"] = s.expr
-            entry["lipschitz"] = s.lipschitz
-        fields.append(entry)
+    fields = [{key: list(value) if isinstance(value, tuple) else value
+               for key in SCALING_KEYS[s.form] if (value := getattr(s, key)) is not None}
+              for s in cfg.scaling]
     boundary: dict = {"method": cfg.boundary.method}
     if cfg.boundary.method != "linear":
         boundary["q"] = [[list(c) for c in curve] for curve in cfg.boundary.q]
@@ -647,9 +595,9 @@ def config_document(cfg: JobConfig) -> dict:
     if cfg.blend.mode == "explicit":
         blend["tables"] = [{"cell": list(cell), "coeffs": [list(r) for r in coeffs]}
                            for cell, coeffs in cfg.blend.tables]
-    free: dict = {"expr": cfg.free_field.expr, "lipschitz": cfg.free_field.lipschitz}
-    if cfg.free_field.sup_abs is not None:
-        free["sup_abs"] = cfg.free_field.sup_abs
+    free = dataclasses.asdict(cfg.free_field)
+    if free["sup_abs"] is None:
+        del free["sup_abs"]
     return {
         "name": cfg.name,
         "grid": grid,
@@ -657,13 +605,10 @@ def config_document(cfg: JobConfig) -> dict:
         "boundary": boundary,
         "blend": blend,
         "free_field": free,
-        "solver": {"resolution": cfg.solver.resolution, "tol": cfg.solver.tol,
-                   "max_iter": cfg.solver.max_iter},
-        "chaos": {"points": cfg.chaos.points, "seed": cfg.chaos.seed,
-                  "burn_in": cfg.chaos.burn_in},
-        "dimension": {"depth": cfg.dimension.depth, "epsilon": cfg.dimension.epsilon,
-                      "resolution": cfg.dimension.resolution},
-        "output": {"directory": cfg.output.directory, "stem": cfg.output.stem},
+        "solver": dataclasses.asdict(cfg.solver),
+        "chaos": dataclasses.asdict(cfg.chaos),
+        "dimension": dataclasses.asdict(cfg.dimension),
+        "output": dataclasses.asdict(cfg.output),
     }
 
 

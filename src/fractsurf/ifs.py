@@ -83,10 +83,6 @@ class MetricReport:
     pairs: int
     seed: int
 
-    @property
-    def contractive(self) -> bool:
-        return self.max_ratio < 1.0
-
 
 @dataclass(frozen=True)
 class IfsSystem:
@@ -525,19 +521,20 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     factor = c_s / (1.0 - c_s)
     solve = _descend if plan.lattice else _iterate
     phi, iterations, diffs, bound = solve(plan, factor, tol, max_iter)
+    x_samples, y_samples = plan.x_samples, plan.y_samples
+    half = _half_resolution(plan) if estimate_bias else None
+    del plan  # its s, h and b would otherwise outlive the half-resolution solve
 
     bias = None
-    if estimate_bias:
-        half = _half_resolution(plan)
-        if half is not None:
-            coarse = solve_fixed_point(system, half, tol=tol, max_iter=max_iter,
-                                       estimate_bias=False)
-            ix, wx = _axis_weights(coarse.x_samples, plan.x_samples)
-            iy, wy = _axis_weights(coarse.y_samples, plan.y_samples)
-            up = _bilinear_gather(coarse.heights, ix, wx, iy, wy)
-            bias = float(np.max(np.abs(up - phi)))
+    if half is not None:
+        coarse = solve_fixed_point(system, half, tol=tol, max_iter=max_iter,
+                                   estimate_bias=False)
+        ix, wx = _axis_weights(coarse.x_samples, x_samples)
+        iy, wy = _axis_weights(coarse.y_samples, y_samples)
+        up = _bilinear_gather(coarse.heights, ix, wx, iy, wy)
+        bias = _sup_distance(up, phi)
     return SurfaceSample(
-        x_samples=plan.x_samples, y_samples=plan.y_samples, heights=phi,
+        x_samples=x_samples, y_samples=y_samples, heights=phi,
         iterations=iterations, sup_diffs=tuple(diffs), error_bound=bound,
         bias_estimate=bias, contraction=c_s)
 

@@ -40,6 +40,8 @@ EDGE_TOL = 1e-10
 EDGE_SAMPLES = 1024
 CERT_SAMPLES = 512
 EXTREMA_SAMPLES = 256
+# product-field exponents below this make the field non-Lipschitz at the edges
+PRODUCT_EXPONENT_MIN = 1
 
 Rect = tuple[float, float, float, float]
 
@@ -179,9 +181,9 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
     x_lo, x_hi, y_lo, y_hi = rect
     dx, dy = x_hi - x_lo, y_hi - y_lo
     ax, bx, ay, by = (float(e) for e in exponents)
-    if min(ax, bx, ay, by) < 1:
-        raise FractsurfError("product-field exponents must be >= 1 to keep the "
-                             "Lipschitz certification sound")
+    if min(ax, bx, ay, by) < PRODUCT_EXPONENT_MIN:
+        raise FractsurfError(f"product-field exponents must be >= {PRODUCT_EXPONENT_MIN} "
+                             "to keep the Lipschitz certification sound")
     if outer not in OUTER_MAPS:
         raise FractsurfError(f"unknown outer map {outer!r}; options: {sorted(OUTER_MAPS)}")
     omap = OUTER_MAPS[outer]

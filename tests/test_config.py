@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -264,6 +265,25 @@ def test_scaling_bad_form():
     assert "scaling.fields[0].form" in error_paths(excinfo)
 
 
+def test_product_outer_map_and_exponents_are_checked_with_their_paths():
+    doc = fixture_config("flat2x2")
+    doc["scaling"]["fields"][0] = {
+        "cell": [1, 1], "form": "polynomial-product", "psi": 0.0,
+        "exponents": [0.5, 1, 1, 1], "outer": "nope",
+    }
+    doc["scaling"]["fields"][1] = {
+        "cell": [1, 2], "form": "polynomial-product", "psi": 0.0, "outer": 3,
+    }
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [
+        ("scaling.fields[0].exponents", "must be >= 1 to keep the Lipschitz "
+                                        "certification sound, got [0.5, 1.0, 1.0, 1.0]"),
+        ("scaling.fields[0].outer", "must be one of identity/tanh/atan, got 'nope'"),
+        ("scaling.fields[1].outer", "must be one of identity/tanh/atan, got 3"),
+    ]
+
+
 # --- boundary and blend sections ---------------------------------------------
 
 
@@ -308,6 +328,104 @@ def test_blend_tables_must_cover_the_grid():
 
 
 # --- solver and analysis sections ----------------------------------------------
+
+
+FLAT_KEY_ERRORS = [
+    ("free_field", "expr", 5, "expected an expression string"),
+    ("free_field", "expr", None, "expected an expression string"),
+    ("free_field", "expr", "foo(x)", "only whitelisted calls allowed in expression 'foo(x)'"),
+    ("free_field", "lipschitz", "1", "expected a number, got '1'"),
+    ("free_field", "lipschitz", True, "expected a number, got True"),
+    ("free_field", "lipschitz", -1, "must be >= 0.0, got -1"),
+    ("free_field", "lipschitz", None, "expected a number, got None"),
+    ("free_field", "sup_abs", [0.5], "expected a number, got [0.5]"),
+    ("free_field", "sup_abs", -0.5, "must be >= 0.0, got -0.5"),
+    ("solver", "resolution", "257", "expected a number, got '257'"),
+    ("solver", "resolution", 257.5, "expected an integer, got 257.5"),
+    ("solver", "resolution", 4, "must be >= 5, got 4"),
+    ("solver", "resolution", None, "expected a number, got None"),
+    ("solver", "tol", "small", "expected a number, got 'small'"),
+    ("solver", "tol", 0, "must be > 0.0, got 0"),
+    ("solver", "tol", math.inf, "must be finite"),
+    ("solver", "tol", None, "expected a number, got None"),
+    ("solver", "max_iter", 2.5, "expected an integer, got 2.5"),
+    ("solver", "max_iter", 0, "must be >= 1, got 0"),
+    ("solver", "max_iter", None, "expected a number, got None"),
+    ("chaos", "points", "many", "expected a number, got 'many'"),
+    ("chaos", "points", 0, "must be >= 1, got 0"),
+    ("chaos", "points", None, "expected a number, got None"),
+    ("chaos", "seed", 1.5, "expected an integer, got 1.5"),
+    ("chaos", "seed", -1, "must be >= 0, got -1"),
+    ("chaos", "seed", 2 ** 64, "must fit in 64 bits"),
+    ("chaos", "seed", None, "expected a number, got None"),
+    ("chaos", "burn_in", False, "expected a number, got False"),
+    ("chaos", "burn_in", -1, "must be >= 0, got -1"),
+    ("chaos", "burn_in", None, "expected a number, got None"),
+    ("dimension", "depth", "4", "expected a number, got '4'"),
+    ("dimension", "depth", 0, "must be >= 1, got 0"),
+    ("dimension", "depth", None, "expected a number, got None"),
+    ("dimension", "epsilon", "tiny", "expected a number, got 'tiny'"),
+    ("dimension", "epsilon", 0, "must be > 0.0, got 0"),
+    ("dimension", "epsilon", math.nan, "must be finite"),
+    ("dimension", "resolution", 257.5, "expected an integer, got 257.5"),
+    ("dimension", "resolution", 3, "must be >= 5, got 3"),
+    ("output", "directory", 5, "expected a path string or null"),
+    ("output", "directory", ["out"], "expected a path string or null"),
+    ("output", "stem", 5, "expected a non-empty string"),
+    ("output", "stem", "", "expected a non-empty string"),
+    ("output", "stem", None, "expected a non-empty string"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", FLAT_KEY_ERRORS)
+def test_flat_key_errors_are_exact(section, key, value, message):
+    doc = fixture_config("flat2x2")
+    doc[section][key] = value
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [(f"{section}.{key}", message)]
+
+
+def test_missing_solver_resolution_is_required():
+    doc = fixture_config("flat2x2")
+    del doc["solver"]["resolution"]
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [("solver.resolution", "expected a number, got None")]
+
+
+@pytest.mark.parametrize("section", ["free_field", "solver", "chaos", "dimension", "output"])
+def test_flat_sections_must_be_objects(section):
+    doc = fixture_config("flat2x2")
+    doc[section] = [1]
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [(section, "expected an object")]
+
+
+@pytest.mark.parametrize("section, key", [("free_field", "sup_abs"), ("dimension", "epsilon"),
+                                          ("dimension", "resolution"), ("output", "directory")])
+def test_null_is_accepted_where_the_default_is_none(section, key):
+    doc = fixture_config("flat2x2")
+    doc[section][key] = None
+    cfg = parse_config_document(doc)
+    assert getattr(getattr(cfg, section), key) is None
+
+
+def test_flat_sections_serialize_their_keys_in_order():
+    cfg = parse_fixture("flat2x2")
+    doc = config_document(cfg)
+    assert {section: list(doc[section]) for section in
+            ("free_field", "solver", "chaos", "dimension", "output")} == {
+        "free_field": ["expr", "lipschitz", "sup_abs"],
+        "solver": ["resolution", "tol", "max_iter"],
+        "chaos": ["points", "seed", "burn_in"],
+        "dimension": ["depth", "epsilon", "resolution"],
+        "output": ["directory", "stem"],
+    }
+    without_sup = dataclasses.replace(cfg, free_field=dataclasses.replace(cfg.free_field,
+                                                                          sup_abs=None))
+    assert list(config_document(without_sup)["free_field"]) == ["expr", "lipschitz"]
 
 
 def test_solver_resolution_must_be_knot_aligned():

@@ -215,6 +215,20 @@ def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
     assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
 
 
+def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
+    # the half-resolution solve runs after the main plan is dropped, and the
+    # disagreement is measured in row blocks
+    resolution = 769
+    tracemalloc.start()
+    try:
+        surface = solve_fixed_point(example2a_job.system, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert surface.bias_estimate is not None
+    assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
+
+
 def shifted_example2a_job(shift: float):
     """example2a's grid moved by ``shift``: its heights and quartic fields, linear curves."""
     doc = {
