@@ -6,9 +6,9 @@ vertical scaling fields that vanish on cell boundaries; solve for the
 surface, sample it by random orbits, and estimate (or bound, where the
 theory applies) its box-counting dimension.
 """
-from .boundary import (BoundaryCurve, CurveNetwork, FreeField, PatchBlend, QField,
-                       ZERO_FIELD, build_boundary_curves, build_coons_blend,
-                       build_free_field, build_Q, load_explicit_blend)
+from .boundary import (CurveNetwork, FreeField, PatchBlend, QField, ZERO_FIELD,
+                       build_boundary_curves, build_coons_blend, build_free_field,
+                       build_Q, load_explicit_blend)
 from .config import (JobConfig, parse_config, parse_config_document, realize_grid,
                      serialize_config)
 from .dimension import (DimensionBounds, DimensionEstimate, DimensionReport,

@@ -5,7 +5,10 @@ prescribed curve through that line's data points (one curve per x knot and
 per y knot).  Inside each cell a blend function ``h`` interpolates the four
 surrounding curves; the default is the transfinite (Coons) blend, which
 matches them exactly, but an explicit bivariate polynomial table may be
-supplied instead and is then validated against the curves.
+supplied instead and is then validated against the curves.  Either way the
+blend is stored and evaluated as one monomial table in the cell's own
+coordinates ``(u, v)`` in ``[0, 1]^2`` (:class:`PatchBlend`), which keeps
+the evaluation well conditioned for knots far from the origin.
 
 The vertical offset of each IFS map combines the blend with the scaling
 field and a free Lipschitz field g:
@@ -21,13 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .errors import (BlendCompatibilityError, BlendValidationError,
                      CurveValidationError, FractsurfError)
 from .grid import CellIndex, DataGrid, DomainMap
 from .scaling import ScalingField
-from .utils import (PiecewisePoly, compile_xy_expression, poly2d_gradient_bound,
-                    poly_outer, polyval2d, table_add)
+from .utils import PiecewisePoly, compile_xy_expression, substitution_matrix
 
 INTERP_TOL = 1e-12
 EDGE_MATCH_TOL = 1e-9
@@ -37,25 +40,15 @@ QUADRATIC_MAX_DEGREE = 2
 
 
 @dataclass(frozen=True)
-class BoundaryCurve:
-    """Curve along one knot line.
+class CurveNetwork:
+    """All boundary curves of a grid, one piecewise polynomial per knot line.
 
     ``q[i]`` lives on the vertical line x = x_knots[i] and is evaluated in
     y; ``r[j]`` lives on y = y_knots[j] and is evaluated in x.
     """
 
-    poly: PiecewisePoly
-
-    def __call__(self, t):
-        return self.poly(t)
-
-
-@dataclass(frozen=True)
-class CurveNetwork:
-    """All boundary curves of a grid: q[i] varies in y, r[j] varies in x."""
-
-    q: tuple[BoundaryCurve, ...]
-    r: tuple[BoundaryCurve, ...]
+    q: tuple[PiecewisePoly, ...]
+    r: tuple[PiecewisePoly, ...]
 
 
 def _linear_pieces(knots: Sequence[float], values: np.ndarray) -> list[tuple[float, float]]:
@@ -66,16 +59,16 @@ def _linear_pieces(knots: Sequence[float], values: np.ndarray) -> list[tuple[flo
     return pieces
 
 
-def _validate_curve(name: str, curve: BoundaryCurve, knots: Sequence[float],
+def _validate_curve(name: str, curve: PiecewisePoly, knots: Sequence[float],
                     values: np.ndarray) -> None:
     for k, t in enumerate(knots):
-        err = abs(float(curve.poly(t)) - float(values[k]))
+        err = abs(float(curve(t)) - float(values[k]))
         if err > INTERP_TOL:
             raise CurveValidationError(
                 f"{name} misses its data point at t={t}: "
-                f"curve gives {float(curve.poly(t))!r}, data is {float(values[k])!r} "
+                f"curve gives {float(curve(t))!r}, data is {float(values[k])!r} "
                 f"(|error| = {err:.3g})")
-    for k, gap in enumerate(curve.poly.junction_gaps()):
+    for k, gap in enumerate(curve.junction_gaps()):
         if gap > INTERP_TOL:
             raise CurveValidationError(
                 f"{name} is discontinuous at the junction t={knots[k + 1]} "
@@ -120,13 +113,13 @@ def build_boundary_curves(grid: DataGrid, method: str = "linear",
 
     qs = []
     for i, pieces in enumerate(q_lists):
-        curve = BoundaryCurve(PiecewisePoly(grid.y_knots, tuple(tuple(c) for c in pieces)))
+        curve = PiecewisePoly(grid.y_knots, tuple(tuple(c) for c in pieces))
         _validate_curve(f"q[{i}] (knot line x={grid.x_knots[i]})", curve,
                         grid.y_knots, grid.z[i, :])
         qs.append(curve)
     rs = []
     for j, pieces in enumerate(r_lists):
-        curve = BoundaryCurve(PiecewisePoly(grid.x_knots, tuple(tuple(c) for c in pieces)))
+        curve = PiecewisePoly(grid.x_knots, tuple(tuple(c) for c in pieces))
         _validate_curve(f"r[{j}] (knot line y={grid.y_knots[j]})", curve,
                         grid.x_knots, grid.z[:, j])
         rs.append(curve)
@@ -135,84 +128,75 @@ def build_boundary_curves(grid: DataGrid, method: str = "linear",
 
 @dataclass(frozen=True)
 class PatchBlend:
-    """Blend function h on one cell, matching the four boundary curves.
+    """Blend function h on one cell: a monomial table in cell coordinates.
 
-    ``coeffs`` is the expanded monomial table in the cell's native
-    coordinates; it always exists (the transfinite blend of polynomial
-    curve pieces is itself a polynomial) and feeds the Lipschitz bound.
-    Evaluation of the 'coons' form goes through the blend formula proper,
-    which is exact on the edges by construction.
+    ``table[k, l]`` multiplies ``u**k * v**l`` with ``u = (x - x_lo) / dx``
+    and ``v = (y - y_lo) / dy``, so ``(u, v)`` lies in ``[0, 1]^2`` on the
+    cell.  Coons and explicit blends both build this table; it is the only
+    form that is evaluated, and the Lipschitz bound is read off it.
     """
 
     cell: CellIndex
     rect: tuple[float, float, float, float]
-    form: str  # "coons" | "explicit"
-    coeffs: np.ndarray = field(compare=False)
-    q_lo: BoundaryCurve | None = field(default=None, compare=False, repr=False)
-    q_hi: BoundaryCurve | None = field(default=None, compare=False, repr=False)
-    r_lo: BoundaryCurve | None = field(default=None, compare=False, repr=False)
-    r_hi: BoundaryCurve | None = field(default=None, compare=False, repr=False)
-    corners: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    table: np.ndarray = field(compare=False)
 
     def __call__(self, x, y):
-        if self.form == "explicit":
-            return polyval2d(x, y, self.coeffs)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Horner over the rows in ``u``, each row a polynomial in ``v`` of ``v``'s shape.
+
+        A tensor call ``(bx[:, None], by[None, :])`` costs one full-size
+        multiply-add per row after the first, and every element sees the
+        same operations as a pointwise call at its coordinates.
+        """
         x_lo, x_hi, y_lo, y_hi = self.rect
-        u = (x - x_lo) / (x_hi - x_lo)
-        v = (y - y_lo) / (y_hi - y_lo)
-        z_ll, z_hl, z_lh, z_hh = self.corners
-        ruled = (1 - u) * self.q_lo(y) + u * self.q_hi(y) \
-            + (1 - v) * self.r_lo(x) + v * self.r_hi(x)
-        bilinear = ((1 - u) * (1 - v) * z_ll + u * (1 - v) * z_hl
-                    + (1 - u) * v * z_lh + u * v * z_hh)
-        return ruled - bilinear
+        u = (np.asarray(x, dtype=float) - x_lo) / (x_hi - x_lo)
+        v = (np.asarray(y, dtype=float) - y_lo) / (y_hi - y_lo)
+        out = npp.polyval(v, self.table[-1])
+        for row in self.table[-2::-1]:
+            out = out * u
+            out += npp.polyval(v, row)
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        if np.shape(out) != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return out
 
     def lipschitz_bound(self) -> float:
+        """``max(sum k|c_kl| / dx, sum l|c_kl| / dy)``: the chain rule on the cell.
+
+        On ``[0, 1]^2`` every monomial is at most 1, so the sums bound
+        ``|dh/du|`` and ``|dh/dv|``; the larger scaled partial derivative is
+        a Lipschitz constant in the taxicab metric.
+        """
         x_lo, x_hi, y_lo, y_hi = self.rect
-        return poly2d_gradient_bound(self.coeffs, (x_lo, x_hi), (y_lo, y_hi))
+        mag = np.abs(self.table)
+        du = float(np.arange(mag.shape[0]) @ mag.sum(axis=1))
+        dv = float(mag.sum(axis=0) @ np.arange(mag.shape[1]))
+        return max(du / (x_hi - x_lo), dv / (y_hi - y_lo))
 
 
-def _cell_piece(curve: BoundaryCurve, piece: int) -> np.ndarray:
-    return np.asarray(curve.poly.coeffs[piece], dtype=float)
+def _in_cell(coeffs, lo: float, hi: float, size: int) -> np.ndarray:
+    """``size`` ascending coefficients in ``t`` of a polynomial in ``x = lo + (hi - lo) t``."""
+    c = np.asarray(coeffs, dtype=float)
+    return substitution_matrix(lo, hi - lo, size)[:len(c)].T @ c
 
 
-def _coons_table(cell: CellIndex, rect, q_lo, q_hi, r_lo, r_hi, corners) -> np.ndarray:
-    """Expand the transfinite blend into a monomial table (native coords)."""
-    x_lo, x_hi, y_lo, y_hi = rect
-    dx, dy = x_hi - x_lo, y_hi - y_lo
-    u = np.array([-x_lo / dx, 1 / dx])
-    one_minus_u = np.array([1 + x_lo / dx, -1 / dx])
-    v = np.array([-y_lo / dy, 1 / dy])
-    one_minus_v = np.array([1 + y_lo / dy, -1 / dy])
-    cq_lo = _cell_piece(q_lo, cell.j - 1)
-    cq_hi = _cell_piece(q_hi, cell.j - 1)
-    cr_lo = _cell_piece(r_lo, cell.i - 1)
-    cr_hi = _cell_piece(r_hi, cell.i - 1)
-    z_ll, z_hl, z_lh, z_hh = corners
-    tbl = poly_outer(one_minus_u, cq_lo)
-    tbl = table_add(tbl, poly_outer(u, cq_hi))
-    tbl = table_add(tbl, poly_outer(cr_lo, one_minus_v))
-    tbl = table_add(tbl, poly_outer(cr_hi, v))
-    tbl = table_add(tbl, -z_ll * poly_outer(one_minus_u, one_minus_v))
-    tbl = table_add(tbl, -z_hl * poly_outer(u, one_minus_v))
-    tbl = table_add(tbl, -z_lh * poly_outer(one_minus_u, v))
-    tbl = table_add(tbl, -z_hh * poly_outer(u, v))
-    return tbl
+# rows: coefficients of 1 - t and of t, the linear Lagrange basis on [0, 1]
+_HAT = np.array([[1.0, -1.0], [0.0, 1.0]])
 
 
 def build_coons_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex) -> PatchBlend:
     """Transfinite blend of the four curves around a cell.
 
-    The curves must agree with the corner data (compatibility); they do by
+    In cell coordinates ``h = (1-u) q_lo(v) + u q_hi(v) + (1-v) r_lo(u)
+    + v r_hi(u)`` minus the bilinear interpolant of the corner data.  The
+    curves must agree with the corner data (compatibility); they do by
     construction when they interpolate the grid, but a mismatch beyond 1e-9
     raises before an inconsistent patch can propagate.
     """
     rect = grid.cell_rect(cell)
     x_lo, x_hi, y_lo, y_hi = rect
-    q_lo, q_hi = curves.q[cell.i - 1], curves.q[cell.i]
-    r_lo, r_hi = curves.r[cell.j - 1], curves.r[cell.j]
+    i, j = cell.i, cell.j
+    q_lo, q_hi = curves.q[i - 1], curves.q[i]
+    r_lo, r_hi = curves.r[j - 1], curves.r[j]
     corners = grid.corner_values(cell)
     checks = [
         ("q_lo(y_lo)", float(q_lo(y_lo)), corners[0]),
@@ -227,34 +211,43 @@ def build_coons_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex) -> 
     for label, got, want in checks:
         if abs(got - want) > EDGE_MATCH_TOL:
             raise BlendCompatibilityError(
-                f"cell ({cell.i},{cell.j}): {label} = {got!r} disagrees with "
+                f"cell ({i},{j}): {label} = {got!r} disagrees with "
                 f"corner data {want!r}")
-    tbl = _coons_table(cell, rect, q_lo, q_hi, r_lo, r_hi, corners)
-    return PatchBlend(cell, rect, "coons", tbl, q_lo, q_hi, r_lo, r_hi, corners)
+    qs, rs = (q_lo.coeffs[j - 1], q_hi.coeffs[j - 1]), (r_lo.coeffs[i - 1], r_hi.coeffs[i - 1])
+    nx, ny = max(2, *map(len, rs)), max(2, *map(len, qs))
+    table = np.zeros((nx, ny))
+    table[:2] += _HAT.T @ np.array([_in_cell(c, y_lo, y_hi, ny) for c in qs])
+    table[:, :2] += np.array([_in_cell(c, x_lo, x_hi, nx) for c in rs]).T @ _HAT
+    table[:2, :2] -= _HAT.T @ grid.z[i - 1:i + 1, j - 1:j + 1] @ _HAT
+    return PatchBlend(cell, rect, table)
 
 
 def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
                         coeffs, samples: int = EDGE_MATCH_SAMPLES) -> PatchBlend:
-    """Validate and wrap an explicit bivariate monomial table for one cell.
+    """Validate and convert an explicit monomial table ``c[k, l] x**k y**l`` for one cell.
 
-    The table's four edge restrictions must match the boundary curves to
-    1e-9 at ``samples`` points per edge, and it must hit the corner data.
-    The error message carries the worst offending sample.
+    The table is converted to cell coordinates once; the resulting blend's
+    four edge restrictions must match the boundary curves to 1e-9 at
+    ``samples`` points per edge, and it must hit the corner data.  The
+    error message carries the worst offending sample.
     """
     rect = grid.cell_rect(cell)
     x_lo, x_hi, y_lo, y_hi = rect
-    tbl = np.asarray(coeffs, dtype=float)
-    if tbl.ndim != 2:
+    native = np.asarray(coeffs, dtype=float)
+    if native.ndim != 2:
         raise BlendValidationError(f"cell ({cell.i},{cell.j}): coefficient table must be 2-D")
+    table = (substitution_matrix(x_lo, x_hi - x_lo, native.shape[0]).T @ native
+             @ substitution_matrix(y_lo, y_hi - y_lo, native.shape[1]))
+    blend = PatchBlend(cell, rect, table)
     q_lo, q_hi = curves.q[cell.i - 1], curves.q[cell.i]
     r_lo, r_hi = curves.r[cell.j - 1], curves.r[cell.j]
     ys = np.linspace(y_lo, y_hi, samples)
     xs = np.linspace(x_lo, x_hi, samples)
     edges = [
-        (f"x={x_lo} vs q[{cell.i - 1}]", ys, polyval2d(np.full_like(ys, x_lo), ys, tbl), q_lo(ys)),
-        (f"x={x_hi} vs q[{cell.i}]", ys, polyval2d(np.full_like(ys, x_hi), ys, tbl), q_hi(ys)),
-        (f"y={y_lo} vs r[{cell.j - 1}]", xs, polyval2d(xs, np.full_like(xs, y_lo), tbl), r_lo(xs)),
-        (f"y={y_hi} vs r[{cell.j}]", xs, polyval2d(xs, np.full_like(xs, y_hi), tbl), r_hi(xs)),
+        (f"x={x_lo} vs q[{cell.i - 1}]", ys, blend(x_lo, ys), q_lo(ys)),
+        (f"x={x_hi} vs q[{cell.i}]", ys, blend(x_hi, ys), q_hi(ys)),
+        (f"y={y_lo} vs r[{cell.j - 1}]", xs, blend(xs, y_lo), r_lo(xs)),
+        (f"y={y_hi} vs r[{cell.j}]", xs, blend(xs, y_hi), r_hi(xs)),
     ]
     worst = (0.0, "", 0.0)
     for label, ts, got, want in edges:
@@ -267,13 +260,13 @@ def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
             f"cell ({cell.i},{cell.j}): blend table edge {worst[1]} deviates by "
             f"{worst[0]:.6g} at parameter {worst[2]!r}")
     corners = grid.corner_values(cell)
-    got_corners = [float(polyval2d(px, py, tbl))
+    got_corners = [float(blend(px, py))
                    for px, py in ((x_lo, y_lo), (x_hi, y_lo), (x_lo, y_hi), (x_hi, y_hi))]
     for got, want, where in zip(got_corners, corners, ("ll", "hl", "lh", "hh")):
         if abs(got - want) > EDGE_MATCH_TOL:
             raise BlendValidationError(
                 f"cell ({cell.i},{cell.j}): corner {where} value {got!r} vs data {want!r}")
-    return PatchBlend(cell, rect, "explicit", tbl, q_lo, q_hi, r_lo, r_hi, corners)
+    return blend
 
 
 @dataclass(frozen=True)

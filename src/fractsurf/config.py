@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
@@ -77,10 +77,10 @@ def _number(err: _Collector, path: str, value, *, minimum=None, strict_min=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         err.add(path, f"expected a number, got {value!r}")
         return None
-    if integer and not float(value).is_integer():
+    if integer and isinstance(value, float) and not value.is_integer():
         err.add(path, f"expected an integer, got {value!r}")
         return None
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # also an int that float() cannot hold
         err.add(path, "must be finite")
         return None
     if minimum is not None and value < minimum:

@@ -11,8 +11,8 @@ fixed-point machinery depends on.
 
 Solvers sample the rectangle on an ``R x R`` lattice with every knot on a
 sample line.  :func:`sample_axes` is the one place that decides which ``R``
-admit such a lattice: at least :func:`min_resolution`, with ``R - 1`` a
-multiple of :func:`alignment_base`.
+admit such a lattice: at most ``MAX_RESOLUTION``, at least
+:func:`min_resolution`, with ``R - 1`` a multiple of :func:`alignment_base`.
 
 Example
 -------
@@ -37,6 +37,9 @@ from .errors import FractsurfError, InvalidGridError, OutOfDomainError
 
 #: absolute tolerance for inverse round-trips and image/tiling checks
 MAP_TOL = 1e-12
+#: most samples per axis of any lattice: one R x R float array is then 34 GB,
+#: and the solver holds four to five of them
+MAX_RESOLUTION = 2 ** 16 + 1
 
 
 @dataclass(frozen=True, order=True)
@@ -251,13 +254,15 @@ def min_resolution(grid: DataGrid) -> int:
 def sample_axes(grid: DataGrid, resolution: int):
     """The sample lattice: ``resolution`` samples per axis, every knot on one.
 
-    The lattice exists iff ``resolution`` is at least :func:`min_resolution`
-    and ``resolution - 1`` is a multiple of :func:`alignment_base`; otherwise
-    this raises.  Returns ``((x_samples, x_blocks), (y_samples, y_blocks))``
-    where ``blocks[k]`` is the number of sample intervals inside cell
-    ``k + 1`` of that axis; each cell is sampled by its own linspace, so the
-    knots are exact sample values.
+    The lattice exists iff ``resolution`` is at most ``MAX_RESOLUTION``, at
+    least :func:`min_resolution`, and ``resolution - 1`` is a multiple of
+    :func:`alignment_base`; otherwise this raises.  Returns
+    ``((x_samples, x_blocks), (y_samples, y_blocks))`` where ``blocks[k]`` is
+    the number of sample intervals inside cell ``k + 1`` of that axis; each
+    cell is sampled by its own linspace, so the knots are exact sample values.
     """
+    if resolution > MAX_RESOLUTION:
+        raise FractsurfError(f"resolution {resolution} is above the ceiling {MAX_RESOLUTION}")
     floor = min_resolution(grid)
     if resolution < floor:
         raise FractsurfError(f"resolution {resolution} is too coarse for a "

@@ -66,7 +66,16 @@ class ContractionCertificate:
     c_s: float        # max over cells of the certified sup|s| bound
     c_l: float        # max map contraction in the taxicab metric
     l_q: float        # max Lipschitz bound of the vertical offsets
-    theta_max: float  # metric weights 0 < theta < theta_max are admissible
+    l_s: float        # max Lipschitz bound of the scaling fields
+
+    def theta_max(self, z_bound: float) -> float:
+        """Metric weights ``0 < theta < theta_max(Z)`` make every map contract on ``|z| <= Z``.
+
+        ``F(p) - F(p') = s(Lp) (z - z') + z' (s(Lp) - s(Lp')) + Q(p) - Q(p')``, so the
+        ratio under ``rho_theta`` is at most ``max(c_s, c_l + theta (l_q + c_l l_s Z))``.
+        """
+        slope = self.l_q + self.c_l * self.l_s * z_bound
+        return (1.0 - self.c_l) / slope if slope > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -134,8 +143,8 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
         raise FractsurfError(f"vertical contraction c_s = {c_s!r} is not below 1")
     c_l = float(max(m.contraction for m in maps.values()))
     l_q = float(max(q.lipschitz for q in q_fields.values()))
-    theta_max = (1.0 - c_l) / l_q if l_q > 0 else math.inf
-    cert = ContractionCertificate(c_s=c_s, c_l=c_l, l_q=l_q, theta_max=theta_max)
+    l_s = float(max(s.lipschitz for s in scalings.values()))
+    cert = ContractionCertificate(c_s=c_s, c_l=c_l, l_q=l_q, l_s=l_s)
     return IfsSystem(grid, dict(maps), dict(scalings), dict(q_fields), cert)
 
 
@@ -293,6 +302,11 @@ class OperatorGrid:
     def initial(self) -> np.ndarray:
         """Blend patchwork: continuous, interpolates the data, cheap."""
         return self.h_values.copy()
+
+    def release_initial(self) -> np.ndarray:
+        """Hand over the blend patchwork; a lattice plan's ``apply`` reads ``b``, not ``h``."""
+        h, self.h_values = self.h_values, None
+        return h
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
@@ -452,25 +466,27 @@ def _image_chain(p: np.ndarray) -> list[np.ndarray]:
         chain.append(image)
 
 
-def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
+def _descend(plan: OperatorGrid, h: np.ndarray, factor: float, tol: float, max_iter: int):
     """Fixed point of a lattice plan: doubling on the core of ``P``, then one gather per level.
 
     ``P = (px, py)`` maps every node into ``image(P)``, which ``P`` maps into
     itself, so the fixed point on level ``k`` of the image chain (nodes
     ``X_k x Y_k``, :func:`_image_chain` per axis) follows from the one on
     level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  Round 0
-    applies the plan to ``h`` on every node and returns ``T h`` when that
-    meets the bound.  Otherwise :func:`_double` solves on the core, where
-    ``P`` is a permutation, from ``T h`` restricted to it; one gather per
-    level lifts the result back to every node, and one more application of
-    the plan gives the returned heights, whose residual on every node (the
-    last of ``sup_diffs``) gives the bound.  The count is ``N + 1`` on the
+    applies the plan to the blend patchwork ``h`` on every node and returns
+    ``T h`` when that meets the bound; ``h`` is passed in, not read from the
+    plan, so that it is freed once round 0 is done.  Otherwise
+    :func:`_double` solves on the core, where ``P`` is a permutation, from
+    ``T h`` restricted to it; one gather per level lifts the result back to
+    every node, and one more application of the plan gives the returned
+    heights, whose residual on every node (the last of ``sup_diffs``) gives
+    the bound.  The count is ``N + 1`` on the
     core plus one per level plus the last application, and stays within
     ``max_iter``.
     """
-    h = plan.h_values
     nxt = plan.apply(h)
     diffs = [_sup_distance(nxt, h)]
+    del h
     bound = factor * diffs[0]
     if bound <= tol:
         return nxt, 1, diffs, bound
@@ -519,8 +535,11 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     plan = OperatorGrid(system, resolution)
     c_s = system.certificate.c_s
     factor = c_s / (1.0 - c_s)
-    solve = _descend if plan.lattice else _iterate
-    phi, iterations, diffs, bound = solve(plan, factor, tol, max_iter)
+    if plan.lattice:
+        phi, iterations, diffs, bound = _descend(plan, plan.release_initial(), factor,
+                                                 tol, max_iter)
+    else:
+        phi, iterations, diffs, bound = _iterate(plan, factor, tol, max_iter)
     x_samples, y_samples = plan.x_samples, plan.y_samples
     half = _half_resolution(plan) if estimate_bias else None
     del plan  # its s, h and b would otherwise outlive the half-resolution solve
@@ -598,20 +617,21 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
                    z_margin: float = 1.0) -> MetricReport:
     """Sampled contraction ratios of all 3-D maps under rho_theta.
 
-    theta defaults to the midpoint of the admissible interval
-    (0, (1 - c_l) / l_q).  Ratios are taken over random point pairs in the
-    rectangle times the data range padded by ``z_margin``; a ratio >= 1 for
-    an admissible theta would falsify the certificate.
+    Points are drawn from the rectangle times the slab ``[z0, z1]``, the
+    data range padded by ``z_margin``.  On that slab the admissible interval
+    is ``(0, (1 - c_l) / (l_q + c_l * l_s * Z))`` with
+    ``Z = max(|z0|, |z1|)`` (:meth:`ContractionCertificate.theta_max`), and
+    theta defaults to its midpoint.  A ratio >= 1 for an admissible theta
+    would falsify the certificate.
     """
-    cert = system.certificate
-    theta_hi = cert.theta_max
-    if theta is None:
-        theta = theta_hi / 2 if math.isfinite(theta_hi) else 1.0
-    admissible = 0 < theta < theta_hi
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = system.grid.rect
     z0 = float(system.grid.z.min()) - z_margin
     z1 = float(system.grid.z.max()) + z_margin
+    theta_hi = system.certificate.theta_max(max(abs(z0), abs(z1)))
+    if theta is None:
+        theta = theta_hi / 2 if math.isfinite(theta_hi) else 1.0
+    admissible = 0 < theta < theta_hi
     p = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(pairs, 3))
     q = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(pairs, 3))
     dist = (np.abs(p[:, 0] - q[:, 0]) + np.abs(p[:, 1] - q[:, 1])

@@ -135,7 +135,7 @@ def apply_overrides(cfg: JobConfig, *, seed: int | None = None,
     return cfg
 
 
-def certificate_text(job: BuiltJob, metric: MetricReport | None = None) -> str:
+def certificate_text(job: BuiltJob, metric: MetricReport) -> str:
     cert = job.system.certificate
     lines = [
         f"grid={job.grid.n}x{job.grid.m}",
@@ -143,17 +143,16 @@ def certificate_text(job: BuiltJob, metric: MetricReport | None = None) -> str:
         f"c_s={format_float(cert.c_s)}",
         f"c_l={format_float(cert.c_l)}",
         f"l_q={format_float(cert.l_q)}",
-        f"theta_max={format_float(cert.theta_max)}",
+        f"theta_max={format_float(metric.theta_interval[1])}",
     ]
     for cell in job.system.cells():
         fld = job.system.scalings[cell]
         c = fld.certificate
         lines.append(f"sup_s[{cell.i},{cell.j}]={format_float(c.sup_bound)}")
-    if metric is not None:
-        lines.append(f"metric_theta={format_float(metric.theta)}")
-        lines.append(f"metric_admissible={'true' if metric.admissible else 'false'}")
-        lines.append(f"metric_max_ratio={format_float(metric.max_ratio)}")
-        lines.append(f"metric_pairs={metric.pairs}")
+    lines.append(f"metric_theta={format_float(metric.theta)}")
+    lines.append(f"metric_admissible={'true' if metric.admissible else 'false'}")
+    lines.append(f"metric_max_ratio={format_float(metric.max_ratio)}")
+    lines.append(f"metric_pairs={metric.pairs}")
     return "\n".join(lines) + "\n"
 
 

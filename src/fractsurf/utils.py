@@ -1,15 +1,16 @@
 """Small numeric helpers shared by the geometry modules.
 
 Nothing here knows about grids or surfaces: restricted ``(x, y)``
-expression compilation, piecewise polynomials in one variable,
-bivariate monomial tables, and a scalar golden-section search.
+expression compilation, piecewise polynomials in one variable, the
+affine change of variable of monomial coefficients, and a scalar
+golden-section search.
 """
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -118,49 +119,18 @@ class PiecewisePoly:
         return gaps
 
 
-def poly_outer(cx: Sequence[float], cy: Sequence[float]) -> np.ndarray:
-    """Monomial table of the product p(x) * q(y) from 1-D ascending coeffs."""
-    return np.outer(np.asarray(cx, dtype=float), np.asarray(cy, dtype=float))
+def substitution_matrix(lo: float, width: float, size: int) -> np.ndarray:
+    """``M[k, j]``: the coefficient of ``t**j`` in ``(lo + width * t)**k``, for k, j < size.
 
-
-def table_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of two monomial tables, padded to the larger shape."""
-    rows = max(a.shape[0], b.shape[0])
-    cols = max(a.shape[1], b.shape[1])
-    out = np.zeros((rows, cols))
-    out[: a.shape[0], : a.shape[1]] += a
-    out[: b.shape[0], : b.shape[1]] += b
-    return out
-
-
-def polyval2d(x, y, table: np.ndarray):
-    """Evaluate a monomial table c[k, l] * x**k * y**l (ascending orders)."""
-    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float))
-    return npp.polyval2d(xa, ya, table)
-
-
-def poly2d_gradient_bound(table: np.ndarray, x_range: tuple[float, float],
-                          y_range: tuple[float, float]) -> float:
-    """Crude but sound bound on max(|d/dx|, |d/dy|) over a rectangle.
-
-    Uses coefficient sums against the largest monomial magnitudes on the
-    rectangle; adequate for the Lipschitz bookkeeping this package needs.
+    A polynomial with ascending coefficients ``c`` in ``x`` has the
+    coefficients ``M.T @ c`` in ``t = (x - lo) / width``; a table ``c[k, l]``
+    in ``(x, y)`` has ``Mx.T @ c @ My``.
     """
-    xm = max(abs(x_range[0]), abs(x_range[1]))
-    ym = max(abs(y_range[0]), abs(y_range[1]))
-    dx = 0.0
-    dy = 0.0
-    for k in range(table.shape[0]):
-        for l in range(table.shape[1]):
-            c = abs(table[k, l])
-            if c == 0:
-                continue
-            if k > 0:
-                dx += c * k * xm ** (k - 1) * ym ** l
-            if l > 0:
-                dy += c * l * xm ** k * ym ** (l - 1)
-    return max(dx, dy)
+    m = np.zeros((size, size))
+    for k in range(size):
+        for j in range(k + 1):
+            m[k, j] = math.comb(k, j) * lo ** (k - j) * width ** j
+    return m
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
-from fractsurf.boundary import (ZERO_FIELD, build_boundary_curves, build_coons_blend,
-                                build_free_field, build_Q, load_explicit_blend)
+from fractsurf.boundary import (EDGE_MATCH_TOL, ZERO_FIELD, build_boundary_curves,
+                                build_coons_blend, build_free_field, build_Q,
+                                load_explicit_blend)
 from fractsurf.errors import (BlendValidationError, CurveValidationError,
                               FractsurfError)
 from fractsurf.fixtures import (H41_VARIANT_REJECTED, H_TABLES, Q3_VARIANT_REJECTED,
@@ -11,12 +13,37 @@ from fractsurf.grid import CellIndex, DataGrid, build_domain_maps
 from fractsurf.scaling import build_quartic_field
 
 GRID = DataGrid.from_y_rows(X_KNOTS, Y_KNOTS, Z_ROWS)
+# example2a's knots moved away from the origin, where native coordinates
+# lose digits: with its own heights and linear curves, and with the heights
+# of one bilinear polynomial (exact native coefficients, a small twist), so
+# that its native table is every cell's explicit blend
+SHIFT = 1000.0
+SHIFTED_X = [x + SHIFT for x in X_KNOTS]
+SHIFTED_Y = [y + SHIFT for y in Y_KNOTS]
+SHIFTED_GRID = DataGrid.from_y_rows(SHIFTED_X, SHIFTED_Y, Z_ROWS)
+# 0.5 + 2 (x - 1000) - 3 (y - 1000) + (x - 1000) (y - 1000) / 128, expanded
+PLANE_TABLE = [[8813.0, -10.8125], [-5.8125, 0.0078125]]
+PLANE_GRID = DataGrid(tuple(SHIFTED_X), tuple(SHIFTED_Y),
+                      npp.polyval2d(*np.meshgrid(SHIFTED_X, SHIFTED_Y, indexing="ij"),
+                                    PLANE_TABLE))
 
 
 @pytest.fixture(scope="module")
 def network():
     return build_boundary_curves(GRID, method="quadratic",
                                  q_coeffs=Q_PIECES, r_coeffs=R_PIECES)
+
+
+def grid_and_curves(case, network):
+    """(grid, curve network, explicit table per cell or None) for one named input."""
+    if case == "quadratic":
+        return GRID, network, {CellIndex(*c): t for c, t in H_TABLES.items()}
+    if case == "linear":
+        return GRID, build_boundary_curves(GRID, method="linear"), None
+    if case == "shifted":
+        return SHIFTED_GRID, build_boundary_curves(SHIFTED_GRID, method="linear"), None
+    return (PLANE_GRID, build_boundary_curves(PLANE_GRID, method="linear"),
+            {cell: PLANE_TABLE for cell in PLANE_GRID.cells()})
 
 
 def test_quadratic_network_has_all_curves(network):
@@ -35,7 +62,7 @@ def test_curves_interpolate_the_data(network):
 
 def test_curves_are_continuous_at_junctions(network):
     for curve in list(network.q) + list(network.r):
-        assert max(curve.poly.junction_gaps(), default=0.0) < 1e-12
+        assert max(curve.junction_gaps(), default=0.0) < 1e-12
 
 
 def test_linear_method_interpolates_any_grid():
@@ -67,37 +94,54 @@ def test_junction_discontinuity_is_rejected():
                               q_coeffs=bad_q, r_coeffs=R_PIECES)
 
 
+def assert_tensor_call_is_pointwise(blend, xs, ys):
+    tensor = blend(xs[:, None], ys[None, :])
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    assert np.array_equal(tensor, blend(gx, gy))
+    assert tensor[3, 5] == blend(xs[3], ys[5])
+
+
+def assert_edges_reproduce_the_curves(grid, curves, blend, atol):
+    cell = blend.cell
+    x0, x1, y0, y1 = grid.cell_rect(cell)
+    z_ll, z_hl, z_lh, z_hh = grid.corner_values(cell)
+    assert float(blend(x0, y0)) == pytest.approx(z_ll, abs=atol)
+    assert float(blend(x1, y0)) == pytest.approx(z_hl, abs=atol)
+    assert float(blend(x0, y1)) == pytest.approx(z_lh, abs=atol)
+    assert float(blend(x1, y1)) == pytest.approx(z_hh, abs=atol)
+    t = np.linspace(0.0, 1.0, 257)
+    ys = y0 + t * (y1 - y0)
+    xs = x0 + t * (x1 - x0)
+    assert np.max(np.abs(blend(np.full_like(ys, x0), ys) - curves.q[cell.i - 1](ys))) < atol
+    assert np.max(np.abs(blend(np.full_like(ys, x1), ys) - curves.q[cell.i](ys))) < atol
+    assert np.max(np.abs(blend(xs, np.full_like(xs, y0)) - curves.r[cell.j - 1](xs))) < atol
+    assert np.max(np.abs(blend(xs, np.full_like(xs, y1)) - curves.r[cell.j](xs))) < atol
+
+
 def test_coons_blend_matches_corners_and_edges(network):
-    for cell in GRID.cells():
-        blend = build_coons_blend(GRID, network, cell)
-        x0, x1, y0, y1 = GRID.cell_rect(cell)
-        z_ll, z_hl, z_lh, z_hh = GRID.corner_values(cell)
-        assert float(blend(x0, y0)) == pytest.approx(z_ll, abs=1e-12)
-        assert float(blend(x1, y0)) == pytest.approx(z_hl, abs=1e-12)
-        assert float(blend(x0, y1)) == pytest.approx(z_lh, abs=1e-12)
-        assert float(blend(x1, y1)) == pytest.approx(z_hh, abs=1e-12)
-        t = np.linspace(0.0, 1.0, 257)
-        ys = y0 + t * (y1 - y0)
-        xs = x0 + t * (x1 - x0)
-        assert np.max(np.abs(blend(np.full_like(ys, x0), ys)
-                             - network.q[cell.i - 1](ys))) < 1e-12
-        assert np.max(np.abs(blend(np.full_like(ys, x1), ys)
-                             - network.q[cell.i](ys))) < 1e-12
-        assert np.max(np.abs(blend(xs, np.full_like(xs, y0))
-                             - network.r[cell.j - 1](xs))) < 1e-12
-        assert np.max(np.abs(blend(xs, np.full_like(xs, y1))
-                             - network.r[cell.j](xs))) < 1e-12
+    for case in ("quadratic", "shifted", "plane"):
+        grid, curves, _ = grid_and_curves(case, network)
+        for cell in grid.cells():
+            blend = build_coons_blend(grid, curves, cell)
+            assert_edges_reproduce_the_curves(grid, curves, blend, 1e-12)
+            x0, x1, y0, y1 = grid.cell_rect(cell)
+            assert_tensor_call_is_pointwise(blend, np.linspace(x0, x1, 33),
+                                            np.linspace(y0, y1, 29))
 
 
 def test_explicit_tables_reproduce_the_transfinite_blend(network):
-    for (i, j), coeffs in H_TABLES.items():
-        cell = CellIndex(i, j)
-        explicit = load_explicit_blend(GRID, network, cell, coeffs)
-        coons = build_coons_blend(GRID, network, cell)
-        x0, x1, y0, y1 = GRID.cell_rect(cell)
-        xs = np.linspace(x0, x1, 33)[:, None]
-        ys = np.linspace(y0, y1, 29)[None, :]
-        np.testing.assert_allclose(explicit(xs, ys), coons(xs, ys), atol=1e-11)
+    for case in ("quadratic", "plane"):
+        grid, curves, tables = grid_and_curves(case, network)
+        for cell, coeffs in tables.items():
+            explicit = load_explicit_blend(grid, curves, cell, coeffs)
+            coons = build_coons_blend(grid, curves, cell)
+            x0, x1, y0, y1 = grid.cell_rect(cell)
+            xs = np.linspace(x0, x1, 33)
+            ys = np.linspace(y0, y1, 29)
+            np.testing.assert_allclose(explicit(xs[:, None], ys[None, :]),
+                                       coons(xs[:, None], ys[None, :]), atol=1e-11)
+            assert_edges_reproduce_the_curves(grid, curves, explicit, EDGE_MATCH_TOL)
+            assert_tensor_call_is_pointwise(explicit, xs, ys)
 
 
 def test_mismatched_explicit_table_is_rejected(network):
@@ -107,16 +151,22 @@ def test_mismatched_explicit_table_is_rejected(network):
 
 
 def test_blend_lipschitz_bound_dominates_finite_differences(network):
-    for cell in (CellIndex(1, 1), CellIndex(3, 2)):
-        blend = build_coons_blend(GRID, network, cell)
-        bound = blend.lipschitz_bound()
-        x0, x1, y0, y1 = GRID.cell_rect(cell)
-        xs = np.linspace(x0, x1, 101)
-        ys = np.linspace(y0, y1, 101)
-        vals = blend(xs[:, None], ys[None, :])
-        gx = np.max(np.abs(np.diff(vals, axis=0))) / (xs[1] - xs[0])
-        gy = np.max(np.abs(np.diff(vals, axis=1))) / (ys[1] - ys[0])
-        assert max(gx, gy) <= bound + 1e-9
+    for case, explicit in (("quadratic", False), ("quadratic", True), ("linear", False),
+                           ("shifted", False), ("plane", True)):
+        grid, curves, tables = grid_and_curves(case, network)
+        for cell in grid.cells():
+            if explicit:
+                blend = load_explicit_blend(grid, curves, cell, tables[cell])
+            else:
+                blend = build_coons_blend(grid, curves, cell)
+            bound = blend.lipschitz_bound()
+            x0, x1, y0, y1 = grid.cell_rect(cell)
+            xs = np.linspace(x0, x1, 101)
+            ys = np.linspace(y0, y1, 101)
+            vals = blend(xs[:, None], ys[None, :])
+            gx = np.max(np.abs(np.diff(vals, axis=0))) / (xs[1] - xs[0])
+            gy = np.max(np.abs(np.diff(vals, axis=1))) / (ys[1] - ys[0])
+            assert max(gx, gy) <= bound + 1e-9
 
 
 def test_free_field_compilation_and_sup():

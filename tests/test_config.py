@@ -16,6 +16,7 @@ from fractsurf.config import (
     serialize_config,
 )
 from fractsurf.fixtures import fixture_config, fixture_names
+from fractsurf.grid import MAX_RESOLUTION
 from fractsurf.pipeline import build_system
 
 
@@ -386,6 +387,17 @@ def test_flat_key_errors_are_exact(section, key, value, message):
     assert excinfo.value.errors == [(f"{section}.{key}", message)]
 
 
+@pytest.mark.parametrize("section, key", [("solver", "tol"), ("chaos", "seed"),
+                                          ("grid", "x_knots")])
+def test_integers_beyond_the_float_range_are_located(section, key):
+    doc = fixture_config("example2a")
+    doc[section][key] = 10 ** 400 if key != "x_knots" else [0.0, 10 ** 400]
+    path = f"{section}.{key}" if key != "x_knots" else "grid.x_knots[1]"
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert (path, "must be finite") in excinfo.value.errors
+
+
 def test_missing_solver_resolution_is_required():
     doc = fixture_config("flat2x2")
     del doc["solver"]["resolution"]
@@ -443,6 +455,20 @@ def test_solver_resolution_floor_scales_with_the_grid():
     with pytest.raises(ConfigurationError) as excinfo:
         parse_config_document(doc)
     assert any("at least 17" in msg for _, msg in excinfo.value.errors)
+
+
+@pytest.mark.parametrize("section", ["solver", "dimension"])
+@pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 2, 2 ** 63 + 1, 2 ** 64 - 1])
+def test_resolutions_above_the_ceiling_are_located(section, resolution):
+    doc = fixture_config("flat2x2")  # alignment base 2: every odd resolution is aligned
+    doc[section]["resolution"] = resolution
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [
+        (f"{section}.resolution",
+         f"resolution {resolution} is above the ceiling {MAX_RESOLUTION}")]
+    doc[section]["resolution"] = MAX_RESOLUTION
+    parse_config_document(doc)
 
 
 @pytest.mark.parametrize("eps", [0.2, -0.01, 0.125])

@@ -151,7 +151,9 @@ def test_sample_axes_put_every_knot_on_a_sample(grid):
 
 @pytest.mark.parametrize("resolution, message", [(13, "at least 17"),
                                                  (24, "knot-aligned"),
-                                                 (31, "knot-aligned")])
+                                                 (31, "knot-aligned"),
+                                                 (2 ** 64 - 1, "above the ceiling"),
+                                                 (2 ** 63 + 1, "above the ceiling")])
 def test_sample_axes_reject_coarse_or_misaligned_resolutions(grid, resolution, message):
     with pytest.raises(FractsurfError, match=message):
         sample_axes(grid, resolution)

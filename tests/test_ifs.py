@@ -7,7 +7,7 @@ from fractsurf.fixtures import fixture_config
 from fractsurf.grid import CellIndex
 from fractsurf.ifs import (OperatorGrid, assemble_ifs, certify_metric, chaos_game,
                            eval_F, solve_fixed_point)
-from fractsurf.pipeline import build_system
+from fractsurf.pipeline import build_system, certificate_text
 
 
 def small_fractal_job(psi=150.0):
@@ -21,9 +21,11 @@ def test_certificate_of_example2a(example2a_job):
     cert = example2a_job.system.certificate
     assert cert.c_s == pytest.approx(0.9982638888888888, abs=1e-15)
     assert cert.c_l == pytest.approx(1 / 3, abs=1e-15)
-    assert cert.l_q > 0
-    assert 0 < cert.theta_max < np.inf
-    assert cert.theta_max == pytest.approx((1 - cert.c_l) / cert.l_q, rel=1e-12)
+    assert cert.l_q > 0 and cert.l_s > 0
+    for z_bound in (0.0, 5.5):
+        assert 0 < cert.theta_max(z_bound) < np.inf
+        assert cert.theta_max(z_bound) == pytest.approx(
+            (1 - cert.c_l) / (cert.l_q + cert.c_l * cert.l_s * z_bound), rel=1e-12)
 
 
 def test_zero_scaling_certificate_is_trivial(flat_job):
@@ -31,7 +33,8 @@ def test_zero_scaling_certificate_is_trivial(flat_job):
     assert cert.c_s == 0.0
     assert cert.c_l == 0.5
     assert cert.l_q == 0.0
-    assert cert.theta_max == np.inf
+    assert cert.l_s == 0.0
+    assert cert.theta_max(1e6) == np.inf
 
 
 def test_assembly_rejects_swapped_maps(example2a_job):
@@ -181,9 +184,26 @@ def test_metric_midpoint_contracts(example2a_job):
 
 
 def test_metric_flags_theta_outside_interval(example2a_job):
-    theta_max = example2a_job.system.certificate.theta_max
+    theta_max = certify_metric(example2a_job.system, seed=1).theta_interval[1]
     report = certify_metric(example2a_job.system, theta=10 * theta_max, seed=1)
     assert not report.admissible
+
+
+@pytest.mark.parametrize("height_scale", [1.0, 2.0, 5.0])
+def test_metric_interval_contracts_on_the_sampled_slab(height_scale):
+    # the z * (s(Lp) - s(Lp')) term of F grows with the slab; an interval
+    # from (1 - c_l) / l_q alone admitted band2x2 with doubled heights at a
+    # sampled ratio of 1.05
+    doc = fixture_config("band2x2")
+    doc["grid"]["z_rows"] = [[height_scale * z for z in row] for row in doc["grid"]["z_rows"]]
+    job = build_system(parse_config_document(doc))
+    report = certify_metric(job.system, seed=0)
+    z_bound = float(np.max(np.abs(job.grid.z))) + 1.0  # heights >= 0, z_margin 1
+    theta_max = job.system.certificate.theta_max(z_bound)
+    assert report.theta_interval == (0.0, theta_max)
+    assert f"theta_max={theta_max!r}\n" in certificate_text(job, report)
+    assert report.admissible
+    assert report.max_ratio < 1.0
 
 
 def test_bias_shrinks_with_resolution_on_a_mild_surface():

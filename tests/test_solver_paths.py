@@ -177,7 +177,7 @@ def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed):
     plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), rng.normal(size=shape),
                       uniform_pullback(n, resolution), uniform_pullback(m, resolution))
     factor, tol = c / (1 - c), 1e-9
-    heights, iterations, diffs, bound = ifs._descend(plan, factor, tol, 10000)
+    heights, iterations, diffs, bound = ifs._descend(plan, plan.h_values, factor, tol, 10000)
     doubled, _, _, doubled_bound = ifs._double(plan.s_values, plan.b_values, plan.px, plan.py,
                                                plan.apply(plan.initial()), factor, tol, 10000)
     assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
@@ -198,7 +198,7 @@ def test_descent_raises_when_rounding_keeps_the_lifted_bound_above_tol():
     plan = GatherPlan(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape),
                       rng.normal(size=shape), uniform_pullback(2, 5), uniform_pullback(2, 5))
     with pytest.raises(ConvergenceError, match="rounding") as err:
-        ifs._descend(plan, 1.0, 1e-16, 10000)
+        ifs._descend(plan, plan.h_values, 1.0, 1e-16, 10000)
     assert err.value.last_bound > 1e-16
 
 
@@ -213,6 +213,19 @@ def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
     finally:
         tracemalloc.stop()
     assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
+
+
+def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
+    # the plan hands h to the descent, which drops it once T h is measured, so
+    # s, b and two full-size iterates make the peak (5.07 arrays with h kept)
+    resolution = 1025
+    tracemalloc.start()
+    try:
+        solve_fixed_point(band_job.system, resolution, estimate_bias=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * resolution ** 2 * np.dtype(float).itemsize
 
 
 def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
