@@ -21,7 +21,13 @@ The empirical side counts axis-aligned cubes of side ``delta`` touched by
 the sampled graph using the column trick: a ``delta`` x ``delta`` base
 column contributes ``ceil((z_max - z_min) / delta) + 1`` cubes.  Scales
 must divide the sample grid evenly with at least four sample intervals per
-cube edge, so column extrema are exact maxima over aligned sample blocks.
+cube edge, so column extrema are exact maxima over aligned sample blocks
+(the column-oscillation variation of Feng, 2008).  :class:`ColumnExtrema`
+takes the heights one row block at a time and keeps the extrema of the
+finest columns only: a coarser column is the union of whole fine columns,
+shared boundary samples included, so every coarser scale follows exactly by
+a max/min reduction.  A ``dimension`` solve hands its row blocks straight to
+it (``solve_fixed_point(..., fold=...)``) and never holds the surface.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from .errors import FractsurfError, ScaleResolutionError
 from .grid import CellIndex, DataGrid, alignment_base, min_resolution
-from .ifs import SurfaceSample
+from .ifs import SurfaceSample, fold_rows
 from .scaling import ScalingField, interior_extrema
 
 UNIFORM_TOL = 1e-12
@@ -285,31 +291,16 @@ def dimension_resolution(grid: DataGrid, depth: int,
     return -(-need // step) * step + 1
 
 
-def _column_extrema(h: np.ndarray, bx: int, wx: int, by: int, wy: int):
-    """Inclusive per-column extrema: block (a, b) covers samples
-    [a*wx, (a+1)*wx] x [b*wy, (b+1)*wy], boundary samples shared."""
-    core = h[:-1, :-1].reshape(bx, wx, by, wy)
-    right = h[wx::wx, :-1].reshape(bx, by, wy)
-    top = h[:-1, wy::wy].reshape(bx, wx, by)
-    corner = h[wx::wx, wy::wy]
-    col_max = np.maximum.reduce([core.max(axis=(1, 3)), right.max(axis=2),
-                                 top.max(axis=1), corner])
-    col_min = np.minimum.reduce([core.min(axis=(1, 3)), right.min(axis=2),
-                                 top.min(axis=1), corner])
-    return col_max, col_min
-
-
-def _box_layout(surface: SurfaceSample, delta: float) -> tuple[int, int, int, int]:
-    r = surface.resolution
+def _box_layout(resolution: int, spans: tuple[float, float],
+                delta: float) -> tuple[int, int, int, int]:
     out = []
-    for samples in (surface.x_samples, surface.y_samples):
-        span = float(samples[-1] - samples[0])
+    for span in spans:
         boxes = span / delta
         b = round(boxes)
         if b < 1 or abs(boxes - b) > 1e-9:
             raise ScaleResolutionError(
                 f"scale {delta!r} does not tile the span {span!r} evenly")
-        w = (r - 1) / b
+        w = (resolution - 1) / b
         wi = round(w)
         if abs(w - wi) > 1e-9:
             raise ScaleResolutionError(
@@ -317,10 +308,77 @@ def _box_layout(surface: SurfaceSample, delta: float) -> tuple[int, int, int, in
                 f"(needs {w:.6g} sample intervals per box)")
         if wi < MIN_SAMPLES_PER_BOX:
             raise ScaleResolutionError(
-                f"scale {delta!r} too fine for resolution {r}: only {wi} sample "
+                f"scale {delta!r} too fine for resolution {resolution}: only {wi} sample "
                 f"intervals per box edge, need at least {MIN_SAMPLES_PER_BOX}")
         out.extend([b, wi])
     return out[0], out[1], out[2], out[3]
+
+
+class ColumnExtrema:
+    """Inclusive column extrema of a sampled surface, folded in one row block at a time.
+
+    A ``delta`` layout has ``bx x by`` base columns; column ``(a, b)`` covers
+    the samples ``[a*wx, (a+1)*wx] x [b*wy, (b+1)*wy]``, boundary samples
+    shared with its neighbours.  Only the finest layout of each nested
+    family of the given scales is folded: a coarser column is the union of
+    whole fine columns, shared samples included, so its extrema are exactly
+    the maxima and minima over them.  ``spans`` are the sample axes' spans.
+    """
+
+    def __init__(self, resolution: int, spans: tuple[float, float], deltas: Sequence[float]):
+        self.resolution = resolution
+        self.spans = spans
+        self.folded: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for bx, wx, by, wy in sorted({self.layout(d) for d in deltas},
+                                     key=lambda layout: (layout[1], layout[3])):
+            if self._finer((bx, wx, by, wy)) is None:
+                self.folded[bx, wx, by, wy] = (np.full((bx, by), -np.inf),
+                                               np.full((bx, by), np.inf))
+
+    def layout(self, delta: float) -> tuple[int, int, int, int]:
+        """``(bx, wx, by, wy)``: boxes and sample intervals per box along x and y."""
+        return _box_layout(self.resolution, self.spans, delta)
+
+    def _finer(self, layout):
+        for fine in self.folded:
+            if layout[1] % fine[1] == 0 and layout[3] % fine[3] == 0:
+                return fine
+        return None
+
+    def __call__(self, r0: int, rows: np.ndarray) -> None:
+        """Fold the sample rows ``r0, r0 + 1, ...`` (every column) in."""
+        last = r0 + len(rows) - 1
+        for (bx, wx, by, wy), extrema in self.folded.items():
+            for reduce, out in zip((np.maximum, np.minimum), extrema):
+                # per row, the extrema over each column's samples [b*wy, (b+1)*wy]
+                per_row = reduce(reduce.reduce(rows[:, :-1].reshape(len(rows), by, wy), axis=2),
+                                 rows[:, wy::wy])
+                for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):
+                    lo, hi = max(a * wx, r0), min((a + 1) * wx, last)
+                    reduce(out[a], reduce.reduce(per_row[lo - r0:hi - r0 + 1]), out=out[a])
+
+    def extrema(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Column maxima and minima at ``delta``, reduced from a folded finer layout."""
+        bx, wx, by, wy = layout = self.layout(delta)
+        fine = self._finer(layout)
+        if fine is None:
+            raise ScaleResolutionError(f"scale {delta!r} was not folded")
+        col_max, col_min = self.folded[fine]
+        shape = (bx, wx // fine[1], by, wy // fine[3])
+        return (col_max.reshape(shape).max(axis=(1, 3)),
+                col_min.reshape(shape).min(axis=(1, 3)))
+
+    def count(self, delta: float) -> int:
+        """Cubes of side ``delta``: ``ceil(range / delta) + 1`` per base column."""
+        bx, _, by, _ = self.layout(delta)
+        col_max, col_min = self.extrema(delta)
+        spans = (col_max - col_min) / delta
+        return int(np.sum(np.ceil(spans - 1e-9)) + bx * by)
+
+
+def _spans(surface: SurfaceSample) -> tuple[float, float]:
+    return (float(surface.x_samples[-1] - surface.x_samples[0]),
+            float(surface.y_samples[-1] - surface.y_samples[0]))
 
 
 def box_count(surface: SurfaceSample, delta: float) -> int:
@@ -330,14 +388,21 @@ def box_count(surface: SurfaceSample, delta: float) -> int:
     cubes, with the column height range read off the inclusive sample
     block (shared boundary samples count toward both adjacent columns).
     """
-    bx, wx, by, wy = _box_layout(surface, delta)
-    col_max, col_min = _column_extrema(surface.heights, bx, wx, by, wy)
-    spans = (col_max - col_min) / delta
-    return int(np.sum(np.ceil(spans - 1e-9)) + bx * by)
+    return box_counts(surface, [delta])[0]
 
 
 def box_counts(surface: SurfaceSample, deltas: Sequence[float]) -> list[int]:
-    return [box_count(surface, d) for d in deltas]
+    """:func:`box_count` at every scale, from one fold of the rows.
+
+    A surface solved with a :class:`ColumnExtrema` fold carries it in place
+    of its heights; otherwise the heights are folded here, row block by
+    row block.
+    """
+    columns = surface.fold
+    if surface.heights is not None:
+        columns = ColumnExtrema(surface.resolution, _spans(surface), deltas)
+        fold_rows(surface.heights, columns)
+    return [columns.count(d) for d in deltas]
 
 
 def box_count_points(points: np.ndarray, delta: float,

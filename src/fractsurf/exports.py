@@ -13,11 +13,15 @@ files.
   orbit sampler).
 * counts CSV — ``delta,count`` pairs from box counting.
 * dimension report — ``key=value`` lines, one per reported quantity.
+
+The two large text formats (heightmap CSV, xyz) are produced as iterables of
+strings, which :func:`write_text` writes one after another, so their text
+is never whole in memory.
 """
 from __future__ import annotations
 
-import io
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,19 +33,18 @@ from .utils import format_float
 _POINT_BLOCK = 4096
 
 
-def heightmap_csv(surface: SurfaceSample) -> str:
+def heightmap_csv(surface: SurfaceSample) -> Iterator[str]:
+    """The heightmap CSV text: the header, then one string per row."""
     xs = surface.x_samples
     ys = surface.y_samples
-    out = io.StringIO()
     header = [str(surface.resolution), format_float(xs[0]), format_float(xs[-1]),
               format_float(ys[0]), format_float(ys[-1])]
-    out.write(",".join(header) + "\n")
+    yield ",".join(header) + "\n"
     # heights is indexed [ix, iy]; emit rows from y_max down to y_min.
     # repr of the Python floats from tolist() is format_float, per element;
     # one row at a time, so only one row of Python floats is alive.
     for row in surface.heights[:, ::-1].T:
-        out.write(",".join(map(repr, row.tolist())) + "\n")
-    return out.getvalue()
+        yield ",".join(map(repr, row.tolist())) + "\n"
 
 
 def heightmap_pgm(surface: SurfaceSample) -> bytes:
@@ -64,12 +67,11 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
     return header.encode("ascii") + image.astype(">u2").tobytes()
 
 
-def xyz_text(points: np.ndarray) -> str:
-    out = io.StringIO()
+def xyz_text(points: np.ndarray) -> Iterator[str]:
+    """The xyz text, one string per ``_POINT_BLOCK`` points."""
     for r0 in range(0, len(points), _POINT_BLOCK):
-        for point in points[r0:r0 + _POINT_BLOCK].tolist():
-            out.write(" ".join(map(repr, point)) + "\n")
-    return out.getvalue()
+        yield "".join(" ".join(map(repr, point)) + "\n"
+                      for point in points[r0:r0 + _POINT_BLOCK].tolist())
 
 
 def counts_csv(deltas, counts) -> str:
@@ -121,9 +123,11 @@ def dimension_report_text(report: DimensionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text(path: Path, text: str) -> Path:
+def write_text(path: Path, text: str | Iterable[str]) -> Path:
+    """Write a string, or an iterable of strings one after another, as UTF-8."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
 
 

@@ -22,8 +22,13 @@ Two ways to materialize the attractor are provided and cross-checked:
   every node into ``image(P)`` and ``image(P)`` into itself, so the solver
   descends the chain of images to the core on which ``P`` is a permutation,
   composes the gather with itself there (pointer doubling, iterate ``2^k``
-  in ``k`` rounds), lifts the core's fixed point back to every node with one
-  gather per level and certifies it with one last application.  Otherwise
+  in ``k`` rounds) and lifts the core's fixed point to level 1,
+  ``image(P)``, with one gather per level.  Level 0, every node, is never
+  held whole: ``s``, ``b`` and ``h`` are evaluated there one row block at a
+  time, ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``
+  are gathered from level 1, and the blocks go to a consumer (stacked into
+  the heights, or folded into box-count column extrema) while the
+  certifying residual is measured on every node.  Otherwise
   it iterates the bilinear pull-back, a separable gather in two 1-D passes
   (along y, then along x).  Either way ``iterations`` counts operator
   applications (equivalent ones on lattice plans) and ``sup_diffs`` holds
@@ -36,6 +41,7 @@ Two ways to materialize the attractor are provided and cross-checked:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -57,6 +63,8 @@ TILING_TOL = 1e-12
 LATTICE_TOL = 4e-15
 # Cells per row block of a gather: a 256 KiB temporary stays in cache.
 _GATHER_CELLS = 1 << 15
+# Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
+_ROW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -257,50 +265,88 @@ class OperatorGrid:
     of the inversion, relative to the coordinates and measured in sample
     intervals), the plan is a *lattice* plan: the weights snap to 0 or 1,
     the integer node indices ``px``, ``py`` (one 1-D array per axis) replace
-    indices and weights, and ``b = h - s * g`` replaces ``g``, so that
-    ``apply`` is the pure gather ``s * phi[P] + b``.
+    indices and weights, and ``b = h - s * g`` replaces ``g``, so that the
+    operator is the pure gather ``s * phi[P] + b``.  ``P`` maps every node
+    into level 1, ``x_level x y_level`` with ``x_level = image(px)``, and
+    level 1 into itself, so a lattice plan holds ``s``, ``h`` and ``b`` on
+    level 1 only and ``apply`` is the gather there (``lx``, ``ly``: every
+    node's pull-back as a position on level 1; ``level_px``, ``level_py``:
+    those of level 1).  :meth:`rows` evaluates them on every node, one row
+    block at a time.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
         grid = system.grid
         self.system = system
         self.resolution = resolution
-        ((self.x_samples, self.x_blocks),
-         (self.y_samples, self.y_blocks)) = sample_axes(grid, resolution)
-
-        r = resolution
-        self.s_values = np.empty((r, r))
-        self.h_values = np.empty((r, r))
-        g = np.empty((r, r))
-        x_pre = np.empty(r)
-        y_pre = np.empty(r)
-        x_starts = np.concatenate([[0], np.cumsum(self.x_blocks)])
-        y_starts = np.concatenate([[0], np.cumsum(self.y_blocks)])
-        for cell in grid.cells():
+        ((self.x_samples, x_blocks), (self.y_samples, y_blocks)) = sample_axes(grid, resolution)
+        x_starts = np.concatenate([[0], np.cumsum(x_blocks)])
+        y_starts = np.concatenate([[0], np.cumsum(y_blocks)])
+        # each cell's first and last node per axis, the knots included
+        self._cell_nodes = [(cell, x_starts[cell.i - 1], x_starts[cell.i],
+                             y_starts[cell.j - 1], y_starts[cell.j]) for cell in grid.cells()]
+        x_pre = np.empty(resolution)
+        y_pre = np.empty(resolution)
+        for cell, x0, x1, y0, y1 in self._cell_nodes:
             dmap = system.maps[cell]
-            sl_x = slice(x_starts[cell.i - 1], x_starts[cell.i] + 1)
-            sl_y = slice(y_starts[cell.j - 1], y_starts[cell.j] + 1)
-            bx = self.x_samples[sl_x]
-            by = self.y_samples[sl_y]
-            x_pre[sl_x] = dmap.axis_x.invert(bx, tol=1e-9)
-            y_pre[sl_y] = dmap.axis_y.invert(by, tol=1e-9)
-            self.s_values[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
-            self.h_values[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
-            g[sl_x, sl_y] = system.free(cell)(x_pre[sl_x][:, None], y_pre[sl_y][None, :])
+            x_pre[x0:x1 + 1] = dmap.axis_x.invert(self.x_samples[x0:x1 + 1], tol=1e-9)
+            y_pre[y0:y1 + 1] = dmap.axis_y.invert(self.y_samples[y0:y1 + 1], tol=1e-9)
         ix, wx = _axis_weights(self.x_samples, x_pre)
         iy, wy = _axis_weights(self.y_samples, y_pre)
         self.lattice = _on_lattice(wx, grid.x_knots) and _on_lattice(wy, grid.y_knots)
         if self.lattice:
             self.px = ix + (wx > 0.5)
             self.py = iy + (wy > 0.5)
+            self.x_level, self.y_level = _image(self.px), _image(self.py)
+            self.lx = np.searchsorted(self.x_level, self.px)
+            self.ly = np.searchsorted(self.y_level, self.py)
+            self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
+            self.s_values, self.h_values, g = self._fields(self.x_level, self.y_level)
             g *= self.s_values
             self.b_values = np.subtract(self.h_values, g, out=g)
         else:
-            self.g_values = g
+            nodes = np.arange(resolution)
+            self.s_values, self.h_values, self.g_values = self._fields(nodes, nodes)
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
 
+    def _fields(self, rows: np.ndarray, cols: np.ndarray):
+        """``s``, ``h`` and ``g`` at the pulled-back points on the nodes ``np.ix_(rows, cols)``.
+
+        ``rows`` and ``cols`` are ascending node indices.  Cells write in
+        ``grid.cells()`` order, so a node on a shared knot line takes the
+        values of the later cell, whatever nodes are asked for.
+        """
+        system = self.system
+        shape = (len(rows), len(cols))
+        s, h, g = np.empty(shape), np.empty(shape), np.empty(shape)
+        for cell, x0, x1, y0, y1 in self._cell_nodes:
+            sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
+            sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
+            if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
+                continue
+            bx = self.x_samples[rows[sl_x]]
+            by = self.y_samples[cols[sl_y]]
+            qx, qy = system.maps[cell].invert((bx, by), tol=1e-9)
+            s[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
+            h[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
+            g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])
+        return s, h, g
+
+    def rows(self):
+        """Lattice plans: ``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
+
+        One row block at a time, ``_ROW_CELLS`` nodes each, evaluated as
+        on level 1 (``b = h - s * g``).
+        """
+        nodes = np.arange(self.resolution)
+        step = max(1, _ROW_CELLS // self.resolution)
+        for r0 in range(0, self.resolution, step):
+            s, h, g = self._fields(nodes[r0:r0 + step], nodes)
+            g *= s
+            yield r0, s, np.subtract(h, g, out=g), h
+
     def initial(self) -> np.ndarray:
-        """Blend patchwork: continuous, interpolates the data, cheap."""
+        """Blend patchwork: continuous, interpolates the data, cheap (level 1 on lattice plans)."""
         return self.h_values.copy()
 
     def release_initial(self) -> np.ndarray:
@@ -309,9 +355,10 @@ class OperatorGrid:
         return h
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
+        """``T phi``: on every node, or on level 1 for lattice plans."""
         phi = np.asarray(phi, dtype=float)
         if self.lattice:
-            out = _gather(phi, self.px, self.py, np.empty_like(phi))
+            out = _gather(phi, self.level_px, self.level_py, np.empty_like(phi))
             out *= self.s_values
             out += self.b_values
             return out
@@ -328,12 +375,13 @@ class SurfaceSample:
 
     x_samples: np.ndarray = field(compare=False)
     y_samples: np.ndarray = field(compare=False)
-    heights: np.ndarray = field(compare=False)  # heights[ix, iy]
+    heights: np.ndarray | None = field(compare=False)  # heights[ix, iy]; None when folded
     iterations: int = 0
     sup_diffs: tuple[float, ...] = ()
     error_bound: float = 0.0          # a-posteriori bound at the sample nodes
     bias_estimate: float | None = None  # discretization bias vs half resolution
     contraction: float = 0.0          # c_s used in the bound
+    fold: object = field(default=None, compare=False)  # took the rows in place of heights
 
     @property
     def resolution(self) -> int:
@@ -449,75 +497,125 @@ def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
         n *= 2
 
 
+def _image(p: np.ndarray, nodes=slice(None)) -> np.ndarray:
+    """``image(p|nodes)``, ascending.  (A mask, not ``np.unique``, which
+    imports ``numpy.ma``: about 1 MB of peak RSS.)"""
+    hit = np.zeros(len(p), dtype=bool)
+    hit[p[nodes]] = True
+    return np.flatnonzero(hit)
+
+
 def _image_chain(p: np.ndarray) -> list[np.ndarray]:
     """Nodes of all, ``image(p)``, ``image(p|image(p))``, ... down to the core.
 
     Each entry is ``p`` of the one before and lies inside it, so the chain
-    shrinks until ``p`` permutes its last entry, the core.  (A mask, not
-    ``np.unique``, which imports ``numpy.ma``: about 1 MB of peak RSS.)
+    shrinks until ``p`` permutes its last entry, the core.
     """
     chain = [np.arange(len(p))]
     while True:
-        hit = np.zeros(len(p), dtype=bool)
-        hit[p[chain[-1]]] = True
-        image = np.flatnonzero(hit)
+        image = _image(p, chain[-1])
         if len(image) == len(chain[-1]):
             return chain
         chain.append(image)
 
 
-def _descend(plan: OperatorGrid, h: np.ndarray, factor: float, tol: float, max_iter: int):
-    """Fixed point of a lattice plan: doubling on the core of ``P``, then one gather per level.
+def _lift_rows(values: np.ndarray, rx: np.ndarray, ly: np.ndarray, s: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """``s * values[np.ix_(rx, ly)] + b`` for one row block of level 0."""
+    out = np.take(values[rx], ly, axis=1)
+    out *= s
+    out += b
+    return out
+
+
+def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit):
+    """Fixed point of a lattice plan: doubling on the core of ``P``, one gather per level.
 
     ``P = (px, py)`` maps every node into ``image(P)``, which ``P`` maps into
     itself, so the fixed point on level ``k`` of the image chain (nodes
     ``X_k x Y_k``, :func:`_image_chain` per axis) follows from the one on
-    level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  Round 0
-    applies the plan to the blend patchwork ``h`` on every node and returns
-    ``T h`` when that meets the bound; ``h`` is passed in, not read from the
-    plan, so that it is freed once round 0 is done.  Otherwise
+    level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  The
+    plan holds level 1; level 0, every node, is visited in row blocks
+    (:meth:`OperatorGrid.rows`) and handed to ``emit(r0, rows)``, nothing of
+    it kept.
+
+    Round 0 applies the plan to the blend patchwork ``h``: ``T h = s *
+    h_1[P] + b`` needs only ``h_1``, ``h`` on level 1.  Its residual ``|T h
+    - h|`` is measured on every node: on level 1 first, then on level 0 in
+    the last pass below, unless the outcome depends on it now (when the
+    level-1 part meets the bound, and before raising at ``max_iter``); when
+    the bound is met, a second pass emits ``T h``.  Otherwise
     :func:`_double` solves on the core, where ``P`` is a permutation, from
-    ``T h`` restricted to it; one gather per level lifts the result back to
-    every node, and one more application of the plan gives the returned
-    heights, whose residual on every node (the last of ``sup_diffs``) gives
-    the bound.  The count is ``N + 1`` on the
-    core plus one per level plus the last application, and stays within
-    ``max_iter``.
+    ``T h`` restricted to it, and one gather per level lifts the result to
+    ``phi_1`` on level 1.  On level 0, ``phi = s * phi_1[P] + b`` and ``T
+    phi = s * (T_1 phi_1)[P] + b`` with ``T_1 phi_1`` the plan applied on
+    level 1, so one pass over the row blocks measures ``|T phi - phi|`` on
+    every node (the last of ``sup_diffs``, which gives the bound) and emits
+    ``T phi``.  The count is ``N + 1`` on the core plus one per level plus
+    the last application, and stays within ``max_iter``.  Should ``P``
+    permute every node (no grid does: a single-cell axis is rejected),
+    level 1 is every node and the lift to level 0 is one more gather.
+    Returns ``(iterations, sup_diffs, bound)``.
     """
-    nxt = plan.apply(h)
-    diffs = [_sup_distance(nxt, h)]
-    del h
-    bound = factor * diffs[0]
-    if bound <= tol:
-        return nxt, 1, diffs, bound
-    xs, ys = _image_chain(plan.px), _image_chain(plan.py)
-    levels = max(len(xs), len(ys)) - 1
-    if levels + 3 > max_iter:  # two applications on the core, the levels, the last one
-        raise _no_convergence(max_iter, bound, tol)
-    xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
-    ys += ys[-1:] * (levels + 2 - len(ys))
+    def sweep():  # per row block of level 0: r0, h, and v -> s * v[P] + b for v on level 1
+        for r0, s, b, h in plan.rows():
+            yield r0, h, functools.partial(_lift_rows, rx=plan.lx[r0:r0 + len(s)],
+                                           ly=plan.ly, s=s, b=b)
+
+    h = plan.release_initial()
+    nxt = plan.apply(h)  # T h on level 1
+    first = _sup_distance(nxt, h)  # round 0's residual on level 1; level 0 comes later
+    xs, ys = _image_chain(plan.level_px), _image_chain(plan.level_py)  # on level 1
+    below = max(len(xs), len(ys)) - 1
+    if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
+        first = max(_sup_distance(lift(h), h0) for _, h0, lift in sweep())
+        bound = factor * first
+        if bound <= tol:
+            for r0, _, lift in sweep():
+                emit(r0, lift(h))
+            return 1, [first], bound
+        if below + 4 > max_iter:  # two applications on the core, the levels, the last one
+            raise _no_convergence(max_iter, bound, tol)
+        h = None
+    xs += xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
+    ys += ys[-1:] * (below + 2 - len(ys))
     # P from level k into positions on level k + 1
-    lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
-    ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
+    lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
+    ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
     core = np.ix_(xs[-1], ys[-1])
-    phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
-                                    nxt[core], factor, tol, max_iter - levels - 1)
+    start = nxt[core]
     del nxt
-    for k in reversed(range(levels)):
+    phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
+                                    start, factor, tol, max_iter - below - 2)
+    for k in reversed(range(below)):
         phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, xs[k], ys[k])
-    heights = plan.apply(phi)
-    diffs += core_diffs
-    diffs.append(_sup_distance(heights, phi))
-    bound = factor * diffs[-1]
+    last = 0.0
+    nxt = plan.apply(phi)
+    for r0, h0, lift in sweep():
+        heights = lift(nxt)
+        last = max(last, _sup_distance(heights, lift(phi)))
+        if h is not None:  # round 0 on the rest of level 0
+            first = max(first, _sup_distance(lift(h), h0))
+        emit(r0, heights)
+    diffs = [first] + core_diffs + [last]
+    bound = factor * last
     if bound > tol:  # at most c_s^(levels + 2) times the core's bound, so only rounding
         raise ConvergenceError(
             f"lifted surface misses the bound by rounding: {bound:.3g} (tol {tol:.3g})",
             last_bound=bound)
-    return heights, n + levels + 1, diffs, bound
+    return n + below + 2, diffs, bound
+
+
+def fold_rows(values: np.ndarray, fold) -> None:
+    """Hand ``values`` to ``fold(r0, rows)`` in row blocks of ``_ROW_CELLS`` cells."""
+    step = max(1, _ROW_CELLS // values.shape[1])
+    for r0 in range(0, len(values), step):
+        fold(r0, values[r0:r0 + step])
 
 
 def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
-                      max_iter: int = 10000, estimate_bias: bool = True) -> SurfaceSample:
+                      max_iter: int = 10000, estimate_bias: bool = True,
+                      fold=None) -> SurfaceSample:
     """Solve the sampled surface transform until the a-posteriori bound meets tol.
 
     Lattice plans are solved by :func:`_descend` (doubling on the core of
@@ -531,15 +629,31 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     additionally solves at half resolution and reports the largest
     disagreement after bilinear upsampling, an empirical estimate of the
     discretization bias that roughly halves when resolution doubles.
+
+    With ``fold``, the heights go to ``fold(r0, rows)`` row block by row
+    block (rows ``r0, r0 + 1, ...``, in order) instead of into ``heights``,
+    which is then None; lattice plans then never hold a full-size array.
+    The bias estimate needs the heights, so it cannot be combined with
+    ``fold``.
     """
+    if fold is not None and estimate_bias:
+        raise FractsurfError("the bias estimate needs the heights: pass estimate_bias=False")
     plan = OperatorGrid(system, resolution)
     c_s = system.certificate.c_s
     factor = c_s / (1.0 - c_s)
     if plan.lattice:
-        phi, iterations, diffs, bound = _descend(plan, plan.release_initial(), factor,
-                                                 tol, max_iter)
+        phi = np.empty((resolution, resolution)) if fold is None else None
+
+        def stack(r0, rows):
+            phi[r0:r0 + len(rows)] = rows
+
+        iterations, diffs, bound = _descend(plan, factor, tol, max_iter,
+                                            stack if fold is None else fold)
     else:
         phi, iterations, diffs, bound = _iterate(plan, factor, tol, max_iter)
+        if fold is not None:
+            fold_rows(phi, fold)
+            phi = None
     x_samples, y_samples = plan.x_samples, plan.y_samples
     half = _half_resolution(plan) if estimate_bias else None
     del plan  # its s, h and b would otherwise outlive the half-resolution solve
@@ -555,7 +669,7 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     return SurfaceSample(
         x_samples=x_samples, y_samples=y_samples, heights=phi,
         iterations=iterations, sup_diffs=tuple(diffs), error_bound=bound,
-        bias_estimate=bias, contraction=c_s)
+        bias_estimate=bias, contraction=c_s, fold=fold)
 
 
 def chaos_game(system: IfsSystem, point_count: int, seed: int,

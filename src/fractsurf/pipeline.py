@@ -20,7 +20,8 @@ from .boundary import (CurveNetwork, FreeField, PatchBlend, build_boundary_curve
                        build_coons_blend, build_free_field, build_Q,
                        load_explicit_blend)
 from .config import JobConfig, grid_errors, realize_grid, serialize_config
-from .dimension import DimensionReport, dimension_report, dimension_resolution
+from .dimension import (ColumnExtrema, DimensionReport, dimension_report,
+                        dimension_resolution, natural_scales)
 from .errors import ConfigurationError, FractsurfError
 from .exports import (counts_csv, dimension_report_text, heightmap_csv,
                       heightmap_pgm, write_bytes, write_text, xyz_text)
@@ -180,13 +181,13 @@ def _out_dir(cfg: JobConfig) -> Path:
     return Path(cfg.output.directory) if cfg.output.directory else Path.cwd()
 
 
-def _solve(job: BuiltJob, resolution: int | None = None,
-           estimate_bias: bool = True) -> SurfaceSample:
+def _solve(job: BuiltJob, resolution: int | None = None, estimate_bias: bool = True,
+           fold: ColumnExtrema | None = None) -> SurfaceSample:
     cfg = job.config
     return solve_fixed_point(job.system,
                              resolution or cfg.solver.resolution,
                              tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-                             estimate_bias=estimate_bias)
+                             estimate_bias=estimate_bias, fold=fold)
 
 
 def _dimension_resolution(job: BuiltJob) -> int:
@@ -250,7 +251,10 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
         if result.surface is not None and result.surface.resolution == dim_res:
             dim_surface = result.surface
         else:
-            dim_surface = _solve(job, resolution=dim_res, estimate_bias=False)
+            # the heights go straight into the column extrema, never a full array
+            fold = ColumnExtrema(dim_res, (job.grid.x_span, job.grid.y_span),
+                                 natural_scales(job.grid, cfg.dimension.depth))
+            dim_surface = _solve(job, resolution=dim_res, estimate_bias=False, fold=fold)
             if result.surface is None:
                 result.surface = dim_surface
         report = dimension_report(job.grid, job.system.scalings, dim_surface,

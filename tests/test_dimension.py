@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractsurf.config import parse_config_document
-from fractsurf.dimension import (alignment_base, box_count, box_count_points,
+from fractsurf.dimension import (ColumnExtrema, alignment_base, box_count, box_count_points,
                                  box_counts, bounds_from_fields, check_hypotheses,
                                  default_epsilon, dimension_report,
                                  dimension_resolution, estimate_dimension,
@@ -14,7 +14,8 @@ from fractsurf.errors import FractsurfError, ScaleResolutionError
 from fractsurf.fixtures import fixture_config
 from fractsurf.grid import DataGrid
 from fractsurf.ifs import SurfaceSample, solve_fixed_point
-from fractsurf.pipeline import build_system
+from fractsurf.pipeline import build_system, run_pipeline
+from fractsurf.utils import format_float
 
 
 def sample_surface(heights: np.ndarray) -> SurfaceSample:
@@ -179,6 +180,101 @@ def test_too_fine_scale_is_rejected():
         box_count(surf, 1 / 16)  # only one sample interval per box
 
 
+def column_extrema(h: np.ndarray, bx: int, wx: int, by: int, wy: int):
+    """Reference: inclusive per-column extrema of the whole array at one layout.
+
+    Column (a, b) covers samples [a*wx, (a+1)*wx] x [b*wy, (b+1)*wy], boundary
+    samples shared.
+    """
+    core = h[:-1, :-1].reshape(bx, wx, by, wy)
+    right = h[wx::wx, :-1].reshape(bx, by, wy)
+    top = h[:-1, wy::wy].reshape(bx, wx, by)
+    corner = h[wx::wx, wy::wy]
+    col_max = np.maximum.reduce([core.max(axis=(1, 3)), right.max(axis=2),
+                                 top.max(axis=1), corner])
+    col_min = np.minimum.reduce([core.min(axis=(1, 3)), right.min(axis=2),
+                                 top.min(axis=1), corner])
+    return col_max, col_min
+
+
+@st.composite
+def nested_scales(draw):
+    """Heights on an R x R lattice over [0, 1] x [0, q] and a chain of nested scales.
+
+    The finest layout has ``bx`` boxes along x and ``q * bx`` along y, so
+    ``bx != by`` whenever ``q > 1``; every coarser scale merges whole columns.
+    Some heights on shared boundary rows and columns are spikes, so a column
+    that missed its shared samples would show.
+    """
+    q = draw(st.integers(1, 3))
+    factors = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    bx = draw(st.integers(1, 2)) * math.prod(factors)
+    wx = q * draw(st.integers(4, 6))
+    resolution = bx * wx + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        heights = rng.normal(size=(resolution, resolution))
+    else:  # many ties
+        heights = rng.integers(-2, 3, size=(resolution, resolution)).astype(float)
+    wy = wx // q
+    for _ in range(draw(st.integers(0, 6))):
+        r = wx * int(rng.integers(0, bx + 1))
+        c = wy * int(rng.integers(0, q * bx + 1))
+        heights[r, int(rng.integers(0, resolution))] = rng.choice([-10.0, 10.0])
+        heights[int(rng.integers(0, resolution)), c] = rng.choice([-10.0, 10.0])
+    boxes = [bx]
+    for f in factors:
+        boxes.append(boxes[-1] // f)
+    return heights, (1.0, float(q)), [1.0 / b for b in boxes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_scales())
+def test_finest_fold_reduces_to_the_extrema_of_every_scale(case):
+    heights, spans, deltas = case
+    resolution = len(heights)
+    fold = ColumnExtrema(resolution, spans, deltas)
+    assert len(fold.folded) == 1  # nested scales: only the finest is folded
+    fold(0, heights)
+    for delta in deltas:
+        bx, wx, by, wy = fold.layout(delta)
+        col_max, col_min = fold.extrema(delta)
+        ref_max, ref_min = column_extrema(heights, bx, wx, by, wy)
+        assert np.array_equal(col_max, ref_max) and np.array_equal(col_min, ref_min)
+        ref_count = int(np.sum(np.ceil((ref_max - ref_min) / delta - 1e-9)) + bx * by)
+        assert fold.count(delta) == ref_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_scales(), st.lists(st.integers(1, 40), min_size=1, max_size=40))
+def test_folding_in_row_blocks_of_any_size_equals_one_fold(case, sizes):
+    heights, spans, deltas = case
+    resolution = len(heights)
+    whole = ColumnExtrema(resolution, spans, deltas)
+    whole(0, heights)
+    blocks = ColumnExtrema(resolution, spans, deltas)
+    r0, k = 0, 0
+    while r0 < resolution:  # the drawn sizes, cycled; rarely aligned with box rows
+        size = sizes[k % len(sizes)]
+        blocks(r0, heights[r0:r0 + size])
+        r0, k = r0 + size, k + 1
+    for layout, (col_max, col_min) in whole.folded.items():
+        assert np.array_equal(blocks.folded[layout][0], col_max)
+        assert np.array_equal(blocks.folded[layout][1], col_min)
+
+
+def test_box_counts_fold_unnested_scales_separately():
+    # R - 1 = 48: 4 and 6 boxes (12 and 8 intervals) do not nest; 12 boxes refine both
+    rng = np.random.default_rng(4)
+    heights = np.cumsum(rng.normal(size=(49, 49)), axis=1)
+    surf = sample_surface(heights)
+    deltas = [1 / 4, 1 / 6]
+    fold = ColumnExtrema(49, (1.0, 1.0), deltas)
+    assert len(fold.folded) == 2
+    assert len(ColumnExtrema(49, (1.0, 1.0), deltas + [1 / 12]).folded) == 1
+    assert box_counts(surf, deltas) == [brute_force_count(heights, d) for d in deltas]
+
+
 def test_box_count_points_on_a_plane():
     xs, ys = np.meshgrid(np.linspace(0, 1, 40), np.linspace(0, 1, 40))
     pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(1600, 0.37)])
@@ -288,3 +384,25 @@ def test_dimension_report_annotations(example2a_job, bilinear_job):
     assert rep2.bounds is None
     assert "no theoretical band" in rep2.annotation
     assert rep2.lower_bound == 2.0 and rep2.upper_bound == 3.0
+
+
+# Box counts of ``dimension`` on every fixture, recorded before the heights
+# were folded into the column extrema in row blocks.
+PINNED_COUNTS = {
+    "band2x2": [32, 220, 1464, 9852, 66272, 436860, 2789348],
+    "bilinear2x2": [12, 49, 198, 794, 3193],
+    "example2a": [859, 10635, 153761, 2330410],
+    "example2a-explicit": [859, 10635, 153761, 2330410],
+    "example2b-sin": [541, 13134, 278735, 5810749],
+    "flat2x2": [4, 16, 64, 256, 1024],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_dimension_counts_are_pinned(name, tmp_path):
+    cfg = parse_config_document(fixture_config(name))
+    result = run_pipeline(cfg, "dimension", out=str(tmp_path))
+    deltas = natural_scales(result.job.grid, cfg.dimension.depth)
+    expected = "delta,count\n" + "".join(
+        f"{format_float(d)},{c}\n" for d, c in zip(deltas, PINNED_COUNTS[name]))
+    assert (tmp_path / f"{name}.counts.csv").read_text(encoding="utf-8") == expected

@@ -1,4 +1,4 @@
-"""Text writers: byte-for-byte the per-element ``format_float`` formula."""
+"""Text writers: byte-for-byte the per-element ``format_float`` formula, streamed."""
 import numpy as np
 
 from fractsurf.exports import heightmap_csv, xyz_text
@@ -23,7 +23,7 @@ def test_heightmap_csv_matches_the_per_element_formula():
                          format_float(0.0), format_float(1.0)]) + "\n"
     for iy in range(r - 1, -1, -1):
         expected += ",".join(format_float(v) for v in heights[:, iy]) + "\n"
-    assert heightmap_csv(surface) == expected
+    assert "".join(heightmap_csv(surface)) == expected
     assert "-0.0" in expected and "5e-324" in expected and "1e+22" in expected
 
 
@@ -31,5 +31,5 @@ def test_xyz_text_matches_the_per_element_formula():
     points = edge_heights(6).reshape(-1, 3)
     expected = "".join(f"{format_float(x)} {format_float(y)} {format_float(z)}\n"
                        for x, y, z in points)
-    assert xyz_text(points) == expected
+    assert "".join(xyz_text(points)) == expected
     assert "1e+16" in expected and "1e-05" in expected

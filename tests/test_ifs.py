@@ -9,6 +9,8 @@ from fractsurf.ifs import (OperatorGrid, assemble_ifs, certify_metric, chaos_gam
                            eval_F, solve_fixed_point)
 from fractsurf.pipeline import build_system, certificate_text
 
+from lattice import full_apply
+
 
 def small_fractal_job(psi=150.0):
     doc = fixture_config("bilinear2x2")
@@ -72,7 +74,7 @@ def test_apply_T_interpolates_knots_for_any_field():
     job = small_fractal_job()
     rng = np.random.default_rng(5)
     phi = rng.normal(size=(13, 13))
-    out = OperatorGrid(job.system, 13).apply(phi)
+    out = full_apply(OperatorGrid(job.system, 13), phi)
     knot_ids = [0, 6, 12]
     for a, xi in enumerate(knot_ids):
         for b, yj in enumerate(knot_ids):
@@ -82,8 +84,8 @@ def test_apply_T_interpolates_knots_for_any_field():
 def test_apply_T_with_zero_scaling_is_constant(flat_job):
     rng = np.random.default_rng(6)
     plan = OperatorGrid(flat_job.system, 13)
-    out1 = plan.apply(rng.normal(size=(13, 13)))
-    out2 = plan.apply(rng.normal(size=(13, 13)) * 100)
+    out1 = full_apply(plan, rng.normal(size=(13, 13)))
+    out2 = full_apply(plan, rng.normal(size=(13, 13)) * 100)
     np.testing.assert_array_equal(out1, out2)
     np.testing.assert_allclose(out1, 0.7, atol=1e-12)
 

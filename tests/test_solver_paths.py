@@ -13,10 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from fractsurf import ifs
 from fractsurf.config import parse_config_document
+from fractsurf.dimension import ColumnExtrema, box_counts, natural_scales
 from fractsurf.errors import ConvergenceError
 from fractsurf.fixtures import PSI_A, X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config, fixture_names
+from fractsurf.grid import sample_axes
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
+
+from lattice import full_apply, full_fields, stack_into
 
 LATTICE_R = 97
 TOL = 1e-6
@@ -34,8 +38,43 @@ def test_lattice_apply_matches_bilinear_apply(example2a_job, monkeypatch):
     bilinear = OperatorGrid(system, LATTICE_R)
     assert lattice.lattice and not bilinear.lattice
     phi = np.random.default_rng(7).normal(size=(LATTICE_R, LATTICE_R))
-    gap = float(np.max(np.abs(lattice.apply(phi) - bilinear.apply(phi))))
+    full = full_apply(lattice, phi)
+    gap = float(np.max(np.abs(full - bilinear.apply(phi))))
     assert gap <= 1e-10
+    # on level 1, image(P), the plan's own apply is the same gather
+    level = np.ix_(lattice.x_level, lattice.y_level)
+    assert np.array_equal(lattice.apply(phi[level]), full[level])
+
+
+def whole_grid_fields(system, resolution):
+    """Reference: s, h and g on every node, cell by cell in ``grid.cells()`` order."""
+    (xs, x_blocks), (ys, y_blocks) = sample_axes(system.grid, resolution)
+    x_starts, y_starts = np.cumsum([0] + x_blocks), np.cumsum([0] + y_blocks)
+    s, h, g = (np.empty((resolution, resolution)) for _ in range(3))
+    for cell in system.cells():
+        sl_x = slice(x_starts[cell.i - 1], x_starts[cell.i] + 1)
+        sl_y = slice(y_starts[cell.j - 1], y_starts[cell.j] + 1)
+        bx, by = xs[sl_x], ys[sl_y]
+        qx, qy = system.maps[cell].invert((bx, by), tol=1e-9)
+        s[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
+        h[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
+        g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])
+    return s, h, g
+
+
+@pytest.mark.parametrize("name", ["example2a", "band2x2"])
+def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
+    # a shared knot line takes the later cell's values, whichever rows a block
+    # holds (ragged blocks of 7 rows here) and on level 1 as on every node
+    monkeypatch.setattr(ifs, "_ROW_CELLS", 7 * LATTICE_R)
+    system = build_system(parse_config_document(fixture_config(name))).system
+    plan = OperatorGrid(system, LATTICE_R)
+    s, h, g = whole_grid_fields(system, LATTICE_R)
+    b = h - g * s
+    assert all(np.array_equal(x, y) for x, y in zip(full_fields(plan), (s, b, h)))
+    level = np.ix_(plan.x_level, plan.y_level)
+    assert np.array_equal(plan.s_values, s[level]) and np.array_equal(plan.b_values, b[level])
+    assert np.array_equal(plan.h_values, h[level])
 
 
 def test_doubling_agrees_with_iteration(example2a_job, monkeypatch):
@@ -53,7 +92,8 @@ def test_doubled_surface_has_a_small_residual(example2a_job):
     surface = solve_fixed_point(system, LATTICE_R, tol=TOL, estimate_bias=False)
     assert surface.error_bound <= TOL
     heights = surface.heights
-    residual = float(np.max(np.abs(OperatorGrid(system, LATTICE_R).apply(heights) - heights)))
+    residual = float(np.max(np.abs(full_apply(OperatorGrid(system, LATTICE_R), heights)
+                                   - heights)))
     assert residual <= (1 + surface.contraction) * surface.error_bound
 
 
@@ -73,7 +113,18 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     core_rounds = len(diffs) - 2
     assert core_rounds >= 3
     plan = OperatorGrid(system, LATTICE_R)
+    s, b, h = full_fields(plan)
     xs, ys = image_chain(plan.px), image_chain(plan.py)
+    # the plan keeps s, b and h on level 1 of the chain, image(P)
+    level = np.ix_(xs[1], ys[1])
+    assert np.array_equal(plan.x_level, xs[1]) and np.array_equal(plan.y_level, ys[1])
+    assert np.array_equal(plan.s_values, s[level])
+    assert np.array_equal(plan.b_values, b[level])
+    assert np.array_equal(plan.h_values, h[level])
+
+    def apply(phi):
+        return s * phi[np.ix_(plan.px, plan.py)] + b
+
     levels = max(len(xs), len(ys)) - 1
     xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
     ys += ys[-1:] * (levels + 2 - len(ys))
@@ -81,10 +132,10 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     # core round j starts from phi_N with N = 2^j; then one gather per level, then T
     assert surface.iterations == 2 ** (core_rounds - 1) + 1 + levels + 1
     # round 0 is T h on every node; core rounds 0 and 1 equal plain iteration on the core
-    phi0 = plan.initial()
-    phi1 = plan.apply(phi0)
-    phi2 = plan.apply(phi1)
-    phi3 = plan.apply(phi2)
+    phi0 = h
+    phi1 = apply(phi0)
+    phi2 = apply(phi1)
+    phi3 = apply(phi2)
     core = np.ix_(xs[-1], ys[-1])
     assert diffs[0] == float(np.max(np.abs(phi1 - phi0)))
     assert diffs[1] == float(np.max(np.abs(phi2[core] - phi1[core])))
@@ -95,12 +146,12 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     # the core's result, lifted level by level with s * phi[P] + b, then T once more
     lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
-    phi, *_ = ifs._double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
+    phi, *_ = ifs._double(s[core], b[core], lx[-1], ly[-1],
                           phi1[core], c / (1 - c), TOL, 10000)
     for k in reversed(range(levels)):
         nodes = np.ix_(xs[k], ys[k])
-        phi = plan.s_values[nodes] * phi[np.ix_(lx[k], ly[k])] + plan.b_values[nodes]
-    assert np.array_equal(surface.heights, plan.apply(phi))
+        phi = s[nodes] * phi[np.ix_(lx[k], ly[k])] + b[nodes]
+    assert np.array_equal(surface.heights, apply(phi))
     assert diffs[-1] == float(np.max(np.abs(surface.heights - phi)))
     assert surface.error_bound == c / (1 - c) * diffs[-1]
     assert surface.error_bound <= TOL
@@ -127,13 +178,13 @@ def test_descent_agrees_with_full_grid_doubling(name):
                                 max_iter=cfg.max_iter, estimate_bias=False)
     c = surface.contraction
     plan = OperatorGrid(job.system, cfg.resolution)
-    doubled, _, _, bound = ifs._double(plan.s_values, plan.b_values, plan.px, plan.py,
-                                       plan.apply(plan.initial()), c / (1 - c),
-                                       cfg.tol, cfg.max_iter)
+    s, b, h = full_fields(plan)
+    doubled, _, _, bound = ifs._double(s, b, plan.px, plan.py, full_apply(plan, h),
+                                       c / (1 - c), cfg.tol, cfg.max_iter)
     assert surface.error_bound <= cfg.tol and bound <= cfg.tol
     gap = float(np.max(np.abs(surface.heights - doubled)))
     assert gap <= surface.error_bound + bound
-    residual = float(np.max(np.abs(plan.apply(surface.heights) - surface.heights)))
+    residual = float(np.max(np.abs(full_apply(plan, surface.heights) - surface.heights)))
     assert residual <= (1 + c) * surface.error_bound
 
 
@@ -151,42 +202,66 @@ def test_uniform_pullback_matches_a_real_plan(example2a_job):
 
 
 class GatherPlan:
-    """A lattice plan from bare arrays: ``apply`` is ``s * phi[P] + b``."""
+    """A lattice plan from bare full-size arrays: ``T phi = s * phi[P] + b``.
+
+    Like ``OperatorGrid`` it keeps ``s``, ``b`` and ``h`` on level 1,
+    ``image(P)``, where ``apply`` gathers, and hands out every node in row
+    blocks of ``block`` rows.
+    """
 
     lattice = True
 
-    def __init__(self, s, b, h, px, py):
-        self.s_values, self.b_values, self.h_values, self.px, self.py = s, b, h, px, py
+    def __init__(self, s, b, h, px, py, block=3):
+        self.s, self.b, self.h, self.px, self.py, self.block = s, b, h, px, py, block
+        self.x_level, self.y_level = np.unique(px), np.unique(py)
+        level = np.ix_(self.x_level, self.y_level)
+        self.s_values, self.b_values, self.h_values = s[level], b[level], h[level]
+        self.lx = np.searchsorted(self.x_level, px)
+        self.ly = np.searchsorted(self.y_level, py)
+        self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
 
-    def initial(self):
-        return self.h_values.copy()
+    def rows(self):
+        for r0 in range(0, len(self.s), self.block):
+            sl = slice(r0, r0 + self.block)
+            yield r0, self.s[sl], self.b[sl], self.h[sl]
+
+    def release_initial(self):
+        return self.h_values
 
     def apply(self, phi):
-        return self.s_values * phi[np.ix_(self.px, self.py)] + self.b_values
+        return self.s_values * phi[np.ix_(self.level_px, self.level_py)] + self.b_values
+
+    def full_apply(self, phi):
+        return self.s * phi[np.ix_(self.px, self.py)] + self.b
+
+    def descend(self, factor, tol, max_iter):
+        heights = np.empty_like(self.s)
+        return (heights, *ifs._descend(self, factor, tol, max_iter, stack_into(heights)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 12),
-       st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
-def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed):
+       st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed, block):
     # one cell on an axis is the identity pull-back; R - 1 off a power of the cell
-    # count leaves a core that P permutes in cycles
+    # count leaves a core that P permutes in cycles; level 0 goes by in blocks of
+    # any number of rows
     resolution = n * m * k + 1
     rng = np.random.default_rng(seed)
     shape = (resolution, resolution)
     plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), rng.normal(size=shape),
-                      uniform_pullback(n, resolution), uniform_pullback(m, resolution))
+                      uniform_pullback(n, resolution), uniform_pullback(m, resolution), block)
     factor, tol = c / (1 - c), 1e-9
-    heights, iterations, diffs, bound = ifs._descend(plan, plan.h_values, factor, tol, 10000)
-    doubled, _, _, doubled_bound = ifs._double(plan.s_values, plan.b_values, plan.px, plan.py,
-                                               plan.apply(plan.initial()), factor, tol, 10000)
+    heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
+    doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, plan.px, plan.py,
+                                               plan.full_apply(plan.h), factor, tol, 10000)
     assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
     # the bounds hold in exact arithmetic; each floating-point application adds
     # rounding of an ulp or two, which the contraction sums to at most
     # 1 / (1 - c) times that (seen: one ulp when the bounds are 3e-17)
     rounding = 4 * np.finfo(float).eps * float(np.max(np.abs(heights))) / (1 - c)
     assert float(np.max(np.abs(heights - doubled))) <= bound + doubled_bound + rounding
-    residual = float(np.max(np.abs(plan.apply(heights) - heights)))
+    residual = float(np.max(np.abs(plan.full_apply(heights) - heights)))
     assert residual <= (1 + c) * bound + rounding
 
 
@@ -198,13 +273,14 @@ def test_descent_raises_when_rounding_keeps_the_lifted_bound_above_tol():
     plan = GatherPlan(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape),
                       rng.normal(size=shape), uniform_pullback(2, 5), uniform_pullback(2, 5))
     with pytest.raises(ConvergenceError, match="rounding") as err:
-        ifs._descend(plan, plan.h_values, 1.0, 1e-16, 10000)
+        plan.descend(1.0, 1e-16, 10000)
     assert err.value.last_bound > 1e-16
 
 
 def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
-    # arrays live at the call do not count; the plan's s, h, b and two
-    # full-size iterates are five
+    # arrays live at the call do not count; the heights, plus s, b, h and two
+    # iterates on level 1 (R^2 / 4 each on a 2x2 grid) and the row blocks
+    # (2.76 arrays measured)
     resolution = 1025
     tracemalloc.start()
     try:
@@ -216,8 +292,8 @@ def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
 
 
 def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
-    # the plan hands h to the descent, which drops it once T h is measured, so
-    # s, b and two full-size iterates make the peak (5.07 arrays with h kept)
+    # the plan holds h on level 1 only and hands it to the descent, so no
+    # full-size patchwork is ever kept (5.07 arrays with a full-size h kept)
     resolution = 1025
     tracemalloc.start()
     try:
@@ -226,6 +302,28 @@ def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * resolution ** 2 * np.dtype(float).itemsize
+
+
+def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
+    # with a fold nothing is full size: level 1 holds s, b, h and two
+    # iterates, R^2 / 4 each on a 2x2 grid, and every node goes by in row
+    # blocks into the column extrema (1.77 arrays measured)
+    resolution = 1025
+    deltas = natural_scales(band_job.grid, 6)
+    tracemalloc.start()
+    try:
+        fold = ColumnExtrema(resolution, (band_job.grid.x_span, band_job.grid.y_span), deltas)
+        surface = solve_fixed_point(band_job.system, resolution, estimate_bias=False, fold=fold)
+        counts = box_counts(surface, deltas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert surface.heights is None and surface.fold is fold
+    assert peak < 2 * resolution ** 2 * np.dtype(float).itemsize
+    materialised = solve_fixed_point(band_job.system, resolution, estimate_bias=False)
+    assert counts == box_counts(materialised, deltas)
+    assert (surface.iterations, surface.sup_diffs, surface.error_bound) == \
+        (materialised.iterations, materialised.sup_diffs, materialised.error_bound)
 
 
 def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
