@@ -16,35 +16,93 @@ files.
 
 The two large text formats (heightmap CSV, xyz) are produced as iterables of
 strings, which :func:`write_text` writes one after another, so their text
-is never whole in memory.
+is never whole in memory.  Their values are formatted in blocks of whole
+rows or points, by a pool of forked worker processes when the machine
+offers more than one usable CPU (:func:`_formatted`); the bytes do not
+depend on how many workers ran.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .dimension import DimensionReport
+from .errors import FractsurfError
 from .ifs import SurfaceSample
 from .utils import format_float
 
-# Points converted to Python floats at a time by xyz_text.
-_POINT_BLOCK = 4096
+# Values per formatted block: whole rows of the heightmap, whole xyz points.
+_BLOCK_FLOATS = 2 ** 15
+
+
+def _usable_cpus() -> int:
+    # without an affinity probe (not Linux) the text is formatted in-process
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _formatted(format_block: Callable[[np.ndarray], str], rows: np.ndarray,
+               artifact: str) -> Iterator[str]:
+    """``format_block`` of consecutive blocks of whole ``rows``, in order.
+
+    A block holds ``_BLOCK_FLOATS`` values (at least one row).  With more
+    than one usable CPU and more than one block, the blocks go to one forked
+    worker per usable CPU (at most one per block), with at most workers + 1
+    blocks in flight; otherwise they are formatted in this process by the
+    same function.  The pool is shut down and its workers joined before the
+    generator finishes, is closed or raises.  A worker's exception re-raises
+    here; a worker that dies raises :class:`FractsurfError` naming
+    ``artifact``.
+    """
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    blocks = (rows[r0:r0 + step] for r0 in range(0, len(rows), step))
+    workers = min(_usable_cpus(), -(-len(rows) // step))
+    if workers <= 1:
+        yield from map(format_block, blocks)
+        return
+    # imported only here: they take about 30 ms and 1 MB, which runs that
+    # write no large text must not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.submit(format_block, block))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise FractsurfError(f"writing the {artifact}: a formatting worker "
+                             f"process died") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    # repr of the Python floats from tolist() is format_float, per element
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _format_points(points: np.ndarray) -> str:
+    return "".join(" ".join(map(repr, point)) + "\n" for point in points.tolist())
 
 
 def heightmap_csv(surface: SurfaceSample) -> Iterator[str]:
-    """The heightmap CSV text: the header, then one string per row."""
+    """The heightmap CSV text: the header, then one string per block of rows."""
     xs = surface.x_samples
     ys = surface.y_samples
     header = [str(surface.resolution), format_float(xs[0]), format_float(xs[-1]),
               format_float(ys[0]), format_float(ys[-1])]
     yield ",".join(header) + "\n"
     # heights is indexed [ix, iy]; emit rows from y_max down to y_min.
-    # repr of the Python floats from tolist() is format_float, per element;
-    # one row at a time, so only one row of Python floats is alive.
-    for row in surface.heights[:, ::-1].T:
-        yield ",".join(map(repr, row.tolist())) + "\n"
+    yield from _formatted(_format_rows, surface.heights[:, ::-1].T, "heightmap CSV")
 
 
 def heightmap_pgm(surface: SurfaceSample) -> bytes:
@@ -54,9 +112,13 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
     hi = float(z.max())
     span = hi - lo
     if span > 0:
-        gray = np.rint((z - lo) / span * 65535.0).astype(np.uint16)
+        # in place, the same operations as rint((z - lo) / span * 65535)
+        gray = z - lo
+        gray /= span
+        gray *= 65535.0
+        np.rint(gray, out=gray)
     else:
-        gray = np.zeros(z.shape, dtype=np.uint16)
+        gray = np.zeros(z.shape)
     image = gray.T[::-1]  # rows top-down = y descending
     header = (
         f"P5\n"
@@ -68,10 +130,8 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
 
 
 def xyz_text(points: np.ndarray) -> Iterator[str]:
-    """The xyz text, one string per ``_POINT_BLOCK`` points."""
-    for r0 in range(0, len(points), _POINT_BLOCK):
-        yield "".join(" ".join(map(repr, point)) + "\n"
-                      for point in points[r0:r0 + _POINT_BLOCK].tolist())
+    """The xyz text, one string per block of whole points."""
+    return _formatted(_format_points, points, "xyz point cloud")
 
 
 def counts_csv(deltas, counts) -> str:

@@ -65,6 +65,8 @@ LATTICE_TOL = 4e-15
 _GATHER_CELLS = 1 << 15
 # Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
 _ROW_CELLS = 1 << 16
+# Chaos-game steps per block of Python floats.
+_CHAOS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -696,12 +698,18 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     x = float(system.grid.x_knots[0])
     y = float(system.grid.y_knots[0])
     xs[0], ys[0] = x, y
-    picks_list = picks.tolist()
-    for k, c in enumerate(picks_list):
-        x = ax[c] * x + bx[c]
-        y = ay[c] * y + by[c]
-        xs[k + 1] = x
-        ys[k + 1] = y
+    # The recursions run on Python floats, _CHAOS_BLOCK steps converted at a
+    # time, so no full-length list of Python floats is ever alive.
+    for k0 in range(0, steps, _CHAOS_BLOCK):
+        k1 = min(k0 + _CHAOS_BLOCK, steps)
+        block_x, block_y = [], []
+        for c in picks[k0:k1].tolist():
+            x = ax[c] * x + bx[c]
+            y = ay[c] * y + by[c]
+            block_x.append(x)
+            block_y.append(y)
+        xs[k0 + 1:k1 + 1] = block_x
+        ys[k0 + 1:k1 + 1] = block_y
 
     s_step = np.empty(steps)
     h_step = np.empty(steps)
@@ -718,10 +726,14 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     zs = np.empty(steps + 1)
     z = float(system.grid.z[0, 0])
     zs[0] = z
-    s_l, g_l, h_l = s_step.tolist(), g_step.tolist(), h_step.tolist()
-    for k in range(steps):
-        z = s_l[k] * (z - g_l[k]) + h_l[k]
-        zs[k + 1] = z
+    for k0 in range(0, steps, _CHAOS_BLOCK):
+        k1 = min(k0 + _CHAOS_BLOCK, steps)
+        block_z = []
+        for s, g, h in zip(s_step[k0:k1].tolist(), g_step[k0:k1].tolist(),
+                           h_step[k0:k1].tolist()):
+            z = s * (z - g) + h
+            block_z.append(z)
+        zs[k0 + 1:k1 + 1] = block_z
     pts = np.column_stack([xs[1:], ys[1:], zs[1:]])
     return pts[burn_in:]
 

@@ -1,7 +1,10 @@
 """Shared fixtures: solved surfaces are expensive, so build them once."""
 from __future__ import annotations
 
+import glob
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +13,28 @@ from fractsurf.config import parse_config_document
 from fractsurf.fixtures import fixture_config
 from fractsurf.ifs import solve_fixed_point
 from fractsurf.pipeline import build_system
+
+
+def live_children() -> set[int]:
+    """Pids of this process's children that have not been reaped.
+
+    Read from the kernel where it lists them (Linux), else the live
+    ``multiprocessing`` children.
+    """
+    listings = glob.glob("/proc/self/task/*/children")
+    if listings:
+        return {int(pid) for listing in listings for pid in Path(listing).read_text().split()}
+    # not imported means no multiprocessing child was ever started
+    mp = sys.modules.get("multiprocessing")
+    return {p.pid for p in mp.active_children()} if mp else set()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    before = live_children()
+    yield
+    leaked = live_children() - before
+    assert not leaked, f"the test left live child processes: {sorted(leaked)}"
 
 
 def job_for(name: str):

@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour via click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +12,8 @@ from click.testing import CliRunner
 from fractsurf.cli import main
 from fractsurf.config import parse_config_document, serialize_config
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -110,6 +116,27 @@ def test_dimension_writes_counts_and_report(runner, tmp_path):
     report = (tmp_path / "flat2x2.dimension.txt").read_text(encoding="utf-8")
     assert "estimate=2" in report
     assert "applicable=" in report
+
+
+def test_dimension_never_imports_the_formatting_pool(tmp_path):
+    # the pool's modules cost about 30 ms and 1 MB at import; only the large
+    # text writers may pay that
+    code = ("import sys\n"
+            "from fractsurf.cli import main\n"
+            "try:\n"
+            "    main(['dimension', '--fixture', 'flat2x2', '--out', sys.argv[1]])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "flat2x2.counts.csv").exists()
 
 
 def test_report_writes_every_artifact(runner, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,69 @@ def test_chaos_game_flat_data_is_constant(flat_job):
     pts = chaos_game(flat_job.system, 3000, seed=11)
     assert pts.shape == (3000, 3)
     assert np.max(np.abs(pts[:, 2] - 0.7)) < 1e-9
+
+
+def scalar_chaos_game(system, point_count, seed, burn_in):
+    """The chaos game with whole-length Python float lists, step by step."""
+    rng = np.random.default_rng(seed)
+    cells = sorted(system.maps)
+    steps = burn_in + point_count
+    picks = rng.integers(0, len(cells), size=steps)
+    ax = [system.maps[c].axis_x.scale for c in cells]
+    bx = [system.maps[c].axis_x.offset for c in cells]
+    ay = [system.maps[c].axis_y.scale for c in cells]
+    by = [system.maps[c].axis_y.offset for c in cells]
+    xs = np.empty(steps + 1)
+    ys = np.empty(steps + 1)
+    x = float(system.grid.x_knots[0])
+    y = float(system.grid.y_knots[0])
+    xs[0], ys[0] = x, y
+    for k, c in enumerate(picks.tolist()):
+        x = ax[c] * x + bx[c]
+        y = ay[c] * y + by[c]
+        xs[k + 1] = x
+        ys[k + 1] = y
+    s_step = np.empty(steps)
+    h_step = np.empty(steps)
+    g_step = np.empty(steps)
+    for ci, cell in enumerate(cells):
+        mask = picks == ci
+        new_x, new_y = xs[1:][mask], ys[1:][mask]
+        s_step[mask] = system.scalings[cell](new_x, new_y)
+        h_step[mask] = system.blend(cell)(new_x, new_y)
+        g_step[mask] = system.free(cell)(xs[:-1][mask], ys[:-1][mask])
+    zs = np.empty(steps + 1)
+    z = float(system.grid.z[0, 0])
+    zs[0] = z
+    s_l, g_l, h_l = s_step.tolist(), g_step.tolist(), h_step.tolist()
+    for k in range(steps):
+        z = s_l[k] * (z - g_l[k]) + h_l[k]
+        zs[k + 1] = z
+    return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
+
+
+@pytest.mark.parametrize("name", ["example2a", "example2b-sin"])
+def test_blocked_chaos_game_equals_the_scalar_loop_bit_for_bit(name, example2a_job,
+                                                               example2b_job):
+    # 10 100 steps: two whole blocks of 4096 and a ragged third; example2b-sin
+    # has a nonzero free field g
+    system = {"example2a": example2a_job, "example2b-sin": example2b_job}[name].system
+    points = chaos_game(system, 10_001, seed=5, burn_in=100)
+    expected = scalar_chaos_game(system, 10_001, seed=5, burn_in=100)
+    assert points.shape == (10_001, 3)
+    assert points.tobytes() == expected.tobytes()
+
+
+def test_chaos_game_peak_memory_stays_below_ten_megabytes(example2a_job):
+    # 100k points: the result and its coordinate arrays are 2.4 MB each; the
+    # scalar loop's three full lists of Python floats took the peak to 19 MB
+    tracemalloc.start()
+    try:
+        chaos_game(example2a_job.system, 100_000, seed=2026, burn_in=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_chaos_game_is_deterministic(example2a_job):
