@@ -20,6 +20,7 @@ g shifts where the fractal detail is injected; g = 0 is the common choice.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +30,7 @@ from numpy.polynomial import polynomial as npp
 from .errors import (BlendCompatibilityError, BlendValidationError,
                      CurveValidationError, FractsurfError)
 from .grid import CellIndex, DataGrid, DomainMap
-from .scaling import ScalingField
+from .scaling import CERT_SAMPLES, ScalingField
 from .utils import PiecewisePoly, compile_xy_expression, substitution_matrix
 
 INTERP_TOL = 1e-12
@@ -223,13 +224,13 @@ def build_coons_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex) -> 
 
 
 def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
-                        coeffs, samples: int = EDGE_MATCH_SAMPLES) -> PatchBlend:
+                        coeffs) -> PatchBlend:
     """Validate and convert an explicit monomial table ``c[k, l] x**k y**l`` for one cell.
 
     The table is converted to cell coordinates once; the resulting blend's
     four edge restrictions must match the boundary curves to 1e-9 at
-    ``samples`` points per edge, and it must hit the corner data.  The
-    error message carries the worst offending sample.
+    ``EDGE_MATCH_SAMPLES`` points per edge, and it must hit the corner data.
+    The error message carries the worst offending sample.
     """
     rect = grid.cell_rect(cell)
     x_lo, x_hi, y_lo, y_hi = rect
@@ -241,8 +242,8 @@ def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
     blend = PatchBlend(cell, rect, table)
     q_lo, q_hi = curves.q[cell.i - 1], curves.q[cell.i]
     r_lo, r_hi = curves.r[cell.j - 1], curves.r[cell.j]
-    ys = np.linspace(y_lo, y_hi, samples)
-    xs = np.linspace(x_lo, x_hi, samples)
+    ys = np.linspace(y_lo, y_hi, EDGE_MATCH_SAMPLES)
+    xs = np.linspace(x_lo, x_hi, EDGE_MATCH_SAMPLES)
     edges = [
         (f"x={x_lo} vs q[{cell.i - 1}]", ys, blend(x_lo, ys), q_lo(ys)),
         (f"x={x_hi} vs q[{cell.i}]", ys, blend(x_hi, ys), q_hi(ys)),
@@ -273,7 +274,6 @@ def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
 class FreeField:
     """Lipschitz function g on the full rectangle with recorded bounds."""
 
-    descriptor: str
     fn: Callable = field(compare=False, repr=False)
     lipschitz: float = 0.0
     sup_abs: float = 0.0
@@ -282,22 +282,26 @@ class FreeField:
         return self.fn(x, y)
 
 
-ZERO_FIELD = FreeField("0", compile_xy_expression("0"), 0.0, 0.0)
-
-
 def build_free_field(rect, expr: str, lipschitz: float,
-                     sup_abs: float | None = None, samples: int = 512) -> FreeField:
-    """Compile g from an expression; sup|g| sampled + slack when not given."""
+                     sup_abs: float | None = None) -> FreeField:
+    """Compile g from an expression; sup|g| sampled + slack when not given.
+
+    A sampled sup that is not finite (g is NaN or infinite somewhere on the
+    sample grid) raises.
+    """
     fn = compile_xy_expression(expr)
     lipschitz = float(lipschitz)
     if sup_abs is None:
         x_lo, x_hi, y_lo, y_hi = rect
-        xs = np.linspace(x_lo, x_hi, samples)
-        ys = np.linspace(y_lo, y_hi, samples)
+        xs = np.linspace(x_lo, x_hi, CERT_SAMPLES)
+        ys = np.linspace(y_lo, y_hi, CERT_SAMPLES)
         sampled = float(np.max(np.abs(fn(xs[:, None], ys[None, :]))))
+        if not math.isfinite(sampled):
+            raise FractsurfError(f"free field {expr!r} is not finite on the rectangle "
+                                 f"(sampled sup |g| = {sampled!r})")
         slack = lipschitz * ((xs[1] - xs[0]) + (ys[1] - ys[0])) / 2
         sup_abs = sampled + slack
-    return FreeField(expr, fn, lipschitz, float(sup_abs))
+    return FreeField(fn, lipschitz, float(sup_abs))
 
 
 @dataclass(frozen=True)

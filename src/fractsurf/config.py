@@ -33,6 +33,7 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .boundary import QUADRATIC_MAX_DEGREE
+from .dimension import box_layout, natural_scales
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
 from .grid import DataGrid, load_grid_text, sample_axes
@@ -445,7 +446,9 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     The rules: each cell covered exactly once by ``scaling.fields`` (and by
     ``blend.tables`` in explicit mode), boundary curve and piece counts that
     match the grid, ``solver.resolution`` and ``dimension.resolution`` on
-    the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), and
+    the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), an
+    explicit ``dimension.resolution`` also fine enough for every scale down
+    to ``dimension.depth`` (:func:`~fractsurf.dimension.box_layout`), and
     ``dimension.epsilon`` inside half the narrowest cell.  Sections that
     failed to parse (``None``) are skipped.
     """
@@ -486,6 +489,9 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
         if resolution is not None:
             try:
                 sample_axes(grid, resolution)
+                if path == "dimension.resolution":
+                    for delta in natural_scales(grid, cfg.dimension.depth):
+                        box_layout(resolution, (grid.x_span, grid.y_span), delta)
             except FractsurfError as exc:
                 err.add(path, str(exc))
     eps = cfg.dimension.epsilon

@@ -71,13 +71,8 @@ class DimensionBounds:
     gap: bool            # extrema sums straddle the grid order
     sum_lower: float
     sum_upper: float
-    base: int
     epsilon: float
     notes: tuple[str, ...]
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
 
 
 @dataclass(frozen=True)
@@ -136,12 +131,12 @@ def _line_deviation(t: np.ndarray, z: np.ndarray) -> float:
     return float(cross.max() / norm)
 
 
-def check_hypotheses(grid: DataGrid, collinear_tol: float = COLLINEAR_TOL) -> HypothesisReport:
+def check_hypotheses(grid: DataGrid) -> HypothesisReport:
     """Structural requirements: square uniform grid, a bent interior line.
 
     The witness is the first interior knot line (constant x first, then
     constant y) whose data points deviate from their chord by more than
-    ``collinear_tol``.  ``None`` when every interior line is straight — in
+    ``COLLINEAR_TOL``.  ``None`` when every interior line is straight — in
     that case only the trivial lower bound 2 survives in the bounds case.
     Inapplicability is reported, never raised.
     """
@@ -159,12 +154,12 @@ def check_hypotheses(grid: DataGrid, collinear_tol: float = COLLINEAR_TOL) -> Hy
     xs = np.asarray(grid.x_knots)
     ys = np.asarray(grid.y_knots)
     for i in range(1, grid.n):
-        if _line_deviation(ys, grid.z[i, :]) > collinear_tol:
+        if _line_deviation(ys, grid.z[i, :]) > COLLINEAR_TOL:
             witness = ("x", i)
             break
     if witness is None:
         for j in range(1, grid.m):
-            if _line_deviation(xs, grid.z[:, j]) > collinear_tol:
+            if _line_deviation(xs, grid.z[:, j]) > COLLINEAR_TOL:
                 witness = ("y", j)
                 break
     if witness is None:
@@ -200,7 +195,7 @@ def theoretical_bounds(s_upper, s_lower, n: int, epsilon: float,
                      f"not {n}x{n}: only the trivial enclosure holds")
         return DimensionBounds(lower=2.0, upper=3.0, case="inapplicable", gap=False,
                                sum_lower=float(s_lower.sum()), sum_upper=float(s_upper.sum()),
-                               base=n, epsilon=float(epsilon), notes=tuple(notes))
+                               epsilon=float(epsilon), notes=tuple(notes))
     sum_lower = float(s_lower.sum())
     sum_upper = float(s_upper.sum())
     log_n = math.log(n)
@@ -227,12 +222,12 @@ def theoretical_bounds(s_upper, s_lower, n: int, epsilon: float,
             f"{sum_upper:.6g}): no exact statement available for this gap case, "
             "lower bound is the trivial surface bound 2")
     return DimensionBounds(lower=lower, upper=upper, case=case, gap=gap,
-                           sum_lower=sum_lower, sum_upper=sum_upper, base=n,
+                           sum_lower=sum_lower, sum_upper=sum_upper,
                            epsilon=float(epsilon), notes=tuple(notes))
 
 
 def bounds_from_fields(grid: DataGrid, scalings: Mapping[CellIndex, ScalingField],
-                       epsilon: float | None = None, samples: int = 256) -> DimensionBounds:
+                       epsilon: float | None = None) -> DimensionBounds:
     """Compute the extrema matrices on the epsilon-shrunk cells and bound.
 
     Requires a square uniform grid (raises otherwise — use
@@ -253,7 +248,7 @@ def bounds_from_fields(grid: DataGrid, scalings: Mapping[CellIndex, ScalingField
     notes: list[str] = []
     all_vanishing = True
     for cell in grid.cells():
-        ext = interior_extrema(scalings[cell], epsilon, samples=samples)
+        ext = interior_extrema(scalings[cell], epsilon)
         s_upper[cell.i - 1, cell.j - 1] = ext.s_max
         s_lower[cell.i - 1, cell.j - 1] = ext.s_min
         all_vanishing = all_vanishing and ext.boundary_vanishing
@@ -277,22 +272,27 @@ def natural_scales(grid: DataGrid, depth: int) -> list[float]:
     return [span / grid.n ** k for k in range(1, depth + 1)]
 
 
-def dimension_resolution(grid: DataGrid, depth: int,
-                         min_per_box: int = MIN_SAMPLES_PER_BOX) -> int:
+def dimension_resolution(grid: DataGrid, depth: int) -> int:
     """Smallest lattice resolution resolving all scales down to depth.
 
     ``R - 1`` is the smallest multiple of ``lcm(alignment_base, n^depth)``
-    that gives every finest box ``min_per_box`` sample intervals and ``R``
-    at least the grid's :func:`~fractsurf.grid.min_resolution`.
+    that gives every finest box ``MIN_SAMPLES_PER_BOX`` sample intervals and
+    ``R`` at least the grid's :func:`~fractsurf.grid.min_resolution`.
     """
     finest_boxes = grid.n ** depth
     step = math.lcm(alignment_base(grid), finest_boxes)
-    need = max(min_per_box * finest_boxes, min_resolution(grid) - 1)
+    need = max(MIN_SAMPLES_PER_BOX * finest_boxes, min_resolution(grid) - 1)
     return -(-need // step) * step + 1
 
 
-def _box_layout(resolution: int, spans: tuple[float, float],
-                delta: float) -> tuple[int, int, int, int]:
+def box_layout(resolution: int, spans: tuple[float, float],
+               delta: float) -> tuple[int, int, int, int]:
+    """``(bx, wx, by, wy)``: boxes of side ``delta`` and sample intervals per box along x and y.
+
+    Raises ScaleResolutionError unless ``delta`` tiles both spans, every box
+    edge falls on a sample and holds at least ``MIN_SAMPLES_PER_BOX`` sample
+    intervals.
+    """
     out = []
     for span in spans:
         boxes = span / delta
@@ -337,7 +337,7 @@ class ColumnExtrema:
 
     def layout(self, delta: float) -> tuple[int, int, int, int]:
         """``(bx, wx, by, wy)``: boxes and sample intervals per box along x and y."""
-        return _box_layout(self.resolution, self.spans, delta)
+        return box_layout(self.resolution, self.spans, delta)
 
     def _finer(self, layout):
         for fine in self.folded:
@@ -381,22 +381,15 @@ def _spans(surface: SurfaceSample) -> tuple[float, float]:
             float(surface.y_samples[-1] - surface.y_samples[0]))
 
 
-def box_count(surface: SurfaceSample, delta: float) -> int:
-    """Number of delta-cubes touched by the sampled graph.
+def box_counts(surface: SurfaceSample, deltas: Sequence[float]) -> list[int]:
+    """Number of delta-cubes touched by the sampled graph, at every scale.
 
     Each delta x delta base column contributes ceil(range / delta) + 1
     cubes, with the column height range read off the inclusive sample
     block (shared boundary samples count toward both adjacent columns).
-    """
-    return box_counts(surface, [delta])[0]
-
-
-def box_counts(surface: SurfaceSample, deltas: Sequence[float]) -> list[int]:
-    """:func:`box_count` at every scale, from one fold of the rows.
-
-    A surface solved with a :class:`ColumnExtrema` fold carries it in place
-    of its heights; otherwise the heights are folded here, row block by
-    row block.
+    All scales come from one fold of the rows.  A surface solved with a
+    :class:`ColumnExtrema` fold carries it in place of its heights;
+    otherwise the heights are folded here, row block by row block.
     """
     columns = surface.fold
     if surface.heights is not None:
@@ -408,7 +401,7 @@ def box_counts(surface: SurfaceSample, deltas: Sequence[float]) -> list[int]:
 def box_count_points(points: np.ndarray, delta: float,
                      rect: tuple[float, float, float, float]) -> int:
     """Cube count for a point cloud, anchored at the rectangle corner and
-    the lowest point; the cross-check oracle for :func:`box_count`."""
+    the lowest point; the cross-check oracle for :func:`box_counts`."""
     x0, x1, y0, y1 = rect
     pts = np.asarray(points, dtype=float)
     ix = np.floor((pts[:, 0] - x0) / delta).astype(np.int64)
@@ -473,13 +466,13 @@ def estimate_dimension(deltas: Sequence[float], counts: Sequence[int]) -> Dimens
 
 def dimension_report(grid: DataGrid, scalings: Mapping[CellIndex, ScalingField],
                      surface: SurfaceSample, depth: int,
-                     epsilon: float | None = None, samples: int = 256) -> DimensionReport:
+                     epsilon: float | None = None) -> DimensionReport:
     """Full dimension analysis: hypotheses, bounds where they apply, and the
     empirical estimate from the natural scale ladder."""
     hyp = check_hypotheses(grid)
     bounds = None
     if hyp.applicable:
-        bounds = bounds_from_fields(grid, scalings, epsilon=epsilon, samples=samples)
+        bounds = bounds_from_fields(grid, scalings, epsilon=epsilon)
         annotation = "theoretical band available"
     else:
         annotation = ("empirical estimate only, no theoretical band: " + "; ".join(

@@ -20,8 +20,8 @@ Example
 >>> g = DataGrid((0.0, 0.5, 1.0), (0.0, 0.5, 1.0), np.zeros((3, 3)))
 >>> g.n, g.m
 (2, 2)
->>> locate_cell(g, (0.25, 0.75))
-CellIndex(i=1, j=2)
+>>> g.cell_rect(CellIndex(1, 2))
+(0.0, 0.5, 0.5, 1.0)
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -136,32 +136,23 @@ class DataGrid:
 
 @dataclass(frozen=True)
 class AxisMap:
-    """Affine contraction of one axis interval onto a knot interval.
-
-    ``orientation`` +1 sends the low end of the source to the low end of
-    the target; -1 flips the interval.
-    """
+    """Order-preserving affine contraction of one axis interval onto a knot interval."""
 
     scale: float
     offset: float
-    orientation: int
     source: tuple[float, float]
     target: tuple[float, float]
 
     @classmethod
-    def build(cls, source: tuple[float, float], target: tuple[float, float],
-              orientation: int = 1) -> "AxisMap":
-        if orientation not in (1, -1):
-            raise InvalidGridError(f"orientation must be +1 or -1, got {orientation}")
+    def build(cls, source: tuple[float, float], target: tuple[float, float]) -> "AxisMap":
         (s0, s1), (t0, t1) = source, target
-        scale = (t1 - t0) / (s1 - s0) * orientation
+        scale = (t1 - t0) / (s1 - s0)
         if abs(scale) >= 1.0:
             raise InvalidGridError(
                 f"axis map scale {scale:+.6g} is not a contraction; "
                 "a single-cell axis cannot be refined by itself")
-        anchor = t0 if orientation == 1 else t1
-        offset = anchor - scale * s0
-        return cls(scale, offset, orientation, (float(s0), float(s1)), (float(t0), float(t1)))
+        offset = t0 - scale * s0
+        return cls(scale, offset, (float(s0), float(s1)), (float(t0), float(t1)))
 
     def __call__(self, t):
         return self.scale * np.asarray(t, dtype=float) + self.offset
@@ -197,41 +188,19 @@ class DomainMap:
         return max(abs(self.axis_x.scale), abs(self.axis_y.scale))
 
 
-def build_domain_maps(grid: DataGrid,
-                      orientations: Mapping[tuple[int, int], tuple[int, int]] | None = None
-                      ) -> dict[CellIndex, DomainMap]:
-    """One affine contraction per cell, mapping the full rectangle onto it.
+def build_domain_maps(grid: DataGrid) -> dict[CellIndex, DomainMap]:
+    """One order-preserving affine contraction per cell, mapping the full rectangle onto it.
 
-    ``orientations`` optionally assigns (sign_x, sign_y) per (i, j); every
-    cell defaults to order-preserving (+1, +1).  Raises InvalidGridError
-    when an axis has a single interval (scale 1 is not a contraction).
+    Raises InvalidGridError when an axis has a single interval (scale 1 is
+    not a contraction).
     """
-    orientations = orientations or {}
     x0, x1, y0, y1 = grid.rect
     maps: dict[CellIndex, DomainMap] = {}
     for cell in grid.cells():
         cx_lo, cx_hi, cy_lo, cy_hi = grid.cell_rect(cell)
-        ox, oy = orientations.get((cell.i, cell.j), (1, 1))
-        maps[cell] = DomainMap(
-            cell,
-            AxisMap.build((x0, x1), (cx_lo, cx_hi), ox),
-            AxisMap.build((y0, y1), (cy_lo, cy_hi), oy),
-        )
+        maps[cell] = DomainMap(cell, AxisMap.build((x0, x1), (cx_lo, cx_hi)),
+                               AxisMap.build((y0, y1), (cy_lo, cy_hi)))
     return maps
-
-
-def locate_cell(grid: DataGrid, point) -> CellIndex:
-    """Cell containing a point; shared edges resolve to the lower-index cell.
-
-    Raises OutOfDomainError for points outside the grid rectangle.
-    """
-    x, y = float(point[0]), float(point[1])
-    x0, x1, y0, y1 = grid.rect
-    if not (x0 <= x <= x1 and y0 <= y <= y1):
-        raise OutOfDomainError(f"point ({x}, {y}) outside [{x0}, {x1}] x [{y0}, {y1}]")
-    i = int(np.searchsorted(np.asarray(grid.x_knots), x, side="left"))
-    j = int(np.searchsorted(np.asarray(grid.y_knots), y, side="left"))
-    return CellIndex(max(i, 1), max(j, 1))
 
 
 def _knot_fractions(knots: Sequence[float]) -> list[Fraction]:

@@ -67,6 +67,8 @@ _GATHER_CELLS = 1 << 15
 _ROW_CELLS = 1 << 16
 # Chaos-game steps per block of Python floats.
 _CHAOS_BLOCK = 4096
+# Point pairs drawn by the sampled metric check.
+METRIC_PAIRS = 10000
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
 
     Checks: every cell covered exactly once by maps/scalings/offsets, each
     map's image equals its cell to 1e-12 (the images tile the rectangle),
-    and every scaling field is certified below 1.
+    and every scaling field is certified below 1 (a NaN bound is not).
     """
     cells = set(grid.cells())
     for name, mapping in (("maps", maps), ("scalings", scalings), ("q_fields", q_fields)):
@@ -148,8 +150,8 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
         if err > TILING_TOL:
             raise InvalidGridError(
                 f"map image for cell ({cell.i},{cell.j}) misses its cell by {err:.3g}")
-    c_s = float(max(s.sup_bound for s in scalings.values()))
-    if c_s >= 1.0:
+    c_s = float(np.max([s.sup_bound for s in scalings.values()]))  # NaN wins
+    if not c_s < 1.0:
         raise FractsurfError(f"vertical contraction c_s = {c_s!r} is not below 1")
     c_l = float(max(m.contraction for m in maps.values()))
     l_q = float(max(q.lipschitz for q in q_fields.values()))
@@ -739,27 +741,27 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
 
 
 def certify_metric(system: IfsSystem, theta: float | None = None,
-                   pairs: int = 10000, seed: int = 0,
-                   z_margin: float = 1.0) -> MetricReport:
+                   seed: int = 0) -> MetricReport:
     """Sampled contraction ratios of all 3-D maps under rho_theta.
 
-    Points are drawn from the rectangle times the slab ``[z0, z1]``, the
-    data range padded by ``z_margin``.  On that slab the admissible interval
-    is ``(0, (1 - c_l) / (l_q + c_l * l_s * Z))`` with
+    ``METRIC_PAIRS`` point pairs are drawn from the rectangle times the slab
+    ``[z0, z1]``, the data range padded by 1.  On that slab the admissible
+    interval is ``(0, (1 - c_l) / (l_q + c_l * l_s * Z))`` with
     ``Z = max(|z0|, |z1|)`` (:meth:`ContractionCertificate.theta_max`), and
     theta defaults to its midpoint.  A ratio >= 1 for an admissible theta
-    would falsify the certificate.
+    would falsify the certificate.  A NaN ratio (a map's height is not a
+    number at a sampled point) raises, with the cell and the point.
     """
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = system.grid.rect
-    z0 = float(system.grid.z.min()) - z_margin
-    z1 = float(system.grid.z.max()) + z_margin
+    z0 = float(system.grid.z.min()) - 1.0
+    z1 = float(system.grid.z.max()) + 1.0
     theta_hi = system.certificate.theta_max(max(abs(z0), abs(z1)))
     if theta is None:
         theta = theta_hi / 2 if math.isfinite(theta_hi) else 1.0
     admissible = 0 < theta < theta_hi
-    p = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(pairs, 3))
-    q = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(pairs, 3))
+    p = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(METRIC_PAIRS, 3))
+    q = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(METRIC_PAIRS, 3))
     dist = (np.abs(p[:, 0] - q[:, 0]) + np.abs(p[:, 1] - q[:, 1])
             + theta * np.abs(p[:, 2] - q[:, 2]))
     keep = dist > 1e-12
@@ -772,7 +774,13 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
         qlz = eval_F(system, cell, q[:, 0], q[:, 1], q[:, 2])
         wdist = (np.abs(plx - qlx) + np.abs(ply - qly) + theta * np.abs(plz - qlz))
         ratios = wdist[keep] / dist[keep]
+        if np.isnan(ratios).any():
+            k = np.flatnonzero(keep)[np.argmax(np.isnan(ratios))]
+            x, y, z = map(float, p[k] if np.isnan(plz[k]) else q[k])
+            raise FractsurfError(
+                f"3-D map of cell ({cell.i},{cell.j}) is not a number at "
+                f"({x!r}, {y!r}, {z!r}): sampled contraction ratio nan")
         max_ratio = max(max_ratio, float(ratios.max()))
     return MetricReport(theta_interval=(0.0, theta_hi), theta=float(theta),
                         admissible=admissible, max_ratio=max_ratio,
-                        pairs=pairs, seed=seed)
+                        pairs=METRIC_PAIRS, seed=seed)

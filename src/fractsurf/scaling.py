@@ -74,8 +74,6 @@ class MagnitudeCertificate:
     sup_sampled: float           # best |s| found by sampling + local polish
     sup_bound: float             # sound upper bound actually certified
     witness: tuple[float, float]  # where the sampled sup was attained
-    slack: float                 # Lipschitz slack added to the sampled sup
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ class InteriorExtrema:
 
     s_max: float
     s_min: float
-    epsilon: float
-    argmax: tuple[float, float]
-    argmin: tuple[float, float]
     boundary_vanishing: bool
 
 
@@ -100,7 +95,6 @@ class ScalingField:
     cell: CellIndex
     rect: Rect
     form: str
-    params: tuple[tuple[str, object], ...]  # serialized spec, sorted items
     fn: Callable = field(compare=False, repr=False)
     lipschitz: float = 0.0
     analytic_sup: float | None = None
@@ -118,20 +112,18 @@ class ScalingField:
         return self.certificate.sup_bound
 
 
-def _finish(raw: ScalingField, samples: int = CERT_SAMPLES) -> ScalingField:
+def _finish(raw: ScalingField) -> ScalingField:
     """Run edge and magnitude certification before handing the field out."""
     edge = edge_max(raw)
-    if edge >= EDGE_TOL:
+    if not edge < EDGE_TOL:  # NaN fails too
         raise MagnitudeError(
             f"scaling field on cell ({raw.cell.i},{raw.cell.j}) does not vanish "
             f"on its edges (max |s| = {edge:.3g} sampled on the boundary)",
             witness=(raw.rect[0], raw.rect[2]), value=edge)
-    cert = certify_magnitude(raw, samples=samples)
-    return replace(raw, certificate=cert)
+    return replace(raw, certificate=certify_magnitude(raw))
 
 
-def build_quartic_field(cell: CellIndex, rect: Rect, psi: float,
-                        samples: int = CERT_SAMPLES) -> ScalingField:
+def build_quartic_field(cell: CellIndex, rect: Rect, psi: float) -> ScalingField:
     """Separable quartic: psi * (x-x_lo)(x-x_hi)(y-y_lo)(y-y_hi).
 
     The 1-D factor |(t-lo)(t-hi)| peaks at the midpoint with value
@@ -151,10 +143,9 @@ def build_quartic_field(cell: CellIndex, rect: Rect, psi: float,
     # |d/dx| <= |psi| * dx * (dy/2)^2 (factor derivative peaks at the ends)
     lip = abs(psi) * max(dx * (dy / 2) ** 2, (dx / 2) ** 2 * dy)
     raw = ScalingField(
-        cell=cell, rect=rect, form="separable-quartic",
-        params=(("psi", psi),), fn=fn, lipschitz=lip,
+        cell=cell, rect=rect, form="separable-quartic", fn=fn, lipschitz=lip,
         analytic_sup=sup, analytic_argmax=((x_lo + x_hi) / 2, (y_lo + y_hi) / 2))
-    return _finish(raw, samples)
+    return _finish(raw)
 
 
 def _factor_peak(width: float, a: float, b: float) -> float:
@@ -168,8 +159,7 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
                         exponents: tuple[float, float, float, float] = (1, 1, 1, 1),
                         outer: str = "identity",
                         psi_lipschitz: float | None = None,
-                        psi_sup: float | None = None,
-                        samples: int = CERT_SAMPLES) -> ScalingField:
+                        psi_sup: float | None = None) -> ScalingField:
     """General vanishing-product form wrapped by a named outer map.
 
     ``psi`` may be a constant or an expression string in x and y; for an
@@ -192,7 +182,6 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
         if psi_lipschitz is None:
             raise FractsurfError("expression psi needs an explicit psi_lipschitz bound")
         psi_fn = compile_xy_expression(psi)
-        psi_param: object = psi
         psi_lip = float(psi_lipschitz)
         if psi_sup is None:
             psi_sup = _sampled_sup(psi_fn, rect, 256) + psi_lip * _sample_slack(rect, 256)
@@ -201,7 +190,6 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
         c = float(psi)
         psi_fn = lambda x, y: np.broadcast_to(
             np.float64(c), np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
-        psi_param = c
         psi_lip = 0.0
         psi_sup = abs(c)
 
@@ -227,34 +215,27 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
     t_lip = max(psi_lip * ux * vy + psi_sup * dux * vy,
                 psi_lip * ux * vy + psi_sup * ux * dvy)
     raw = ScalingField(
-        cell=cell, rect=rect, form="polynomial-product",
-        params=(("exponents", (ax, bx, ay, by)), ("outer", outer),
-                ("psi", psi_param), ("psi_lipschitz", psi_lip), ("psi_sup", psi_sup)),
-        fn=fn, lipschitz=omap.lipschitz * t_lip,
-        analytic_sup=None, form_bound=omap.bound(t_sup))
-    return _finish(raw, samples)
+        cell=cell, rect=rect, form="polynomial-product", fn=fn,
+        lipschitz=omap.lipschitz * t_lip, form_bound=omap.bound(t_sup))
+    return _finish(raw)
 
 
 def build_expression_field(cell: CellIndex, rect: Rect, expr: str,
-                           lipschitz: float,
-                           samples: int = CERT_SAMPLES) -> ScalingField:
+                           lipschitz: float) -> ScalingField:
     """Free-form field from an expression plus a caller-asserted Lipschitz bound."""
-    fn = compile_xy_expression(expr)
-    raw = ScalingField(
-        cell=cell, rect=rect, form="expression",
-        params=(("expr", expr), ("lipschitz", float(lipschitz))),
-        fn=fn, lipschitz=float(lipschitz))
-    return _finish(raw, samples)
+    raw = ScalingField(cell=cell, rect=rect, form="expression",
+                       fn=compile_xy_expression(expr), lipschitz=float(lipschitz))
+    return _finish(raw)
 
 
-def edge_max(fld: ScalingField, samples_per_edge: int = EDGE_SAMPLES) -> float:
-    """Largest |s| sampled on the four cell edges."""
+def edge_max(fld: ScalingField) -> float:
+    """Largest |s| sampled on the four cell edges (NaN if any sample is)."""
     x_lo, x_hi, y_lo, y_hi = fld.rect
-    xs = np.linspace(x_lo, x_hi, samples_per_edge)
-    ys = np.linspace(y_lo, y_hi, samples_per_edge)
+    xs = np.linspace(x_lo, x_hi, EDGE_SAMPLES)
+    ys = np.linspace(y_lo, y_hi, EDGE_SAMPLES)
     vals = [fld.fn(xs, np.full_like(xs, y_lo)), fld.fn(xs, np.full_like(xs, y_hi)),
             fld.fn(np.full_like(ys, x_lo), ys), fld.fn(np.full_like(ys, x_hi), ys)]
-    return float(max(np.max(np.abs(v)) for v in vals))
+    return float(np.max([np.max(np.abs(v)) for v in vals]))  # NaN wins
 
 
 def _sample_slack(rect: Rect, samples: int) -> float:
@@ -272,14 +253,14 @@ def _sampled_sup(fn, rect: Rect, samples: int) -> float:
     return float(np.max(np.abs(fn(xs[:, None], ys[None, :]))))
 
 
-def _polish(fn, rect: Rect, start: tuple[float, float], spacing: tuple[float, float],
-            rounds: int = 3) -> tuple[tuple[float, float], float]:
-    """Coordinate-wise golden-section refinement of a sampled minimum of fn."""
+def _polish(fn, rect: Rect, start: tuple[float, float],
+            spacing: tuple[float, float]) -> tuple[tuple[float, float], float]:
+    """Coordinate-wise golden-section refinement of a sampled minimum of fn, three rounds."""
     x_lo, x_hi, y_lo, y_hi = rect
     px, py = start
     hx, hy = spacing
     best = fn(px, py)
-    for _ in range(rounds):
+    for _ in range(3):
         px, best = golden_section_min(lambda t: fn(t, py),
                                       max(x_lo, px - hx), min(x_hi, px + hx))
         py, best = golden_section_min(lambda t: fn(px, t),
@@ -287,41 +268,40 @@ def _polish(fn, rect: Rect, start: tuple[float, float], spacing: tuple[float, fl
     return (px, py), best
 
 
-def certify_magnitude(fld: ScalingField, samples: int = CERT_SAMPLES) -> MagnitudeCertificate:
+def certify_magnitude(fld: ScalingField) -> MagnitudeCertificate:
     """Certify sup|s| < 1, or raise MagnitudeError with the offending point.
 
     The sampled estimate is always computed (dense grid plus golden-section
     polish) so forms with a closed-form sup can be cross-checked against it.
     The certified bound is the closed form when available; otherwise the
     polished sample plus ``lipschitz * (half sample spacing)`` slack,
-    tightened by any outer-map bound.
+    tightened by any outer-map bound.  A NaN sample makes the sampled sup
+    and the bound NaN, which is not below 1: the field fails there.
     """
     x_lo, x_hi, y_lo, y_hi = fld.rect
-    xs = np.linspace(x_lo, x_hi, samples)
-    ys = np.linspace(y_lo, y_hi, samples)
+    xs = np.linspace(x_lo, x_hi, CERT_SAMPLES)
+    ys = np.linspace(y_lo, y_hi, CERT_SAMPLES)
     grid_abs = np.abs(fld.fn(xs[:, None], ys[None, :]))
-    flat = int(np.argmax(grid_abs))
-    ia, ja = np.unravel_index(flat, grid_abs.shape)
-    spacing = (xs[1] - xs[0] if samples > 1 else 0.0,
-               ys[1] - ys[0] if samples > 1 else 0.0)
-    neg_abs = lambda px, py: -abs(float(fld.fn(px, py)))
-    witness, neg_best = _polish(neg_abs, fld.rect, (float(xs[ia]), float(ys[ja])), spacing)
-    sup_sampled = -neg_best
-    slack = fld.lipschitz * _sample_slack(fld.rect, samples)
+    ia, ja = np.unravel_index(int(np.argmax(grid_abs)), grid_abs.shape)  # the first NaN, if any
+    witness = (float(xs[ia]), float(ys[ja]))
+    if np.isnan(grid_abs[ia, ja]):
+        sup_sampled = math.nan
+    else:
+        neg_abs = lambda px, py: -abs(float(fld.fn(px, py)))
+        witness, neg_best = _polish(neg_abs, fld.rect, witness, (xs[1] - xs[0], ys[1] - ys[0]))
+        sup_sampled = -neg_best
 
     if fld.analytic_sup is not None:
         sup_bound = fld.analytic_sup
-        slack = 0.0
         if fld.analytic_argmax is not None and fld.analytic_sup > sup_sampled:
             witness = fld.analytic_argmax
     else:
-        sup_bound = sup_sampled + slack
+        sup_bound = sup_sampled + fld.lipschitz * _sample_slack(fld.rect, CERT_SAMPLES)
         if fld.form_bound is not None:
             sup_bound = min(sup_bound, fld.form_bound)
-    cert = MagnitudeCertificate(
-        sup_exact=fld.analytic_sup, sup_sampled=sup_sampled, sup_bound=sup_bound,
-        witness=witness, slack=slack, samples=samples)
-    if sup_bound >= 1.0:
+    cert = MagnitudeCertificate(sup_exact=fld.analytic_sup, sup_sampled=sup_sampled,
+                                sup_bound=sup_bound, witness=witness)
+    if not sup_bound < 1.0:
         raise MagnitudeError(
             f"scaling field on cell ({fld.cell.i},{fld.cell.j}) violates |s| < 1: "
             f"certified bound {sup_bound:.9g} at/near ({witness[0]:.9g}, {witness[1]:.9g})",
@@ -329,8 +309,7 @@ def certify_magnitude(fld: ScalingField, samples: int = CERT_SAMPLES) -> Magnitu
     return cert
 
 
-def interior_extrema(fld: ScalingField, epsilon: float,
-                     samples: int = EXTREMA_SAMPLES) -> InteriorExtrema:
+def interior_extrema(fld: ScalingField, epsilon: float) -> InteriorExtrema:
     """Extrema of |s| over the cell shrunk by epsilon on every side.
 
     Dense sampling plus golden-section polish; for an edge-vanishing field
@@ -342,18 +321,16 @@ def interior_extrema(fld: ScalingField, epsilon: float,
     if not (0 < epsilon < half):
         raise FractsurfError(f"epsilon must be in (0, {half}); got {epsilon}")
     shrunk = (x_lo + epsilon, x_hi - epsilon, y_lo + epsilon, y_hi - epsilon)
-    xs = np.linspace(shrunk[0], shrunk[1], samples)
-    ys = np.linspace(shrunk[2], shrunk[3], samples)
+    xs = np.linspace(shrunk[0], shrunk[1], EXTREMA_SAMPLES)
+    ys = np.linspace(shrunk[2], shrunk[3], EXTREMA_SAMPLES)
     grid_abs = np.abs(fld.fn(xs[:, None], ys[None, :]))
     spacing = (xs[1] - xs[0], ys[1] - ys[0])
 
     ia, ja = np.unravel_index(int(np.argmax(grid_abs)), grid_abs.shape)
-    argmax, neg_max = _polish(lambda px, py: -abs(float(fld.fn(px, py))),
-                              shrunk, (float(xs[ia]), float(ys[ja])), spacing)
+    _, neg_max = _polish(lambda px, py: -abs(float(fld.fn(px, py))),
+                         shrunk, (float(xs[ia]), float(ys[ja])), spacing)
     ia, ja = np.unravel_index(int(np.argmin(grid_abs)), grid_abs.shape)
-    argmin, s_min = _polish(lambda px, py: abs(float(fld.fn(px, py))),
-                            shrunk, (float(xs[ia]), float(ys[ja])), spacing)
-    return InteriorExtrema(
-        s_max=-neg_max, s_min=s_min, epsilon=float(epsilon),
-        argmax=argmax, argmin=argmin,
-        boundary_vanishing=edge_max(fld) < EDGE_TOL)
+    _, s_min = _polish(lambda px, py: abs(float(fld.fn(px, py))),
+                       shrunk, (float(xs[ia]), float(ys[ja])), spacing)
+    return InteriorExtrema(s_max=-neg_max, s_min=s_min,
+                           boundary_vanishing=edge_max(fld) < EDGE_TOL)

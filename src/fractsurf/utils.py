@@ -136,10 +136,11 @@ def substitution_matrix(lo: float, width: float, size: int) -> np.ndarray:
 _INV_PHI = (math.sqrt(5) - 1) / 2
 
 
-def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
+def golden_section_min(fn: Callable[[float], float], lo: float,
+                       hi: float) -> tuple[float, float]:
     """Golden-section minimization of a scalar function on [lo, hi].
 
+    Stops once the bracket is narrower than 1e-12, or after 200 steps.
     Returns (argmin, min).  Also checks the interval endpoints so minima
     on the boundary are not missed.
     """
@@ -147,8 +148,8 @@ def golden_section_min(fn: Callable[[float], float], lo: float, hi: float,
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if abs(b - a) < tol:
+    for _ in range(200):
+        if abs(b - a) < 1e-12:
             break
         if fc < fd:
             b, d, fd = d, c, fc

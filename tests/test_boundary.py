@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from fractsurf.boundary import (EDGE_MATCH_TOL, ZERO_FIELD, build_boundary_curves,
+from fractsurf.boundary import (EDGE_MATCH_TOL, build_boundary_curves,
                                 build_coons_blend, build_free_field, build_Q,
                                 load_explicit_blend)
 from fractsurf.errors import (BlendValidationError, CurveValidationError,
@@ -174,7 +174,8 @@ def test_free_field_compilation_and_sup():
                          lipschitz=np.pi ** 2, sup_abs=1.0)
     assert float(g(0.5, 0.5)) == pytest.approx(np.sin(np.pi ** 2 * 0.25), abs=1e-15)
     assert g.sup_abs == 1.0
-    assert ZERO_FIELD.lipschitz == 0.0 and ZERO_FIELD.sup_abs == 0.0
+    zero = build_free_field((0.0, 1.0, 0.0, 1.0), "0", 0.0, sup_abs=0.0)
+    assert zero.lipschitz == 0.0 and zero.sup_abs == 0.0
 
 
 def test_free_field_rejects_unknown_names():
@@ -202,4 +203,5 @@ def test_q_field_rejects_cell_mismatch(network):
     scaling = build_quartic_field(CellIndex(1, 1), GRID.cell_rect(CellIndex(1, 1)), 100.0)
     blend = build_coons_blend(GRID, network, CellIndex(1, 1))
     with pytest.raises(FractsurfError):
-        build_Q(maps[CellIndex(2, 1)], scaling, ZERO_FIELD, blend)
+        build_Q(maps[CellIndex(2, 1)], scaling,
+                build_free_field(GRID.rect, "0", 0.0, sup_abs=0.0), blend)

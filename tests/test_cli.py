@@ -164,6 +164,38 @@ def test_magnitude_violation_exits_two_with_witness(runner, tmp_path):
     assert "witness" in err
 
 
+def _run_config(runner, tmp_path, doc, command="validate"):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run(runner, command, "--config", str(path), "--out", str(tmp_path))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_scaling_field_exits_two_with_witness(runner, tmp_path):
+    # cell (1,1) is NaN on a disk of radius 0.1 around its midpoint, 0 on its edges
+    doc = fixture_config("band2x2")
+    doc["scaling"]["fields"][0]["expr"] += " + 0*sqrt((x-0.25)**2 + (y-0.25)**2 - 0.01)"
+    result = _run_config(runner, tmp_path, doc)
+    assert result.exit_code == 2
+    err = result.output + result.stderr
+    assert "magnitude violation: scaling field on cell (1,1)" in err
+    assert "witness" in err and "value nan" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sup_abs, message", [
+    (None, "free field 'sqrt(x - 2)' is not finite"),
+    (0.0, "is not a number at"),
+], ids=["sampled-sup", "given-sup"])
+def test_nan_free_field_exits_one(runner, tmp_path, sup_abs, message):
+    doc = fixture_config("band2x2")
+    doc["free_field"] = {"expr": "sqrt(x - 2)", "lipschitz": 0.0, "sup_abs": sup_abs}
+    result = _run_config(runner, tmp_path, doc)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert message in result.output + result.stderr
+
+
 def test_invalid_config_file_exits_one(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -237,6 +269,12 @@ def _dimension_below_floor(tmp_path):
     return doc
 
 
+def _dimension_too_coarse_for_depth(tmp_path):
+    doc = fixture_config("flat2x2")  # 2^5 boxes per axis at depth 5: 2 intervals each at 65
+    doc["dimension"].update(resolution=65, depth=5)
+    return doc
+
+
 @pytest.mark.parametrize("make_doc, path", [
     (_file_grid_missing_cell, "scaling.fields"),
     (_file_grid_short_curve, "boundary.r[0]"),
@@ -244,8 +282,10 @@ def _dimension_below_floor(tmp_path):
     (_file_grid_short_row, "grid"),
     (_file_grid_bad_knot, "grid"),
     (_dimension_below_floor, "dimension.resolution"),
+    (_dimension_too_coarse_for_depth, "dimension.resolution"),
 ], ids=["file-grid-missing-cell", "file-grid-short-curve", "file-grid-missing-file",
-        "file-grid-short-row", "file-grid-bad-knot", "dimension-below-floor"])
+        "file-grid-short-row", "file-grid-bad-knot", "dimension-below-floor",
+        "dimension-too-coarse-for-depth"])
 def test_grid_rule_violations_exit_one_with_their_path(runner, tmp_path, make_doc, path):
     config = tmp_path / "job.json"
     config.write_text(json.dumps(make_doc(tmp_path)), encoding="utf-8")

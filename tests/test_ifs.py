@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,17 @@ def test_assembly_rejects_swapped_maps(example2a_job):
     maps[a], maps[b] = maps[b], maps[a]
     with pytest.raises(InvalidGridError):
         assemble_ifs(example2a_job.grid, maps, system.scalings, system.q_fields)
+
+
+def test_assembly_rejects_a_nan_sup_bound(example2a_job):
+    system = example2a_job.system
+    scalings = dict(system.scalings)
+    last = max(scalings)  # not the first cell, so a max that drops NaN would miss it
+    fld = scalings[last]
+    scalings[last] = dataclasses.replace(
+        fld, certificate=dataclasses.replace(fld.certificate, sup_bound=float("nan")))
+    with pytest.raises(FractsurfError, match="c_s = nan is not below 1"):
+        assemble_ifs(example2a_job.grid, system.maps, scalings, system.q_fields)
 
 
 def test_eval_F_is_affine_in_z(example2a_job):

@@ -120,6 +120,28 @@ def test_expression_field_must_vanish_on_edges():
                                "0.5 + 0*x*y", lipschitz=0.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_on_one_edge_fails_the_edge_check():
+    # NaN on the disk of radius 0.1 around (0.5, 0.25): on the edge x = 0.5, the
+    # last of the four edges sampled, and on no corner
+    with pytest.raises(MagnitudeError, match="does not vanish on its edges"):
+        build_expression_field(CellIndex(1, 1), (0.0, 0.5, 0.0, 0.5),
+                               "x*(0.5-x)*y*(0.5-y) + 0*sqrt((x-0.5)**2 + (y-0.25)**2 - 0.01)",
+                               lipschitz=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_inside_the_cell_fails_at_a_nan_sample():
+    # NaN on the disk of radius 0.1 around the midpoint, 0 on the edges
+    with pytest.raises(MagnitudeError) as err:
+        build_expression_field(CellIndex(1, 1), (0.0, 0.5, 0.0, 0.5),
+                               "x*(0.5-x)*y*(0.5-y) + 0*sqrt((x-0.25)**2 + (y-0.25)**2 - 0.01)",
+                               lipschitz=1.0)
+    assert math.isnan(err.value.value)
+    wx, wy = err.value.witness
+    assert math.hypot(wx - 0.25, wy - 0.25) < 0.1
+
+
 def test_interior_extrema_quartic_midpoint():
     fld = quartic(CellIndex(2, 2), PSI_A[(2, 2)])
     ex = interior_extrema(fld, epsilon=1e-3)
@@ -129,7 +151,7 @@ def test_interior_extrema_quartic_midpoint():
 
 def test_recertification_matches_build_time_certificate():
     fld = quartic(CellIndex(4, 3), PSI_A[(4, 3)])
-    again = certify_magnitude(fld, samples=512)
+    again = certify_magnitude(fld)
     assert again.sup_bound == fld.certificate.sup_bound
     assert again.sup_exact == fld.certificate.sup_exact
 
