@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as npp
 from .errors import (BlendCompatibilityError, BlendValidationError,
                      CurveValidationError, FractsurfError)
 from .grid import CellIndex, DataGrid, DomainMap
-from .scaling import CERT_SAMPLES, ScalingField
+from .scaling import CERT_SAMPLES, ScalingField, _sample_slack, _sampled_sup
 from .utils import PiecewisePoly, compile_xy_expression, substitution_matrix
 
 INTERP_TOL = 1e-12
@@ -292,15 +292,11 @@ def build_free_field(rect, expr: str, lipschitz: float,
     fn = compile_xy_expression(expr)
     lipschitz = float(lipschitz)
     if sup_abs is None:
-        x_lo, x_hi, y_lo, y_hi = rect
-        xs = np.linspace(x_lo, x_hi, CERT_SAMPLES)
-        ys = np.linspace(y_lo, y_hi, CERT_SAMPLES)
-        sampled = float(np.max(np.abs(fn(xs[:, None], ys[None, :]))))
+        sampled = _sampled_sup(fn, rect, CERT_SAMPLES)
         if not math.isfinite(sampled):
             raise FractsurfError(f"free field {expr!r} is not finite on the rectangle "
                                  f"(sampled sup |g| = {sampled!r})")
-        slack = lipschitz * ((xs[1] - xs[0]) + (ys[1] - ys[0])) / 2
-        sup_abs = sampled + slack
+        sup_abs = sampled + lipschitz * _sample_slack(rect, CERT_SAMPLES)
     return FreeField(fn, lipschitz, float(sup_abs))
 
 

@@ -749,8 +749,10 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
     interval is ``(0, (1 - c_l) / (l_q + c_l * l_s * Z))`` with
     ``Z = max(|z0|, |z1|)`` (:meth:`ContractionCertificate.theta_max`), and
     theta defaults to its midpoint.  A ratio >= 1 for an admissible theta
-    would falsify the certificate.  A NaN ratio (a map's height is not a
-    number at a sampled point) raises, with the cell and the point.
+    falsifies the certificate, so a Lipschitz bound it trusts is false: that
+    raises, with the cell and the pair; outside the interval it is only
+    reported.  A NaN ratio (a map's height is not a number at a sampled
+    point) raises, with the cell and the point.
     """
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = system.grid.rect
@@ -780,7 +782,14 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
             raise FractsurfError(
                 f"3-D map of cell ({cell.i},{cell.j}) is not a number at "
                 f"({x!r}, {y!r}, {z!r}): sampled contraction ratio nan")
-        max_ratio = max(max_ratio, float(ratios.max()))
+        k = int(np.argmax(ratios))
+        if admissible and ratios[k] >= 1.0:
+            pair = np.flatnonzero(keep)[k]
+            raise FractsurfError(
+                f"3-D map of cell ({cell.i},{cell.j}) is not a contraction for the admissible "
+                f"theta = {theta!r}: sampled ratio {float(ratios[k])!r} at the pair "
+                f"{tuple(p[pair].tolist())}, {tuple(q[pair].tolist())} (a Lipschitz bound is false)")
+        max_ratio = max(max_ratio, float(ratios[k]))
     return MetricReport(theta_interval=(0.0, theta_hi), theta=float(theta),
                         admissible=admissible, max_ratio=max_ratio,
                         pairs=METRIC_PAIRS, seed=seed)

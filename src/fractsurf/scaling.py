@@ -1,28 +1,22 @@
 """Vertical scaling fields that vanish on cell edges.
 
 The vertical contraction of each IFS map is a function ``s(x, y)`` on the
-image cell, not a constant.  Continuity of the glued attractor needs two
-properties, both certified here:
+image cell, not a constant.  Continuity of the glued attractor needs
+``|s| < 1`` on the cell and ``s = 0`` on its four edges, which decouples
+neighbouring cells so that any data works.  Both are certified here, the
+edges by sampling.
 
-* ``|s| < 1`` everywhere on the cell (sup certified analytically for the
-  separable product-of-linear-factors form, by dense sampling plus a
-  Lipschitz slack term otherwise);
-* ``s = 0`` on all four cell edges, which decouples neighbouring cells and
-  makes the construction work for arbitrary data.
-
-Three forms are supported:
-
-``separable-quartic``
-    ``psi * (x - x_lo)(x - x_hi)(y - y_lo)(y - y_hi)`` with constant psi.
-    Sup and Lipschitz constants are exact closed forms.
-``polynomial-product``
-    ``d(psi(x, y) * |x - x_lo|^a |x - x_hi|^b |y - y_lo|^c |y - y_hi|^e)``
-    with a Lipschitz outer map ``d`` fixing 0.  Exponents >= 1 are required
-    so the certified Lipschitz bound stays sound; factors with integer
-    exponents keep their sign, fractional ones use absolute values.
-``expression``
-    An arbitrary vectorized expression with a caller-supplied Lipschitz
-    bound.  The edge-vanishing property is checked by sampling.
+One family has a closed form, the product
+``d(psi * (x - x_lo)^a (x - x_hi)^b (y - y_lo)^c (y - y_hi)^e)`` with
+exponents >= 1 (integer ones keep the factor's sign, fractional ones act on
+its absolute value) and a named Lipschitz outer map ``d`` fixing 0.
+``polynomial-product`` spells it in full, psi a constant or an expression
+in x and y; ``separable-quartic`` is constant psi, unit exponents and the
+identity map.  With constant psi the exact sup and its argmax are the
+certificate, and nothing is sampled.  The ``expression`` form (any
+vectorized expression with a caller-supplied Lipschitz bound) and products
+whose psi is an expression have no closed form: their sup is sampled,
+polished and padded by a Lipschitz slack term.
 """
 from __future__ import annotations
 
@@ -42,6 +36,7 @@ CERT_SAMPLES = 512
 EXTREMA_SAMPLES = 256
 # product-field exponents below this make the field non-Lipschitz at the edges
 PRODUCT_EXPONENT_MIN = 1
+ROUNDING_RTOL = 1e-12  # relative rounding a sample may exceed psi_sup's bound by
 
 Rect = tuple[float, float, float, float]
 
@@ -53,7 +48,7 @@ class OuterMap:
     name: str
     fn: Callable = field(compare=False, repr=False)
     lipschitz: float
-    # sound bound for |d(t)| given |t| <= t_bound
+    # sup of |d(t)| over |t| <= t_bound (|d| is even and increasing in |t|)
     bound: Callable = field(compare=False, repr=False)
 
 
@@ -70,10 +65,8 @@ OUTER_MAPS: Mapping[str, OuterMap] = {
 class MagnitudeCertificate:
     """Outcome of the |s| < 1 certification for one field."""
 
-    sup_exact: float | None      # closed-form sup, when the form admits one
-    sup_sampled: float           # best |s| found by sampling + local polish
-    sup_bound: float             # sound upper bound actually certified
-    witness: tuple[float, float]  # where the sampled sup was attained
+    sup_bound: float              # sound upper bound of sup |s|
+    witness: tuple[float, float]  # where |s| is largest, as far as known
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,10 @@ class InteriorExtrema:
 class ScalingField:
     cell: CellIndex
     rect: Rect
-    form: str
     fn: Callable = field(compare=False, repr=False)
     lipschitz: float = 0.0
-    analytic_sup: float | None = None
-    analytic_argmax: tuple[float, float] | None = None
-    form_bound: float | None = None  # extra sound sup bound (outer-map based)
+    closed_form: MagnitudeCertificate | None = None  # the exact sup and its argmax
+    form_bound: float | None = None  # sound sup bound of a product with expression psi
     certificate: MagnitudeCertificate | None = None
 
     def __call__(self, x, y):
@@ -114,45 +105,31 @@ class ScalingField:
 
 def _finish(raw: ScalingField) -> ScalingField:
     """Run edge and magnitude certification before handing the field out."""
-    edge = edge_max(raw)
+    edge, where = edge_max(raw)
     if not edge < EDGE_TOL:  # NaN fails too
         raise MagnitudeError(
             f"scaling field on cell ({raw.cell.i},{raw.cell.j}) does not vanish "
             f"on its edges (max |s| = {edge:.3g} sampled on the boundary)",
-            witness=(raw.rect[0], raw.rect[2]), value=edge)
+            witness=where, value=edge)
     return replace(raw, certificate=certify_magnitude(raw))
 
 
 def build_quartic_field(cell: CellIndex, rect: Rect, psi: float) -> ScalingField:
     """Separable quartic: psi * (x-x_lo)(x-x_hi)(y-y_lo)(y-y_hi).
 
-    The 1-D factor |(t-lo)(t-hi)| peaks at the midpoint with value
-    (width/2)**2, so sup|s| = |psi| * (dx/2)**2 * (dy/2)**2 exactly, at the
-    cell midpoint.
+    The constant-psi product with unit exponents and the identity outer
+    map: sup|s| = |psi| * (dx/2)**2 * (dy/2)**2 exactly, at the cell
+    midpoint.
     """
-    x_lo, x_hi, y_lo, y_hi = rect
-    dx, dy = x_hi - x_lo, y_hi - y_lo
-    psi = float(psi)
-
-    def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return psi * (x - x_lo) * (x - x_hi) * (y - y_lo) * (y - y_hi)
-
-    sup = abs(psi) * (dx / 2) ** 2 * (dy / 2) ** 2
-    # |d/dx| <= |psi| * dx * (dy/2)^2 (factor derivative peaks at the ends)
-    lip = abs(psi) * max(dx * (dy / 2) ** 2, (dx / 2) ** 2 * dy)
-    raw = ScalingField(
-        cell=cell, rect=rect, form="separable-quartic", fn=fn, lipschitz=lip,
-        analytic_sup=sup, analytic_argmax=((x_lo + x_hi) / 2, (y_lo + y_hi) / 2))
-    return _finish(raw)
+    return build_product_field(cell, rect, psi)
 
 
-def _factor_peak(width: float, a: float, b: float) -> float:
-    """Max of |t-lo|^a * |hi-t|^b over [lo, hi] (closed form)."""
-    if a == 0 and b == 0:
-        return 1.0
-    return width ** (a + b) * (a ** a * b ** b) / (a + b) ** (a + b)
+def _factor_peak(lo: float, hi: float, a: float, b: float) -> tuple[float, float]:
+    """Max of |t-lo|^a * |hi-t|^b over [lo, hi] and its argmax, the midpoint when a == b."""
+    width = hi - lo
+    if a == b:
+        return (width / 2) ** (a + b), (lo + hi) / 2
+    return width ** (a + b) * (a ** a * b ** b) / (a + b) ** (a + b), lo + a / (a + b) * width
 
 
 def build_product_field(cell: CellIndex, rect: Rect, psi,
@@ -167,9 +144,16 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
     ``exponents`` orders the factors (x_lo, x_hi, y_lo, y_hi).  Exponents
     below 1 would make the field non-Lipschitz at the edges and are
     rejected.
+
+    The x-factor ``u(t) = |t-lo|^a |hi-t|^b`` on a cell of width ``w`` has
+    ``|u'| <= max(a, b) * w^(a+b-1)``: on the cell,
+    ``|u'| = (t-lo)^(a-1) (hi-t)^(b-1) |a(hi-t) - b(t-lo)|``; both terms of
+    the difference are >= 0, so it is at most ``max(a, b) * w`` in absolute
+    value, and the prefactor is at most ``w^(a+b-2)``.  With constant psi
+    the sup is ``d(|psi| * sup u * sup v)``, attained at the factors'
+    peaks, and certifies the field without sampling.
     """
     x_lo, x_hi, y_lo, y_hi = rect
-    dx, dy = x_hi - x_lo, y_hi - y_lo
     ax, bx, ay, by = (float(e) for e in exponents)
     if min(ax, bx, ay, by) < PRODUCT_EXPONENT_MIN:
         raise FractsurfError(f"product-field exponents must be >= {PRODUCT_EXPONENT_MIN} "
@@ -188,8 +172,7 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
         psi_sup = float(psi_sup)
     else:
         c = float(psi)
-        psi_fn = lambda x, y: np.broadcast_to(
-            np.float64(c), np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
+        psi_fn = lambda x, y: c
         psi_lip = 0.0
         psi_sup = abs(c)
 
@@ -206,36 +189,37 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
              * power(y - y_lo, ay) * power(y - y_hi, by))
         return omap.fn(t)
 
-    ux = _factor_peak(dx, ax, bx)
-    vy = _factor_peak(dy, ay, by)
-    # d/dx of the x-factor is bounded by (ax+bx) * dx^(ax+bx-1) for exponents >= 1
-    dux = (ax + bx) * dx ** (ax + bx - 1)
-    dvy = (ay + by) * dy ** (ay + by - 1)
+    ux, peak_x = _factor_peak(x_lo, x_hi, ax, bx)
+    vy, peak_y = _factor_peak(y_lo, y_hi, ay, by)
+    dux = max(ax, bx) * (x_hi - x_lo) ** (ax + bx - 1)
+    dvy = max(ay, by) * (y_hi - y_lo) ** (ay + by - 1)
     t_sup = psi_sup * ux * vy
-    t_lip = max(psi_lip * ux * vy + psi_sup * dux * vy,
-                psi_lip * ux * vy + psi_sup * ux * dvy)
-    raw = ScalingField(
-        cell=cell, rect=rect, form="polynomial-product", fn=fn,
-        lipschitz=omap.lipschitz * t_lip, form_bound=omap.bound(t_sup))
+    t_lip = psi_lip * ux * vy + psi_sup * max(dux * vy, ux * dvy)
+    sup = omap.bound(t_sup)
+    closed = None if isinstance(psi, str) else MagnitudeCertificate(sup, (peak_x, peak_y))
+    raw = ScalingField(cell=cell, rect=rect, fn=fn, lipschitz=omap.lipschitz * t_lip,
+                       closed_form=closed, form_bound=sup if closed is None else None)
     return _finish(raw)
 
 
 def build_expression_field(cell: CellIndex, rect: Rect, expr: str,
                            lipschitz: float) -> ScalingField:
     """Free-form field from an expression plus a caller-asserted Lipschitz bound."""
-    raw = ScalingField(cell=cell, rect=rect, form="expression",
-                       fn=compile_xy_expression(expr), lipschitz=float(lipschitz))
+    raw = ScalingField(cell=cell, rect=rect, fn=compile_xy_expression(expr),
+                       lipschitz=float(lipschitz))
     return _finish(raw)
 
 
-def edge_max(fld: ScalingField) -> float:
-    """Largest |s| sampled on the four cell edges (NaN if any sample is)."""
+def edge_max(fld: ScalingField) -> tuple[float, tuple[float, float]]:
+    """Largest |s| sampled on the four cell edges and where (the first NaN, if any)."""
     x_lo, x_hi, y_lo, y_hi = fld.rect
     xs = np.linspace(x_lo, x_hi, EDGE_SAMPLES)
     ys = np.linspace(y_lo, y_hi, EDGE_SAMPLES)
-    vals = [fld.fn(xs, np.full_like(xs, y_lo)), fld.fn(xs, np.full_like(xs, y_hi)),
-            fld.fn(np.full_like(ys, x_lo), ys), fld.fn(np.full_like(ys, x_hi), ys)]
-    return float(np.max([np.max(np.abs(v)) for v in vals]))  # NaN wins
+    px = np.concatenate([xs, xs, np.full_like(ys, x_lo), np.full_like(ys, x_hi)])
+    py = np.concatenate([np.full_like(xs, y_lo), np.full_like(xs, y_hi), ys, ys])
+    vals = np.abs(fld.fn(px, py))
+    k = int(np.argmax(vals))  # NaN wins
+    return float(vals[k]), (float(px[k]), float(py[k]))
 
 
 def _sample_slack(rect: Rect, samples: int) -> float:
@@ -268,15 +252,11 @@ def _polish(fn, rect: Rect, start: tuple[float, float],
     return (px, py), best
 
 
-def certify_magnitude(fld: ScalingField) -> MagnitudeCertificate:
-    """Certify sup|s| < 1, or raise MagnitudeError with the offending point.
+def _sampled_certificate(fld: ScalingField) -> MagnitudeCertificate:
+    """Polished sample sup plus ``lipschitz * (half sample spacing)``, tightened by ``form_bound``.
 
-    The sampled estimate is always computed (dense grid plus golden-section
-    polish) so forms with a closed-form sup can be cross-checked against it.
-    The certified bound is the closed form when available; otherwise the
-    polished sample plus ``lipschitz * (half sample spacing)`` slack,
-    tightened by any outer-map bound.  A NaN sample makes the sampled sup
-    and the bound NaN, which is not below 1: the field fails there.
+    A sample above ``form_bound`` (beyond rounding) refutes the ``psi_sup``
+    behind it and raises, with the sample as the witness.
     """
     x_lo, x_hi, y_lo, y_hi = fld.rect
     xs = np.linspace(x_lo, x_hi, CERT_SAMPLES)
@@ -285,27 +265,35 @@ def certify_magnitude(fld: ScalingField) -> MagnitudeCertificate:
     ia, ja = np.unravel_index(int(np.argmax(grid_abs)), grid_abs.shape)  # the first NaN, if any
     witness = (float(xs[ia]), float(ys[ja]))
     if np.isnan(grid_abs[ia, ja]):
-        sup_sampled = math.nan
-    else:
-        neg_abs = lambda px, py: -abs(float(fld.fn(px, py)))
-        witness, neg_best = _polish(neg_abs, fld.rect, witness, (xs[1] - xs[0], ys[1] - ys[0]))
-        sup_sampled = -neg_best
+        return MagnitudeCertificate(math.nan, witness)
+    neg_abs = lambda px, py: -abs(float(fld.fn(px, py)))
+    witness, neg_best = _polish(neg_abs, fld.rect, witness, (xs[1] - xs[0], ys[1] - ys[0]))
+    sup = -neg_best
+    bound = sup + fld.lipschitz * _sample_slack(fld.rect, CERT_SAMPLES)
+    if fld.form_bound is not None:
+        if sup > fld.form_bound * (1 + ROUNDING_RTOL):
+            raise MagnitudeError(
+                f"scaling field on cell ({fld.cell.i},{fld.cell.j}) reaches |s| = {sup:.9g}, "
+                f"above the bound {fld.form_bound:.9g} from its psi_sup: psi_sup is false",
+                witness=witness, value=sup)
+        bound = min(bound, fld.form_bound)
+    return MagnitudeCertificate(bound, witness)
 
-    if fld.analytic_sup is not None:
-        sup_bound = fld.analytic_sup
-        if fld.analytic_argmax is not None and fld.analytic_sup > sup_sampled:
-            witness = fld.analytic_argmax
-    else:
-        sup_bound = sup_sampled + fld.lipschitz * _sample_slack(fld.rect, CERT_SAMPLES)
-        if fld.form_bound is not None:
-            sup_bound = min(sup_bound, fld.form_bound)
-    cert = MagnitudeCertificate(sup_exact=fld.analytic_sup, sup_sampled=sup_sampled,
-                                sup_bound=sup_bound, witness=witness)
-    if not sup_bound < 1.0:
+
+def certify_magnitude(fld: ScalingField) -> MagnitudeCertificate:
+    """Certify sup|s| < 1, or raise MagnitudeError with the offending point.
+
+    A field with a closed form is certified by it; any other is sampled on
+    a ``CERT_SAMPLES`` grid and polished.  A NaN sample makes the bound NaN,
+    which is not below 1: the field fails there.
+    """
+    cert = fld.closed_form or _sampled_certificate(fld)
+    if not cert.sup_bound < 1.0:
+        witness = cert.witness
         raise MagnitudeError(
             f"scaling field on cell ({fld.cell.i},{fld.cell.j}) violates |s| < 1: "
-            f"certified bound {sup_bound:.9g} at/near ({witness[0]:.9g}, {witness[1]:.9g})",
-            witness=witness, value=sup_bound)
+            f"certified bound {cert.sup_bound:.9g} at/near ({witness[0]:.9g}, {witness[1]:.9g})",
+            witness=witness, value=cert.sup_bound)
     return cert
 
 
@@ -333,4 +321,4 @@ def interior_extrema(fld: ScalingField, epsilon: float) -> InteriorExtrema:
     _, s_min = _polish(lambda px, py: abs(float(fld.fn(px, py))),
                        shrunk, (float(xs[ia]), float(ys[ja])), spacing)
     return InteriorExtrema(s_max=-neg_max, s_min=s_min,
-                           boundary_vanishing=edge_max(fld) < EDGE_TOL)
+                           boundary_vanishing=edge_max(fld)[0] < EDGE_TOL)

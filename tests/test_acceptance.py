@@ -23,6 +23,7 @@ from fractsurf.dimension import (
 from fractsurf.fixtures import fixture_config, fixture_names
 from fractsurf.ifs import chaos_game, eval_F, solve_fixed_point
 from fractsurf.pipeline import build_system
+from sampling import polished_sup
 
 TABLE_KNOT_HEIGHTS = {
     # (x, y) -> z for the 4x3-cell data set driving the worked example
@@ -156,9 +157,9 @@ def test_criterion_06_magnitude_certification(example2a_job, example2b_job):
     assert len(fields) == 24
     worst_gap = 0.0
     for field in fields:
-        cert = field.certificate
-        assert cert.sup_bound < 1.0
-        worst_gap = max(worst_gap, abs(cert.sup_exact - cert.sup_sampled))
+        # the certificate is the closed form; sample it here to check it
+        assert field.sup_bound < 1.0
+        worst_gap = max(worst_gap, abs(field.sup_bound - polished_sup(field)[0]))
     assert worst_gap <= 1e-6
     verdict(6, f"24 fields certified below 1; analytic vs sampled sup gap "
                f"{worst_gap:.3g}")

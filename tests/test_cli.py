@@ -170,6 +170,33 @@ def _run_config(runner, tmp_path, doc, command="validate"):
     return run(runner, command, "--config", str(path), "--out", str(tmp_path))
 
 
+@pytest.mark.parametrize("command", ["validate", "surface"])
+def test_a_false_psi_sup_exits_two_with_witness(runner, tmp_path, command):
+    # |1000 (1 + x)| reaches 1500 on the unit square, not the asserted 1
+    doc = fixture_config("flat2x2")
+    for fld in doc["scaling"]["fields"]:
+        fld.update(form="polynomial-product", psi="1000*(1+x)", psi_lipschitz=1000.0,
+                   psi_sup=1.0)
+    result = _run_config(runner, tmp_path, doc, command)
+    assert result.exit_code == 2
+    err = result.output + result.stderr
+    assert "magnitude violation: scaling field on cell (1,1)" in err
+    assert "psi_sup" in err and "witness" in err
+
+
+def test_a_false_lipschitz_bound_fails_the_metric_check(runner, tmp_path):
+    # the ramps of band2x2 climb 0.9 in 1/64: a Lipschitz bound of 0 is false
+    doc = fixture_config("band2x2")
+    for fld in doc["scaling"]["fields"]:
+        fld["lipschitz"] = 0.0
+    result = _run_config(runner, tmp_path, doc)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    err = result.output + result.stderr
+    assert "is not a contraction for the admissible theta" in err
+    assert "3-D map of cell (" in err and "at the pair (" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_scaling_field_exits_two_with_witness(runner, tmp_path):
     # cell (1,1) is NaN on a disk of radius 0.1 around its midpoint, 0 on its edges
