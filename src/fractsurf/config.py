@@ -7,12 +7,16 @@ without running the pipeline — unknown keys, duplicate cells,
 non-increasing knots — and reports *all* problems at once, each with a
 path-like locator, rather than stopping at the first.
 
-The flat sections ``free_field``, ``solver``, ``chaos``, ``dimension`` and
-``output`` are defined once, by the fields of their ``*Spec`` dataclasses:
-each field (see :func:`_key`) gives a key, its default and its check, and
-:func:`_parse_flat`, the unknown-key check and :func:`config_document` all
-read them.  The other sections have one shape per variant and keep their own
-parsers; the keys of each ``scaling.fields`` form are in ``SCALING_KEYS``.
+Every section, and every entry of ``scaling.fields`` and ``blend.tables``,
+is defined once, by the fields of its ``*Spec`` dataclass: each field (see
+:func:`_key`) gives a key, its default and its check.  The sections with
+variants (``grid.source``, ``scaling.fields[k].form``, ``boundary.method``,
+``blend.mode``) also have a key table (``GRID_SOURCES``, ``SCALING_FORMS``,
+``BOUNDARY_METHODS``, ``BLEND_MODES``) that lists the keys of each variant
+in document order.  One parser (:func:`_parse`), the unknown-key check and
+one serializer (:func:`_document`) read those fields and tables; only the
+rules that span several keys are written out, as ``cross_check`` methods
+and the duplicate-cell check of :func:`_records`.
 
 The rules that need the realized grid (cell coverage, curve and piece
 counts, resolutions on the sample lattice) live in :func:`grid_errors`.
@@ -43,16 +47,18 @@ from .utils import compile_xy_expression
 _REQUIRED_SECTIONS = ("grid", "scaling", "boundary", "blend", "solver")
 _ALL_SECTIONS = _REQUIRED_SECTIONS + ("name", "free_field", "chaos", "dimension", "output")
 
-# the keys each form of a ``scaling.fields`` entry takes, in document order
-SCALING_KEYS = {
+# the keys each variant takes, in document order; the keys of other variants read as None
+GRID_SOURCES = {"inline": ("source", "x_knots", "y_knots", "z_rows"),
+                "file": ("source", "path"), "fixture": ("source", "name")}
+SCALING_FORMS = {
     "separable-quartic": ("cell", "form", "psi"),
     "polynomial-product": ("cell", "form", "psi", "exponents", "outer",
                            "psi_lipschitz", "psi_sup"),
     "expression": ("cell", "form", "expr", "lipschitz"),
 }
-SCALING_FORMS = tuple(SCALING_KEYS)
-BOUNDARY_METHODS = ("linear", "quadratic", "pieces")
-BLEND_MODES = ("coons", "explicit")
+BOUNDARY_METHODS = {"linear": ("method",), "quadratic": ("method", "q", "r"),
+                    "pieces": ("method", "q", "r")}
+BLEND_MODES = {"coons": ("mode",), "explicit": ("mode", "tables")}
 
 
 class _Collector:
@@ -108,11 +114,22 @@ def _expression(err: _Collector, path: str, value) -> str | None:
     return value
 
 
-def _nonempty(err: _Collector, path: str, value) -> str | None:
-    if not isinstance(value, str) or not value:
-        err.add(path, "expected a non-empty string")
-        return None
-    return value
+def _psi(err: _Collector, path: str, value) -> float | str | None:
+    """A number, or a string that :meth:`ScalingSpec.cross_check` reads as an expression."""
+    return value if isinstance(value, str) else _number(err, path, value)
+
+
+def _text(message: str):
+    """A check for a non-empty string."""
+    def check(err: _Collector, path: str, value) -> str | None:
+        if not isinstance(value, str) or not value:
+            err.add(path, message)
+            return None
+        return value
+    return check
+
+
+_nonempty = _text("expected a non-empty string")
 
 
 def _path(err: _Collector, path: str, value) -> str | None:
@@ -122,56 +139,201 @@ def _path(err: _Collector, path: str, value) -> str | None:
     return value
 
 
-def _key(default=MISSING, check=_number, **bounds):
-    """A flat-section key: required without a default, nullable when it is ``None``.
+def _one_of(err: _Collector, path: str, value, *, options) -> str | None:
+    if not isinstance(value, str) or value not in options:
+        err.add(path, f"must be one of {'/'.join(options)}, got {value!r}")
+        return None
+    return value
+
+
+def _fixture(err: _Collector, path: str, value) -> str | None:
+    if value not in fixture_names():
+        err.add(path, f"unknown fixture {value!r}; available: {', '.join(fixture_names())}")
+        return None
+    return value
+
+
+def _cell(err: _Collector, path: str, value) -> tuple[int, int] | None:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
+        err.add(path, f"expected a cell index pair [i, j], got {value!r}")
+        return None
+    return int(value[0]), int(value[1])
+
+
+def _list_of(item, message: str):
+    """A check for a non-empty list whose entries pass ``item``; it stops at the first bad one."""
+    def check(err: _Collector, path: str, value) -> tuple | None:
+        if not isinstance(value, (list, tuple)) or not value:
+            err.add(path, message)
+            return None
+        out = []
+        for k, v in enumerate(value):
+            parsed = item(err, f"{path}[{k}]", v)
+            if parsed is None:
+                return None
+            out.append(parsed)
+        return tuple(out)
+    return check
+
+
+_float_list = _list_of(_number, "expected a non-empty list of numbers")
+_height_rows = _list_of(_float_list, "expected a list of height rows (one per y knot)")
+# a list of per-interval ascending coefficient lists
+_pieces = _list_of(_float_list, "expected a list of coefficient lists")
+_curves = _list_of(_pieces, "expected a list of per-curve piece coefficients")
+
+
+def _knots(err: _Collector, path: str, value) -> tuple[float, ...] | None:
+    knots = _float_list(err, path, value)
+    if knots is None:
+        return None
+    if len(knots) < 2:
+        err.add(path, "need at least two knots")
+        return None
+    if any(b <= a for a, b in zip(knots, knots[1:])):
+        err.add(path, "knots must be strictly increasing")
+        return None
+    return knots
+
+
+def _exponents(err: _Collector, path: str, value) -> tuple[float, ...] | None:
+    exps = _float_list(err, path, value)
+    if exps is None or len(exps) != 4:
+        err.add(path, "expected four exponents")
+        return None
+    if min(exps) < PRODUCT_EXPONENT_MIN:
+        err.add(path, f"must be >= {PRODUCT_EXPONENT_MIN} to keep the Lipschitz "
+                      f"certification sound, got {list(exps)}")
+        return None
+    return exps
+
+
+def _records(spec, message: str, duplicate: str):
+    """A check for a non-empty list of ``spec`` objects, one per cell.
+
+    An entry that fails to parse is left out, and so is a later entry for
+    a cell already taken, which is reported as a duplicate.
+    """
+    def check(err: _Collector, path: str, value) -> tuple | None:
+        if not isinstance(value, (list, tuple)) or not value:
+            err.add(path, message)
+            return None
+        out, seen = [], set()
+        for k, entry in enumerate(value):
+            record = _parse(err, f"{path}[{k}]", entry, spec)
+            if record is not None and record.cell in seen:
+                err.add(f"{path}[{k}].cell", f"{duplicate} for cell {list(record.cell)}")
+            elif record is not None:
+                seen.add(record.cell)
+                out.append(record)
+        return tuple(out)
+    return check
+
+
+def _key(default=MISSING, check=_number, *, omit_null=False, **bounds):
+    """A key: required without a default, nullable when it is ``None``.
 
     ``check(err, path, value, **bounds)`` returns the parsed value, or
-    ``None`` after reporting the problem.
+    ``None`` after reporting the problem.  An ``omit_null`` key is left out
+    of the document while it is null.
     """
-    return dataclasses.field(default=default, metadata={"check": check, "bounds": bounds})
+    return dataclasses.field(default=default, metadata={
+        "check": check, "bounds": bounds, "omit_null": omit_null})
 
 
-@dataclass(frozen=True)
+def _selector(variants: dict[str, tuple[str, ...]]):
+    """The required key whose value picks a variant of the key table ``variants``."""
+    return dataclasses.field(metadata={"check": _one_of, "bounds": {"options": tuple(variants)},
+                                       "variants": variants})
+
+
+@dataclass(frozen=True, kw_only=True)
 class GridSpec:
-    source: str                     # "inline" | "file" | "fixture"
-    x_knots: tuple[float, ...] | None = None
-    y_knots: tuple[float, ...] | None = None
-    z_rows: tuple[tuple[float, ...], ...] | None = None  # one row per y knot
-    path: str | None = None
-    fixture: str | None = None
+    source: str = _selector(GRID_SOURCES)
+    x_knots: tuple[float, ...] | None = _key(check=_knots)
+    y_knots: tuple[float, ...] | None = _key(check=_knots)
+    z_rows: tuple[tuple[float, ...], ...] | None = _key(check=_height_rows)  # one per y knot
+    path: str | None = _key(check=_text("expected a file path string"))
+    name: str | None = _key(check=_fixture)
+
+    def cross_check(self, err: _Collector, path: str) -> bool:
+        xs, ys, z = self.x_knots, self.y_knots, self.z_rows
+        if self.source == "inline" and (len(z) != len(ys) or any(len(r) != len(xs) for r in z)):
+            err.add(f"{path}.z_rows", f"need {len(ys)} rows of {len(xs)} heights for these knots")
+            return False
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScalingSpec:
-    cell: tuple[int, int]
-    form: str
-    psi: float | str | None = None
-    exponents: tuple[float, float, float, float] | None = None
-    outer: str = "identity"
-    psi_lipschitz: float | None = None
-    psi_sup: float | None = None
-    expr: str | None = None
-    lipschitz: float | None = None
+    cell: tuple[int, int] = _key(check=_cell)
+    form: str = _selector(SCALING_FORMS)
+    psi: float | str | None = _key(check=_psi)
+    exponents: tuple[float, float, float, float] | None = _key((1.0, 1.0, 1.0, 1.0), _exponents)
+    outer: str | None = _key("identity", _one_of, options=tuple(OUTER_MAPS))
+    psi_lipschitz: float | None = _key(None, omit_null=True, minimum=0.0)
+    psi_sup: float | None = _key(None, omit_null=True, minimum=0.0)
+    expr: str | None = _key(check=_expression)
+    lipschitz: float | None = _key(minimum=0.0)
+
+    def cross_check(self, err: _Collector, path: str) -> bool:
+        """A string psi is an expression that needs ``psi_lipschitz``; the quartic's is a number."""
+        if not isinstance(self.psi, str):
+            return True
+        if self.form == "separable-quartic":
+            err.add(f"{path}.psi", f"expected a number, got {self.psi!r}")
+            return False
+        if _expression(err, f"{path}.psi", self.psi) is None:
+            return False
+        if self.psi_lipschitz is None:
+            err.add(f"{path}.psi_lipschitz", "required when psi is an expression")
+            return False
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundarySpec:
-    method: str
-    q: tuple[tuple[tuple[float, ...], ...], ...] | None = None
-    r: tuple[tuple[tuple[float, ...], ...], ...] | None = None
+    method: str = _selector(BOUNDARY_METHODS)
+    q: tuple[tuple[tuple[float, ...], ...], ...] | None = _key(check=_curves)
+    r: tuple[tuple[tuple[float, ...], ...], ...] | None = _key(check=_curves)
+
+    def cross_check(self, err: _Collector, path: str) -> bool:
+        if self.method != "quadratic":
+            return True
+        over = [f"{path}.{label}[{k}]" for label in ("q", "r")
+                for k, curve in enumerate(getattr(self, label))
+                if any(len(c) > QUADRATIC_MAX_DEGREE + 1 for c in curve)]
+        for where in over:
+            err.add(where, f"quadratic method allows degree <= {QUADRATIC_MAX_DEGREE} pieces only")
+        return not over
+
+
+@dataclass(frozen=True, kw_only=True)
+class BlendTable:
+    """One cell's monomial table: ``coeffs[k][l]`` multiplies ``x**k * y**l``."""
+    cell: tuple[int, int] = _key(check=_cell)
+    coeffs: tuple[tuple[float, ...], ...] = _key(check=_pieces)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BlendSpec:
+    mode: str = _selector(BLEND_MODES)
+    tables: tuple[BlendTable, ...] | None = _key(check=_records(
+        BlendTable, "explicit mode requires a list of cell tables", "duplicate blend table"))
 
 
 @dataclass(frozen=True)
-class BlendSpec:
-    mode: str
-    tables: tuple[tuple[tuple[int, int], tuple[tuple[float, ...], ...]], ...] | None = None
+class _ScalingSection:
+    fields: tuple[ScalingSpec, ...] = _key(check=_records(
+        ScalingSpec, "expected a non-empty list of field specs", "duplicate scaling spec"))
 
 
 @dataclass(frozen=True)
 class FreeFieldSpec:
     expr: str = _key("0", _expression)
     lipschitz: float = _key(0.0, minimum=0.0)
-    sup_abs: float | None = _key(None, minimum=0.0)
+    sup_abs: float | None = _key(None, omit_null=True, minimum=0.0)
 
 
 @dataclass(frozen=True)
@@ -215,69 +377,63 @@ class JobConfig:
     output: OutputSpec
 
 
-def _list_of(item, message: str):
-    """A check for a non-empty list whose entries pass ``item``; it stops at the first bad one."""
-    def check(err: _Collector, path: str, value) -> tuple | None:
-        if not isinstance(value, (list, tuple)) or not value:
-            err.add(path, message)
-            return None
-        out = []
-        for k, v in enumerate(value):
-            parsed = item(err, f"{path}[{k}]", v)
-            if parsed is None:
-                return None
-            out.append(parsed)
-        return tuple(out)
-    return check
+def _selector_of(spec) -> dataclasses.Field | None:
+    return next((f for f in dataclasses.fields(spec) if "variants" in f.metadata), None)
 
 
-_float_list = _list_of(_number, "expected a non-empty list of numbers")
-_height_rows = _list_of(_float_list, "expected a list of height rows (one per y knot)")
-# a list of per-interval ascending coefficient lists
-_pieces = _list_of(_float_list, "expected a list of coefficient lists")
+def _parse(err: _Collector, path: str, doc, spec, **defaults):
+    """Parse the object ``doc`` at ``path`` into ``spec``, whose fields are its keys.
 
-
-def _parse_grid(err: _Collector, doc) -> GridSpec | None:
+    ``defaults`` override field defaults; ``doc`` is ``MISSING`` for an
+    absent section.  A key that fails its check reads as null, so
+    :func:`grid_errors` still sees the other keys.  An object that is
+    absent or not an object, names no known variant, or fails a required
+    key or its ``cross_check`` reads as its fallback: its defaults when
+    every key has one, else ``None``.
+    """
+    fields = {f.name: f for f in dataclasses.fields(spec)}
+    fallback = None if any(f.default is MISSING for f in fields.values()) else spec(**defaults)
+    if doc is MISSING:
+        return fallback
     if not isinstance(doc, dict):
-        err.add("grid", "expected an object")
-        return None
-    source = doc.get("source")
-    if source not in ("inline", "file", "fixture"):
-        err.add("grid.source", f"must be one of inline/file/fixture, got {source!r}")
-        return None
-    if source == "inline":
-        _check_unknown(err, "grid", doc, ("source", "x_knots", "y_knots", "z_rows"))
-        xs = _float_list(err, "grid.x_knots", doc.get("x_knots"))
-        ys = _float_list(err, "grid.y_knots", doc.get("y_knots"))
-        z = _height_rows(err, "grid.z_rows", doc.get("z_rows"))
-        for label, knots in (("x_knots", xs), ("y_knots", ys)):
-            if knots is not None:
-                if len(knots) < 2:
-                    err.add(f"grid.{label}", "need at least two knots")
-                elif any(b <= a for a, b in zip(knots, knots[1:])):
-                    err.add(f"grid.{label}", "knots must be strictly increasing")
-        if xs is not None and ys is not None and z is not None:
-            if len(z) != len(ys) or any(len(r) != len(xs) for r in z):
-                err.add("grid.z_rows",
-                        f"need {len(ys)} rows of {len(xs)} heights for these knots")
-                z = None
-        if xs is None or ys is None or z is None:
-            return None
-        return GridSpec("inline", xs, ys, z)
-    if source == "file":
-        _check_unknown(err, "grid", doc, ("source", "path"))
-        path = doc.get("path")
-        if not isinstance(path, str) or not path:
-            err.add("grid.path", "expected a file path string")
-            return None
-        return GridSpec("file", path=path)
-    _check_unknown(err, "grid", doc, ("source", "name"))
-    name = doc.get("name")
-    if name not in fixture_names():
-        err.add("grid.name", f"unknown fixture {name!r}; "
-                             f"available: {', '.join(fixture_names())}")
-        return None
-    return GridSpec("fixture", fixture=name)
+        err.add(path, "expected an object")
+        return fallback
+    keys, selector = tuple(fields), _selector_of(spec)
+    if selector is not None:
+        variant = _one_of(err, f"{path}.{selector.name}", doc.get(selector.name),
+                          **selector.metadata["bounds"])
+        if variant is None:
+            return fallback
+        keys = selector.metadata["variants"][variant]
+    _check_unknown(err, path, doc, keys)
+    values, failed = dict.fromkeys(fields), False
+    for key in keys:
+        f = fields[key]
+        default = defaults.get(key, f.default)
+        value = doc.get(key, None if default is MISSING else default)
+        if value is not None or default is not None:
+            value = f.metadata["check"](err, f"{path}.{key}", value, **f.metadata["bounds"])
+            failed |= value is None and default is MISSING
+        values[key] = value
+    if failed:
+        return fallback
+    parsed = spec(**values)
+    if hasattr(parsed, "cross_check") and not parsed.cross_check(err, path):
+        return fallback
+    return parsed
+
+
+def _document(value):
+    """The document of a parsed value: a spec's keys in document order, tuples as lists."""
+    if isinstance(value, tuple):
+        return [_document(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    fields = {f.name: f for f in dataclasses.fields(value)}
+    selector = _selector_of(value)
+    keys = selector.metadata["variants"][getattr(value, selector.name)] if selector else fields
+    return {key: _document(v) for key in keys
+            if (v := getattr(value, key)) is not None or not fields[key].metadata.get("omit_null")}
 
 
 def realize_grid(spec: GridSpec) -> DataGrid:
@@ -285,159 +441,8 @@ def realize_grid(spec: GridSpec) -> DataGrid:
         return DataGrid.from_y_rows(spec.x_knots, spec.y_knots, spec.z_rows)
     if spec.source == "file":
         return load_grid_text(Path(spec.path).read_text(encoding="utf-8"))
-    base = parse_config_document(fixture_config(spec.fixture))
+    base = parse_config_document(fixture_config(spec.name))
     return realize_grid(base.grid)
-
-
-def _parse_cell(err: _Collector, path: str, value) -> tuple[int, int] | None:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        err.add(path, f"expected a cell index pair [i, j], got {value!r}")
-        return None
-    return int(value[0]), int(value[1])
-
-
-def _parse_scaling(err: _Collector, doc) -> tuple[ScalingSpec, ...]:
-    if not isinstance(doc, dict):
-        err.add("scaling", "expected an object")
-        return ()
-    _check_unknown(err, "scaling", doc, ("fields",))
-    fields = doc.get("fields")
-    if not isinstance(fields, (list, tuple)) or not fields:
-        err.add("scaling.fields", "expected a non-empty list of field specs")
-        return ()
-    out = []
-    seen = set()
-    for k, spec in enumerate(fields):
-        path = f"scaling.fields[{k}]"
-        if not isinstance(spec, dict):
-            err.add(path, "expected an object")
-            continue
-        cell = _parse_cell(err, f"{path}.cell", spec.get("cell"))
-        form = spec.get("form")
-        if form not in SCALING_FORMS:
-            err.add(f"{path}.form", f"must be one of {'/'.join(SCALING_FORMS)}, got {form!r}")
-            continue
-        if cell is None:
-            continue
-        if cell in seen:
-            err.add(f"{path}.cell", f"duplicate scaling spec for cell {list(cell)}")
-            continue
-        seen.add(cell)
-        _check_unknown(err, path, spec, SCALING_KEYS[form])
-        if form == "separable-quartic":
-            psi = _number(err, f"{path}.psi", spec.get("psi"))
-            if psi is None:
-                continue
-            out.append(ScalingSpec(cell=cell, form=form, psi=psi))
-        elif form == "polynomial-product":
-            psi = spec.get("psi")
-            psi_lip, psi_sup = (None if spec.get(key) is None
-                                else _number(err, f"{path}.{key}", spec[key], minimum=0.0)
-                                for key in ("psi_lipschitz", "psi_sup"))
-            if isinstance(psi, str):
-                if _expression(err, f"{path}.psi", psi) is None:
-                    continue
-                if psi_lip is None:
-                    err.add(f"{path}.psi_lipschitz",
-                            "required when psi is an expression")
-                    continue
-            elif _number(err, f"{path}.psi", psi) is None:
-                continue
-            else:
-                psi = float(psi)
-            exps = _float_list(err, f"{path}.exponents", spec.get("exponents", [1.0] * 4))
-            if exps is None or len(exps) != 4:
-                err.add(f"{path}.exponents", "expected four exponents")
-                continue
-            if min(exps) < PRODUCT_EXPONENT_MIN:
-                err.add(f"{path}.exponents", f"must be >= {PRODUCT_EXPONENT_MIN} to keep the "
-                                             f"Lipschitz certification sound, got {list(exps)}")
-            outer = spec.get("outer", ScalingSpec.outer)
-            if not isinstance(outer, str) or outer not in OUTER_MAPS:
-                err.add(f"{path}.outer", f"must be one of {'/'.join(OUTER_MAPS)}, got {outer!r}")
-            out.append(ScalingSpec(
-                cell=cell, form=form, psi=psi, exponents=exps, outer=outer,
-                psi_lipschitz=psi_lip, psi_sup=psi_sup))
-        else:
-            expr = _expression(err, f"{path}.expr", spec.get("expr"))
-            if expr is None:
-                continue
-            lip = _number(err, f"{path}.lipschitz", spec.get("lipschitz"), minimum=0.0)
-            if lip is None:
-                continue
-            out.append(ScalingSpec(cell=cell, form=form, expr=expr, lipschitz=lip))
-    return tuple(out)
-
-
-def _parse_boundary(err: _Collector, doc) -> BoundarySpec | None:
-    if not isinstance(doc, dict):
-        err.add("boundary", "expected an object")
-        return None
-    method = doc.get("method")
-    if method not in BOUNDARY_METHODS:
-        err.add("boundary.method",
-                f"must be one of {'/'.join(BOUNDARY_METHODS)}, got {method!r}")
-        return None
-    if method == "linear":
-        _check_unknown(err, "boundary", doc, ("method",))
-        return BoundarySpec("linear")
-    _check_unknown(err, "boundary", doc, ("method", "q", "r"))
-    groups = {}
-    for label in ("q", "r"):
-        value = doc.get(label)
-        if not isinstance(value, (list, tuple)) or not value:
-            err.add(f"boundary.{label}",
-                    f"method {method!r} requires a list of per-curve piece coefficients")
-            return None
-        curves = []
-        for k, pieces in enumerate(value):
-            p = _pieces(err, f"boundary.{label}[{k}]", pieces)
-            if p is None:
-                return None
-            if method == "quadratic" and any(len(c) > QUADRATIC_MAX_DEGREE + 1 for c in p):
-                err.add(f"boundary.{label}[{k}]", "quadratic method allows degree "
-                        f"<= {QUADRATIC_MAX_DEGREE} pieces only")
-                return None
-            curves.append(p)
-        groups[label] = tuple(curves)
-    return BoundarySpec(method, q=groups["q"], r=groups["r"])
-
-
-def _parse_blend(err: _Collector, doc) -> BlendSpec | None:
-    if not isinstance(doc, dict):
-        err.add("blend", "expected an object")
-        return None
-    mode = doc.get("mode")
-    if mode not in BLEND_MODES:
-        err.add("blend.mode", f"must be one of {'/'.join(BLEND_MODES)}, got {mode!r}")
-        return None
-    if mode == "coons":
-        _check_unknown(err, "blend", doc, ("mode",))
-        return BlendSpec("coons")
-    _check_unknown(err, "blend", doc, ("mode", "tables"))
-    tables = doc.get("tables")
-    if not isinstance(tables, (list, tuple)) or not tables:
-        err.add("blend.tables", "explicit mode requires a list of cell tables")
-        return None
-    out = []
-    seen = set()
-    for k, entry in enumerate(tables):
-        path = f"blend.tables[{k}]"
-        if not isinstance(entry, dict):
-            err.add(path, "expected an object")
-            continue
-        _check_unknown(err, path, entry, ("cell", "coeffs"))
-        cell = _parse_cell(err, f"{path}.cell", entry.get("cell"))
-        coeffs = _pieces(err, f"{path}.coeffs", entry.get("coeffs"))
-        if cell is None or coeffs is None:
-            continue
-        if cell in seen:
-            err.add(f"{path}.cell", f"duplicate blend table for cell {list(cell)}")
-            continue
-        seen.add(cell)
-        out.append((cell, coeffs))
-    return BlendSpec("explicit", tables=tuple(out))
 
 
 def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
@@ -449,8 +454,8 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), an
     explicit ``dimension.resolution`` also fine enough for every scale down
     to ``dimension.depth`` (:func:`~fractsurf.dimension.box_layout`), and
-    ``dimension.epsilon`` inside half the narrowest cell.  Sections that
-    failed to parse (``None``) are skipped.
+    ``dimension.epsilon`` inside half the narrowest cell.  Sections and
+    keys that failed to parse (``None``) are skipped.
     """
     err = _Collector()
     cells = {(c.i, c.j) for c in grid.cells()}
@@ -476,7 +481,7 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
                 err.add(f"boundary.r[{k}]", f"need {grid.n} pieces, got {len(curve)}")
     blend = cfg.blend
     if blend is not None and blend.mode == "explicit" and blend.tables:
-        got = {cell for cell, _ in blend.tables}
+        got = {table.cell for table in blend.tables}
         for cell in sorted(got - cells):
             err.add("blend.tables", f"cell {list(cell)} is outside the grid")
         missing = sorted(cells - got)
@@ -489,8 +494,10 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
         if resolution is not None:
             try:
                 sample_axes(grid, resolution)
-                if path == "dimension.resolution":
-                    for delta in natural_scales(grid, cfg.dimension.depth):
+                if path == "dimension.resolution" and cfg.dimension.depth is not None:
+                    # a scale past R's bit length is too fine when n > 1 and repeats when n = 1
+                    depth = min(cfg.dimension.depth, resolution.bit_length())
+                    for delta in natural_scales(grid, depth):
                         box_layout(resolution, (grid.x_span, grid.y_span), delta)
             except FractsurfError as exc:
                 err.add(path, str(exc))
@@ -504,35 +511,6 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     return err.errors
 
 
-def _parse_flat(err: _Collector, doc: dict, section: str, spec, **defaults):
-    """Parse a section whose keys, defaults and checks are the fields of ``spec``.
-
-    ``defaults`` override field defaults.  A key that fails its check reads
-    as null where null is its default, so :func:`grid_errors` still sees the
-    section's other keys; any other failure gives the default section, or
-    ``None`` when the section has a required key.
-    """
-    keys = dataclasses.fields(spec)
-    fallback = None if any(f.default is MISSING for f in keys) else spec(**defaults)
-    if section not in doc:
-        return fallback
-    sdoc = doc[section]
-    if not isinstance(sdoc, dict):
-        err.add(section, "expected an object")
-        return fallback
-    _check_unknown(err, section, sdoc, [f.name for f in keys])
-    values, failed = {}, False
-    for f in keys:
-        default = defaults.get(f.name, f.default)
-        value = sdoc.get(f.name, None if default is MISSING else default)
-        if value is not None or default is not None:
-            value = f.metadata["check"](err, f"{section}.{f.name}", value,
-                                        **f.metadata["bounds"])
-            failed |= value is None and default is not None
-        values[f.name] = value
-    return fallback if failed else spec(**values)
-
-
 def parse_config_document(doc: dict) -> JobConfig:
     """Validate a configuration document, collecting every error."""
     err = _Collector()
@@ -544,21 +522,23 @@ def parse_config_document(doc: dict) -> JobConfig:
             err.add(section, "required section missing")
     _check_unknown(err, "", doc, _ALL_SECTIONS)
 
-    grid_spec = _parse_grid(err, doc["grid"]) if "grid" in doc else None
-    scaling = _parse_scaling(err, doc["scaling"]) if "scaling" in doc else ()
-    boundary = _parse_boundary(err, doc["boundary"]) if "boundary" in doc else None
-    blend = _parse_blend(err, doc["blend"]) if "blend" in doc else None
+    def section(name: str, spec, **defaults):
+        return _parse(err, name, doc.get(name, MISSING), spec, **defaults)
 
-    free = _parse_flat(err, doc, "free_field", FreeFieldSpec)
-    solver = _parse_flat(err, doc, "solver", SolverSpec)
-    chaos = _parse_flat(err, doc, "chaos", ChaosSpec)
-    dimension = _parse_flat(err, doc, "dimension", DimensionSpec)
+    grid_spec = section("grid", GridSpec)
+    scaling = section("scaling", _ScalingSection)
+    boundary = section("boundary", BoundarySpec)
+    blend = section("blend", BlendSpec)
+    free = section("free_field", FreeFieldSpec)
+    solver = section("solver", SolverSpec)
+    chaos = section("chaos", ChaosSpec)
+    dimension = section("dimension", DimensionSpec)
     name = _nonempty(err, "name", doc.get("name", "job")) or "job"
-    output = _parse_flat(err, doc, "output", OutputSpec, stem=name)
+    output = section("output", OutputSpec, stem=name)
 
-    cfg = JobConfig(name=name, grid=grid_spec, scaling=scaling, boundary=boundary,
-                    blend=blend, free_field=free, solver=solver, chaos=chaos,
-                    dimension=dimension, output=output)
+    cfg = JobConfig(name=name, grid=grid_spec, scaling=scaling.fields if scaling else (),
+                    boundary=boundary, blend=blend, free_field=free, solver=solver,
+                    chaos=chaos, dimension=dimension, output=output)
     grid_clean = not any(p == "grid" or p.startswith("grid.") for p, _ in err.errors)
     if grid_spec is not None and grid_clean and grid_spec.source != "file":
         try:
@@ -582,40 +562,9 @@ def parse_config(text: str) -> JobConfig:
 
 def config_document(cfg: JobConfig) -> dict:
     """The canonical (complete, ordered) document for a configuration."""
-    grid: dict = {"source": cfg.grid.source}
-    if cfg.grid.source == "inline":
-        grid.update(x_knots=list(cfg.grid.x_knots), y_knots=list(cfg.grid.y_knots),
-                    z_rows=[list(r) for r in cfg.grid.z_rows])
-    elif cfg.grid.source == "file":
-        grid["path"] = cfg.grid.path
-    else:
-        grid["name"] = cfg.grid.fixture
-    fields = [{key: list(value) if isinstance(value, tuple) else value
-               for key in SCALING_KEYS[s.form] if (value := getattr(s, key)) is not None}
-              for s in cfg.scaling]
-    boundary: dict = {"method": cfg.boundary.method}
-    if cfg.boundary.method != "linear":
-        boundary["q"] = [[list(c) for c in curve] for curve in cfg.boundary.q]
-        boundary["r"] = [[list(c) for c in curve] for curve in cfg.boundary.r]
-    blend: dict = {"mode": cfg.blend.mode}
-    if cfg.blend.mode == "explicit":
-        blend["tables"] = [{"cell": list(cell), "coeffs": [list(r) for r in coeffs]}
-                           for cell, coeffs in cfg.blend.tables]
-    free = dataclasses.asdict(cfg.free_field)
-    if free["sup_abs"] is None:
-        del free["sup_abs"]
-    return {
-        "name": cfg.name,
-        "grid": grid,
-        "scaling": {"fields": fields},
-        "boundary": boundary,
-        "blend": blend,
-        "free_field": free,
-        "solver": dataclasses.asdict(cfg.solver),
-        "chaos": dataclasses.asdict(cfg.chaos),
-        "dimension": dataclasses.asdict(cfg.dimension),
-        "output": dataclasses.asdict(cfg.output),
-    }
+    doc = _document(cfg)
+    doc["scaling"] = {"fields": doc["scaling"]}
+    return doc
 
 
 def serialize_config(cfg: JobConfig) -> str:

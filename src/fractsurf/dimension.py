@@ -111,10 +111,6 @@ class DimensionReport:
     def upper_bound(self) -> float:
         return self.bounds.upper if self.bounds is not None else 3.0
 
-    @property
-    def empirical_estimate(self) -> float:
-        return self.estimate.dimension
-
 
 def _axis_uniform(knots: tuple[float, ...]) -> bool:
     diffs = np.diff(knots)

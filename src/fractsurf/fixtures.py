@@ -13,8 +13,12 @@ the schema of :mod:`fractsurf.config`:
 * ``flat2x2`` / ``bilinear2x2`` — zero-scaling smooth baselines on a
   uniform 2x2 partition (flat plane / bilinear patchwork).
 * ``band2x2`` — a fractal configuration on the uniform 2x2 partition
-  whose |s| is a constant 0.9 on plateau fields, making the theoretical
-  dimension band collapse to 1 + log2(3.6).
+  whose fields are 0.9 on a plateau and ramp to 0 within 1/64 of the cell
+  edges.  Its reported band is the point 1 + log2(3.6) ~ 2.848, but that
+  comes from extrema on epsilon-shrunk cells and is not a proven bracket:
+  the spectral radius of the sup-weighted transfer matrix on 256 x 256
+  boxes bounds the dimension above by 2.822, given the fields' Lipschitz
+  constants.
 
 Two deliberately inconsistent variants are also exported for validator
 tests: a third piece for the x = 0.75 column curve that fails to

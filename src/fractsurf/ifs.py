@@ -289,8 +289,8 @@ class OperatorGrid:
         # each cell's first and last node per axis, the knots included
         self._cell_nodes = [(cell, x_starts[cell.i - 1], x_starts[cell.i],
                              y_starts[cell.j - 1], y_starts[cell.j]) for cell in grid.cells()]
-        x_pre = np.empty(resolution)
-        y_pre = np.empty(resolution)
+        # every node's pull-back per axis; on a shared knot line the later cell wins
+        self.x_pre, self.y_pre = x_pre, y_pre = np.empty(resolution), np.empty(resolution)
         for cell, x0, x1, y0, y1 in self._cell_nodes:
             dmap = system.maps[cell]
             x_pre[x0:x1 + 1] = dmap.axis_x.invert(self.x_samples[x0:x1 + 1], tol=1e-9)
@@ -330,7 +330,7 @@ class OperatorGrid:
                 continue
             bx = self.x_samples[rows[sl_x]]
             by = self.y_samples[cols[sl_y]]
-            qx, qy = system.maps[cell].invert((bx, by), tol=1e-9)
+            qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
             s[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
             h[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
             g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])

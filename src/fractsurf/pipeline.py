@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import (CurveNetwork, FreeField, PatchBlend, build_boundary_curves,
                        build_coons_blend, build_free_field, build_Q,
                        load_explicit_blend)
-from .config import JobConfig, grid_errors, realize_grid, serialize_config
+from .config import SCALING_FORMS, JobConfig, grid_errors, realize_grid, serialize_config
 from .dimension import (ColumnExtrema, DimensionReport, dimension_report,
                         dimension_resolution, natural_scales)
 from .errors import ConfigurationError, FractsurfError
@@ -58,19 +58,19 @@ class PipelineResult:
     metric: MetricReport | None = None
 
 
+# each form's builder, looked up by name in this module's globals at call time
+# (so a wrapped module attribute is the one called); its parameters are the form's keys
+_BUILDERS = {"separable-quartic": "build_quartic_field",
+             "polynomial-product": "build_product_field",
+             "expression": "build_expression_field"}
+
+
 def _build_scaling(cfg: JobConfig, grid: DataGrid) -> dict[CellIndex, ScalingField]:
     fields = {}
     for spec in cfg.scaling:
         cell = CellIndex(*spec.cell)
-        rect = grid.cell_rect(cell)
-        if spec.form == "separable-quartic":
-            fields[cell] = build_quartic_field(cell, rect, spec.psi)
-        elif spec.form == "polynomial-product":
-            fields[cell] = build_product_field(
-                cell, rect, spec.psi, exponents=spec.exponents, outer=spec.outer,
-                psi_lipschitz=spec.psi_lipschitz, psi_sup=spec.psi_sup)
-        else:
-            fields[cell] = build_expression_field(cell, rect, spec.expr, spec.lipschitz)
+        keys = {key: getattr(spec, key) for key in SCALING_FORMS[spec.form][2:]}  # after cell, form
+        fields[cell] = globals()[_BUILDERS[spec.form]](cell, grid.cell_rect(cell), **keys)
     return fields
 
 
@@ -95,18 +95,15 @@ def build_system(cfg: JobConfig) -> BuiltJob:
     if errors:
         raise ConfigurationError(errors)
     maps = build_domain_maps(grid)
-    if cfg.boundary.method == "linear":
-        curves = build_boundary_curves(grid, method="linear")
-    else:
-        curves = build_boundary_curves(grid, method=cfg.boundary.method,
-                                       q_coeffs=cfg.boundary.q, r_coeffs=cfg.boundary.r)
+    curves = build_boundary_curves(grid, method=cfg.boundary.method,
+                                   q_coeffs=cfg.boundary.q, r_coeffs=cfg.boundary.r)
     scalings = _build_scaling(cfg, grid)
     blends: dict[CellIndex, PatchBlend] = {}
     if cfg.blend.mode == "coons":
         for cell in grid.cells():
             blends[cell] = build_coons_blend(grid, curves, cell)
     else:
-        tables = {CellIndex(*cell): coeffs for cell, coeffs in cfg.blend.tables}
+        tables = {CellIndex(*table.cell): table.coeffs for table in cfg.blend.tables}
         for cell in grid.cells():
             blends[cell] = load_explicit_blend(grid, curves, cell, tables[cell])
     free = build_free_field(grid.rect, cfg.free_field.expr, cfg.free_field.lipschitz,

@@ -23,7 +23,13 @@ def live_children() -> set[int]:
     """
     listings = glob.glob("/proc/self/task/*/children")
     if listings:
-        return {int(pid) for listing in listings for pid in Path(listing).read_text().split()}
+        pids = set()
+        for listing in listings:
+            try:
+                pids.update(int(pid) for pid in Path(listing).read_text().split())
+            except FileNotFoundError:  # the thread exited after the glob
+                pass
+        return pids
     # not imported means no multiprocessing child was ever started
     mp = sys.modules.get("multiprocessing")
     return {p.pid for p in mp.active_children()} if mp else set()

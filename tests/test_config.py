@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -480,6 +481,17 @@ def test_dimension_epsilon_must_fit_inside_a_cell(eps):
     assert "dimension.epsilon" in error_paths(excinfo)
 
 
+@pytest.mark.parametrize("depth", [18, 2 ** 64])
+def test_a_depth_too_deep_for_the_explicit_resolution_is_located(depth):
+    doc = fixture_config("band2x2")  # 2x2 cells, dimension.resolution 4097
+    doc["dimension"]["depth"] = depth
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [
+        ("dimension.resolution", "scale 0.00048828125 too fine for resolution 4097: only 2 "
+                                 "sample intervals per box edge, need at least 4")]
+
+
 def test_dimension_resolution_alignment_is_checked():
     for name, resolution, message in (("example2a", 100, "knot-aligned"),
                                       ("flat2x2", 5, "at least 9")):
@@ -510,3 +522,227 @@ def test_config_objects_are_immutable():
     cfg = parse_fixture("flat2x2")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.name = "other"
+
+
+# --- variant sections: one bad value per key ------------------------------------
+
+
+PRODUCT = {"cell": [1, 1], "form": "polynomial-product", "psi": 2.0, "exponents": [1, 2, 2, 1],
+           "outer": "tanh", "psi_lipschitz": 0.0, "psi_sup": 2.0}
+EXPRESSION = {"cell": [1, 1], "form": "expression", "expr": "0*x", "lipschitz": 0.0}
+FIXTURE_LIST = "band2x2, bilinear2x2, example2a, example2a-explicit, example2b-sin, flat2x2"
+
+
+def variant_document(variant):
+    """A valid document that uses ``variant`` of one of the sections with variants."""
+    name = {"quadratic": "example2a", "pieces": "example2a",
+            "explicit": "example2a-explicit"}.get(variant, "flat2x2")
+    doc = fixture_config(name)
+    if variant == "file":
+        doc["grid"] = {"source": "file", "path": "grid.txt"}
+    elif variant == "fixture":
+        doc["grid"] = {"source": "fixture", "name": "flat2x2"}
+    elif variant == "product":
+        doc["scaling"]["fields"][0] = dict(PRODUCT)
+    elif variant == "bare-product":  # defaults filled in, no optional bounds
+        doc["scaling"]["fields"][0] = {"cell": [1, 1], "form": "polynomial-product", "psi": 2}
+    elif variant == "expression":
+        doc["scaling"]["fields"][0] = dict(EXPRESSION)
+    elif variant == "pieces":
+        doc["boundary"]["method"] = "pieces"
+    return doc
+
+
+def set_at(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+MISSING_CELL = ("scaling.fields", "missing scaling specs for cells [[1, 1]]")
+MISSING_TABLE = ("blend.tables", "missing blend tables for cells [[1, 1]]")
+F0 = ("scaling", "fields", 0)
+T0 = ("blend", "tables", 0)
+
+VARIANT_KEY_ERRORS = [
+    # grid: inline / file / fixture
+    ("inline", ("grid", "source"), "database",
+     [("grid.source", "must be one of inline/file/fixture, got 'database'")]),
+    ("inline", ("grid", "source"), 5, [("grid.source", "must be one of inline/file/fixture, got 5")]),
+    ("inline", ("grid", "x_knots"), "0 1",
+     [("grid.x_knots", "expected a non-empty list of numbers")]),
+    ("inline", ("grid", "x_knots"), [0.0, "a", 1.0],
+     [("grid.x_knots[1]", "expected a number, got 'a'")]),
+    ("inline", ("grid", "x_knots"), [0.0, 0.5, 0.5],
+     [("grid.x_knots", "knots must be strictly increasing")]),
+    ("inline", ("grid", "y_knots"), [], [("grid.y_knots", "expected a non-empty list of numbers")]),
+    ("inline", ("grid", "y_knots"), [1.0, 0.5, 0.0],
+     [("grid.y_knots", "knots must be strictly increasing")]),
+    ("inline", ("grid", "z_rows"), [[0.0, 0.0, 0.0]] * 2,
+     [("grid.z_rows", "need 3 rows of 3 heights for these knots")]),
+    ("inline", ("grid", "z_rows"), [[0.0, 0.0, 0.0]] * 2 + [[0.0, 0.0]],
+     [("grid.z_rows", "need 3 rows of 3 heights for these knots")]),
+    ("inline", ("grid", "z_rows"), {}, [("grid.z_rows", "expected a list of height rows "
+                                                       "(one per y knot)")]),
+    ("inline", ("grid", "z_rows", 1), [0.0, None, 0.0],
+     [("grid.z_rows[1][1]", "expected a number, got None")]),
+    ("inline", ("grid", "path"), "grid.txt", [("grid.path", "unknown key")]),
+    ("file", ("grid", "path"), "", [("grid.path", "expected a file path string")]),
+    ("file", ("grid", "path"), ["grid.txt"], [("grid.path", "expected a file path string")]),
+    ("file", ("grid", "x_knots"), [0.0, 1.0], [("grid.x_knots", "unknown key")]),
+    ("fixture", ("grid", "name"), "nonesuch",
+     [("grid.name", f"unknown fixture 'nonesuch'; available: {FIXTURE_LIST}")]),
+    ("fixture", ("grid", "name"), [1], [("grid.name", f"unknown fixture [1]; available: "
+                                                      f"{FIXTURE_LIST}")]),
+    ("fixture", ("grid", "path"), "grid.txt", [("grid.path", "unknown key")]),
+    ("inline", ("grid",), [], [("grid", "expected an object")]),
+    # scaling: the section, then separable-quartic / polynomial-product / expression entries
+    ("quartic", ("scaling",), 5, [("scaling", "expected an object")]),
+    ("quartic", ("scaling", "weights"), [], [("scaling.weights", "unknown key")]),
+    ("quartic", ("scaling", "fields"), [],
+     [("scaling.fields", "expected a non-empty list of field specs")]),
+    ("quartic", F0, "psi", [("scaling.fields[0]", "expected an object"), MISSING_CELL]),
+    ("quartic", F0 + ("cell",), [1], [("scaling.fields[0].cell", "expected a cell index pair "
+                                                                 "[i, j], got [1]"), MISSING_CELL]),
+    ("quartic", F0 + ("cell",), [1, True],
+     [("scaling.fields[0].cell", "expected a cell index pair [i, j], got [1, True]"),
+      MISSING_CELL]),
+    ("quartic", F0 + ("cell",), [1, 2],
+     [("scaling.fields[1].cell", "duplicate scaling spec for cell [1, 2]"), MISSING_CELL]),
+    ("quartic", F0 + ("form",), "wavelet",
+     [("scaling.fields[0].form", "must be one of separable-quartic/polynomial-product/"
+                                 "expression, got 'wavelet'"), MISSING_CELL]),
+    ("quartic", F0 + ("psi",), True,
+     [("scaling.fields[0].psi", "expected a number, got True"), MISSING_CELL]),
+    ("quartic", F0 + ("psi",), "1 + x",
+     [("scaling.fields[0].psi", "expected a number, got '1 + x'"), MISSING_CELL]),
+    ("quartic", F0 + ("psi",), 10 ** 400, [("scaling.fields[0].psi", "must be finite"),
+                                           MISSING_CELL]),
+    ("quartic", F0 + ("expr",), "x", [("scaling.fields[0].expr", "unknown key")]),
+    ("product", F0 + ("psi",), [2.0], [("scaling.fields[0].psi", "expected a number, got [2.0]"),
+                                       MISSING_CELL]),
+    ("product", F0 + ("psi",), "foo(x)",
+     [("scaling.fields[0].psi", "only whitelisted calls allowed in expression 'foo(x)'"),
+      MISSING_CELL]),
+    ("product", F0 + ("psi_lipschitz",), -1,
+     [("scaling.fields[0].psi_lipschitz", "must be >= 0.0, got -1")]),
+    ("product", F0 + ("psi_sup",), "a", [("scaling.fields[0].psi_sup", "expected a number, "
+                                                                       "got 'a'")]),
+    ("product", F0 + ("exponents",), [1, 1, 1, 0.5],
+     [("scaling.fields[0].exponents", "must be >= 1 to keep the Lipschitz certification "
+                                      "sound, got [1.0, 1.0, 1.0, 0.5]")]),
+    ("product", F0 + ("outer",), "sigmoid",
+     [("scaling.fields[0].outer", "must be one of identity/tanh/atan, got 'sigmoid'")]),
+    ("product", F0 + ("expr",), "x", [("scaling.fields[0].expr", "unknown key")]),
+    ("expression", F0 + ("expr",), "x **",
+     [("scaling.fields[0].expr", "cannot parse expression 'x **': invalid syntax "
+                                 "(<unknown>, line 1)"), MISSING_CELL]),
+    ("expression", F0 + ("expr",), 5, [("scaling.fields[0].expr", "expected an expression "
+                                                                  "string"), MISSING_CELL]),
+    ("expression", F0 + ("lipschitz",), -1,
+     [("scaling.fields[0].lipschitz", "must be >= 0.0, got -1"), MISSING_CELL]),
+    ("expression", F0 + ("lipschitz",), None,
+     [("scaling.fields[0].lipschitz", "expected a number, got None"), MISSING_CELL]),
+    ("expression", F0 + ("psi",), 1.0, [("scaling.fields[0].psi", "unknown key")]),
+    # boundary: linear / quadratic / pieces
+    ("linear", ("boundary",), "linear", [("boundary", "expected an object")]),
+    ("linear", ("boundary", "method"), "spline",
+     [("boundary.method", "must be one of linear/quadratic/pieces, got 'spline'")]),
+    ("linear", ("boundary", "q"), [], [("boundary.q", "unknown key")]),
+    ("quadratic", ("boundary", "q", 0), 5,
+     [("boundary.q[0]", "expected a list of coefficient lists")]),
+    ("quadratic", ("boundary", "q", 1, 2), [0.2, "a"],
+     [("boundary.q[1][2][1]", "expected a number, got 'a'")]),
+    ("quadratic", ("boundary", "r", 0, 0), [0.3, 3.2, 0.0, 1.0],
+     [("boundary.r[0]", "quadratic method allows degree <= 2 pieces only")]),
+    ("quadratic", ("boundary", "smooth"), True, [("boundary.smooth", "unknown key")]),
+    ("pieces", ("boundary", "r", 2), [], [("boundary.r[2]", "expected a list of coefficient "
+                                                            "lists")]),
+    ("pieces", ("boundary", "q", 4, 0), [4.5, math.inf],
+     [("boundary.q[4][0][1]", "must be finite")]),
+    # blend: coons / explicit
+    ("coons", ("blend",), None, [("blend", "expected an object")]),
+    ("coons", ("blend", "mode"), "bicubic",
+     [("blend.mode", "must be one of coons/explicit, got 'bicubic'")]),
+    ("coons", ("blend", "tables"), [], [("blend.tables", "unknown key")]),
+    ("explicit", ("blend", "tables"), {},
+     [("blend.tables", "explicit mode requires a list of cell tables")]),
+    ("explicit", T0, [1, 1], [("blend.tables[0]", "expected an object"), MISSING_TABLE]),
+    ("explicit", T0 + ("cell",), "11",
+     [("blend.tables[0].cell", "expected a cell index pair [i, j], got '11'"), MISSING_TABLE]),
+    ("explicit", T0 + ("cell",), [1, 2],
+     [("blend.tables[1].cell", "duplicate blend table for cell [1, 2]"), MISSING_TABLE]),
+    ("explicit", T0 + ("coeffs",), [[0.3, "a"]],
+     [("blend.tables[0].coeffs[0][1]", "expected a number, got 'a'"), MISSING_TABLE]),
+    ("explicit", T0 + ("coeffs",), [], [("blend.tables[0].coeffs", "expected a list of "
+                                                                   "coefficient lists"),
+                                        MISSING_TABLE]),
+    ("explicit", T0 + ("weight",), 1.0, [("blend.tables[0].weight", "unknown key")]),
+]
+
+
+@pytest.mark.parametrize("variant", ["inline", "file", "fixture", "quartic", "product",
+                                     "bare-product", "expression", "linear", "quadratic", "pieces", "coons",
+                                     "explicit"])
+def test_variant_documents_parse(variant):
+    parse_config_document(variant_document(variant))
+
+
+@pytest.mark.parametrize("variant, path, value, errors", VARIANT_KEY_ERRORS)
+def test_variant_key_errors_are_exact(variant, path, value, errors):
+    doc = variant_document(variant)
+    set_at(doc, path, value)
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == errors
+
+
+# sha256 of serialize_config: the bytes of the canonical document are part of the schema
+SERIALIZED_DIGESTS = {
+    "band2x2": "376cc33d678499a3e5c6ece88d4ad0bd8b1c4ad36b50c153e389e0d684838b27",
+    "bilinear2x2": "80871fde12b6cae192ff9e884b46d1d134333f57d8ee143621e734f11894122e",
+    "example2a": "785cc4e582b8647347c0228345dc94a2ffbc7d45d6ac9b08b99d02c41f8a13ec",
+    "example2a-explicit": "bdef3c06f2d68f5c739522cbe74d259c38084292b33358650a93cb08542ad349",
+    "example2b-sin": "fdc1e4defdcc3ee2f5bb4766aa7d65e5504342d48a8ca71f3394b26069aa0785",
+    "flat2x2": "155902b1aef451d428e87d6f11b2398d2902b375213ec5a286b4167dc08bf535",
+    "file": "1619f1ef812b86b945d4d01c0bdd3c2b14de292d24d4401222644674586b2674",
+    "fixture": "c828760ba2f7d34ddde93fb9a6fe208988c515be70865683942f3610e4260d6f",
+    "product": "942ca44933805372cb6bdf322259b105fd15b5ec1f9b7f06aa933559371c5440",
+    "bare-product": "70d6673eec8a8d8223b2be62e0395009e606f53b8ee3eedf21b0abf6b47d65c3",
+    "expression": "efdebedc380d46e400b9259f43a885ef94b45b3f446b7365831f6e650e2192c4",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SERIALIZED_DIGESTS))
+def test_serialized_bytes_are_pinned(variant):
+    doc = fixture_config(variant) if variant in fixture_names() else variant_document(variant)
+    text = serialize_config(parse_config_document(doc))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERIALIZED_DIGESTS[variant]
+
+
+MUTATION_POOL = (None, True, 0, -1, 2.5, 10 ** 400, 2 ** 64, math.inf, math.nan, "", "x",
+                 "nonesuch", "linear", "explicit", "expression", [], [1], [1, 1], [[0.5]],
+                 {}, {"cell": [1, 1]})
+
+
+def key_paths(doc, prefix=()):
+    """The path of every value inside ``doc``: object keys and list positions."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+@given(data=st.data(), name=st.sampled_from(fixture_names()),
+       value=st.sampled_from(MUTATION_POOL))
+def test_one_mutated_key_parses_or_raises_a_configuration_error(data, name, value):
+    doc = fixture_config(name)
+    path = data.draw(st.sampled_from(sorted(key_paths(doc), key=repr)))
+    set_at(doc, path, value)
+    try:
+        cfg = parse_config_document(doc)
+    except ConfigurationError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg

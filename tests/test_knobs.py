@@ -17,9 +17,13 @@ CALLERS = (ROOT / "src", ROOT / "scripts")
 
 # (function, parameter) -> why no call in src/ or scripts/ sets it
 ALLOWED = {
+    ("_number", "minimum"): "passed through the _key(...) metadata of the *Spec fields",
     ("_number", "strict_min"): "passed through the _key(...) metadata of the *Spec fields",
     ("_number", "integer"): "passed through the _key(...) metadata of the *Spec fields",
     ("_number", "bits"): "passed through the _key(...) metadata of the *Spec fields",
+    **{("build_product_field", key): "a key of the polynomial-product form: the pipeline "
+                                     "passes each form's keys by ** from the config table"
+       for key in ("exponents", "outer", "psi_lipschitz", "psi_sup")},
     ("certify_metric", "theta"): "tests set theta outside the admissible interval to "
                                  "show that the sampled check can fail",
     ("certify_metric", "seed"): "tests draw other pairs than the pipeline's seed 0",
