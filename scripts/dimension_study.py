@@ -46,8 +46,7 @@ def main() -> None:
 
     hyp = check_hypotheses(job.grid)
     if hyp.applicable:
-        bounds = bounds_from_fields(job.grid, job.system.scalings,
-                                    epsilon=cfg.dimension.epsilon)
+        bounds = bounds_from_fields(job.grid, job.system.scalings)
         print(f"theoretical band: [{bounds.lower:.6f}, {bounds.upper:.6f}] "
               f"({bounds.case})")
     else:

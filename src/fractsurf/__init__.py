@@ -13,8 +13,8 @@ from .config import (JobConfig, parse_config, parse_config_document, realize_gri
 from .dimension import (DimensionBounds, DimensionEstimate, DimensionReport,
                         HypothesisReport, alignment_base, bounds_from_fields,
                         box_count_points, box_counts, check_hypotheses,
-                        default_epsilon, dimension_report, dimension_resolution,
-                        estimate_dimension, natural_scales, theoretical_bounds)
+                        dimension_report, dimension_resolution, estimate_dimension,
+                        natural_scales)
 from .errors import (BlendCompatibilityError, BlendValidationError,
                      ConfigurationError, ConvergenceError, CurveValidationError,
                      FractsurfError, InvalidGridError, MagnitudeError,
@@ -26,9 +26,8 @@ from .ifs import (ContractionCertificate, IfsSystem, MetricReport, OperatorGrid,
                   SurfaceSample, assemble_ifs, certify_metric, chaos_game, eval_F,
                   solve_fixed_point)
 from .pipeline import BuiltJob, PipelineResult, build_system, run_pipeline
-from .scaling import (InteriorExtrema, MagnitudeCertificate, ScalingField,
-                      build_expression_field, build_product_field,
-                      build_quartic_field, certify_magnitude, interior_extrema)
+from .scaling import (MagnitudeCertificate, ScalingField, build_expression_field,
+                      build_product_field, build_quartic_field, certify_magnitude)
 
 __version__ = "0.1.0"
 

@@ -153,12 +153,28 @@ def _fixture(err: _Collector, path: str, value) -> str | None:
     return value
 
 
+def _cell_text(cell) -> str:
+    """``[i, j]``, with an index wider than 64 bits written as its width, to keep messages short."""
+    return "[" + ", ".join(str(v) if v.bit_length() <= 64 else f"<{v.bit_length()}-bit integer>"
+                           for v in cell) + "]"
+
+
 def _cell(err: _Collector, path: str, value) -> tuple[int, int] | None:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
         err.add(path, f"expected a cell index pair [i, j], got {value!r}")
         return None
+    if min(value) < 1:
+        err.add(path, f"cell indices start at 1, got {_cell_text(value)}")
+        return None
     return int(value[0]), int(value[1])
+
+
+def _retired(message: str):
+    """A check for a key kept only so that documents spelling it as null still parse."""
+    def check(err: _Collector, path: str, value) -> None:
+        err.add(path, message)
+    return check
 
 
 def _list_of(item, message: str):
@@ -223,7 +239,7 @@ def _records(spec, message: str, duplicate: str):
         for k, entry in enumerate(value):
             record = _parse(err, f"{path}[{k}]", entry, spec)
             if record is not None and record.cell in seen:
-                err.add(f"{path}[{k}].cell", f"{duplicate} for cell {list(record.cell)}")
+                err.add(f"{path}[{k}].cell", f"{duplicate} for cell {_cell_text(record.cell)}")
             elif record is not None:
                 seen.add(record.cell)
                 out.append(record)
@@ -353,7 +369,8 @@ class ChaosSpec:
 @dataclass(frozen=True)
 class DimensionSpec:
     depth: int = _key(4, integer=True, minimum=1)
-    epsilon: float | None = _key(None, strict_min=0.0)
+    epsilon: None = _key(None, _retired("retired: the dimension band no longer shrinks cells, "
+                                        "so only null is accepted"), omit_null=True)
     resolution: int | None = _key(None, integer=True, minimum=5)
 
 
@@ -453,16 +470,16 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     match the grid, ``solver.resolution`` and ``dimension.resolution`` on
     the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), an
     explicit ``dimension.resolution`` also fine enough for every scale down
-    to ``dimension.depth`` (:func:`~fractsurf.dimension.box_layout`), and
-    ``dimension.epsilon`` inside half the narrowest cell.  Sections and
-    keys that failed to parse (``None``) are skipped.
+    to ``dimension.depth`` (:func:`~fractsurf.dimension.box_layout`).
+    Sections and keys that failed to parse (``None``) are skipped.
     """
     err = _Collector()
     cells = {(c.i, c.j) for c in grid.cells()}
     if cfg.scaling:
         got = {s.cell for s in cfg.scaling}
         for cell in sorted(got - cells):
-            err.add("scaling.fields", f"cell {list(cell)} is outside the {grid.n}x{grid.m} grid")
+            err.add("scaling.fields",
+                    f"cell {_cell_text(cell)} is outside the {grid.n}x{grid.m} grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
             err.add("scaling.fields",
@@ -483,7 +500,7 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     if blend is not None and blend.mode == "explicit" and blend.tables:
         got = {table.cell for table in blend.tables}
         for cell in sorted(got - cells):
-            err.add("blend.tables", f"cell {list(cell)} is outside the grid")
+            err.add("blend.tables", f"cell {_cell_text(cell)} is outside the grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
             err.add("blend.tables",
@@ -501,13 +518,6 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
                         box_layout(resolution, (grid.x_span, grid.y_span), delta)
             except FractsurfError as exc:
                 err.add(path, str(exc))
-    eps = cfg.dimension.epsilon
-    if eps is not None:
-        half = min(min(b - a for a, b in zip(grid.x_knots, grid.x_knots[1:])),
-                   min(b - a for a, b in zip(grid.y_knots, grid.y_knots[1:]))) / 2
-        if not (0 < eps < half):
-            err.add("dimension.epsilon",
-                    f"must sit in (0, {half!r}) for this grid, got {eps!r}")
     return err.errors
 
 

@@ -1,21 +1,16 @@
-"""Box-counting dimension: theoretical bounds and empirical estimates.
+"""Box-counting dimension: a certified band and an empirical estimate.
 
-For an n-by-n grid with uniform knot spacing, the sums of the per-cell
-interior extrema of |s| decide the dimension of the attractor graph:
+On an n-by-n grid with uniform knot spacing, the paper bounds the dimension
+of the attractor graph by ``1 + log_n sum_c min|s_c|`` below and
+``1 + log_n sum_c max|s_c|`` above.  Every scaling field here is certified
+to vanish on its cell edges, so ``min|s_c| = 0`` and the lower sum never
+bounds anything: the lower end is the trivial 2 of a continuous surface
+graph.  The upper sum is read off the certificates the fields already
+carry, ``sum_c sup_bound_c``:
 
-* ``sum(s_upper) <= n``  -> the graph has box-counting dimension exactly 2;
-* ``sum(s_lower) > n``   -> ``1 + log_n sum(s_lower) <= dim <= 1 + log_n sum(s_upper)``,
-  provided the data bend along some interior knot line (a straight surface
-  can be flat no matter how large the scalings are);
-* the sums straddling ``n`` admits no exact statement — the lower bound
-  falls back to the trivial 2 of a continuous surface graph and the case
-  is flagged.
-
-Extrema are taken over cells shrunk by ``epsilon`` on every side.  The
-fields vanish on the cell edges, so the infimum over the full open cell is
-always 0 for continuous fields and the lower sum would never exceed ``n``;
-the shrink margin is therefore a reported parameter of every bound, along
-with the (collapsing) zero limit.
+* ``sum <= n`` -> the graph has box-counting dimension exactly 2;
+* ``sum > n``  -> ``2 <= dim <= 1 + log_n sum``, which stays below 3
+  because every ``sup_bound < 1``.
 
 The empirical side counts axis-aligned cubes of side ``delta`` touched by
 the sampled graph using the column trick: a ``delta`` x ``delta`` base
@@ -40,12 +35,11 @@ import numpy as np
 from .errors import FractsurfError, ScaleResolutionError
 from .grid import CellIndex, DataGrid, alignment_base, min_resolution
 from .ifs import SurfaceSample, fold_rows
-from .scaling import ScalingField, interior_extrema
+from .scaling import ScalingField
 
 UNIFORM_TOL = 1e-12
 COLLINEAR_TOL = 1e-10
 MIN_SAMPLES_PER_BOX = 4
-EPSILON_CELL_FRACTION = 64  # default shrink = cell width / 64
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,8 @@ class HypothesisReport:
 class DimensionBounds:
     lower: float
     upper: float
-    case: str            # "exactly-two" | "bounds" | "inapplicable"
-    gap: bool            # extrema sums straddle the grid order
-    sum_lower: float
-    sum_upper: float
-    epsilon: float
+    case: str            # "exactly-two" | "bounds"
+    sum_upper: float     # sum over the cells of the certified sup|s|
     notes: tuple[str, ...]
 
 
@@ -95,22 +86,6 @@ class DimensionReport:
     resolution: int
     annotation: str
 
-    @property
-    def applicable(self) -> bool:
-        return self.bounds is not None
-
-    @property
-    def case(self) -> str:
-        return self.bounds.case if self.bounds is not None else "inapplicable"
-
-    @property
-    def lower_bound(self) -> float:
-        return self.bounds.lower if self.bounds is not None else 2.0
-
-    @property
-    def upper_bound(self) -> float:
-        return self.bounds.upper if self.bounds is not None else 3.0
-
 
 def _axis_uniform(knots: tuple[float, ...]) -> bool:
     diffs = np.diff(knots)
@@ -130,11 +105,13 @@ def _line_deviation(t: np.ndarray, z: np.ndarray) -> float:
 def check_hypotheses(grid: DataGrid) -> HypothesisReport:
     """Structural requirements: square uniform grid, a bent interior line.
 
-    The witness is the first interior knot line (constant x first, then
-    constant y) whose data points deviate from their chord by more than
-    ``COLLINEAR_TOL``.  ``None`` when every interior line is straight — in
-    that case only the trivial lower bound 2 survives in the bounds case.
-    Inapplicability is reported, never raised.
+    The band needs a square uniform grid.  The witness is the first
+    interior knot line (constant x first, then constant y) whose data
+    points deviate from their chord by more than ``COLLINEAR_TOL``, or
+    ``None`` when every interior line is straight.  A bent line is the
+    paper's hypothesis for a lower bound above 2; the band's lower end is
+    2 on every grid (see :func:`bounds_from_fields`), so the witness is
+    reported, not used.  Inapplicability is reported, never raised.
     """
     reasons = []
     square = grid.n == grid.m
@@ -164,100 +141,29 @@ def check_hypotheses(grid: DataGrid) -> HypothesisReport:
                             witness=witness, reasons=tuple(reasons))
 
 
-def default_epsilon(grid: DataGrid) -> float:
-    """Default shrink margin: 1/64 of the smallest cell width."""
-    wx = min(np.diff(grid.x_knots))
-    wy = min(np.diff(grid.y_knots))
-    return float(min(wx, wy) / EPSILON_CELL_FRACTION)
-
-
-def theoretical_bounds(s_upper, s_lower, n: int, epsilon: float,
-                       bent_witness: bool = True,
-                       extra_notes: Sequence[str] = ()) -> DimensionBounds:
-    """Dimension bounds from n x n matrices of certified |s| extrema.
-
-    ``s_upper`` / ``s_lower`` hold the max / min of |s| over the
-    epsilon-shrunk open cells; ``epsilon`` is carried into the report.
-    ``bent_witness`` records whether some interior knot line has
-    non-collinear data — without it the nontrivial lower bound is dropped.
-    Non-square matrices yield the trivial [2, 3] enclosure with case
-    "inapplicable" rather than an error.
-    """
-    s_upper = np.asarray(s_upper, dtype=float)
-    s_lower = np.asarray(s_lower, dtype=float)
-    notes = list(extra_notes)
-    if s_upper.shape != (n, n) or s_lower.shape != (n, n):
-        notes.append(f"extrema matrices are {s_upper.shape} and {s_lower.shape}, "
-                     f"not {n}x{n}: only the trivial enclosure holds")
-        return DimensionBounds(lower=2.0, upper=3.0, case="inapplicable", gap=False,
-                               sum_lower=float(s_lower.sum()), sum_upper=float(s_upper.sum()),
-                               epsilon=float(epsilon), notes=tuple(notes))
-    sum_lower = float(s_lower.sum())
-    sum_upper = float(s_upper.sum())
-    log_n = math.log(n)
-    gap = False
-    if sum_upper <= n:
-        lower = upper = 2.0
-        case = "exactly-two"
-    elif sum_lower > n:
-        case = "bounds"
-        upper = min(1.0 + math.log(sum_upper) / log_n, 3.0)
-        if bent_witness:
-            lower = 1.0 + math.log(sum_lower) / log_n
-        else:
-            lower = 2.0
-            notes.append("data are collinear along every interior knot line: "
-                         "lower bound weakened to the trivial 2")
-    else:
-        case = "bounds"
-        gap = True
-        lower = 2.0
-        upper = min(1.0 + math.log(sum_upper) / log_n, 3.0)
-        notes.append(
-            f"extrema sums straddle the grid order ({sum_lower:.6g} <= {n} < "
-            f"{sum_upper:.6g}): no exact statement available for this gap case, "
-            "lower bound is the trivial surface bound 2")
-    return DimensionBounds(lower=lower, upper=upper, case=case, gap=gap,
-                           sum_lower=sum_lower, sum_upper=sum_upper,
-                           epsilon=float(epsilon), notes=tuple(notes))
-
-
-def bounds_from_fields(grid: DataGrid, scalings: Mapping[CellIndex, ScalingField],
-                       epsilon: float | None = None) -> DimensionBounds:
-    """Compute the extrema matrices on the epsilon-shrunk cells and bound.
+def bounds_from_fields(grid: DataGrid,
+                       scalings: Mapping[CellIndex, ScalingField]) -> DimensionBounds:
+    """The band from the fields' certified sups: exactly 2, or ``[2, 1 + log_n sum]``.
 
     Requires a square uniform grid (raises otherwise — use
-    :func:`check_hypotheses` to branch).  The notes record the collapsing
-    zero limit of the lower extrema for boundary-vanishing fields: the
-    reported lower sum is an epsilon-shrunk quantity, not a limit.
+    :func:`check_hypotheses` to branch).  Nothing is sampled here: each
+    ``sup_bound`` is the certificate the field was built with.
     """
     hyp = check_hypotheses(grid)
     if not hyp.applicable:
         raise FractsurfError(
             "dimension bounds need a square uniform grid: " + "; ".join(
                 r for r in hyp.reasons if "collinear" not in r))
-    if epsilon is None:
-        epsilon = default_epsilon(grid)
     n = grid.n
-    s_upper = np.zeros((n, n))
-    s_lower = np.zeros((n, n))
-    notes: list[str] = []
-    all_vanishing = True
-    for cell in grid.cells():
-        ext = interior_extrema(scalings[cell], epsilon)
-        s_upper[cell.i - 1, cell.j - 1] = ext.s_max
-        s_lower[cell.i - 1, cell.j - 1] = ext.s_min
-        all_vanishing = all_vanishing and ext.boundary_vanishing
-        if not ext.boundary_vanishing:
-            notes.append(f"field on cell ({cell.i},{cell.j}) does not vanish on its edges")
-    if all_vanishing and float(s_lower.sum()) > 0:
-        notes.append(
-            f"lower extrema taken on cells shrunk by epsilon = {epsilon!r}; the "
-            "fields vanish on cell edges, so these minima collapse to 0 as "
-            "epsilon -> 0 (limit lower sum 0, gap case)")
-    return theoretical_bounds(s_upper, s_lower, n, epsilon,
-                              bent_witness=hyp.witness is not None,
-                              extra_notes=notes)
+    sum_upper = sum(scalings[cell].sup_bound for cell in grid.cells())
+    if sum_upper <= n:
+        return DimensionBounds(lower=2.0, upper=2.0, case="exactly-two",
+                               sum_upper=sum_upper, notes=())
+    return DimensionBounds(
+        lower=2.0, upper=1.0 + math.log(sum_upper) / math.log(n), case="bounds",
+        sum_upper=sum_upper,
+        notes=("every field vanishes on its cell edges, so min|s| = 0 and the lower "
+               "bound is the trivial 2 of a continuous surface graph",))
 
 
 def natural_scales(grid: DataGrid, depth: int) -> list[float]:
@@ -461,14 +367,13 @@ def estimate_dimension(deltas: Sequence[float], counts: Sequence[int]) -> Dimens
 
 
 def dimension_report(grid: DataGrid, scalings: Mapping[CellIndex, ScalingField],
-                     surface: SurfaceSample, depth: int,
-                     epsilon: float | None = None) -> DimensionReport:
+                     surface: SurfaceSample, depth: int) -> DimensionReport:
     """Full dimension analysis: hypotheses, bounds where they apply, and the
     empirical estimate from the natural scale ladder."""
     hyp = check_hypotheses(grid)
     bounds = None
     if hyp.applicable:
-        bounds = bounds_from_fields(grid, scalings, epsilon=epsilon)
+        bounds = bounds_from_fields(grid, scalings)
         annotation = "theoretical band available"
     else:
         annotation = ("empirical estimate only, no theoretical band: " + "; ".join(

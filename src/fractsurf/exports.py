@@ -162,10 +162,7 @@ def dimension_report_text(report: DimensionReport) -> str:
     if report.bounds is not None:
         b = report.bounds
         put("case", b.case)
-        put("gap", b.gap)
-        put("sum_lower", b.sum_lower)
         put("sum_upper", b.sum_upper)
-        put("epsilon", b.epsilon)
         put("lower_bound", b.lower)
         put("upper_bound", b.upper)
         for k, note in enumerate(b.notes):

@@ -14,11 +14,11 @@ the schema of :mod:`fractsurf.config`:
   uniform 2x2 partition (flat plane / bilinear patchwork).
 * ``band2x2`` — a fractal configuration on the uniform 2x2 partition
   whose fields are 0.9 on a plateau and ramp to 0 within 1/64 of the cell
-  edges.  Its reported band is the point 1 + log2(3.6) ~ 2.848, but that
-  comes from extrema on epsilon-shrunk cells and is not a proven bracket:
-  the spectral radius of the sup-weighted transfer matrix on 256 x 256
-  boxes bounds the dimension above by 2.822, given the fields' Lipschitz
-  constants.
+  edges.  Its reported band is [2, 1 + log2(sum of the four certified
+  sups)] ~ [2, 2.936]: each sampled certificate pads the plateau's 0.9 by
+  its Lipschitz slack.  The spectral radius of the sup-weighted transfer
+  matrix on 256 x 256 boxes bounds the dimension above by 2.822, given the
+  fields' Lipschitz constants; the box-count estimate is 2.737.
 
 Two deliberately inconsistent variants are also exported for validator
 tests: a third piece for the x = 0.75 column curve that fails to
@@ -136,7 +136,7 @@ def _example2_config(psi_by_cell, free_field, blend) -> dict:
         "free_field": dict(free_field),
         "solver": {"resolution": 769, "tol": 1e-6, "max_iter": 10000},
         "chaos": {"points": 100000, "seed": 2026, "burn_in": 100},
-        "dimension": {"depth": 4, "epsilon": None, "resolution": None},
+        "dimension": {"depth": 4, "resolution": None},
         "output": {"directory": None, "stem": "example2a"},
     }
 
@@ -166,7 +166,7 @@ def _fixture_example2a_explicit() -> dict:
 
 
 def _square2x2(name: str, z_rows, scaling_fields, solver_resolution: int,
-               tol: float, depth: int, epsilon, dim_resolution) -> dict:
+               tol: float, depth: int, dim_resolution) -> dict:
     return {
         "name": name,
         "grid": {
@@ -181,7 +181,7 @@ def _square2x2(name: str, z_rows, scaling_fields, solver_resolution: int,
         "free_field": {"expr": "0", "lipschitz": 0.0, "sup_abs": 0.0},
         "solver": {"resolution": solver_resolution, "tol": tol, "max_iter": 10000},
         "chaos": {"points": 100000, "seed": 2026, "burn_in": 100},
-        "dimension": {"depth": depth, "epsilon": epsilon, "resolution": dim_resolution},
+        "dimension": {"depth": depth, "resolution": dim_resolution},
         "output": {"directory": None, "stem": name},
     }
 
@@ -190,8 +190,7 @@ def _fixture_flat2x2() -> dict:
     fields = [{"cell": [i, j], "form": "separable-quartic", "psi": 0.0}
               for i in (1, 2) for j in (1, 2)]
     return _square2x2("flat2x2", [[0.7] * 3] * 3, fields,
-                      solver_resolution=257, tol=1e-6, depth=5,
-                      epsilon=None, dim_resolution=257)
+                      solver_resolution=257, tol=1e-6, depth=5, dim_resolution=257)
 
 
 def _fixture_bilinear2x2() -> dict:
@@ -199,8 +198,7 @@ def _fixture_bilinear2x2() -> dict:
               for i in (1, 2) for j in (1, 2)]
     z_rows = [[0.0, 0.2, 0.1], [0.5, 1.0, 0.3], [0.2, 0.4, 0.8]]
     return _square2x2("bilinear2x2", z_rows, fields,
-                      solver_resolution=257, tol=1e-6, depth=5,
-                      epsilon=None, dim_resolution=257)
+                      solver_resolution=257, tol=1e-6, depth=5, dim_resolution=257)
 
 
 def _band_expr(x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
@@ -220,8 +218,7 @@ def _fixture_band2x2() -> dict:
                            "lipschitz": 0.9 / _BAND_RAMP})
     z_rows = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
     return _square2x2("band2x2", z_rows, fields,
-                      solver_resolution=1025, tol=1e-4, depth=7,
-                      epsilon=_BAND_RAMP, dim_resolution=4097)
+                      solver_resolution=1025, tol=1e-4, depth=7, dim_resolution=4097)
 
 
 _FIXTURES = {

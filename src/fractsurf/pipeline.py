@@ -255,7 +255,7 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
             if result.surface is None:
                 result.surface = dim_surface
         report = dimension_report(job.grid, job.system.scalings, dim_surface,
-                                  cfg.dimension.depth, epsilon=cfg.dimension.epsilon)
+                                  cfg.dimension.depth)
         result.dimension = report
         artifacts["counts"] = write_text(
             directory / f"{stem}.counts.csv",

@@ -33,7 +33,6 @@ from .utils import compile_xy_expression, golden_section_min
 EDGE_TOL = 1e-10
 EDGE_SAMPLES = 1024
 CERT_SAMPLES = 512
-EXTREMA_SAMPLES = 256
 # product-field exponents below this make the field non-Lipschitz at the edges
 PRODUCT_EXPONENT_MIN = 1
 ROUNDING_RTOL = 1e-12  # relative rounding a sample may exceed psi_sup's bound by
@@ -67,20 +66,6 @@ class MagnitudeCertificate:
 
     sup_bound: float              # sound upper bound of sup |s|
     witness: tuple[float, float]  # where |s| is largest, as far as known
-
-
-@dataclass(frozen=True)
-class InteriorExtrema:
-    """max/min of |s| over the cell shrunk by epsilon on every side.
-
-    The infimum over the open cell is always 0 for an edge-vanishing field,
-    so bounds that need a positive minimum quote the shrunk-cell value and
-    set ``boundary_vanishing`` to make the limitation explicit.
-    """
-
-    s_max: float
-    s_min: float
-    boundary_vanishing: bool
 
 
 @dataclass(frozen=True)
@@ -296,29 +281,3 @@ def certify_magnitude(fld: ScalingField) -> MagnitudeCertificate:
             witness=witness, value=cert.sup_bound)
     return cert
 
-
-def interior_extrema(fld: ScalingField, epsilon: float) -> InteriorExtrema:
-    """Extrema of |s| over the cell shrunk by epsilon on every side.
-
-    Dense sampling plus golden-section polish; for an edge-vanishing field
-    the reported minimum tends to 0 as epsilon does, which is what the
-    ``boundary_vanishing`` flag records.
-    """
-    x_lo, x_hi, y_lo, y_hi = fld.rect
-    half = min(x_hi - x_lo, y_hi - y_lo) / 2
-    if not (0 < epsilon < half):
-        raise FractsurfError(f"epsilon must be in (0, {half}); got {epsilon}")
-    shrunk = (x_lo + epsilon, x_hi - epsilon, y_lo + epsilon, y_hi - epsilon)
-    xs = np.linspace(shrunk[0], shrunk[1], EXTREMA_SAMPLES)
-    ys = np.linspace(shrunk[2], shrunk[3], EXTREMA_SAMPLES)
-    grid_abs = np.abs(fld.fn(xs[:, None], ys[None, :]))
-    spacing = (xs[1] - xs[0], ys[1] - ys[0])
-
-    ia, ja = np.unravel_index(int(np.argmax(grid_abs)), grid_abs.shape)
-    _, neg_max = _polish(lambda px, py: -abs(float(fld.fn(px, py))),
-                         shrunk, (float(xs[ia]), float(ys[ja])), spacing)
-    ia, ja = np.unravel_index(int(np.argmin(grid_abs)), grid_abs.shape)
-    _, s_min = _polish(lambda px, py: abs(float(fld.fn(px, py))),
-                       shrunk, (float(xs[ia]), float(ys[ja])), spacing)
-    return InteriorExtrema(s_max=-neg_max, s_min=s_min,
-                           boundary_vanishing=edge_max(fld)[0] < EDGE_TOL)

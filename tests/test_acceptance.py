@@ -182,10 +182,10 @@ def test_criterion_07_smooth_baseline_dimension(fixture_name, request):
 def test_criterion_08_fractal_band(band_job):
     started = time.perf_counter()
     cfg = band_job.config
-    bounds = bounds_from_fields(band_job.grid, band_job.system.scalings,
-                                epsilon=cfg.dimension.epsilon)
-    assert bounds.lower == pytest.approx(1 + np.log2(3.6))
-    assert bounds.upper == pytest.approx(1 + np.log2(3.6))
+    bounds = bounds_from_fields(band_job.grid, band_job.system.scalings)
+    sup_sum = sum(f.sup_bound for f in band_job.system.scalings.values())
+    assert bounds.lower == 2.0
+    assert bounds.upper == pytest.approx(1 + np.log2(sup_sum))
     surface = solve_fixed_point(band_job.system, cfg.dimension.resolution,
                                 tol=cfg.solver.tol, estimate_bias=False)
     deltas = natural_scales(band_job.grid, cfg.dimension.depth)
@@ -195,7 +195,7 @@ def test_criterion_08_fractal_band(band_job):
     assert elapsed < 300.0
     verdict(8, f"estimate {est.dimension:.4f} inside "
                f"[{bounds.lower - 0.15:.4f}, {bounds.upper + 0.15:.4f}] "
-               f"around the band {bounds.lower:.4f}; {elapsed:.0f} s")
+               f"around the band [{bounds.lower:.4f}, {bounds.upper:.4f}]; {elapsed:.0f} s")
 
 
 def test_criterion_09_chaos_game_cross_validation(example2a_job, example2a_solved):

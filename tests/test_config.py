@@ -229,6 +229,38 @@ def test_scaling_cell_outside_grid():
     assert any("outside" in msg for _, msg in excinfo.value.errors)
 
 
+CELL_RECORDS = pytest.mark.parametrize("name, records", [
+    ("example2a", "scaling.fields"), ("example2a-explicit", "blend.tables")],
+    ids=["scaling", "blend"])
+
+
+@CELL_RECORDS
+@pytest.mark.parametrize("cell, shown", [([10 ** 400, -1], "[<1329-bit integer>, -1]"),
+                                         ([0, 1], "[0, 1]")], ids=["huge-negative", "zero"])
+def test_cell_indices_below_one_are_rejected_at_their_path(name, records, cell, shown):
+    doc = fixture_config(name)
+    section, key = records.split(".")
+    doc[section][key][0]["cell"] = cell
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    missing = "missing scaling specs" if section == "scaling" else "missing blend tables"
+    assert excinfo.value.errors == [(f"{records}[0].cell", f"cell indices start at 1, got {shown}"),
+                                    (records, f"{missing} for cells [[1, 1]]")]
+
+
+@CELL_RECORDS
+def test_a_huge_cell_index_gives_a_short_message(name, records):
+    doc = fixture_config(name)
+    section, key = records.split(".")
+    doc[section][key][0]["cell"] = [10 ** 400, 1]
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    [(path, message)] = excinfo.value.errors
+    assert path == records
+    assert message.startswith("cell [<1329-bit integer>, 1] is outside the")
+    assert len(message) < 200
+
+
 def test_missing_scaling_cells_are_reported_together():
     doc = fixture_config("example2a")
     doc["scaling"]["fields"] = doc["scaling"]["fields"][:10]
@@ -332,6 +364,8 @@ def test_blend_tables_must_cover_the_grid():
 # --- solver and analysis sections ----------------------------------------------
 
 
+RETIRED_EPSILON = "retired: the dimension band no longer shrinks cells, so only null is accepted"
+
 FLAT_KEY_ERRORS = [
     ("free_field", "expr", 5, "expected an expression string"),
     ("free_field", "expr", None, "expected an expression string"),
@@ -366,9 +400,9 @@ FLAT_KEY_ERRORS = [
     ("dimension", "depth", "4", "expected a number, got '4'"),
     ("dimension", "depth", 0, "must be >= 1, got 0"),
     ("dimension", "depth", None, "expected a number, got None"),
-    ("dimension", "epsilon", "tiny", "expected a number, got 'tiny'"),
-    ("dimension", "epsilon", 0, "must be > 0.0, got 0"),
-    ("dimension", "epsilon", math.nan, "must be finite"),
+    ("dimension", "epsilon", "tiny", RETIRED_EPSILON),
+    ("dimension", "epsilon", 0, RETIRED_EPSILON),
+    ("dimension", "epsilon", math.nan, RETIRED_EPSILON),
     ("dimension", "resolution", 257.5, "expected an integer, got 257.5"),
     ("dimension", "resolution", 3, "must be >= 5, got 3"),
     ("output", "directory", 5, "expected a path string or null"),
@@ -433,7 +467,7 @@ def test_flat_sections_serialize_their_keys_in_order():
         "free_field": ["expr", "lipschitz", "sup_abs"],
         "solver": ["resolution", "tol", "max_iter"],
         "chaos": ["points", "seed", "burn_in"],
-        "dimension": ["depth", "epsilon", "resolution"],
+        "dimension": ["depth", "resolution"],
         "output": ["directory", "stem"],
     }
     without_sup = dataclasses.replace(cfg, free_field=dataclasses.replace(cfg.free_field,
@@ -472,13 +506,16 @@ def test_resolutions_above_the_ceiling_are_located(section, resolution):
     parse_config_document(doc)
 
 
-@pytest.mark.parametrize("eps", [0.2, -0.01, 0.125])
-def test_dimension_epsilon_must_fit_inside_a_cell(eps):
+@pytest.mark.parametrize("eps", [0.01, 0.2, -0.01, 0.125])
+def test_dimension_epsilon_is_retired(eps):
     doc = fixture_config("example2a")
+    doc["dimension"]["epsilon"] = None
+    assert list(config_document(parse_config_document(doc))["dimension"]) == [
+        "depth", "resolution"]
     doc["dimension"]["epsilon"] = eps
     with pytest.raises(ConfigurationError) as excinfo:
         parse_config_document(doc)
-    assert "dimension.epsilon" in error_paths(excinfo)
+    assert excinfo.value.errors == [("dimension.epsilon", RETIRED_EPSILON)]
 
 
 @pytest.mark.parametrize("depth", [18, 2 ** 64])
@@ -700,17 +737,17 @@ def test_variant_key_errors_are_exact(variant, path, value, errors):
 
 # sha256 of serialize_config: the bytes of the canonical document are part of the schema
 SERIALIZED_DIGESTS = {
-    "band2x2": "376cc33d678499a3e5c6ece88d4ad0bd8b1c4ad36b50c153e389e0d684838b27",
-    "bilinear2x2": "80871fde12b6cae192ff9e884b46d1d134333f57d8ee143621e734f11894122e",
-    "example2a": "785cc4e582b8647347c0228345dc94a2ffbc7d45d6ac9b08b99d02c41f8a13ec",
-    "example2a-explicit": "bdef3c06f2d68f5c739522cbe74d259c38084292b33358650a93cb08542ad349",
-    "example2b-sin": "fdc1e4defdcc3ee2f5bb4766aa7d65e5504342d48a8ca71f3394b26069aa0785",
-    "flat2x2": "155902b1aef451d428e87d6f11b2398d2902b375213ec5a286b4167dc08bf535",
-    "file": "1619f1ef812b86b945d4d01c0bdd3c2b14de292d24d4401222644674586b2674",
-    "fixture": "c828760ba2f7d34ddde93fb9a6fe208988c515be70865683942f3610e4260d6f",
-    "product": "942ca44933805372cb6bdf322259b105fd15b5ec1f9b7f06aa933559371c5440",
-    "bare-product": "70d6673eec8a8d8223b2be62e0395009e606f53b8ee3eedf21b0abf6b47d65c3",
-    "expression": "efdebedc380d46e400b9259f43a885ef94b45b3f446b7365831f6e650e2192c4",
+    "band2x2": "8be1b8b91c5a970fbee83a23135532597aa0614484ccbf2b56823ecb8f6cc1e6",
+    "bilinear2x2": "636ab53634ea06da63320ff6c6702a79aaa9a39f50c1034b1d772445b881ae96",
+    "example2a": "42e2418d2fef91457bcdc35f9d7f726488bb7533ad8417eb92c1a0085f4994e4",
+    "example2a-explicit": "dbb4043588483ae313046638ceb9150139f018aca04a0bf0e7cd4402d790c694",
+    "example2b-sin": "b3ed48e4b9fd5887fdd2e953df58e43adf109579dba05010fba1a13089281505",
+    "flat2x2": "9666381d1efe9e987e48a8dab1c0f4fb4848cbca3225950ce774c979c6b0787e",
+    "file": "c1084d7b2ac0f31a01725a0bfa8b0c1fbfddcca9bd29c45e60c87bed719646ae",
+    "fixture": "84c7ae8e5c23358b54643eddcda7c36e4930c353f7bb935a19e18301010ebf3e",
+    "product": "6b6fd8c4d2dea512f411c696f5ec702baac1fbeafdaf6f309dda7b55e09cbf98",
+    "bare-product": "e96c69d55d760c6d728fd4b2bceb13e08447908052228daf4a34f37b33825cc5",
+    "expression": "2a931865953fc189992d3b17208a1add30f4485108e4197169b7d737b333a519",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from fractsurf.config import parse_config_document
 from fractsurf.dimension import (ColumnExtrema, alignment_base, box_count_points,
                                  box_counts, bounds_from_fields, check_hypotheses,
-                                 default_epsilon, dimension_report,
-                                 dimension_resolution, estimate_dimension,
-                                 natural_scales, theoretical_bounds)
+                                 dimension_report, dimension_resolution,
+                                 estimate_dimension, natural_scales)
 from fractsurf.errors import FractsurfError, ScaleResolutionError
 from fractsurf.fixtures import fixture_config
 from fractsurf.grid import DataGrid
 from fractsurf.ifs import SurfaceSample, solve_fixed_point
 from fractsurf.pipeline import build_system, run_pipeline
+from fractsurf.scaling import build_quartic_field
 from fractsurf.utils import format_float
 
 
@@ -61,73 +62,73 @@ def test_bilinear_grid_has_bent_witness(bilinear_job):
     assert hyp.witness is not None
 
 
-# --- theoretical bounds ------------------------------------------------------
+# --- the certified band ------------------------------------------------------
 
-def test_zero_scaling_gives_exactly_two():
-    z = np.zeros((2, 2))
-    b = theoretical_bounds(z, z, 2, epsilon=0.01)
+def quartic_square(sup: float):
+    """bilinear2x2 with every quartic field's certified sup equal to ``sup``."""
+    doc = fixture_config("bilinear2x2")
+    for f in doc["scaling"]["fields"]:
+        f["psi"] = sup * 4 ** 4            # sup = psi (w/2)^4 on cells of width w = 1/2
+    return build_system(parse_config_document(doc))
+
+
+def test_zero_scaling_gives_exactly_two(flat_job):
+    b = bounds_from_fields(flat_job.grid, flat_job.system.scalings)
     assert b.case == "exactly-two"
     assert b.lower == b.upper == 2.0
-    assert b.lower == b.upper
+    assert b.sum_upper == 0.0
+    assert b.notes == ()
 
 
-def test_constant_scaling_band_is_a_point():
-    s = np.full((2, 2), 0.9)
-    b = theoretical_bounds(s, s, 2, epsilon=0.015625)
+@pytest.mark.parametrize("sup, case, upper", [(0.45, "exactly-two", 2.0),
+                                             (0.55, "bounds", 1 + math.log2(2.2))])
+def test_quartic_sups_against_the_grid_order(sup, case, upper):
+    job = quartic_square(sup)
+    assert [f.sup_bound for f in job.system.scalings.values()] == pytest.approx([sup] * 4)
+    b = bounds_from_fields(job.grid, job.system.scalings)
+    assert b.sum_upper == pytest.approx(4 * sup)
+    assert (b.case, b.lower) == (case, 2.0)
+    assert b.upper == pytest.approx(upper, abs=1e-12)
+
+
+def test_band2x2_band_reads_the_certificates(band_job):
+    scalings = band_job.system.scalings
+    total = sum(scalings[cell].sup_bound for cell in band_job.grid.cells())
+    b = bounds_from_fields(band_job.grid, scalings)
     assert b.case == "bounds"
-    assert not b.gap
-    assert b.lower == pytest.approx(1 + math.log2(3.6), abs=1e-12)
-    assert b.upper == pytest.approx(1 + math.log2(3.6), abs=1e-12)
-    assert b.lower == pytest.approx(2.84799690655495, abs=1e-12)
-
-
-def test_straddling_sums_report_a_gap():
-    upper = np.full((2, 2), 0.9)           # sum 3.6 > 2
-    lower = np.full((2, 2), 0.3)           # sum 1.2 <= 2
-    b = theoretical_bounds(upper, lower, 2, epsilon=0.01)
-    assert b.gap
-    assert b.lower == 2.0                  # trivial surface bound
-    assert b.upper == pytest.approx(1 + math.log2(3.6), abs=1e-12)
-    assert any("gap" in note for note in b.notes)
-
-
-def test_missing_bent_witness_weakens_the_lower_bound():
-    s = np.full((2, 2), 0.9)
-    b = theoretical_bounds(s, s, 2, epsilon=0.01, bent_witness=False)
+    assert b.sum_upper == total
     assert b.lower == 2.0
-    assert b.upper == pytest.approx(1 + math.log2(3.6), abs=1e-12)
+    assert b.upper == pytest.approx(1 + math.log2(total), abs=1e-12)
+    assert b.upper == pytest.approx(2.93562581342169, abs=1e-12)
+    assert b.upper < 3.0
+    assert len(b.notes) == 1 and "vanishes on its cell edges" in b.notes[0]
 
 
 def test_upper_bound_clamps_at_three():
-    s = np.full((3, 3), 0.99)              # 1 + log3(8.91) = 2.99...
-    huge = np.full((3, 3), 0.999999)
-    b = theoretical_bounds(huge, s, 3, epsilon=0.01)
-    assert b.upper <= 3.0
+    # sups just below 1 on a 3x3 grid: every certified sup is below 1, so the
+    # sum is below n^2 = 9 and the upper end below 3
+    grid = DataGrid.from_y_rows([0, 1 / 3, 2 / 3, 1], [0, 1 / 3, 2 / 3, 1], [[0.0] * 4] * 4)
+    scalings = {cell: build_quartic_field(cell, grid.cell_rect(cell), 0.999999 * 6 ** 4)
+                for cell in grid.cells()}
+    b = bounds_from_fields(grid, scalings)
+    assert b.sum_upper == pytest.approx(9 * 0.999999)
+    assert b.case == "bounds"
+    assert 2.99999 < b.upper < 3.0
 
 
-def test_non_square_matrix_is_inapplicable():
-    s = np.full((4, 3), 0.5)
-    b = theoretical_bounds(s, s, 4, epsilon=0.01)
-    assert b.case == "inapplicable"
-    assert (b.lower, b.upper) == (2.0, 3.0)
+def test_bounds_from_fields_never_evaluates_a_field(band_job):
+    def unreachable(x, y):
+        raise AssertionError("a field was sampled")
 
-
-def test_bounds_from_fields_note_epsilon_collapse(band_job):
-    b = bounds_from_fields(band_job.grid, band_job.system.scalings,
-                           epsilon=0.015625)
-    assert b.sum_lower == pytest.approx(3.6, abs=1e-9)
-    assert b.sum_upper == pytest.approx(3.6, abs=1e-9)
-    assert any("epsilon" in note for note in b.notes)
+    scalings = {cell: dataclasses.replace(f, fn=unreachable)
+                for cell, f in band_job.system.scalings.items()}
+    assert (bounds_from_fields(band_job.grid, scalings)
+            == bounds_from_fields(band_job.grid, band_job.system.scalings))
 
 
 def test_bounds_from_fields_rejects_non_square_grids(example2a_job):
     with pytest.raises(FractsurfError):
         bounds_from_fields(example2a_job.grid, example2a_job.system.scalings)
-
-
-def test_default_epsilon_is_a_sixty_fourth_of_the_cell(flat_job, example2a_job):
-    assert default_epsilon(flat_job.grid) == pytest.approx(0.5 / 64)
-    assert default_epsilon(example2a_job.grid) == pytest.approx(0.25 / 64)
 
 
 # --- scales and resolutions --------------------------------------------------
@@ -375,7 +376,6 @@ def test_dimension_report_annotations(example2a_job, bilinear_job):
     rep = dimension_report(bilinear_job.grid, bilinear_job.system.scalings, surf, 5)
     assert rep.bounds is not None
     assert rep.annotation == "theoretical band available"
-    assert rep.applicable
 
     surf2 = solve_fixed_point(example2a_job.system, 385, tol=1e-4,
                               estimate_bias=False)
@@ -383,7 +383,6 @@ def test_dimension_report_annotations(example2a_job, bilinear_job):
                             surf2, 3)
     assert rep2.bounds is None
     assert "no theoretical band" in rep2.annotation
-    assert rep2.lower_bound == 2.0 and rep2.upper_bound == 3.0
 
 
 # Box counts of ``dimension`` on every fixture, recorded before the heights
