@@ -82,7 +82,7 @@ def _check_unknown(err: _Collector, path: str, doc: dict, allowed):
 def _number(err: _Collector, path: str, value, *, minimum=None, strict_min=None,
             integer=False, bits=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        err.add(path, f"expected a number, got {value!r}")
+        err.add(path, f"expected a number, got {_shown(value)}")
         return None
     if integer and isinstance(value, float) and not value.is_integer():
         err.add(path, f"expected an integer, got {value!r}")
@@ -91,10 +91,10 @@ def _number(err: _Collector, path: str, value, *, minimum=None, strict_min=None,
         err.add(path, "must be finite")
         return None
     if minimum is not None and value < minimum:
-        err.add(path, f"must be >= {minimum}, got {value!r}")
+        err.add(path, f"must be >= {minimum}, got {_shown(value)}")
         return None
     if strict_min is not None and value <= strict_min:
-        err.add(path, f"must be > {strict_min}, got {value!r}")
+        err.add(path, f"must be > {strict_min}, got {_shown(value)}")
         return None
     if bits is not None and value >= 2 ** bits:
         err.add(path, f"must fit in {bits} bits")
@@ -141,31 +141,38 @@ def _path(err: _Collector, path: str, value) -> str | None:
 
 def _one_of(err: _Collector, path: str, value, *, options) -> str | None:
     if not isinstance(value, str) or value not in options:
-        err.add(path, f"must be one of {'/'.join(options)}, got {value!r}")
+        err.add(path, f"must be one of {'/'.join(options)}, got {_shown(value)}")
         return None
     return value
 
 
 def _fixture(err: _Collector, path: str, value) -> str | None:
     if value not in fixture_names():
-        err.add(path, f"unknown fixture {value!r}; available: {', '.join(fixture_names())}")
+        err.add(path, f"unknown fixture {_shown(value)}; available: {', '.join(fixture_names())}")
         return None
     return value
 
 
-def _cell_text(cell) -> str:
-    """``[i, j]``, with an index wider than 64 bits written as its width, to keep messages short."""
-    return "[" + ", ".join(str(v) if v.bit_length() <= 64 else f"<{v.bit_length()}-bit integer>"
-                           for v in cell) + "]"
+def _shown(value) -> str:
+    """``repr(value)``, but a tuple written as a list and an int wider than 64
+    bits as its width: messages stay short, and within Python's limit on the
+    digits of an int converted to text."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<{value.bit_length()}-bit integer>"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    return repr(value)
 
 
 def _cell(err: _Collector, path: str, value) -> tuple[int, int] | None:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        err.add(path, f"expected a cell index pair [i, j], got {value!r}")
+        err.add(path, f"expected a cell index pair [i, j], got {_shown(value)}")
         return None
     if min(value) < 1:
-        err.add(path, f"cell indices start at 1, got {_cell_text(value)}")
+        err.add(path, f"cell indices start at 1, got {_shown(value)}")
         return None
     return int(value[0]), int(value[1])
 
@@ -239,7 +246,7 @@ def _records(spec, message: str, duplicate: str):
         for k, entry in enumerate(value):
             record = _parse(err, f"{path}[{k}]", entry, spec)
             if record is not None and record.cell in seen:
-                err.add(f"{path}[{k}].cell", f"{duplicate} for cell {_cell_text(record.cell)}")
+                err.add(f"{path}[{k}].cell", f"{duplicate} for cell {_shown(record.cell)}")
             elif record is not None:
                 seen.add(record.cell)
                 out.append(record)
@@ -479,7 +486,7 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
         got = {s.cell for s in cfg.scaling}
         for cell in sorted(got - cells):
             err.add("scaling.fields",
-                    f"cell {_cell_text(cell)} is outside the {grid.n}x{grid.m} grid")
+                    f"cell {_shown(cell)} is outside the {grid.n}x{grid.m} grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
             err.add("scaling.fields",
@@ -500,7 +507,7 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     if blend is not None and blend.mode == "explicit" and blend.tables:
         got = {table.cell for table in blend.tables}
         for cell in sorted(got - cells):
-            err.add("blend.tables", f"cell {_cell_text(cell)} is outside the grid")
+            err.add("blend.tables", f"cell {_shown(cell)} is outside the grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
             err.add("blend.tables",
@@ -565,7 +572,7 @@ def parse_config(text: str) -> JobConfig:
     """Parse and validate a JSON configuration document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ConfigurationError([("", f"not valid JSON: {exc}")]) from None
     return parse_config_document(doc)
 

@@ -17,21 +17,16 @@ files.
 The two large text formats (heightmap CSV, xyz) are produced as iterables of
 strings, which :func:`write_text` writes one after another, so their text
 is never whole in memory.  Their values are formatted in blocks of whole
-rows or points, by a pool of forked worker processes when the machine
-offers more than one usable CPU (:func:`_formatted`); the bytes do not
-depend on how many workers ran.
+rows or points by one shortest-round-trip kernel (:func:`_formatted`).
 """
 from __future__ import annotations
 
-import os
-from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .dimension import DimensionReport
-from .errors import FractsurfError
 from .ifs import SurfaceSample
 from .utils import format_float
 
@@ -39,59 +34,37 @@ from .utils import format_float
 _BLOCK_FLOATS = 2 ** 15
 
 
-def _usable_cpus() -> int:
-    # without an affinity probe (not Linux) the text is formatted in-process
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _formatted(rows: np.ndarray, sep: str) -> Iterator[str]:
+    """One line per row, its values ``repr``-formatted and joined by ``sep``.
 
-
-def _formatted(format_block: Callable[[np.ndarray], str], rows: np.ndarray,
-               artifact: str) -> Iterator[str]:
-    """``format_block`` of consecutive blocks of whole ``rows``, in order.
-
-    A block holds ``_BLOCK_FLOATS`` values (at least one row).  With more
-    than one usable CPU and more than one block, the blocks go to one forked
-    worker per usable CPU (at most one per block), with at most workers + 1
-    blocks in flight; otherwise they are formatted in this process by the
-    same function.  The pool is shut down and its workers joined before the
-    generator finishes, is closed or raises.  A worker's exception re-raises
-    here; a worker that dies raises :class:`FractsurfError` naming
-    ``artifact``.
+    Yields one string per block of whole rows holding ``_BLOCK_FLOATS``
+    values (at least one row), in order.  A block is written by orjson's
+    shortest-round-trip (Ryū) float formatter, whose digits are ``repr``'s
+    digits.  Its spelling differs only where ``repr`` uses exponent form (a
+    non-zero ``|x| < 1e-4``, or ``|x| >= 1e16``) and for NaN and ±inf, which
+    it writes as ``null``; rows holding such a value are formatted with
+    ``repr``, value by value.
     """
+    # imported only here: it takes about 15 ms, which runs that write no
+    # large text must not pay
+    import orjson
+
     step = max(1, _BLOCK_FLOATS // rows.shape[1])
-    blocks = (rows[r0:r0 + step] for r0 in range(0, len(rows), step))
-    workers = min(_usable_cpus(), -(-len(rows) // step))
-    if workers <= 1:
-        yield from map(format_block, blocks)
-        return
-    # imported only here: they take about 30 ms and 1 MB, which runs that
-    # write no large text must not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        pending = deque()
-        for block in blocks:
-            pending.append(pool.submit(format_block, block))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    except BrokenProcessPool as exc:
-        raise FractsurfError(f"writing the {artifact}: a formatting worker "
-                             f"process died") from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _format_rows(rows: np.ndarray) -> str:
-    # repr of the Python floats from tolist() is format_float, per element
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
-
-
-def _format_points(points: np.ndarray) -> str:
-    return "".join(" ".join(map(repr, point)) + "\n" for point in points.tolist())
+    for r0 in range(0, len(rows), step):
+        block = np.ascontiguousarray(rows[r0:r0 + step])
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        text = text[2:-2].replace(b"],[", b"\n").decode("ascii")
+        if sep != ",":
+            text = text.replace(",", sep)
+        magnitude = np.abs(block)
+        plain = (magnitude < 1e16) & ((magnitude >= 1e-4) | (block == 0))
+        odd = np.flatnonzero(~plain.all(axis=1))
+        if len(odd):
+            lines = text.split("\n")
+            for k in odd.tolist():
+                lines[k] = sep.join(map(repr, block[k].tolist()))
+            text = "\n".join(lines)
+        yield text + "\n"
 
 
 def heightmap_csv(surface: SurfaceSample) -> Iterator[str]:
@@ -102,7 +75,7 @@ def heightmap_csv(surface: SurfaceSample) -> Iterator[str]:
               format_float(ys[0]), format_float(ys[-1])]
     yield ",".join(header) + "\n"
     # heights is indexed [ix, iy]; emit rows from y_max down to y_min.
-    yield from _formatted(_format_rows, surface.heights[:, ::-1].T, "heightmap CSV")
+    yield from _formatted(surface.heights[:, ::-1].T, ",")
 
 
 def heightmap_pgm(surface: SurfaceSample) -> bytes:
@@ -131,7 +104,7 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
 
 def xyz_text(points: np.ndarray) -> Iterator[str]:
     """The xyz text, one string per block of whole points."""
-    return _formatted(_format_points, points, "xyz point cloud")
+    return _formatted(points, " ")
 
 
 def counts_csv(deltas, counts) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour via click's test runner."""
 
+import ast
 import json
 import os
 import subprocess
@@ -118,25 +119,39 @@ def test_dimension_writes_counts_and_report(runner, tmp_path):
     assert "applicable=" in report
 
 
-def test_dimension_never_imports_the_formatting_pool(tmp_path):
-    # the pool's modules cost about 30 ms and 1 MB at import; only the large
-    # text writers may pay that
+# (command, modules it must not import, modules it must import): orjson costs
+# about 15 ms at import, which only the large text writers may pay; nothing
+# forks a process
+TEXT_WRITER_IMPORTS = [("dimension", ("orjson",), ()),
+                       ("validate", ("orjson",), ()),
+                       ("surface", ("multiprocessing", "concurrent"), ("orjson",))]
+
+
+@pytest.mark.parametrize("command, absent, present", TEXT_WRITER_IMPORTS,
+                         ids=[c[0] for c in TEXT_WRITER_IMPORTS])
+def test_text_writer_imports(tmp_path, command, absent, present):
+    args = [command, "--fixture", "flat2x2"]
+    if command != "validate":
+        args += ["--out", str(tmp_path)]
+    if command == "surface":
+        args += ["--resolution", "17"]
     code = ("import sys\n"
             "from fractsurf.cli import main\n"
             "try:\n"
-            "    main(['dimension', '--fixture', 'flat2x2', '--out', sys.argv[1]])\n"
+            "    main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+            "print(sorted({m.split('.')[0] for m in sys.modules}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "flat2x2.counts.csv").exists()
+    modules = set(ast.literal_eval(result.stdout.splitlines()[-1]))
+    assert not modules & set(absent)
+    assert set(present) <= modules
+    assert command == "validate" or any(tmp_path.glob("flat2x2.*"))
 
 
 def test_report_writes_every_artifact(runner, tmp_path):

@@ -261,6 +261,26 @@ def test_a_huge_cell_index_gives_a_short_message(name, records):
     assert len(message) < 200
 
 
+def test_an_integer_literal_beyond_the_digit_limit_is_a_configuration_error():
+    doc = fixture_config("flat2x2")
+    doc["chaos"]["seed"] = "SEED"
+    text = json.dumps(doc).replace('"SEED"', "9" * 5000)
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(text)
+    [(path, message)] = excinfo.value.errors
+    assert path == "" and message.startswith("not valid JSON: ")
+
+
+def test_a_malformed_cell_holding_a_huge_integer_gives_a_short_message():
+    doc = fixture_config("example2a")
+    doc["scaling"]["fields"][0]["cell"] = [10 ** 5000, True]
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors[0] == (
+        "scaling.fields[0].cell",
+        "expected a cell index pair [i, j], got [<16610-bit integer>, True]")
+
+
 def test_missing_scaling_cells_are_reported_together():
     doc = fixture_config("example2a")
     doc["scaling"]["fields"] = doc["scaling"]["fields"][:10]
