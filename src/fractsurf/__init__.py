@@ -6,6 +6,14 @@ vertical scaling fields that vanish on cell boundaries; solve for the
 surface, sample it by random orbits, and estimate (or bound, where the
 theory applies) its box-counting dimension.
 """
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    # the package's BLAS calls are products of at most 10x10 matrices, which
+    # OpenBLAS runs on one thread anyway; its idle pool only spins CPU
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .boundary import (CurveNetwork, FreeField, PatchBlend, QField, build_boundary_curves,
                        build_coons_blend, build_free_field, build_Q, load_explicit_blend)
 from .config import (JobConfig, parse_config, parse_config_document, realize_grid,

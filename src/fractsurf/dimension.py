@@ -251,13 +251,13 @@ class ColumnExtrema:
         """Fold the sample rows ``r0, r0 + 1, ...`` (every column) in."""
         last = r0 + len(rows) - 1
         for (bx, wx, by, wy), extrema in self.folded.items():
-            for reduce, out in zip((np.maximum, np.minimum), extrema):
-                # per row, the extrema over each column's samples [b*wy, (b+1)*wy]
-                per_row = reduce(reduce.reduce(rows[:, :-1].reshape(len(rows), by, wy), axis=2),
-                                 rows[:, wy::wy])
-                for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):
-                    lo, hi = max(a * wx, r0), min((a + 1) * wx, last)
-                    reduce(out[a], reduce.reduce(per_row[lo - r0:hi - r0 + 1]), out=out[a])
+            for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):
+                strip = rows[max(a * wx, r0) - r0:min((a + 1) * wx, last) - r0 + 1]
+                for reduce, out in zip((np.maximum, np.minimum), extrema):
+                    # the strip's rows first, then each column's samples [b*wy, (b+1)*wy]
+                    line = reduce.reduce(strip, axis=0)
+                    reduce(out[a], reduce.reduce(line[:-1].reshape(by, wy), axis=1), out=out[a])
+                    reduce(out[a], line[wy::wy], out=out[a])
 
     def extrema(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         """Column maxima and minima at ``delta``, reduced from a folded finer layout."""

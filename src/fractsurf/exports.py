@@ -15,9 +15,9 @@ files.
 * dimension report — ``key=value`` lines, one per reported quantity.
 
 The two large text formats (heightmap CSV, xyz) are produced as iterables of
-strings, which :func:`write_text` writes one after another, so their text
-is never whole in memory.  Their values are formatted in blocks of whole
-rows or points by one shortest-round-trip kernel (:func:`_formatted`).
+ASCII byte blocks, which :func:`write_bytes` writes one after another, so
+their text is never whole in memory.  Their values are formatted in blocks
+of whole rows or points by one shortest-round-trip kernel (:func:`_formatted`).
 """
 from __future__ import annotations
 
@@ -34,46 +34,49 @@ from .utils import format_float
 _BLOCK_FLOATS = 2 ** 15
 
 
-def _formatted(rows: np.ndarray, sep: str) -> Iterator[str]:
+def _formatted(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     """One line per row, its values ``repr``-formatted and joined by ``sep``.
 
-    Yields one string per block of whole rows holding ``_BLOCK_FLOATS``
-    values (at least one row), in order.  A block is written by orjson's
-    shortest-round-trip (Ryū) float formatter, whose digits are ``repr``'s
-    digits.  Its spelling differs only where ``repr`` uses exponent form (a
-    non-zero ``|x| < 1e-4``, or ``|x| >= 1e16``) and for NaN and ±inf, which
-    it writes as ``null``; rows holding such a value are formatted with
-    ``repr``, value by value.
+    Yields the bytes of one block of whole rows holding ``_BLOCK_FLOATS``
+    values (at least one row) at a time, in order.  A block is one
+    ``orjson.dumps`` of its values, whose shortest-round-trip (Ryū) digits
+    are ``repr``'s digits; its commas are rewritten in place, every row's
+    last one to a newline and the others to ``sep``.  orjson's spelling
+    differs only where ``repr`` uses exponent form (a non-zero ``|x| < 1e-4``,
+    or ``|x| >= 1e16``) and for NaN and ±inf, which it writes as ``null``;
+    each such value is replaced by its ``repr``, one value at a time.
     """
     # imported only here: it takes about 15 ms, which runs that write no
     # large text must not pay
     import orjson
 
-    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    cols = rows.shape[1]
+    step = max(1, _BLOCK_FLOATS // cols)
     for r0 in range(0, len(rows), step):
-        block = np.ascontiguousarray(rows[r0:r0 + step])
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        text = text[2:-2].replace(b"],[", b"\n").decode("ascii")
-        if sep != ",":
-            text = text.replace(",", sep)
-        magnitude = np.abs(block)
-        plain = (magnitude < 1e16) & ((magnitude >= 1e-4) | (block == 0))
-        odd = np.flatnonzero(~plain.all(axis=1))
-        if len(odd):
-            lines = text.split("\n")
-            for k in odd.tolist():
-                lines[k] = sep.join(map(repr, block[k].tolist()))
-            text = "\n".join(lines)
-        yield text + "\n"
+        values = rows[r0:r0 + step].ravel()
+        # "[v,...,v]" without the "["; value k ends at ends[k], the "]" last
+        text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
+                             np.uint8, offset=1).copy()
+        ends = np.append(np.flatnonzero(text == ord(",")), len(text) - 1)
+        text[ends] = ord(sep)
+        text[ends[cols - 1::cols]] = ord("\n")
+        magnitude = np.abs(values)
+        odd = np.flatnonzero(~((magnitude < 1e16) & ((magnitude >= 1e-4) | (values == 0))))
+        pieces, done = [], 0
+        for k, value in zip(odd.tolist(), values[odd].tolist()):
+            pieces += [text[done:ends[k - 1] + 1 if k else 0], repr(value).encode("ascii")]
+            done = ends[k]
+        pieces.append(text[done:])
+        yield b"".join(pieces)
 
 
-def heightmap_csv(surface: SurfaceSample) -> Iterator[str]:
-    """The heightmap CSV text: the header, then one string per block of rows."""
+def heightmap_csv(surface: SurfaceSample) -> Iterator[bytes]:
+    """The heightmap CSV bytes: the header, then one block of rows at a time."""
     xs = surface.x_samples
     ys = surface.y_samples
     header = [str(surface.resolution), format_float(xs[0]), format_float(xs[-1]),
               format_float(ys[0]), format_float(ys[-1])]
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode("ascii")
     # heights is indexed [ix, iy]; emit rows from y_max down to y_min.
     yield from _formatted(surface.heights[:, ::-1].T, ",")
 
@@ -102,8 +105,8 @@ def heightmap_pgm(surface: SurfaceSample) -> bytes:
     return header.encode("ascii") + image.astype(">u2").tobytes()
 
 
-def xyz_text(points: np.ndarray) -> Iterator[str]:
-    """The xyz text, one string per block of whole points."""
+def xyz_text(points: np.ndarray) -> Iterator[bytes]:
+    """The xyz text bytes, one block of whole points at a time."""
     return _formatted(points, " ")
 
 
@@ -153,15 +156,14 @@ def dimension_report_text(report: DimensionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text(path: Path, text: str | Iterable[str]) -> Path:
-    """Write a string, or an iterable of strings one after another, as UTF-8."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-    return path
+def write_text(path: Path, text: str) -> Path:
+    """Write a string as UTF-8, newlines as they are."""
+    return write_bytes(path, text.encode("utf-8"))
 
 
-def write_bytes(path: Path, blob: bytes) -> Path:
+def write_bytes(path: Path, data: bytes | Iterable[bytes]) -> Path:
+    """Write bytes, or an iterable of byte blocks one after another."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    with open(path, "wb") as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
     return path

@@ -237,11 +237,11 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
         points = chaos_game(job.system, cfg.chaos.points, cfg.chaos.seed,
                             burn_in=cfg.chaos.burn_in)
         result.points = points
-        artifacts["heightmap"] = write_text(directory / f"{stem}.heightmap.csv",
-                                            heightmap_csv(surface))
+        artifacts["heightmap"] = write_bytes(directory / f"{stem}.heightmap.csv",
+                                             heightmap_csv(surface))
         artifacts["image"] = write_bytes(directory / f"{stem}.pgm",
                                          heightmap_pgm(surface))
-        artifacts["cloud"] = write_text(directory / f"{stem}.xyz", xyz_text(points))
+        artifacts["cloud"] = write_bytes(directory / f"{stem}.xyz", xyz_text(points))
 
     if command in ("dimension", "report"):
         dim_res = _dimension_resolution(job)

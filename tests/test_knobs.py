@@ -7,9 +7,17 @@ parameter when it passes it by keyword, or passes enough positional
 arguments to reach it (one fewer for methods, whose ``self`` or ``cls`` the
 call does not spell out).  Calls are matched by the function's name (a
 class name for ``__init__``); tests do not count as callers.
+
+Environment variables are knobs too: ``src/`` reads none, and writes only
+the OpenBLAS thread default that ``import fractsurf`` sets.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fractsurf"
@@ -121,3 +129,79 @@ def test_the_scan_counts_keywords_positions_and_the_method_offset():
     calls = ast.parse("f(0, 1)\nf(0, d=2, *rest)\nK(1)\nobj.m(1)\nK.s(1)\n")
     assert set_parameters([calls], params) == {
         ("f", "b"), ("f", "d"), ("K", "e"), ("m", "g"), ("s", "i")}
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+BLAS_DEFAULT = "_os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+
+
+def environment_uses(tree: ast.Module) -> list[str]:
+    """Every touch of the process environment, as source text in source order.
+
+    A method called on the environment (``os.environ.get(...)``) is reported
+    as the whole call; any other use as the name itself.
+    """
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses += [(node.lineno, node.col_offset, f"from os import {a.name}")
+                     for a in node.names if a.name in ENVIRONMENT_NAMES]
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+              or isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES):
+            method, call = parents.get(id(node)), None
+            if isinstance(method, ast.Attribute):
+                call = parents.get(id(method))
+            used = call if isinstance(call, ast.Call) and call.func is method else node
+            uses.append((node.lineno, node.col_offset, ast.unparse(used)))
+    return [text for *_, text in sorted(uses)]
+
+
+def test_the_package_sets_one_environment_variable_and_reads_none():
+    uses = {path.relative_to(PACKAGE).as_posix(): environment_uses(tree)
+            for path, tree in zip(sorted(PACKAGE.rglob("*.py")), _trees(PACKAGE))}
+    assert {path: found for path, found in uses.items() if found} == {
+        "__init__.py": [BLAS_DEFAULT]}
+
+
+def test_the_environment_scan_finds_reads_writes_and_imports():
+    source = ast.parse("import os\n"
+                       "from os import environ, getenv as g\n"
+                       "os.getenv('A')\n"
+                       "x = os.environ['B']\n"
+                       "os.environ.setdefault('C', '1')\n"
+                       "environ.get('D')\n"
+                       "os.putenv('E', '1')\n")
+    assert environment_uses(source) == [
+        "from os import environ", "from os import getenv",
+        "os.getenv", "os.environ", "os.environ.setdefault('C', '1')",
+        "environ.get('D')", "os.putenv"]
+
+
+def _fresh_import(threads: str | None) -> tuple[str, str]:
+    """``OPENBLAS_NUM_THREADS`` and the thread count after ``import fractsurf``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import os, fractsurf\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+            "else None\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return tuple(result.stdout.split())
+
+
+def test_importing_fractsurf_starts_no_blas_thread_pool():
+    threads, tasks = _fresh_import(None)
+    assert threads == "1"
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count the threads in")
+    assert tasks == "1"
+
+
+def test_an_explicit_blas_thread_count_is_left_alone():
+    assert _fresh_import("2")[0] == "2"
