@@ -62,12 +62,13 @@ def _linear_pieces(knots: Sequence[float], values: np.ndarray) -> list[tuple[flo
 
 def _validate_curve(name: str, curve: PiecewisePoly, knots: Sequence[float],
                     values: np.ndarray) -> None:
+    at_knots = curve(np.asarray(knots, dtype=float))
     for k, t in enumerate(knots):
-        err = abs(float(curve(t)) - float(values[k]))
+        err = abs(float(at_knots[k]) - float(values[k]))
         if err > INTERP_TOL:
             raise CurveValidationError(
                 f"{name} misses its data point at t={t}: "
-                f"curve gives {float(curve(t))!r}, data is {float(values[k])!r} "
+                f"curve gives {float(at_knots[k])!r}, data is {float(values[k])!r} "
                 f"(|error| = {err:.3g})")
     for k, gap in enumerate(curve.junction_gaps()):
         if gap > INTERP_TOL:

@@ -9,78 +9,77 @@ exit nonzero with the offending witness in the message.
 """
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
-import click
-
+from . import __version__
 from .config import parse_config, parse_config_document
 from .errors import FractsurfError, MagnitudeError
 from .fixtures import fixture_config, fixture_names
 from .pipeline import run_pipeline
 
+COMMANDS = {
+    "validate": "Check a configuration end to end and print the certification summary.",
+    "build": "Assemble and certify the system; write its certificate file.",
+    "surface": "Solve for the surface; write heightmap CSV, PGM image and xyz point cloud.",
+    "dimension": "Estimate the box-counting dimension; write count CSV and report.",
+    "report": "Run everything and write all artifacts plus a summary.",
+}
 
-def _load_config(config_path: str | None, fixture: str | None):
-    if (config_path is None) == (fixture is None):
-        raise click.UsageError("give exactly one of --config or --fixture")
-    if config_path is not None:
-        return parse_config(Path(config_path).read_text(encoding="utf-8"))
-    return parse_config_document(fixture_config(fixture))
+
+def _in_range(kind, holds, bound: str):
+    """An argparse type: ``kind(text)``, refused unless ``holds`` of it."""
+    def convert(text):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
-def _run(command: str, config: str | None, fixture: str | None, out: str | None,
-         seed: int | None, resolution: int | None, tol: float | None):
+def main(args=None, prog_name="fractsurf"):
+    """Run one command: ``args`` default to ``sys.argv[1:]``."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name, description="Fractal interpolation surfaces over rectangular grids.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    seed = _in_range(int, lambda v: 0 <= v < 2 ** 64, "in 0..2**64-1")
+    resolution = _in_range(int, lambda v: v >= 5, ">= 5")
+    tol = _in_range(float, lambda v: v > 0, "> 0")
+    for name, help_text in COMMANDS.items():
+        cmd = commands.add_parser(name, help=help_text, description=help_text,
+                                  allow_abbrev=False)
+        cmd.add_argument("--config", help="Path to a JSON job configuration.")
+        cmd.add_argument("--fixture", choices=fixture_names(),
+                         help="Use a built-in named configuration instead of --config.")
+        cmd.add_argument("--out", help="Output directory (default: the configured one, else cwd).")
+        cmd.add_argument("--seed", type=seed, help="Override the point-cloud sampler seed.")
+        cmd.add_argument("--resolution", type=resolution,
+                         help="Override the solver resolution (must stay knot-aligned).")
+        cmd.add_argument("--tol", type=tol, help="Override the solver tolerance.")
+    ns = parser.parse_args(args)
+    usage_error = commands.choices[ns.command].error
+    if (ns.config is None) == (ns.fixture is None):
+        usage_error("give exactly one of --config or --fixture")
+    if ns.config is not None and not Path(ns.config).is_file():
+        usage_error(f"--config {ns.config!r} is not an existing file")
+    if ns.out is not None and Path(ns.out).is_file():
+        usage_error(f"--out {ns.out!r} is an existing file")
     try:
-        cfg = _load_config(config, fixture)
-        result = run_pipeline(cfg, command, seed=seed, resolution=resolution,
-                              tol=tol, out=out)
+        cfg = (parse_config(Path(ns.config).read_text(encoding="utf-8"))
+               if ns.config is not None else parse_config_document(fixture_config(ns.fixture)))
+        result = run_pipeline(cfg, ns.command, seed=ns.seed, resolution=ns.resolution,
+                              tol=ns.tol, out=ns.out)
     except MagnitudeError as exc:
-        click.echo(f"magnitude violation: {exc} "
-                   f"(witness ({exc.witness[0]!r}, {exc.witness[1]!r}), "
-                   f"value {exc.value!r})", err=True)
+        print(f"magnitude violation: {exc} (witness ({exc.witness[0]!r}, "
+              f"{exc.witness[1]!r}), value {exc.value!r})", file=sys.stderr)
         sys.exit(2)
     except FractsurfError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    click.echo(result.summary, nl=False)
-
-
-def _command(name: str, help_text: str):
-    @click.command(name=name, help=help_text)
-    @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                  default=None, help="Path to a JSON job configuration.")
-    @click.option("--fixture", type=click.Choice(fixture_names()), default=None,
-                  help="Use a built-in named configuration instead of --config.")
-    @click.option("--out", type=click.Path(file_okay=False), default=None,
-                  help="Output directory (default: the configured one, else cwd).")
-    @click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
-                  help="Override the point-cloud sampler seed.")
-    @click.option("--resolution", type=click.IntRange(5), default=None,
-                  help="Override the solver resolution (must stay knot-aligned).")
-    @click.option("--tol", type=click.FloatRange(0, min_open=True), default=None,
-                  help="Override the solver tolerance.")
-    def cmd(config_path, fixture, out, seed, resolution, tol):
-        _run(name, config_path, fixture, out, seed, resolution, tol)
-
-    return cmd
-
-
-@click.group()
-@click.version_option(package_name="fractsurf")
-def main():
-    """Fractal interpolation surfaces over rectangular grids."""
-
-
-main.add_command(_command("validate", "Check a configuration end to end and print "
-                          "the certification summary."))
-main.add_command(_command("build", "Assemble and certify the system; write its "
-                          "certificate file."))
-main.add_command(_command("surface", "Solve for the surface; write heightmap CSV, "
-                          "PGM image and xyz point cloud."))
-main.add_command(_command("dimension", "Estimate the box-counting dimension; write "
-                          "count CSV and report."))
-main.add_command(_command("report", "Run everything and write all artifacts plus "
-                          "a summary."))
+    sys.stdout.write(result.summary)
 
 
 if __name__ == "__main__":

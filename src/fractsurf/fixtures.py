@@ -99,16 +99,6 @@ SIN_FREE_FIELD = {
     "sup_abs": 1.0,
 }
 
-# Variant third piece for q[3] that fails to interpolate its data column
-# (the valid piece differs in the sign of the quadratic coefficient);
-# kept as a validator test input.
-Q3_VARIANT_REJECTED = [4.9, -5.4, -4.5]
-
-# Variant blend table for cell (4, 1) — a copy of the (1, 3) table — whose
-# edge restrictions do not match the curves around cell (4, 1); kept as a
-# validator test input.
-H41_VARIANT_REJECTED = [row[:] for row in H_TABLES[(1, 3)]]
-
 _BAND_RAMP = 0.015625  # 1/64: ramp width of the plateau fields
 
 

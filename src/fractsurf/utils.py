@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,8 @@ class PiecewisePoly:
 
     knots: tuple[float, ...]
     coeffs: tuple[tuple[float, ...], ...]
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _pieces: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.knots) - 1:
@@ -88,35 +90,30 @@ class PiecewisePoly:
         ks = np.asarray(self.knots, dtype=float)
         if not np.all(np.diff(ks) > 0):
             raise ValueError("piecewise knots must be strictly increasing")
+        object.__setattr__(self, "_knots", ks)
+        object.__setattr__(self, "_pieces", tuple(np.asarray(c, dtype=float)
+                                                  for c in self.coeffs))
 
     def piece_index(self, t) -> np.ndarray:
-        ks = np.asarray(self.knots, dtype=float)
-        return np.clip(np.searchsorted(ks, np.asarray(t, dtype=float), side="left") - 1,
+        return np.clip(np.searchsorted(self._knots, np.asarray(t, dtype=float), side="left") - 1,
                        0, len(self.coeffs) - 1)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).ravel()
-        idx = self.piece_index(flat)
+        idx = self.piece_index(arr)
+        if arr.ndim == 0:
+            return float(npp.polyval(arr, self._pieces[int(idx)]))
+        flat, idx = arr.ravel(), idx.ravel()
         out = np.empty_like(flat)
-        for k, c in enumerate(self.coeffs):
+        for k in np.flatnonzero(np.bincount(idx)):  # only the pieces that occur
             mask = idx == k
-            if mask.any():
-                out[mask] = npp.polyval(flat[mask], np.asarray(c, dtype=float))
-        if scalar:
-            return float(out[0])
+            out[mask] = npp.polyval(flat[mask], self._pieces[k])
         return out.reshape(arr.shape)
 
     def junction_gaps(self) -> list[float]:
         """Absolute jumps at interior knots (lower piece end vs upper piece start)."""
-        gaps = []
-        for k in range(len(self.coeffs) - 1):
-            t = self.knots[k + 1]
-            lo = npp.polyval(t, np.asarray(self.coeffs[k], dtype=float))
-            hi = npp.polyval(t, np.asarray(self.coeffs[k + 1], dtype=float))
-            gaps.append(abs(float(lo) - float(hi)))
-        return gaps
+        return [abs(float(npp.polyval(t, lo)) - float(npp.polyval(t, hi)))
+                for t, lo, hi in zip(self.knots[1:-1], self._pieces, self._pieces[1:])]
 
 
 def substitution_matrix(lo: float, width: float, size: int) -> np.ndarray:

@@ -10,9 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from fractsurf.cli import main
 from fractsurf.config import parse_config, parse_config_document, serialize_config
 from fractsurf.dimension import (
     bounds_from_fields,
@@ -23,6 +21,7 @@ from fractsurf.dimension import (
 from fractsurf.fixtures import fixture_config, fixture_names
 from fractsurf.ifs import chaos_game, eval_F, solve_fixed_point
 from fractsurf.pipeline import build_system
+from cli_runner import run
 from sampling import polished_sup
 
 TABLE_KNOT_HEIGHTS = {
@@ -223,7 +222,6 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
         cfg = parse_config_document(fixture_config(name))
         assert parse_config(serialize_config(cfg)) == cfg
 
-    runner = CliRunner()
     fast = {"example2a": "97", "example2a-explicit": "97",
             "example2b-sin": "97", "band2x2": "257"}
     for name in fixture_names():
@@ -233,7 +231,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
             args = ["surface", "--fixture", name, "--out", str(out)]
             if name in fast:
                 args += ["--resolution", fast[name]]
-            result = runner.invoke(main, args)
+            result = run(*args)
             assert result.exit_code == 0, result.output
             pair.append(out)
         for suffix in (".heightmap.csv", ".xyz"):
@@ -244,8 +242,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     counts = []
     for run_dir in ("c1", "c2"):
         out = tmp_path / "flat-dim" / run_dir
-        result = runner.invoke(
-            main, ["dimension", "--fixture", "flat2x2", "--out", str(out)])
+        result = run("dimension", "--fixture", "flat2x2", "--out", str(out))
         assert result.exit_code == 0, result.output
         counts.append((out / "flat2x2.counts.csv").read_bytes())
     assert counts[0] == counts[1]

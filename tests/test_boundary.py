@@ -7,12 +7,17 @@ from fractsurf.boundary import (EDGE_MATCH_TOL, build_boundary_curves,
                                 load_explicit_blend)
 from fractsurf.errors import (BlendValidationError, CurveValidationError,
                               FractsurfError)
-from fractsurf.fixtures import (H41_VARIANT_REJECTED, H_TABLES, Q3_VARIANT_REJECTED,
-                                Q_PIECES, R_PIECES, X_KNOTS, Y_KNOTS, Z_ROWS)
+from fractsurf.fixtures import H_TABLES, Q_PIECES, R_PIECES, X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import CellIndex, DataGrid, build_domain_maps
 from fractsurf.scaling import build_quartic_field
 
 GRID = DataGrid.from_y_rows(X_KNOTS, Y_KNOTS, Z_ROWS)
+# a third piece for q[3] that misses its data column (the valid piece differs
+# in the sign of the quadratic coefficient)
+Q3_VARIANT_REJECTED = [4.9, -5.4, -4.5]
+# the (1, 3) table offered for cell (4, 1): its edge restrictions do not match
+# the curves around that cell
+H41_VARIANT_REJECTED = [row[:] for row in H_TABLES[(1, 3)]]
 # example2a's knots moved away from the origin, where native coordinates
 # lose digits: with its own heights and linear curves, and with the heights
 # of one bilinear polynomial (exact native coefficients, a small twist), so
@@ -63,6 +68,20 @@ def test_curves_interpolate_the_data(network):
 def test_curves_are_continuous_at_junctions(network):
     for curve in list(network.q) + list(network.r):
         assert max(curve.junction_gaps(), default=0.0) < 1e-12
+
+
+def test_curve_call_is_its_pieces_pointwise(network):
+    # an array call evaluates only the pieces that occur in it; each point must
+    # get exactly what a scalar call and its own piece's Horner pass give, the
+    # lower piece at an interior knot and the end pieces outside the knots
+    for curve in network.q + network.r:
+        ts = np.concatenate([np.linspace(curve.knots[0] - 0.1, curve.knots[-1] + 0.1, 41),
+                             curve.knots])
+        values = curve(ts[:, None])
+        assert values.shape == (ts.size, 1)
+        for t, v in zip(ts, values[:, 0]):
+            k = min(max(int(np.searchsorted(curve.knots, t)) - 1, 0), len(curve.coeffs) - 1)
+            assert v == curve(float(t)) == npp.polyval(t, curve.coeffs[k])
 
 
 def test_linear_method_interpolates_any_grid():
