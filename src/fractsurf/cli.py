@@ -39,6 +39,13 @@ def _in_range(kind, holds, bound: str):
     return convert
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FractsurfError(f"cannot read --config {path!r}: {exc}") from None
+
+
 def main(args=None, prog_name="fractsurf"):
     """Run one command: ``args`` default to ``sys.argv[1:]``."""
     parser = argparse.ArgumentParser(
@@ -68,7 +75,7 @@ def main(args=None, prog_name="fractsurf"):
     if ns.out is not None and Path(ns.out).is_file():
         usage_error(f"--out {ns.out!r} is an existing file")
     try:
-        cfg = (parse_config(Path(ns.config).read_text(encoding="utf-8"))
+        cfg = (parse_config(_read_config(ns.config))
                if ns.config is not None else parse_config_document(fixture_config(ns.fixture)))
         result = run_pipeline(cfg, ns.command, seed=ns.seed, resolution=ns.resolution,
                               tol=ns.tol, out=ns.out)

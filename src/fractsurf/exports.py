@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dimension import DimensionReport
+from .errors import FractsurfError
 from .ifs import SurfaceSample
 from .utils import format_float
 
@@ -162,8 +163,15 @@ def write_text(path: Path, text: str) -> Path:
 
 
 def write_bytes(path: Path, data: bytes | Iterable[bytes]) -> Path:
-    """Write bytes, or an iterable of byte blocks one after another."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.writelines([data] if isinstance(data, bytes) else data)
+    """Write bytes, or an iterable of byte blocks one after another.
+
+    The directory is created if missing; a failure to create it or to write
+    raises ``FractsurfError`` naming ``path``.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
+    except OSError as exc:
+        raise FractsurfError(f"cannot write {path}: {exc}") from None
     return path

@@ -28,14 +28,16 @@ Two ways to materialize the attractor are provided and cross-checked:
   time, ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``
   are gathered from level 1, and the blocks go to a consumer (stacked into
   the heights, or folded into box-count column extrema) while the
-  certifying residual is measured on every node.  Otherwise
-  it iterates the bilinear pull-back, a separable gather in two 1-D passes
-  (along y, then along x).  Either way ``iterations`` counts operator
-  applications (equivalent ones on lattice plans) and ``sup_diffs`` holds
-  the residuals ``|T phi - phi|``; the last entry, measured on every node,
-  gives the bound.  Discretization bias from the bilinear
-  pull-back is estimated separately against a half-resolution solve, when
-  ``R - 1`` is even and the half resolution has a sample lattice of its own.
+  certifying residual is measured on every node.  Level 1 is held by at
+  most three arrays at a time, plus one on level 2 while it is lifted.
+  Otherwise it iterates the bilinear pull-back, a separable gather in two
+  1-D passes (along y, then along x).  Either way ``iterations`` counts
+  operator applications (equivalent ones on lattice plans) and
+  ``sup_diffs`` holds the residuals ``|T phi - phi|``; the last entry,
+  measured on every node, gives the bound.  Discretization bias from the
+  bilinear pull-back is estimated separately against a half-resolution
+  solve, when ``R - 1`` is even and the half resolution has a sample
+  lattice of its own.
 * :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
   graph (at a data knot) it stays on the graph exactly.
 """
@@ -219,22 +221,37 @@ def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
     return out
 
 
-def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
-          b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(rows, cols)``, in row blocks.
+def _lift_blocks(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
+                 b: np.ndarray, nodes=None):
+    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, as ``(r0, block)``.
 
+    Without ``nodes``, ``s`` and ``b`` hold exactly the output nodes.
     Blocks hold as many rows as fit ``_GATHER_CELLS`` at the full width of
-    ``s``, because the rows of ``s`` and ``b`` are taken before their
-    columns; so no temporary is larger than a block.
+    ``s``; with ``nodes`` the rows of ``s`` and ``b`` are taken before their
+    columns, so no temporary is larger than a block and no copy of ``s`` or
+    ``b`` on a lower level is made.  A block's rows of ``s`` and ``b`` are
+    read before it is yielded, so the consumer may write it over them.
     """
-    out = np.empty((len(rows), len(cols)))
     step = max(1, _GATHER_CELLS // s.shape[1])
-    for r0 in range(0, len(rows), step):
+    for r0 in range(0, len(px), step):
         sl = slice(r0, r0 + step)
-        blk = out[sl]
-        np.take(values[px[sl]], py, axis=1, out=blk)
-        blk *= np.take(s[rows[sl]], cols, axis=1)
-        blk += np.take(b[rows[sl]], cols, axis=1)
+        blk = np.take(values[px[sl]], py, axis=1)
+        if nodes is None:
+            blk *= s[sl]
+            blk += b[sl]
+        else:
+            rows, cols = nodes
+            blk *= np.take(s[rows[sl]], cols, axis=1)
+            blk += np.take(b[rows[sl]], cols, axis=1)
+        yield r0, blk
+
+
+def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
+          b: np.ndarray, nodes=None, out=None) -> np.ndarray:
+    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, into ``out``."""
+    out = np.empty((len(px), len(py))) if out is None else out
+    for r0, blk in _lift_blocks(values, px, py, s, b, nodes):
+        out[r0:r0 + len(blk)] = blk
     return out
 
 
@@ -273,10 +290,12 @@ class OperatorGrid:
     operator is the pure gather ``s * phi[P] + b``.  ``P`` maps every node
     into level 1, ``x_level x y_level`` with ``x_level = image(px)``, and
     level 1 into itself, so a lattice plan holds ``s``, ``h`` and ``b`` on
-    level 1 only and ``apply`` is the gather there (``lx``, ``ly``: every
-    node's pull-back as a position on level 1; ``level_px``, ``level_py``:
-    those of level 1).  :meth:`rows` evaluates them on every node, one row
-    block at a time.
+    level 1 only, three level-1 arrays, evaluated there one row block at a
+    time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
+    pull-back as a position on level 1; ``level_px``, ``level_py``: those
+    of level 1).  :meth:`rows` evaluates them on every node, and
+    :meth:`blend_rows` ``h`` alone on some rows of level 1, one row block
+    at a time.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -305,67 +324,106 @@ class OperatorGrid:
             self.lx = np.searchsorted(self.x_level, self.px)
             self.ly = np.searchsorted(self.y_level, self.py)
             self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
-            self.s_values, self.h_values, g = self._fields(self.x_level, self.y_level)
-            g *= self.s_values
-            self.b_values = np.subtract(self.h_values, g, out=g)
+            shape = (len(self.x_level), len(self.y_level))
+            level = self.s_values, self.b_values, self.h_values = tuple(
+                np.empty(shape) for _ in range(3))
+            step = max(1, _ROW_CELLS // shape[1])
+            for r0 in range(0, shape[0], step):
+                self._block(self.x_level[r0:r0 + step], self.y_level,
+                            tuple(values[r0:r0 + step] for values in level))
         else:
             nodes = np.arange(resolution)
-            self.s_values, self.h_values, self.g_values = self._fields(nodes, nodes)
+            fields = self.s_values, self.h_values, self.g_values = tuple(
+                np.empty((resolution, resolution)) for _ in range(3))
+            self._fields(nodes, nodes, *fields)
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
 
-    def _fields(self, rows: np.ndarray, cols: np.ndarray):
-        """``s``, ``h`` and ``g`` at the pulled-back points on the nodes ``np.ix_(rows, cols)``.
+    def _cells(self, rows: np.ndarray, cols: np.ndarray):
+        """Per cell, its part of the nodes ``np.ix_(rows, cols)``: ``(cell, sl_x, sl_y, x, y)``.
 
-        ``rows`` and ``cols`` are ascending node indices.  Cells write in
-        ``grid.cells()`` order, so a node on a shared knot line takes the
-        values of the later cell, whatever nodes are asked for.
+        ``rows`` and ``cols`` are ascending node indices; ``x`` is a column
+        and ``y`` a row of sample coordinates.  Cells come in
+        ``grid.cells()`` order, so where each writes its part, a node on a
+        shared knot line takes the values of the later cell, whatever nodes
+        are asked for.
         """
-        system = self.system
-        shape = (len(rows), len(cols))
-        s, h, g = np.empty(shape), np.empty(shape), np.empty(shape)
         for cell, x0, x1, y0, y1 in self._cell_nodes:
             sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
             sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
-            if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
-                continue
-            bx = self.x_samples[rows[sl_x]]
-            by = self.y_samples[cols[sl_y]]
+            if sl_x.start < sl_x.stop and sl_y.start < sl_y.stop:
+                yield (cell, sl_x, sl_y, self.x_samples[rows[sl_x]][:, None],
+                       self.y_samples[cols[sl_y]][None, :])
+
+    def _fields(self, rows: np.ndarray, cols: np.ndarray, s: np.ndarray, h: np.ndarray,
+                g: np.ndarray) -> None:
+        """Write ``s``, ``h`` and ``g`` at the pulled-back points on ``np.ix_(rows, cols)``."""
+        system = self.system
+        for cell, sl_x, sl_y, bx, by in self._cells(rows, cols):
             qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
-            s[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
-            h[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
+            s[sl_x, sl_y] = system.scalings[cell](bx, by)
+            h[sl_x, sl_y] = system.blend(cell)(bx, by)
             g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])
-        return s, h, g
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
+        """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
+
+        ``b = h - s * g``, with ``g`` the free field at the pulled-back points.
+        """
+        s, b, h = out or tuple(np.empty((len(rows), len(cols))) for _ in range(3))
+        self._fields(rows, cols, s, h, b)  # g, until b replaces it
+        b *= s
+        return s, np.subtract(h, b, out=b), h
 
     def rows(self):
         """Lattice plans: ``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
 
         One row block at a time, ``_ROW_CELLS`` nodes each, evaluated as
-        on level 1 (``b = h - s * g``).
+        on level 1.
         """
         nodes = np.arange(self.resolution)
         step = max(1, _ROW_CELLS // self.resolution)
         for r0 in range(0, self.resolution, step):
-            s, h, g = self._fields(nodes[r0:r0 + step], nodes)
-            g *= s
-            yield r0, s, np.subtract(h, g, out=g), h
+            yield r0, *self._block(nodes[r0:r0 + step], nodes)
+
+    def blend_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Lattice plans: ``h`` on the level-1 rows ``rows`` (ascending positions on level 1).
+
+        The blend alone, on every column of level 1, with the values the
+        plan held there before :meth:`release_initial`.
+        """
+        nodes = self.x_level[rows]
+        h = np.empty((len(nodes), len(self.y_level)))
+        for cell, sl_x, sl_y, bx, by in self._cells(nodes, self.y_level):
+            h[sl_x, sl_y] = self.system.blend(cell)(bx, by)
+        return h
 
     def initial(self) -> np.ndarray:
         """Blend patchwork: continuous, interpolates the data, cheap (level 1 on lattice plans)."""
         return self.h_values.copy()
 
     def release_initial(self) -> np.ndarray:
-        """Hand over the blend patchwork; a lattice plan's ``apply`` reads ``b``, not ``h``."""
+        """Hand over the blend patchwork and drop the plan's reference to it.
+
+        A lattice plan's ``apply`` reads ``s`` and ``b``, not ``h``, so the
+        caller decides how long the level-1 ``h`` lives; :meth:`blend_rows`
+        evaluates rows of it again.
+        """
         h, self.h_values = self.h_values, None
         return h
 
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        """``T phi``: on every node, or on level 1 for lattice plans."""
+    def apply(self, phi: np.ndarray, *, final: bool = False) -> np.ndarray:
+        """``T phi``: on every node, or on level 1 for lattice plans.
+
+        With ``final``, a lattice plan writes ``T phi`` over its ``s``, one
+        row block at a time, and drops ``s`` and ``b``: no new level-1 array
+        is made, and the plan cannot apply again.
+        """
         phi = np.asarray(phi, dtype=float)
         if self.lattice:
-            out = _gather(phi, self.level_px, self.level_py, np.empty_like(phi))
-            out *= self.s_values
-            out += self.b_values
-            return out
+            s, b = self.s_values, self.b_values
+            if final:
+                self.s_values = self.b_values = None
+            return _lift(phi, self.level_px, self.level_py, s, b, out=s if final else None)
         out = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
         out -= self.g_values
         out *= self.s_values
@@ -539,67 +597,78 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     itself, so the fixed point on level ``k`` of the image chain (nodes
     ``X_k x Y_k``, :func:`_image_chain` per axis) follows from the one on
     level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  The
-    plan holds level 1; level 0, every node, is visited in row blocks
-    (:meth:`OperatorGrid.rows`) and handed to ``emit(r0, rows)``, nothing of
-    it kept.
+    plan holds ``s``, ``b`` and ``h`` on level 1; level 0, every node, is
+    visited in row blocks (:meth:`OperatorGrid.rows`) and handed to
+    ``emit(r0, rows)``, nothing of it kept.  No moment holds more than
+    three level-1 arrays, plus one on level 2 while it is lifted.
 
     Round 0 applies the plan to the blend patchwork ``h``: ``T h = s *
-    h_1[P] + b`` needs only ``h_1``, ``h`` on level 1.  Its residual ``|T h
-    - h|`` is measured on every node: on level 1 first, then on level 0 in
-    the last pass below, unless the outcome depends on it now (when the
-    level-1 part meets the bound, and before raising at ``max_iter``); when
-    the bound is met, a second pass emits ``T h``.  Otherwise
+    h_1[P] + b`` needs only ``h_1``, ``h`` on level 1.  It runs over level 1
+    in row blocks, which give its residual ``|T h - h|`` there and ``T h``
+    on the core, the only part kept.  The residual on level 0 comes now if
+    the outcome depends on it (when the level-1 part meets the bound, and
+    before raising at ``max_iter``), and then a second pass emits ``T h``
+    if the bound is met.  Otherwise ``h_1`` is dropped, and the last pass
+    below evaluates each row block's residual from the rows of ``h_1`` that
+    the block pulls back to (:meth:`OperatorGrid.blend_rows`).
     :func:`_double` solves on the core, where ``P`` is a permutation, from
-    ``T h`` restricted to it, and one gather per level lifts the result to
-    ``phi_1`` on level 1.  On level 0, ``phi = s * phi_1[P] + b`` and ``T
-    phi = s * (T_1 phi_1)[P] + b`` with ``T_1 phi_1`` the plan applied on
-    level 1, so one pass over the row blocks measures ``|T phi - phi|`` on
-    every node (the last of ``sup_diffs``, which gives the bound) and emits
-    ``T phi``.  The count is ``N + 1`` on the core plus one per level plus
-    the last application, and stays within ``max_iter``.  Should ``P``
-    permute every node (no grid does: a single-cell axis is rejected),
-    level 1 is every node and the lift to level 0 is one more gather.
-    Returns ``(iterations, sup_diffs, bound)``.
+    ``T h`` there, and one gather per level lifts the result to ``phi_1`` on
+    level 1.  The last application writes ``T_1 phi_1`` over the plan's
+    ``s`` and drops ``s`` and ``b``.  On level 0, ``phi = s * phi_1[P] + b``
+    and ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
+    measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
+    which gives the bound) and emits ``T phi``.  The count is ``N + 1`` on
+    the core plus one per level plus the last application, and stays within
+    ``max_iter``.  Should ``P`` permute every node (no grid does: a
+    single-cell axis is rejected), level 1 is every node and the lift to
+    level 0 is one more gather.  Returns ``(iterations, sup_diffs, bound)``.
     """
-    def sweep():  # per row block of level 0: r0, h, and v -> s * v[P] + b for v on level 1
+    def sweep():  # per row block of level 0: r0, h, rows of level 1, v -> s * v[P] + b
         for r0, s, b, h in plan.rows():
-            yield r0, h, functools.partial(_lift_rows, rx=plan.lx[r0:r0 + len(s)],
-                                           ly=plan.ly, s=s, b=b)
+            rx = plan.lx[r0:r0 + len(s)]
+            yield r0, h, rx, functools.partial(_lift_rows, rx=rx, ly=plan.ly, s=s, b=b)
 
-    h = plan.release_initial()
-    nxt = plan.apply(h)  # T h on level 1
-    first = _sup_distance(nxt, h)  # round 0's residual on level 1; level 0 comes later
     xs, ys = _image_chain(plan.level_px), _image_chain(plan.level_py)  # on level 1
     below = max(len(xs), len(ys)) - 1
+    core_x, core_y = xs[-1], ys[-1]
+    h = plan.release_initial()
+    first, start = 0.0, np.empty((len(core_x), len(core_y)))  # round 0 on level 1
+    for r0, th in _lift_blocks(h, plan.level_px, plan.level_py, plan.s_values, plan.b_values):
+        first = max(first, _sup_distance(th, h[r0:r0 + len(th)]))
+        lo, hi = np.searchsorted(core_x, (r0, r0 + len(th)))
+        start[lo:hi] = th[core_x[lo:hi] - r0][:, core_y]
+    measured = False  # round 0 on level 0
     if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
-        first = max(_sup_distance(lift(h), h0) for _, h0, lift in sweep())
+        first = max(_sup_distance(lift(h), h0) for _, h0, _, lift in sweep())
         bound = factor * first
         if bound <= tol:
-            for r0, _, lift in sweep():
+            for r0, _, _, lift in sweep():
                 emit(r0, lift(h))
             return 1, [first], bound
         if below + 4 > max_iter:  # two applications on the core, the levels, the last one
             raise _no_convergence(max_iter, bound, tol)
-        h = None
+        measured = True
+    del h
     xs += xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
     ys += ys[-1:] * (below + 2 - len(ys))
     # P from level k into positions on level k + 1
     lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
-    core = np.ix_(xs[-1], ys[-1])
-    start = nxt[core]
-    del nxt
+    core = np.ix_(core_x, core_y)
     phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
                                     start, factor, tol, max_iter - below - 2)
-    for k in reversed(range(below)):
-        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, xs[k], ys[k])
+    for k in reversed(range(below)):  # level 0 of the chain is all of level 1
+        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values,
+                    (xs[k], ys[k]) if k else None)
+    nxt = plan.apply(phi, final=True)  # T_1 phi_1, over s
     last = 0.0
-    nxt = plan.apply(phi)
-    for r0, h0, lift in sweep():
+    for r0, h0, rx, lift in sweep():
         heights = lift(nxt)
         last = max(last, _sup_distance(heights, lift(phi)))
-        if h is not None:  # round 0 on the rest of level 0
-            first = max(first, _sup_distance(lift(h), h0))
+        if not measured:  # round 0 on the rest of level 0, from the rows of h_1 it pulls back to
+            rows = _image(plan.lx, slice(r0, r0 + len(rx)))
+            first = max(first, _sup_distance(
+                lift(plan.blend_rows(rows), rx=np.searchsorted(rows, rx)), h0))
         emit(r0, heights)
     diffs = [first] + core_diffs + [last]
     bound = factor * last
@@ -713,17 +782,21 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
         xs[k0 + 1:k1 + 1] = block_x
         ys[k0 + 1:k1 + 1] = block_y
 
+    # each cell's steps, ascending: one stable sort by pick, then a slice per cell
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(picks, minlength=len(cells)))])
+    order = np.argsort(picks, kind="stable")
+    del picks
     s_step = np.empty(steps)
     h_step = np.empty(steps)
     g_step = np.empty(steps)
     for ci, cell in enumerate(cells):
-        mask = picks == ci
-        if not mask.any():
+        idx = order[bounds[ci]:bounds[ci + 1]]
+        if not len(idx):
             continue
-        new_x, new_y = xs[1:][mask], ys[1:][mask]
-        s_step[mask] = system.scalings[cell](new_x, new_y)
-        h_step[mask] = system.blend(cell)(new_x, new_y)
-        g_step[mask] = system.free(cell)(xs[:-1][mask], ys[:-1][mask])
+        new_x, new_y = xs[1:][idx], ys[1:][idx]
+        s_step[idx] = system.scalings[cell](new_x, new_y)
+        h_step[idx] = system.blend(cell)(new_x, new_y)
+        g_step[idx] = system.free(cell)(xs[:-1][idx], ys[:-1][idx])
 
     zs = np.empty(steps + 1)
     z = float(system.grid.z[0, 0])

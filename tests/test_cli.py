@@ -269,6 +269,33 @@ def test_invalid_config_file_exits_one(tmp_path):
     assert "not valid JSON" in result.output + result.stderr
 
 
+@pytest.mark.parametrize("fault", ["not-utf-8", "unreadable"])
+def test_a_config_file_that_cannot_be_read_exits_one(tmp_path, monkeypatch, fault):
+    path = tmp_path / "job.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    if fault == "unreadable":  # chmod does not stop a superuser, so refuse the read itself
+        read_text = Path.read_text
+
+        def refuse(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "read_text", refuse)
+    result = run("validate", "--config", str(path))
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot read --config {str(path)!r}: ")
+    assert ("codec can't decode" if fault == "not-utf-8" else "Permission denied") in result.stderr
+
+
+def test_an_out_directory_under_a_regular_file_exits_one(tmp_path):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    out = tmp_path / "afile" / "sub"
+    result = run("build", "--fixture", "flat2x2", "--out", str(out))
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot write {out / 'flat2x2.certificate.txt'}: ")
+    assert "Not a directory" in result.stderr
+
+
 def test_misaligned_resolution_override_exits_one(tmp_path):
     # every command checks the override against the grid, validate included
     for command, fixture, resolution in (("surface", "flat2x2", "18"),

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,15 +200,29 @@ def scalar_chaos_game(system, point_count, seed, burn_in):
     return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
 
 
-@pytest.mark.parametrize("name", ["example2a", "example2b-sin"])
+def nonuniform_system(seed: int):
+    """The benchmark's generated non-uniform grid drawn from ``seed``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import nonuniform_config
+    finally:
+        sys.path.pop(0)
+    return build_system(parse_config_document(nonuniform_config(seed))).system
+
+
+@pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2", "nonuniform"])
 def test_blocked_chaos_game_equals_the_scalar_loop_bit_for_bit(name, example2a_job,
-                                                               example2b_job):
-    # 10 100 steps: two whole blocks of 4096 and a ragged third; example2b-sin
-    # has a nonzero free field g
-    system = {"example2a": example2a_job, "example2b-sin": example2b_job}[name].system
-    points = chaos_game(system, 10_001, seed=5, burn_in=100)
-    expected = scalar_chaos_game(system, 10_001, seed=5, burn_in=100)
-    assert points.shape == (10_001, 3)
+                                                               example2b_job, band_job):
+    # 100 100 steps: 24 whole blocks of 4096 and a ragged last one, each cell's
+    # steps taken in order from one stable sort; example2b-sin has a nonzero
+    # free field g, band2x2 four cells and the non-uniform grid cells of
+    # unequal sizes
+    system = (nonuniform_system(7) if name == "nonuniform" else
+              {"example2a": example2a_job, "example2b-sin": example2b_job,
+               "band2x2": band_job}[name].system)
+    points = chaos_game(system, 100_000, seed=5, burn_in=100)
+    expected = scalar_chaos_game(system, 100_000, seed=5, burn_in=100)
+    assert points.shape == (100_000, 3)
     assert points.tobytes() == expected.tobytes()
 
 

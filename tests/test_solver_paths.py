@@ -20,7 +20,7 @@ from fractsurf.grid import sample_axes
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
-from lattice import full_apply, full_fields, stack_into
+from lattice import full_apply, full_fields, level_nodes, stack_into, traced_peak
 
 LATTICE_R = 97
 TOL = 1e-6
@@ -205,8 +205,9 @@ class GatherPlan:
     """A lattice plan from bare full-size arrays: ``T phi = s * phi[P] + b``.
 
     Like ``OperatorGrid`` it keeps ``s``, ``b`` and ``h`` on level 1,
-    ``image(P)``, where ``apply`` gathers, and hands out every node in row
-    blocks of ``block`` rows.
+    ``image(P)``, where ``apply`` gathers (the final application over ``s``,
+    dropping ``s`` and ``b``), hands out every node in row blocks of
+    ``block`` rows and rows of ``h`` on level 1 by ``blend_rows``.
     """
 
     lattice = True
@@ -228,8 +229,14 @@ class GatherPlan:
     def release_initial(self):
         return self.h_values
 
-    def apply(self, phi):
-        return self.s_values * phi[np.ix_(self.level_px, self.level_py)] + self.b_values
+    def blend_rows(self, rows):
+        return self.h[np.ix_(self.x_level[rows], self.y_level)]
+
+    def apply(self, phi, *, final=False):
+        out = self.s_values * phi[np.ix_(self.level_px, self.level_py)] + self.b_values
+        if final:  # spent, as the plan's s is overwritten
+            self.s_values = self.b_values = None
+        return out
 
     def full_apply(self, phi):
         return self.s * phi[np.ix_(self.px, self.py)] + self.b
@@ -277,67 +284,92 @@ def test_descent_raises_when_rounding_keeps_the_lifted_bound_above_tol():
     assert err.value.last_bound > 1e-16
 
 
+MEMORY_R = 1025  # band2x2: level 1 holds 513 x 513 nodes, a quarter of R^2
+
+
+def band_surface_solve(band_job):
+    return solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False)
+
+
 def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
-    # arrays live at the call do not count; the heights, plus s, b, h and two
-    # iterates on level 1 (R^2 / 4 each on a 2x2 grid) and the row blocks
-    # (2.76 arrays measured)
-    resolution = 1025
-    tracemalloc.start()
-    try:
-        solve_fixed_point(band_job.system, resolution, estimate_bias=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
+    # arrays live at the call do not count; the heights, three arrays on
+    # level 1 and the row blocks (2.01 R^2 arrays measured)
+    _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
+    assert peak < 6
 
 
 def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
     # the plan holds h on level 1 only and hands it to the descent, so no
     # full-size patchwork is ever kept (5.07 arrays with a full-size h kept)
-    resolution = 1025
-    tracemalloc.start()
-    try:
-        solve_fixed_point(band_job.system, resolution, estimate_bias=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * resolution ** 2 * np.dtype(float).itemsize
+    _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
+    assert peak < 4.5
+
+
+def test_lattice_surface_solve_holds_the_heights_and_three_level_arrays(band_job):
+    # the heights are one R^2 array and three level-1 arrays are 0.75 of one,
+    # with a level-2 array while it is lifted and the row blocks (2.01 arrays
+    # measured; 2.76 with s, b, h and two iterates on level 1)
+    _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
+    assert peak < 2.25
+
+
+def band_dimension_solve_and_count(band_job):
+    deltas = natural_scales(band_job.grid, 6)
+    fold = ColumnExtrema(MEMORY_R, (band_job.grid.x_span, band_job.grid.y_span), deltas)
+    surface = solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False, fold=fold)
+    return surface, box_counts(surface, deltas)
 
 
 def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
-    # with a fold nothing is full size: level 1 holds s, b, h and two
-    # iterates, R^2 / 4 each on a 2x2 grid, and every node goes by in row
-    # blocks into the column extrema (1.77 arrays measured)
-    resolution = 1025
+    # with a fold nothing is full size: level 1 holds three arrays, R^2 / 4
+    # each on a 2x2 grid, and every node goes by in row blocks into the column
+    # extrema (1.02 arrays measured)
+    (surface, counts), peak = traced_peak(lambda: band_dimension_solve_and_count(band_job),
+                                          MEMORY_R ** 2)
+    assert surface.heights is None and surface.fold is not None
+    assert peak < 2
+    materialised = band_surface_solve(band_job)
     deltas = natural_scales(band_job.grid, 6)
-    tracemalloc.start()
-    try:
-        fold = ColumnExtrema(resolution, (band_job.grid.x_span, band_job.grid.y_span), deltas)
-        surface = solve_fixed_point(band_job.system, resolution, estimate_bias=False, fold=fold)
-        counts = box_counts(surface, deltas)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert surface.heights is None and surface.fold is fold
-    assert peak < 2 * resolution ** 2 * np.dtype(float).itemsize
-    materialised = solve_fixed_point(band_job.system, resolution, estimate_bias=False)
     assert counts == box_counts(materialised, deltas)
     assert (surface.iterations, surface.sup_diffs, surface.error_bound) == \
         (materialised.iterations, materialised.sup_diffs, materialised.error_bound)
 
 
-def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
-    # the half-resolution solve runs after the main plan is dropped, and the
-    # disagreement is measured in row blocks
-    resolution = 769
+def test_dimension_solve_and_count_hold_at_most_three_level_arrays(band_job):
+    # the plan's s, b and h, then s, b and the lifted iterate: three level-1
+    # arrays are 0.75 R^2 arrays (1.02 measured; 1.77 with five level-1 arrays)
+    _, peak = traced_peak(lambda: band_dimension_solve_and_count(band_job), MEMORY_R ** 2)
+    assert peak < 1.3
+
+
+def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
+    # by the first block of level 0, h and b are released and T phi_1 is
+    # written over s: phi_1, T phi_1 and one block of s, b, h and the lifts
+    # are alive (3.06 level-1 arrays measured at R = 1025, where a row block
+    # is a quarter of a level-1 array; 6.05 with s, b, h and two iterates)
+    alive = []
+
+    def first_block(r0, rows):
+        if not alive:
+            alive.append(tracemalloc.get_traced_memory()[0])
+
     tracemalloc.start()
     try:
-        surface = solve_fixed_point(example2a_job.system, resolution)
-        _, peak = tracemalloc.get_traced_memory()
+        solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False, fold=first_block)
     finally:
         tracemalloc.stop()
+    level = level_nodes(OperatorGrid(band_job.system, MEMORY_R))
+    assert alive[0] / (level * np.dtype(float).itemsize) < 3.2
+
+
+def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
+    # the half-resolution solve runs after the main plan is dropped, and the
+    # disagreement is measured in row blocks (2.88 arrays measured)
+    resolution = 769
+    surface, peak = traced_peak(lambda: solve_fixed_point(example2a_job.system, resolution),
+                                resolution ** 2)
     assert surface.bias_estimate is not None
-    assert peak < 6 * resolution ** 2 * np.dtype(float).itemsize
+    assert peak < 6
 
 
 def shifted_example2a_job(shift: float):
