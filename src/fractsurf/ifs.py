@@ -221,6 +221,15 @@ def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
     return out
 
 
+def _lift_rows(values: np.ndarray, rx: np.ndarray, ly: np.ndarray, s: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """``s * values[np.ix_(rx, ly)] + b`` for one row block."""
+    out = np.take(values[rx], ly, axis=1)
+    out *= s
+    out += b
+    return out
+
+
 def _lift_blocks(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
                  b: np.ndarray, nodes=None):
     """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, as ``(r0, block)``.
@@ -235,12 +244,11 @@ def _lift_blocks(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarr
     step = max(1, _GATHER_CELLS // s.shape[1])
     for r0 in range(0, len(px), step):
         sl = slice(r0, r0 + step)
-        blk = np.take(values[px[sl]], py, axis=1)
         if nodes is None:
-            blk *= s[sl]
-            blk += b[sl]
+            blk = _lift_rows(values, px[sl], py, s[sl], b[sl])
         else:
             rows, cols = nodes
+            blk = np.take(values[px[sl]], py, axis=1)
             blk *= np.take(s[rows[sl]], cols, axis=1)
             blk += np.take(b[rows[sl]], cols, axis=1)
         yield r0, blk
@@ -579,15 +587,6 @@ def _image_chain(p: np.ndarray) -> list[np.ndarray]:
         if len(image) == len(chain[-1]):
             return chain
         chain.append(image)
-
-
-def _lift_rows(values: np.ndarray, rx: np.ndarray, ly: np.ndarray, s: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """``s * values[np.ix_(rx, ly)] + b`` for one row block of level 0."""
-    out = np.take(values[rx], ly, axis=1)
-    out *= s
-    out += b
-    return out
 
 
 def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit):

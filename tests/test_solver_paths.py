@@ -293,9 +293,13 @@ def band_surface_solve(band_job):
 
 def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
     # arrays live at the call do not count; the heights, three arrays on
-    # level 1 and the row blocks (2.01 R^2 arrays measured)
+    # level 1 and the row blocks
     _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
     assert peak < 6
+    # the heights are one R^2 array and three level-1 arrays 0.75 of one,
+    # with a level-2 array while it is lifted and the row blocks (2.01 arrays
+    # measured; 2.76 with s, b, h and two iterates on level 1)
+    assert peak < 2.25
 
 
 def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
@@ -305,41 +309,29 @@ def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
     assert peak < 4.5
 
 
-def test_lattice_surface_solve_holds_the_heights_and_three_level_arrays(band_job):
-    # the heights are one R^2 array and three level-1 arrays are 0.75 of one,
-    # with a level-2 array while it is lifted and the row blocks (2.01 arrays
-    # measured; 2.76 with s, b, h and two iterates on level 1)
-    _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
-    assert peak < 2.25
-
-
 def band_dimension_solve_and_count(band_job):
     deltas = natural_scales(band_job.grid, 6)
     fold = ColumnExtrema(MEMORY_R, (band_job.grid.x_span, band_job.grid.y_span), deltas)
     surface = solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False, fold=fold)
-    return surface, box_counts(surface, deltas)
+    return surface, box_counts(surface, deltas), fold
 
 
 def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
     # with a fold nothing is full size: level 1 holds three arrays, R^2 / 4
     # each on a 2x2 grid, and every node goes by in row blocks into the column
-    # extrema (1.02 arrays measured)
-    (surface, counts), peak = traced_peak(lambda: band_dimension_solve_and_count(band_job),
-                                          MEMORY_R ** 2)
-    assert surface.heights is None and surface.fold is not None
+    # extrema
+    (surface, counts, fold), peak = traced_peak(
+        lambda: band_dimension_solve_and_count(band_job), MEMORY_R ** 2)
+    assert surface.heights is None and surface.fold is fold
     assert peak < 2
+    # the plan's s, b and h, then s, b and the lifted iterate: three level-1
+    # arrays are 0.75 R^2 arrays (1.02 measured; 1.77 with five level-1 arrays)
+    assert peak < 1.3
     materialised = band_surface_solve(band_job)
     deltas = natural_scales(band_job.grid, 6)
     assert counts == box_counts(materialised, deltas)
     assert (surface.iterations, surface.sup_diffs, surface.error_bound) == \
         (materialised.iterations, materialised.sup_diffs, materialised.error_bound)
-
-
-def test_dimension_solve_and_count_hold_at_most_three_level_arrays(band_job):
-    # the plan's s, b and h, then s, b and the lifted iterate: three level-1
-    # arrays are 0.75 R^2 arrays (1.02 measured; 1.77 with five level-1 arrays)
-    _, peak = traced_peak(lambda: band_dimension_solve_and_count(band_job), MEMORY_R ** 2)
-    assert peak < 1.3
 
 
 def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
