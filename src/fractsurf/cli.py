@@ -10,6 +10,7 @@ exit nonzero with the offending witness in the message.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -54,7 +55,7 @@ def main(args=None, prog_name="fractsurf"):
     commands = parser.add_subparsers(dest="command", required=True)
     seed = _in_range(int, lambda v: 0 <= v < 2 ** 64, "in 0..2**64-1")
     resolution = _in_range(int, lambda v: v >= 5, ">= 5")
-    tol = _in_range(float, lambda v: v > 0, "> 0")
+    tol = _in_range(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
     for name, help_text in COMMANDS.items():
         cmd = commands.add_parser(name, help=help_text, description=help_text,
                                   allow_abbrev=False)

@@ -368,9 +368,9 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    points: int = _key(100000, integer=True, minimum=1)
+    points: int = _key(100000, integer=True, minimum=1, bits=32)
     seed: int = _key(0, integer=True, minimum=0, bits=64)
-    burn_in: int = _key(100, integer=True, minimum=0)
+    burn_in: int = _key(100, integer=True, minimum=0, bits=32)
 
 
 @dataclass(frozen=True)

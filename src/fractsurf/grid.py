@@ -250,6 +250,27 @@ def sample_axes(grid: DataGrid, resolution: int):
     return tuple(axes)
 
 
+def pullback(blocks: Sequence[int]):
+    """Every sample node's pre-image on one axis, exactly: ``(ix, w)``, position ``ix + w``.
+
+    ``blocks`` are the sample intervals per cell of :func:`sample_axes`, so
+    ``R - 1 = sum(blocks)`` and the lattice is uniform.  Node ``t`` of a cell
+    with ``k`` intervals pulls back under that cell's map to position
+    ``t * (R - 1) / k``, computed in integers: ``ix`` is its floor and ``w``
+    its fraction, rounded once.  A node on a shared knot line belongs to the
+    later cell (``t = 0``); ``ix`` stops at ``R - 2``, where the last node
+    has ``w = 1``.  So every ``w`` is 0 or 1 exactly when every cell spans
+    ``span / d`` for an integer ``d``, at every ``R`` or at none.
+    """
+    k = np.asarray(blocks, dtype=np.int64)
+    last = int(k.sum())
+    first = np.append(np.repeat(np.cumsum(k) - k, k), last - k[-1])  # each node's cell's start
+    k = np.append(np.repeat(k, k), k[-1])
+    t = np.arange(last + 1) - first
+    ix = np.minimum(t * last // k, last - 1)
+    return ix, (t * last - ix * k) / k
+
+
 def load_grid_text(text: str) -> DataGrid:
     """Parse the plain-text grid format.
 

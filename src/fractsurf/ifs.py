@@ -16,9 +16,11 @@ Two ways to materialize the attractor are provided and cross-checked:
   ``E_ij`` is ``s(p) * (phi(L^-1 p) - g(L^-1 p)) + h(p)``, a sup-norm
   contraction with factor ``c_s = max sup|s|``, so the a-posteriori bound
   ``c_s / (1 - c_s) * |T phi - phi|`` controls the error of ``T phi``
-  against the exact fixed point at the sample nodes.  When every
-  pulled-back node lands on a sample node (uniform, knot-aligned grids) the
-  sampled operator is a pure gather ``phi -> s * phi[P] + b``.  ``P`` maps
+  against the exact fixed point at the sample nodes.  The pull-back of
+  every node is exact (:func:`~fractsurf.grid.pullback`, in integers), and
+  the sampled operator is ``phi -> s * B phi + b`` with ``b = h - s * g``.
+  When every pulled-back node lands on a sample node (every cell spans an
+  integer fraction of its axis) the gather ``B`` is ``phi[P]``.  ``P`` maps
   every node into ``image(P)`` and ``image(P)`` into itself, so the solver
   descends the chain of images to the core on which ``P`` is a permutation,
   composes the gather with itself there (pointer doubling, iterate ``2^k``
@@ -30,7 +32,7 @@ Two ways to materialize the attractor are provided and cross-checked:
   the heights, or folded into box-count column extrema) while the
   certifying residual is measured on every node.  Level 1 is held by at
   most three arrays at a time, plus one on level 2 while it is lifted.
-  Otherwise it iterates the bilinear pull-back, a separable gather in two
+  Otherwise it iterates with the bilinear gather ``B``, separable in two
   1-D passes (along y, then along x).  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
   ``sup_diffs`` holds the residuals ``|T phi - phi|``; the last entry,
@@ -52,17 +54,10 @@ import numpy as np
 
 from .boundary import QField
 from .errors import ConvergenceError, FractsurfError, InvalidGridError
-from .grid import CellIndex, DataGrid, DomainMap, sample_axes
+from .grid import CellIndex, DataGrid, DomainMap, pullback, sample_axes
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
-# Rounding in the affine inversion is relative to the coordinates, so in units
-# of one sample interval it grows with R - 1 and with the coordinates' size
-# against the span: on the fixtures, on-node weights come out up to
-# 3.3e-16 * (R - 1) off 0 or 1.  A weight within
-# LATTICE_TOL * (R - 1) * max(1, max|knot| / span) counts as on a node;
-# fractional weights of knot-aligned grids stay far above that.
-LATTICE_TOL = 4e-15
 # Cells per row block of a gather: a 256 KiB temporary stays in cache.
 _GATHER_CELLS = 1 << 15
 # Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
@@ -270,40 +265,29 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
                for r0 in range(0, len(a), rows))
 
 
-def _on_lattice(w: np.ndarray, knots) -> bool:
-    """Whether every bilinear weight on an axis with these knots is on a node.
-
-    The bound is ``LATTICE_TOL * (len(w) - 1) * max(1, max|knot| / span)``.
-    """
-    span = knots[-1] - knots[0]
-    scale = max(1.0, max(abs(knots[0]), abs(knots[-1])) / span)
-    return bool(np.all(np.minimum(w, 1.0 - w) <= LATTICE_TOL * (len(w) - 1) * scale))
-
-
 class OperatorGrid:
     """Precomputed sampled form of the surface transform at one resolution.
 
-    All position-dependent quantities (the scaling field, the blend, the
-    free field at the pulled-back points, and the bilinear gather indices
-    and weights) are fixed across iterations.  One application of a
-    bilinear plan is the two-pass :func:`_bilinear_gather` (along y, then
-    along x) followed by ``s * (. - g) + h`` in place on its output.
+    Every node's pull-back comes from :func:`~fractsurf.grid.pullback`, the
+    exact rule, as a node index ``ix`` and a weight ``w`` per axis.  Both
+    plans apply ``T phi = s * B phi + b`` with ``b = h - s * g``, ``s`` and
+    the blend ``h`` at the node and the free field ``g`` at its pre-image
+    (:meth:`_block`); they differ only in the gather ``B``.
 
-    When every bilinear weight on both axes is within
-    ``LATTICE_TOL * (R - 1) * max(1, max|knot| / span)`` of 0 or 1 (rounding
-    of the inversion, relative to the coordinates and measured in sample
-    intervals), the plan is a *lattice* plan: the weights snap to 0 or 1,
-    the integer node indices ``px``, ``py`` (one 1-D array per axis) replace
-    indices and weights, and ``b = h - s * g`` replaces ``g``, so that the
-    operator is the pure gather ``s * phi[P] + b``.  ``P`` maps every node
-    into level 1, ``x_level x y_level`` with ``x_level = image(px)``, and
-    level 1 into itself, so a lattice plan holds ``s``, ``h`` and ``b`` on
-    level 1 only, three level-1 arrays, evaluated there one row block at a
-    time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
+    When every weight on both axes is 0 or 1 (every cell spans ``span / d``
+    for an integer ``d``), the plan is a *lattice* plan: ``B phi = phi[P]``
+    with the integer node indices ``px = ix + w``, ``py`` (one 1-D array per
+    axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
+    node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
+    and level 1 into itself, so a lattice plan holds ``s``, ``h`` and ``b``
+    on level 1 only, three level-1 arrays, evaluated there one row block at
+    a time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
     pull-back as a position on level 1; ``level_px``, ``level_py``: those
     of level 1).  :meth:`rows` evaluates them on every node, and
     :meth:`blend_rows` ``h`` alone on some rows of level 1, one row block
-    at a time.
+    at a time.  Otherwise ``B`` is the two-pass :func:`_bilinear_gather`
+    (along y, then along x) with ``ix``, ``wx``, ``iy``, ``wy``, and ``s``,
+    ``b`` and ``h`` are held on every node.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -316,18 +300,13 @@ class OperatorGrid:
         # each cell's first and last node per axis, the knots included
         self._cell_nodes = [(cell, x_starts[cell.i - 1], x_starts[cell.i],
                              y_starts[cell.j - 1], y_starts[cell.j]) for cell in grid.cells()]
-        # every node's pull-back per axis; on a shared knot line the later cell wins
-        self.x_pre, self.y_pre = x_pre, y_pre = np.empty(resolution), np.empty(resolution)
-        for cell, x0, x1, y0, y1 in self._cell_nodes:
-            dmap = system.maps[cell]
-            x_pre[x0:x1 + 1] = dmap.axis_x.invert(self.x_samples[x0:x1 + 1], tol=1e-9)
-            y_pre[y0:y1 + 1] = dmap.axis_y.invert(self.y_samples[y0:y1 + 1], tol=1e-9)
-        ix, wx = _axis_weights(self.x_samples, x_pre)
-        iy, wy = _axis_weights(self.y_samples, y_pre)
-        self.lattice = _on_lattice(wx, grid.x_knots) and _on_lattice(wy, grid.y_knots)
+        (ix, wx), (iy, wy) = pullback(x_blocks), pullback(y_blocks)
+        # each node's pre-image, where g is evaluated: the sample node itself when w is 0 or 1
+        self.x_pre = self.x_samples[ix] * (1 - wx) + self.x_samples[ix + 1] * wx
+        self.y_pre = self.y_samples[iy] * (1 - wy) + self.y_samples[iy + 1] * wy
+        self.lattice = all(np.all((w == 0) | (w == 1)) for w in (wx, wy))
         if self.lattice:
-            self.px = ix + (wx > 0.5)
-            self.py = iy + (wy > 0.5)
+            self.px, self.py = ix + (wx == 1), iy + (wy == 1)
             self.x_level, self.y_level = _image(self.px), _image(self.py)
             self.lx = np.searchsorted(self.x_level, self.px)
             self.ly = np.searchsorted(self.y_level, self.py)
@@ -340,11 +319,9 @@ class OperatorGrid:
                 self._block(self.x_level[r0:r0 + step], self.y_level,
                             tuple(values[r0:r0 + step] for values in level))
         else:
-            nodes = np.arange(resolution)
-            fields = self.s_values, self.h_values, self.g_values = tuple(
-                np.empty((resolution, resolution)) for _ in range(3))
-            self._fields(nodes, nodes, *fields)
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
+            nodes = np.arange(resolution)
+            self.s_values, self.b_values, self.h_values = self._block(nodes, nodes)
 
     def _cells(self, rows: np.ndarray, cols: np.ndarray):
         """Per cell, its part of the nodes ``np.ix_(rows, cols)``: ``(cell, sl_x, sl_y, x, y)``.
@@ -362,28 +339,23 @@ class OperatorGrid:
                 yield (cell, sl_x, sl_y, self.x_samples[rows[sl_x]][:, None],
                        self.y_samples[cols[sl_y]][None, :])
 
-    def _fields(self, rows: np.ndarray, cols: np.ndarray, s: np.ndarray, h: np.ndarray,
-                g: np.ndarray) -> None:
-        """Write ``s``, ``h`` and ``g`` at the pulled-back points on ``np.ix_(rows, cols)``."""
-        system = self.system
-        for cell, sl_x, sl_y, bx, by in self._cells(rows, cols):
-            qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
-            s[sl_x, sl_y] = system.scalings[cell](bx, by)
-            h[sl_x, sl_y] = system.blend(cell)(bx, by)
-            g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])
-
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
 
         ``b = h - s * g``, with ``g`` the free field at the pulled-back points.
         """
         s, b, h = out or tuple(np.empty((len(rows), len(cols))) for _ in range(3))
-        self._fields(rows, cols, s, h, b)  # g, until b replaces it
+        system = self.system
+        for cell, sl_x, sl_y, bx, by in self._cells(rows, cols):
+            qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
+            s[sl_x, sl_y] = system.scalings[cell](bx, by)
+            h[sl_x, sl_y] = system.blend(cell)(bx, by)
+            b[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])  # g, until b replaces it
         b *= s
         return s, np.subtract(h, b, out=b), h
 
     def rows(self):
-        """Lattice plans: ``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
+        """``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
 
         One row block at a time, ``_ROW_CELLS`` nodes each, evaluated as
         on level 1.
@@ -405,22 +377,18 @@ class OperatorGrid:
             h[sl_x, sl_y] = self.system.blend(cell)(bx, by)
         return h
 
-    def initial(self) -> np.ndarray:
-        """Blend patchwork: continuous, interpolates the data, cheap (level 1 on lattice plans)."""
-        return self.h_values.copy()
-
     def release_initial(self) -> np.ndarray:
-        """Hand over the blend patchwork and drop the plan's reference to it.
+        """Hand over the blend patchwork ``h`` and drop the plan's reference to it.
 
-        A lattice plan's ``apply`` reads ``s`` and ``b``, not ``h``, so the
-        caller decides how long the level-1 ``h`` lives; :meth:`blend_rows`
-        evaluates rows of it again.
+        ``apply`` reads ``s`` and ``b``, not ``h``, so the caller decides how
+        long ``h`` lives (on level 1 for lattice plans, whose
+        :meth:`blend_rows` evaluates rows of it again).
         """
         h, self.h_values = self.h_values, None
         return h
 
     def apply(self, phi: np.ndarray, *, final: bool = False) -> np.ndarray:
-        """``T phi``: on every node, or on level 1 for lattice plans.
+        """``T phi = s * B phi + b``: on every node, or on level 1 for lattice plans.
 
         With ``final``, a lattice plan writes ``T phi`` over its ``s``, one
         row block at a time, and drops ``s`` and ``b``: no new level-1 array
@@ -433,9 +401,8 @@ class OperatorGrid:
                 self.s_values = self.b_values = None
             return _lift(phi, self.level_px, self.level_py, s, b, out=s if final else None)
         out = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
-        out -= self.g_values
         out *= self.s_values
-        out += self.h_values
+        out += self.b_values
         return out
 
 
@@ -513,8 +480,8 @@ def _no_convergence(max_iter: int, bound: float, tol: float) -> ConvergenceError
 
 
 def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
-    """Plain fixed-point iteration from the blend patchwork."""
-    phi = plan.initial()
+    """Plain fixed-point iteration from the blend patchwork, which the plan hands over."""
+    phi = plan.release_initial()
     diffs: list[float] = []
     bound = math.inf
     for iterations in range(1, max_iter + 1):
@@ -754,6 +721,8 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     """
     if point_count < 1:
         raise FractsurfError("point_count must be positive")
+    if burn_in < 0:
+        raise FractsurfError("burn_in must be non-negative")
     rng = np.random.default_rng(seed)
     cells = sorted(system.maps)  # deterministic order
     steps = burn_in + point_count

@@ -64,11 +64,12 @@ def test_unknown_fixture_is_rejected_by_the_option():
     (["--seed", str(2 ** 64)], "--seed"),
     (["--resolution", "4"], "--resolution"),
     (["--tol", "0"], "--tol"),
+    (["--tol", "inf"], "--tol"),
     (["--config", "{tmp}/missing.json"], "--config"),
     (["--config", "{tmp}"], "--config"),
     (["--out", "{tmp}/job.json"], "--out"),
     ([], "command"),
-], ids=["seed-negative", "seed-2^64", "resolution-4", "tol-0", "config-missing",
+], ids=["seed-negative", "seed-2^64", "resolution-4", "tol-0", "tol-inf", "config-missing",
         "config-directory", "out-file", "no-command"])
 def test_usage_errors_exit_two_and_name_their_option(tmp_path, args, option):
     (tmp_path / "job.json").write_text("{}", encoding="utf-8")

@@ -430,6 +430,8 @@ FLAT_KEY_ERRORS = [
     ("output", "stem", 5, "expected a non-empty string"),
     ("output", "stem", "", "expected a non-empty string"),
     ("output", "stem", None, "expected a non-empty string"),
+    ("chaos", "points", 2 ** 62, "must fit in 32 bits"),
+    ("chaos", "burn_in", 2 ** 62, "must fit in 32 bits"),
 ]
 
 

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractsurf.errors import FractsurfError, InvalidGridError, OutOfDomainError
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import (AxisMap, CellIndex, DataGrid, build_domain_maps,
-                            load_grid_text, sample_axes)
+                            load_grid_text, pullback, sample_axes)
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +144,33 @@ def test_sample_axes_put_every_knot_on_a_sample(grid):
 def test_sample_axes_reject_coarse_or_misaligned_resolutions(grid, resolution, message):
     with pytest.raises(FractsurfError, match=message):
         sample_axes(grid, resolution)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(
+           st.just(d), st.sets(st.integers(1, d - 1), min_size=1))),
+       st.sampled_from([0.0, -1.0, 1000.0]), st.sampled_from([1.0, 3.0]), st.integers(1, 3))
+def test_pullback_is_the_exact_pre_image_of_every_node(knots_over_d, x0, span, multiple):
+    # knots at x0 + span * j / d: each cell spans span / k exactly when its
+    # j-width divides d, and then every node pulls back onto a node
+    d, inner = knots_over_d
+    js = [0, *sorted(inner), d]
+    knots = [x0 + span * j / d for j in js]
+    grid = DataGrid(knots, knots, np.zeros((len(knots), len(knots))))
+    base = math.lcm(*(d // math.gcd(j, d) for j in js))
+    resolution = base * math.ceil(4 * grid.n / base) * multiple + 1
+    (xs, blocks), _ = sample_axes(grid, resolution)
+    ix, w = pullback(blocks)
+    maps = build_domain_maps(grid)
+    starts = np.cumsum([0] + blocks)
+    expected = np.empty(resolution)
+    for i in range(1, grid.n + 1):  # in order: a knot node takes the later cell
+        nodes = slice(starts[i - 1], starts[i] + 1)
+        pre = maps[CellIndex(i, 1)].axis_x.invert(xs[nodes], tol=1e-9)
+        expected[nodes] = (pre - x0) * (resolution - 1) / span
+    assert float(np.max(np.abs(ix + w - expected))) <= 1e-9
+    assert np.all(ix[starts[1:-1]] == 0) and np.all(w[starts[1:-1]] == 0)
+    assert ix[-1] == resolution - 2 and w[-1] == 1
+    assert ix.max() <= resolution - 2 and np.all((0 <= w) & (w <= 1))
+    on_nodes = bool(np.all((w == 0) | (w == 1)))
+    assert on_nodes == all(d % (b - a) == 0 for a, b in zip(js, js[1:]))

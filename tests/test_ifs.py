@@ -161,6 +161,13 @@ def test_chaos_game_flat_data_is_constant(flat_job):
     assert np.max(np.abs(pts[:, 2] - 0.7)) < 1e-9
 
 
+@pytest.mark.parametrize("point_count, burn_in, message", [
+    (0, 100, "point_count must be positive"), (10, -5, "burn_in must be non-negative")])
+def test_chaos_game_refuses_counts_below_their_floor(flat_job, point_count, burn_in, message):
+    with pytest.raises(FractsurfError, match=message):
+        chaos_game(flat_job.system, point_count, seed=11, burn_in=burn_in)
+
+
 def scalar_chaos_game(system, point_count, seed, burn_in):
     """The chaos game with whole-length Python float lists, step by step."""
     rng = np.random.default_rng(seed)

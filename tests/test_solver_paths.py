@@ -1,9 +1,10 @@
 """The two solver paths: the knot-image descent on lattice plans, iteration otherwise.
 
-On uniform, knot-aligned grids every pulled-back sample node lands on a node,
-so the sampled operator is a pure gather; the solver doubles it on the core of
-the pull-back and lifts the result to every node.  Grids with non-uniform
-knots take fractional bilinear weights and keep the plain iteration.
+Both plans apply ``T phi = s * B phi + b``.  Where every cell spans an
+integer fraction of its axis, every pulled-back sample node lands on a node,
+so the gather ``B`` is ``phi[P]``; the solver doubles it on the core of the
+pull-back and lifts the result to every node.  Grids with other cells take
+fractional bilinear weights and keep the plain iteration.
 """
 import tracemalloc
 
@@ -20,34 +21,36 @@ from fractsurf.grid import sample_axes
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
-from lattice import full_apply, full_fields, level_nodes, stack_into, traced_peak
+from lattice import (force_bilinear, four_corner_gather, full_apply, full_fields, level_nodes,
+                     stack_into, traced_peak)
 
 LATTICE_R = 97
 TOL = 1e-6
 
 
-def no_lattice_plans(monkeypatch):
-    """From here on, build every plan with bilinear weights, as on a non-uniform grid."""
-    monkeypatch.setattr(ifs, "LATTICE_TOL", -1.0)
-
-
 def test_lattice_apply_matches_bilinear_apply(example2a_job, monkeypatch):
     system = example2a_job.system
     lattice = OperatorGrid(system, LATTICE_R)
-    no_lattice_plans(monkeypatch)
-    bilinear = OperatorGrid(system, LATTICE_R)
+    force_bilinear(monkeypatch)
+    bilinear = ifs.OperatorGrid(system, LATTICE_R)
     assert lattice.lattice and not bilinear.lattice
     phi = np.random.default_rng(7).normal(size=(LATTICE_R, LATTICE_R))
     full = full_apply(lattice, phi)
     gap = float(np.max(np.abs(full - bilinear.apply(phi))))
     assert gap <= 1e-10
+    # the same s and b, and weights of 0 and 1 gather each node exactly
+    assert np.array_equal(full, bilinear.apply(phi))
     # on level 1, image(P), the plan's own apply is the same gather
     level = np.ix_(lattice.x_level, lattice.y_level)
     assert np.array_equal(lattice.apply(phi[level]), full[level])
 
 
 def whole_grid_fields(system, resolution):
-    """Reference: s, h and g on every node, cell by cell in ``grid.cells()`` order."""
+    """Reference: s, h and g on every node, cell by cell in ``grid.cells()`` order.
+
+    On a uniform grid node ``t`` of a cell with ``k`` sample intervals pulls
+    back onto node ``t * (R - 1) / k``, where ``g`` is evaluated.
+    """
     (xs, x_blocks), (ys, y_blocks) = sample_axes(system.grid, resolution)
     x_starts, y_starts = np.cumsum([0] + x_blocks), np.cumsum([0] + y_blocks)
     s, h, g = (np.empty((resolution, resolution)) for _ in range(3))
@@ -55,17 +58,21 @@ def whole_grid_fields(system, resolution):
         sl_x = slice(x_starts[cell.i - 1], x_starts[cell.i] + 1)
         sl_y = slice(y_starts[cell.j - 1], y_starts[cell.j] + 1)
         bx, by = xs[sl_x], ys[sl_y]
-        qx, qy = system.maps[cell].invert((bx, by), tol=1e-9)
+        kx, ky = x_blocks[cell.i - 1], y_blocks[cell.j - 1]
+        assert (resolution - 1) % kx == 0 and (resolution - 1) % ky == 0
+        qx = xs[np.arange(kx + 1) * ((resolution - 1) // kx)]
+        qy = ys[np.arange(ky + 1) * ((resolution - 1) // ky)]
         s[sl_x, sl_y] = system.scalings[cell](bx[:, None], by[None, :])
         h[sl_x, sl_y] = system.blend(cell)(bx[:, None], by[None, :])
         g[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])
     return s, h, g
 
 
-@pytest.mark.parametrize("name", ["example2a", "band2x2"])
+@pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2"])
 def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     # a shared knot line takes the later cell's values, whichever rows a block
-    # holds (ragged blocks of 7 rows here) and on level 1 as on every node
+    # holds (ragged blocks of 7 rows here) and on level 1 as on every node;
+    # example2b-sin's free field g is nonzero, taken at the pulled-back node
     monkeypatch.setattr(ifs, "_ROW_CELLS", 7 * LATTICE_R)
     system = build_system(parse_config_document(fixture_config(name))).system
     plan = OperatorGrid(system, LATTICE_R)
@@ -80,7 +87,7 @@ def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
 def test_doubling_agrees_with_iteration(example2a_job, monkeypatch):
     system = example2a_job.system
     doubled = solve_fixed_point(system, LATTICE_R, tol=TOL, estimate_bias=False)
-    no_lattice_plans(monkeypatch)
+    force_bilinear(monkeypatch)
     iterated = solve_fixed_point(system, LATTICE_R, tol=1e-10, estimate_bias=False)
     assert iterated.iterations == len(iterated.sup_diffs)
     gap = float(np.max(np.abs(doubled.heights - iterated.heights)))
@@ -384,8 +391,9 @@ def shifted_example2a_job(shift: float):
 
 
 def test_knots_away_from_the_origin_keep_the_lattice_path():
-    # the inversion's rounding is relative to |x|: 3.5e-10 of a sample interval
-    # at R = 1537 for knots near 1000
+    # the pull-back is computed in integers from the sample intervals per cell,
+    # so knots near 1000 decide the path as knots near 0 do; the fields see
+    # the shifted coordinates, so the heights agree within the two bounds
     near, far = shifted_example2a_job(0.0), shifted_example2a_job(1000.0)
     for resolution in (LATTICE_R, 769):
         assert OperatorGrid(far.system, resolution).lattice, resolution
@@ -395,14 +403,11 @@ def test_knots_away_from_the_origin_keep_the_lattice_path():
         assert gap <= a.error_bound + b.error_bound, resolution
 
 
-def nonuniform_job(psi_sup: float = 0.6, shift: float = 0.0):
-    """Knot-aligned but non-uniform: x knots [0, .25, 1], y knots [0, .375, .75, 1], plus shift."""
-    x_knots = [0.0, 0.25, 1.0]
-    y_knots = [0.0, 0.375, 0.75, 1.0]
-    z_rows = [[0.0, 0.4, 0.1], [0.6, 1.0, 0.2], [0.3, 0.9, 0.5], [0.1, 0.2, 0.7]]
+def knot_job(x_knots, y_knots, z_rows, psi_sup: float = 0.6, shift: float = 0.0):
+    """Separable-quartic fields of sup|s| = ``psi_sup``, linear curves, R = 65, knots plus shift."""
     fields = []
-    for i in (1, 2):
-        for j in (1, 2, 3):
+    for i in range(1, len(x_knots)):
+        for j in range(1, len(y_knots)):
             dx = x_knots[i] - x_knots[i - 1]
             dy = y_knots[j] - y_knots[j - 1]
             sign = 1.0 if (i + j) % 2 else -1.0
@@ -425,6 +430,13 @@ def nonuniform_job(psi_sup: float = 0.6, shift: float = 0.0):
     return build_system(parse_config_document(doc))
 
 
+def nonuniform_job(psi_sup: float = 0.6, shift: float = 0.0):
+    """Knot-aligned but non-uniform: x knots [0, .25, 1], y knots [0, .375, .75, 1], plus shift."""
+    return knot_job([0.0, 0.25, 1.0], [0.0, 0.375, 0.75, 1.0],
+                    [[0.0, 0.4, 0.1], [0.6, 1.0, 0.2], [0.3, 0.9, 0.5], [0.1, 0.2, 0.7]],
+                    psi_sup, shift)
+
+
 def test_nonuniform_grid_takes_the_bilinear_path():
     job = nonuniform_job()
     cfg = job.config.solver
@@ -441,10 +453,20 @@ def test_nonuniform_grid_takes_the_bilinear_path():
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixtures_take_the_lattice_path_at_both_resolutions(name):
-    # rounding of the inversion grows with R; it must not push an aligned grid off
+    # every cell spans span / k: on the lattice at every aligned resolution
     job = build_system(parse_config_document(fixture_config(name)))
     for resolution in (job.config.solver.resolution, _dimension_resolution(job)):
         assert OperatorGrid(job.system, resolution).lattice, resolution
+
+
+def test_bilinear_solve_holds_five_grids():
+    # s, b, the iterate, its image and the gather's pass along y: the plan
+    # hands h over as the first iterate and keeps no g (5.27 arrays measured
+    # at R = 513; 6.27 with g kept and h copied)
+    job, resolution = nonuniform_job(), 513
+    _, peak = traced_peak(lambda: solve_fixed_point(job.system, resolution, tol=1e-8,
+                                                    estimate_bias=False), resolution ** 2)
+    assert peak < 5.5
 
 
 def test_nonuniform_grid_stays_bilinear_at_both_resolutions():
@@ -459,16 +481,24 @@ def test_nonuniform_grid_away_from_the_origin_stays_bilinear():
         assert not OperatorGrid(job.system, resolution).lattice, resolution
 
 
-def four_corner_gather(values, ix, wx, iy, wy):
-    """Reference bilinear gather: all four corners at once."""
-    wx = wx[:, None]
-    wy = wy[None, :]
-    v00 = values[np.ix_(ix, iy)]
-    v10 = values[np.ix_(ix + 1, iy)]
-    v01 = values[np.ix_(ix, iy + 1)]
-    v11 = values[np.ix_(ix + 1, iy + 1)]
-    return ((1 - wx) * ((1 - wy) * v00 + wy * v01)
-            + wx * ((1 - wy) * v10 + wy * v11))
+def test_cells_spanning_integer_fractions_take_the_descent(monkeypatch):
+    # x cells span 1/4, 1/4 and 1/2 of the axis, y cells 1/2, 1/4 and 1/4: a
+    # non-uniform grid on which every node still pulls back onto a node
+    job = knot_job([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.75, 1.0],
+                   [[0.0, 0.4, 0.1, 0.8], [0.6, 1.0, 0.2, 0.3], [0.3, 0.9, 0.5, 0.0],
+                    [0.1, 0.2, 0.7, 0.4]])
+    cfg = job.config.solver
+    for resolution in (cfg.resolution, _dimension_resolution(job)):
+        assert OperatorGrid(job.system, resolution).lattice, resolution
+        descended = solve_fixed_point(job.system, resolution, tol=cfg.tol, estimate_bias=False)
+        with monkeypatch.context() as patch:
+            force_bilinear(patch)
+            iterated = solve_fixed_point(job.system, resolution, tol=cfg.tol,
+                                         estimate_bias=False)
+        assert iterated.iterations == len(iterated.sup_diffs)
+        assert descended.iterations > len(descended.sup_diffs)  # equivalent applications
+        gap = float(np.max(np.abs(descended.heights - iterated.heights)))
+        assert gap <= descended.error_bound + iterated.error_bound, resolution
 
 
 @pytest.mark.parametrize("block_cells", [ifs._GATHER_CELLS, 1000],
@@ -482,9 +512,9 @@ def test_two_pass_gather_equals_the_four_corner_formula(block_cells, monkeypatch
     square = (plan.ix, plan.wx, plan.iy, plan.wy)
     assert np.array_equal(ifs._bilinear_gather(phi, *square),
                           four_corner_gather(phi, *square))
-    expected = plan.s_values * (four_corner_gather(phi, *square) - plan.g_values) \
-        + plan.h_values
+    expected = plan.s_values * four_corner_gather(phi, *square) + plan.b_values
     assert np.array_equal(plan.apply(phi), expected)
+    assert np.array_equal(full_apply(plan, phi), expected)
     # coarse -> fine, as in the bias estimate: 33 x 17 values onto 65 x 65 nodes
     coarse_x, coarse_y = plan.x_samples[::2], plan.y_samples[::4]
     coarse = rng.normal(size=(len(coarse_x), len(coarse_y)))
@@ -502,10 +532,10 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
 
     def reference_solve(resolution):
         plan = OperatorGrid(job.system, resolution)
-        phi, diffs = plan.initial(), []
+        phi, diffs = plan.h_values, []
         while True:
-            nxt = plan.s_values * (four_corner_gather(phi, plan.ix, plan.wx, plan.iy, plan.wy)
-                                   - plan.g_values) + plan.h_values
+            nxt = plan.s_values * four_corner_gather(phi, plan.ix, plan.wx, plan.iy,
+                                                     plan.wy) + plan.b_values
             diffs.append(float(np.max(np.abs(nxt - phi))))
             phi = nxt
             if c / (1 - c) * diffs[-1] <= cfg.tol:
