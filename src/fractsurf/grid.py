@@ -38,7 +38,7 @@ from .errors import FractsurfError, InvalidGridError, OutOfDomainError
 #: absolute tolerance for inverse round-trips and image/tiling checks
 MAP_TOL = 1e-12
 #: most samples per axis of any lattice: one R x R float array is then 34 GB,
-#: and the solver holds four to five of them
+#: and a solve holds about 2.25 of them on the lattice path, 5.3 on the bilinear one
 MAX_RESOLUTION = 2 ** 16 + 1
 
 
@@ -225,10 +225,11 @@ def sample_axes(grid: DataGrid, resolution: int):
 
     The lattice exists iff ``resolution`` is at most ``MAX_RESOLUTION``, at
     least :func:`min_resolution`, and ``resolution - 1`` is a multiple of
-    :func:`alignment_base`; otherwise this raises.  Returns
-    ``((x_samples, x_blocks), (y_samples, y_blocks))`` where ``blocks[k]`` is
-    the number of sample intervals inside cell ``k + 1`` of that axis; each
-    cell is sampled by its own linspace, so the knots are exact sample values.
+    :func:`alignment_base`, and every cell gets a sample interval; otherwise
+    this raises.  Returns ``((x_samples, x_blocks), (y_samples, y_blocks))``
+    where ``blocks[k]`` is the number of sample intervals inside cell
+    ``k + 1`` of that axis; each cell is sampled by its own linspace, so the
+    knots are exact sample values.
     """
     if resolution > MAX_RESOLUTION:
         raise FractsurfError(f"resolution {resolution} is above the ceiling {MAX_RESOLUTION}")
@@ -242,9 +243,14 @@ def sample_axes(grid: DataGrid, resolution: int):
             f"resolution {resolution} is not knot-aligned: R - 1 must be a multiple "
             f"of the grid's alignment base {base}")
     axes = []
-    for knots in (grid.x_knots, grid.y_knots):
+    for axis, knots in (("x", grid.x_knots), ("y", grid.y_knots)):
         stops = [int(f * (resolution - 1)) for f in _knot_fractions(knots)]
         blocks = [b - a for a, b in zip(stops, stops[1:])]
+        if min(blocks) < 1:
+            k = blocks.index(min(blocks)) + 1
+            raise FractsurfError(
+                f"{axis} knot {knots[k]!r} gets no sample interval at resolution {resolution}: "
+                f"its fraction of the span rounds onto that of the knot {knots[k - 1]!r}")
         parts = [np.linspace(lo, hi, k + 1) for lo, hi, k in zip(knots, knots[1:], blocks)]
         axes.append((np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), blocks))
     return tuple(axes)

@@ -35,11 +35,11 @@ Two ways to materialize the attractor are provided and cross-checked:
   Otherwise it iterates with the bilinear gather ``B``, separable in two
   1-D passes (along y, then along x).  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
-  ``sup_diffs`` holds the residuals ``|T phi - phi|``; the last entry,
-  measured on every node, gives the bound.  Discretization bias from the
-  bilinear pull-back is estimated separately against a half-resolution
-  solve, when ``R - 1`` is even and the half resolution has a sample
-  lattice of its own.
+  ``sup_diffs`` holds the residuals ``|T phi - phi|``, each on the nodes
+  its round computes; the last, measured on every node, gives the bound.
+  Discretization bias from the bilinear pull-back is estimated separately
+  against a half-resolution solve, when ``R - 1`` is even and that solve
+  has a sample lattice of its own and converges.
 * :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
   graph (at a data knot) it stays on the graph exactly.
 """
@@ -283,8 +283,7 @@ class OperatorGrid:
     on level 1 only, three level-1 arrays, evaluated there one row block at
     a time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
     pull-back as a position on level 1; ``level_px``, ``level_py``: those
-    of level 1).  :meth:`rows` evaluates them on every node, and
-    :meth:`blend_rows` ``h`` alone on some rows of level 1, one row block
+    of level 1).  :meth:`rows` evaluates them on every node, one row block
     at a time.  Otherwise ``B`` is the two-pass :func:`_bilinear_gather`
     (along y, then along x) with ``ix``, ``wx``, ``iy``, ``wy``, and ``s``,
     ``b`` and ``h`` are held on every node.
@@ -323,30 +322,22 @@ class OperatorGrid:
             nodes = np.arange(resolution)
             self.s_values, self.b_values, self.h_values = self._block(nodes, nodes)
 
-    def _cells(self, rows: np.ndarray, cols: np.ndarray):
-        """Per cell, its part of the nodes ``np.ix_(rows, cols)``: ``(cell, sl_x, sl_y, x, y)``.
-
-        ``rows`` and ``cols`` are ascending node indices; ``x`` is a column
-        and ``y`` a row of sample coordinates.  Cells come in
-        ``grid.cells()`` order, so where each writes its part, a node on a
-        shared knot line takes the values of the later cell, whatever nodes
-        are asked for.
-        """
-        for cell, x0, x1, y0, y1 in self._cell_nodes:
-            sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
-            sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
-            if sl_x.start < sl_x.stop and sl_y.start < sl_y.stop:
-                yield (cell, sl_x, sl_y, self.x_samples[rows[sl_x]][:, None],
-                       self.y_samples[cols[sl_y]][None, :])
-
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
 
-        ``b = h - s * g``, with ``g`` the free field at the pulled-back points.
+        ``rows`` and ``cols`` are ascending node indices.  ``b = h - s * g``,
+        with ``g`` the free field at the pulled-back points.  Cells write
+        their parts in ``grid.cells()`` order, so a node on a shared knot
+        line takes the values of the later cell, whatever nodes are asked for.
         """
         s, b, h = out or tuple(np.empty((len(rows), len(cols))) for _ in range(3))
         system = self.system
-        for cell, sl_x, sl_y, bx, by in self._cells(rows, cols):
+        for cell, x0, x1, y0, y1 in self._cell_nodes:
+            sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
+            sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
+            if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
+                continue
+            bx, by = self.x_samples[rows[sl_x]][:, None], self.y_samples[cols[sl_y]][None, :]
             qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
             s[sl_x, sl_y] = system.scalings[cell](bx, by)
             h[sl_x, sl_y] = system.blend(cell)(bx, by)
@@ -365,24 +356,12 @@ class OperatorGrid:
         for r0 in range(0, self.resolution, step):
             yield r0, *self._block(nodes[r0:r0 + step], nodes)
 
-    def blend_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Lattice plans: ``h`` on the level-1 rows ``rows`` (ascending positions on level 1).
-
-        The blend alone, on every column of level 1, with the values the
-        plan held there before :meth:`release_initial`.
-        """
-        nodes = self.x_level[rows]
-        h = np.empty((len(nodes), len(self.y_level)))
-        for cell, sl_x, sl_y, bx, by in self._cells(nodes, self.y_level):
-            h[sl_x, sl_y] = self.system.blend(cell)(bx, by)
-        return h
-
     def release_initial(self) -> np.ndarray:
         """Hand over the blend patchwork ``h`` and drop the plan's reference to it.
 
         ``apply`` reads ``s`` and ``b``, not ``h``, so the caller decides how
-        long ``h`` lives (on level 1 for lattice plans, whose
-        :meth:`blend_rows` evaluates rows of it again).
+        long ``h`` lives: a lattice plan's ``h``, on level 1, only through
+        round 0.
         """
         h, self.h_values = self.h_values, None
         return h
@@ -414,7 +393,7 @@ class SurfaceSample:
     y_samples: np.ndarray = field(compare=False)
     heights: np.ndarray | None = field(compare=False)  # heights[ix, iy]; None when folded
     iterations: int = 0
-    sup_diffs: tuple[float, ...] = ()
+    sup_diffs: tuple[float, ...] = ()  # residual per round, on its nodes; the last on all
     error_bound: float = 0.0          # a-posteriori bound at the sample nodes
     bias_estimate: float | None = None  # discretization bias vs half resolution
     contraction: float = 0.0          # c_s used in the bound
@@ -461,16 +440,20 @@ class SurfaceSample:
         return float(max(gx, gy))
 
 
-def _half_resolution(plan: OperatorGrid) -> int | None:
-    """The resolution whose lattice is every other node of this one, if it exists."""
-    if (plan.resolution - 1) % 2:
+def _half_solve(system: IfsSystem, resolution: int, tol: float,
+                max_iter: int) -> SurfaceSample | None:
+    """The solve on every other node, or None without that lattice or without convergence."""
+    if (resolution - 1) % 2:
         return None
-    half = (plan.resolution - 1) // 2 + 1
+    half = (resolution - 1) // 2 + 1
     try:
-        sample_axes(plan.system.grid, half)
-    except FractsurfError:
+        sample_axes(system.grid, half)
+    except FractsurfError:  # the half resolution has no sample lattice of its own
         return None
-    return half
+    try:
+        return solve_fixed_point(system, half, tol=tol, max_iter=max_iter, estimate_bias=False)
+    except ConvergenceError:  # the estimate is optional; the requested solve converged
+        return None
 
 
 def _no_convergence(max_iter: int, bound: float, tol: float) -> ConvergenceError:
@@ -570,29 +553,28 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
 
     Round 0 applies the plan to the blend patchwork ``h``: ``T h = s *
     h_1[P] + b`` needs only ``h_1``, ``h`` on level 1.  It runs over level 1
-    in row blocks, which give its residual ``|T h - h|`` there and ``T h``
-    on the core, the only part kept.  The residual on level 0 comes now if
-    the outcome depends on it (when the level-1 part meets the bound, and
-    before raising at ``max_iter``), and then a second pass emits ``T h``
-    if the bound is met.  Otherwise ``h_1`` is dropped, and the last pass
-    below evaluates each row block's residual from the rows of ``h_1`` that
-    the block pulls back to (:meth:`OperatorGrid.blend_rows`).
-    :func:`_double` solves on the core, where ``P`` is a permutation, from
-    ``T h`` there, and one gather per level lifts the result to ``phi_1`` on
-    level 1.  The last application writes ``T_1 phi_1`` over the plan's
-    ``s`` and drops ``s`` and ``b``.  On level 0, ``phi = s * phi_1[P] + b``
-    and ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
-    measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
-    which gives the bound) and emits ``T phi``.  The count is ``N + 1`` on
-    the core plus one per level plus the last application, and stays within
+    in row blocks, which give its residual ``|T h - h|`` there (the first of
+    ``sup_diffs``) and ``T h`` on the core, the only part kept.  The
+    residual on every node is measured only if the outcome depends on it
+    (when the level-1 part meets the bound, and before raising at
+    ``max_iter``), and then a second pass emits ``T h`` if the bound is
+    met.  Otherwise ``h_1`` is dropped.  :func:`_double` solves on the
+    core, where ``P`` is a permutation, from ``T h`` there, and one gather
+    per level lifts the result to ``phi_1`` on level 1.  The last
+    application writes ``T_1 phi_1`` over the plan's ``s`` and drops ``s``
+    and ``b``.  On level 0, ``phi = s * phi_1[P] + b`` and ``T phi = s *
+    (T_1 phi_1)[P] + b``, so one pass over the row blocks measures
+    ``|T phi - phi|`` on every node (the last of ``sup_diffs``, which gives
+    the bound) and emits ``T phi``.  The count is ``N + 1`` on the core
+    plus one per level plus the last application, and stays within
     ``max_iter``.  Should ``P`` permute every node (no grid does: a
     single-cell axis is rejected), level 1 is every node and the lift to
     level 0 is one more gather.  Returns ``(iterations, sup_diffs, bound)``.
     """
-    def sweep():  # per row block of level 0: r0, h, rows of level 1, v -> s * v[P] + b
+    def sweep():  # per row block of level 0: r0, h, v -> s * v[P] + b
         for r0, s, b, h in plan.rows():
             rx = plan.lx[r0:r0 + len(s)]
-            yield r0, h, rx, functools.partial(_lift_rows, rx=rx, ly=plan.ly, s=s, b=b)
+            yield r0, h, functools.partial(_lift_rows, rx=rx, ly=plan.ly, s=s, b=b)
 
     xs, ys = _image_chain(plan.level_px), _image_chain(plan.level_py)  # on level 1
     below = max(len(xs), len(ys)) - 1
@@ -603,17 +585,15 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
         first = max(first, _sup_distance(th, h[r0:r0 + len(th)]))
         lo, hi = np.searchsorted(core_x, (r0, r0 + len(th)))
         start[lo:hi] = th[core_x[lo:hi] - r0][:, core_y]
-    measured = False  # round 0 on level 0
     if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
-        first = max(_sup_distance(lift(h), h0) for _, h0, _, lift in sweep())
-        bound = factor * first
+        every = max(_sup_distance(lift(h), h0) for _, h0, lift in sweep())
+        bound = factor * every
         if bound <= tol:
-            for r0, _, _, lift in sweep():
+            for r0, _, lift in sweep():
                 emit(r0, lift(h))
-            return 1, [first], bound
+            return 1, [every], bound
         if below + 4 > max_iter:  # two applications on the core, the levels, the last one
             raise _no_convergence(max_iter, bound, tol)
-        measured = True
     del h
     xs += xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
     ys += ys[-1:] * (below + 2 - len(ys))
@@ -628,13 +608,9 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
                     (xs[k], ys[k]) if k else None)
     nxt = plan.apply(phi, final=True)  # T_1 phi_1, over s
     last = 0.0
-    for r0, h0, rx, lift in sweep():
+    for r0, _, lift in sweep():
         heights = lift(nxt)
         last = max(last, _sup_distance(heights, lift(phi)))
-        if not measured:  # round 0 on the rest of level 0, from the rows of h_1 it pulls back to
-            rows = _image(plan.lx, slice(r0, r0 + len(rx)))
-            first = max(first, _sup_distance(
-                lift(plan.blend_rows(rows), rx=np.searchsorted(rows, rx)), h0))
         emit(r0, heights)
     diffs = [first] + core_diffs + [last]
     bound = factor * last
@@ -667,7 +643,8 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     raised before it would pass ``max_iter``.  ``estimate_bias``
     additionally solves at half resolution and reports the largest
     disagreement after bilinear upsampling, an empirical estimate of the
-    discretization bias that roughly halves when resolution doubles.
+    discretization bias that roughly halves when resolution doubles (None
+    without a converged half-resolution solve, :func:`_half_solve`).
 
     With ``fold``, the heights go to ``fold(r0, rows)`` row block by row
     block (rows ``r0, r0 + 1, ...``, in order) instead of into ``heights``,
@@ -694,13 +671,11 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
             fold_rows(phi, fold)
             phi = None
     x_samples, y_samples = plan.x_samples, plan.y_samples
-    half = _half_resolution(plan) if estimate_bias else None
     del plan  # its s, h and b would otherwise outlive the half-resolution solve
 
     bias = None
-    if half is not None:
-        coarse = solve_fixed_point(system, half, tol=tol, max_iter=max_iter,
-                                   estimate_bias=False)
+    coarse = _half_solve(system, resolution, tol, max_iter) if estimate_bias else None
+    if coarse is not None:
         ix, wx = _axis_weights(coarse.x_samples, x_samples)
         iy, wy = _axis_weights(coarse.y_samples, y_samples)
         up = _bilinear_gather(coarse.heights, ix, wx, iy, wy)

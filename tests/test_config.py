@@ -514,6 +514,16 @@ def test_solver_resolution_floor_scales_with_the_grid():
     assert any("at least 17" in msg for _, msg in excinfo.value.errors)
 
 
+def test_knot_without_a_sample_interval_is_located():
+    doc = fixture_config("flat2x2")
+    doc["grid"]["x_knots"] = [0.0, 1e-10, 1.0]
+    doc["solver"]["resolution"] = 9
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    errors = dict(excinfo.value.errors)  # the default dimension resolution fails alike
+    assert "x knot 1e-10 gets no sample interval" in errors["solver.resolution"]
+
+
 @pytest.mark.parametrize("section", ["solver", "dimension"])
 @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 2, 2 ** 63 + 1, 2 ** 64 - 1])
 def test_resolutions_above_the_ceiling_are_located(section, resolution):

@@ -146,6 +146,14 @@ def test_sample_axes_reject_coarse_or_misaligned_resolutions(grid, resolution, m
         sample_axes(grid, resolution)
 
 
+def test_sample_axes_reject_a_knot_without_a_sample_interval():
+    # 1e-10 rounds to the fraction 0 of the span, so the alignment base is 2
+    # and at R = 9 the blocks would be [0, 8]: the knot gets no sample
+    grid = DataGrid((0.0, 1e-10, 1.0), (0.0, 0.5, 1.0), np.zeros((3, 3)))
+    with pytest.raises(FractsurfError, match=r"x knot 1e-10 gets no sample interval"):
+        sample_axes(grid, 9)
+
+
 @settings(deadline=None)
 @given(st.integers(2, 8).flatmap(lambda d: st.tuples(
            st.just(d), st.sets(st.integers(1, d - 1), min_size=1))),

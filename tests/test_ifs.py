@@ -217,6 +217,17 @@ def nonuniform_system(seed: int):
     return build_system(parse_config_document(nonuniform_config(seed))).system
 
 
+def test_bias_solve_that_needs_more_iterations_leaves_no_estimate():
+    # at R = 1025 the requested solve converges in exactly 28 iterations; the
+    # half-resolution solve behind the bias estimate needs 32
+    system = nonuniform_system(7)
+    capped = solve_fixed_point(system, 1025, tol=1e-6, max_iter=28)
+    free = solve_fixed_point(system, 1025, tol=1e-6, estimate_bias=False)
+    assert capped.iterations == free.iterations == 28
+    assert np.array_equal(capped.heights, free.heights)
+    assert capped.bias_estimate is None
+
+
 @pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2", "nonuniform"])
 def test_blocked_chaos_game_equals_the_scalar_loop_bit_for_bit(name, example2a_job,
                                                                example2b_job, band_job):
