@@ -38,7 +38,7 @@ from .errors import FractsurfError, InvalidGridError, OutOfDomainError
 #: absolute tolerance for inverse round-trips and image/tiling checks
 MAP_TOL = 1e-12
 #: most samples per axis of any lattice: one R x R float array is then 34 GB,
-#: and a solve holds about 2.25 of them on the lattice path, 5.3 on the bilinear one
+#: and a solve holds about 2.25 of them on the lattice path, 4.4 on the bilinear one
 MAX_RESOLUTION = 2 ** 16 + 1
 
 
@@ -216,7 +216,13 @@ def alignment_base(grid: DataGrid) -> int:
 
 
 def min_resolution(grid: DataGrid) -> int:
-    """Fewest samples per axis: four sample intervals per cell of the longer axis."""
+    """Fewest samples per axis, ``4 * max(n, m) + 1``, whatever the knot spacing.
+
+    The floor is on the whole axis: four sample intervals per cell only when
+    the axis with more cells has equal cells.  On unequal knots a short cell
+    gets fewer (x knots ``[0, 0.01, 1]`` at R = 101 give blocks ``[1, 99]``);
+    :func:`sample_axes` only asks that every cell get one.
+    """
     return 4 * max(grid.n, grid.m) + 1
 
 
@@ -236,7 +242,8 @@ def sample_axes(grid: DataGrid, resolution: int):
     floor = min_resolution(grid)
     if resolution < floor:
         raise FractsurfError(f"resolution {resolution} is too coarse for a "
-                             f"{grid.n}x{grid.m} grid; need at least {floor}")
+                             f"{grid.n}x{grid.m} grid; need at least {floor} "
+                             f"(4 * max(n, m) + 1 samples per axis)")
     base = alignment_base(grid)
     if (resolution - 1) % base:
         raise FractsurfError(

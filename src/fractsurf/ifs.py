@@ -32,11 +32,12 @@ Two ways to materialize the attractor are provided and cross-checked:
   the heights, or folded into box-count column extrema) while the
   certifying residual is measured on every node.  Level 1 is held by at
   most three arrays at a time, plus one on level 2 while it is lifted.
-  Otherwise it iterates with the bilinear gather ``B``, separable in two
-  1-D passes (along y, then along x).  Either way ``iterations`` counts
+  Otherwise it iterates ``s * B phi + b`` with the streamed bilinear
+  gather :func:`_bilinear` on four full arrays.  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
   ``sup_diffs`` holds the residuals ``|T phi - phi|``, each on the nodes
   its round computes; the last, measured on every node, gives the bound.
+  A residual that is not finite raises at once, naming a node.
   Discretization bias from the bilinear pull-back is estimated separately
   against a half-resolution solve, when ``R - 1`` is even and that solve
   has a sample lattice of its own and converges.
@@ -58,7 +59,7 @@ from .grid import CellIndex, DataGrid, DomainMap, pullback, sample_axes
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
-# Cells per row block of a gather: a 256 KiB temporary stays in cache.
+# Cells per row block of a gather: a 256 KiB temporary (three in _bilinear) stays in cache.
 _GATHER_CELLS = 1 << 15
 # Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
 _ROW_CELLS = 1 << 16
@@ -171,40 +172,45 @@ def _axis_weights(axis: np.ndarray, t: np.ndarray):
     return ix, w
 
 
-def _bilinear_gather(values: np.ndarray, ix, wx, iy, wy) -> np.ndarray:
-    """``values`` interpolated at rows ``ix + wx`` and columns ``iy + wy``.
+def _lerp(src: np.ndarray, i, w, axis: int, out: np.ndarray, tmp: np.ndarray):
+    """``out = (1 - w) * src[i] + w * src[i + 1]`` along ``axis``; ``tmp`` is shaped as ``out``."""
+    np.multiply(np.take(src, i, axis=axis, out=out, mode="clip"), 1 - w, out=out)
+    out += np.multiply(np.take(src, i + 1, axis=axis, out=tmp, mode="clip"), w, out=tmp)
+    return out
 
-    Two 1-D passes in row blocks: along y on every row,
-    ``c = (1 - wy) * values[:, iy] + wy * values[:, iy + 1]``, then along x,
-    ``out = (1 - wx) * c[ix] + wx * c[ix + 1]``.  Each element sees the same
-    floating-point operations as the four-corner formula
-    ``(1 - wx) * ((1 - wy) * v00 + wy * v01) + wx * ((1 - wy) * v10 + wy * v11)``,
-    so results are bit-identical to it.  Only ``c`` and ``out`` are full size.
+
+def _bilinear(values: np.ndarray, ix, wx, iy, wy, order, against: np.ndarray, *,
+              s=None, b=None, out=None) -> float:
+    """``t = s * B values + b`` into ``out``; returns ``max |t - against|``, NaN if any is.
+
+    ``B`` interpolates at rows ``ix + wx`` and columns ``iy + wy`` with the
+    four-corner formula's floating-point operations, so bit for bit.  Source
+    rows go by in blocks of ``_GATHER_CELLS`` cells: each block's pass along
+    y, on its rows and one overlap row, finishes along x the output rows
+    whose ``ix`` it holds, in the order of ``order = argsort(ix)`` (stable;
+    cells interleave).  Without ``s`` and ``b``, ``t = B values``; without
+    ``out`` only the residual is kept.  No temporary is full size.
     """
     rows = max(1, _GATHER_CELLS // len(iy))
-    spare = np.empty((rows, len(iy)))
-    iy1, vy = iy + 1, 1 - wy
-    c = np.empty((len(values), len(iy)))
-    for r0 in range(0, len(values), rows):
-        block, c_blk = values[r0:r0 + rows], c[r0:r0 + rows]
-        tmp = spare[:len(c_blk)]
-        np.take(block, iy, axis=1, out=c_blk)
-        c_blk *= vy
-        np.take(block, iy1, axis=1, out=tmp)
-        tmp *= wy
-        c_blk += tmp
-    ix1, vx, wx = ix + 1, (1 - wx)[:, None], wx[:, None]
-    out = np.empty((len(ix), len(iy)))
-    for r0 in range(0, len(ix), rows):
-        sl = slice(r0, r0 + rows)
-        o_blk = out[sl]
-        tmp = spare[:len(o_blk)]
-        np.take(c, ix[sl], axis=0, out=o_blk)
-        o_blk *= vx[sl]
-        np.take(c, ix1[sl], axis=0, out=tmp)
-        tmp *= wx[sl]
-        o_blk += tmp
-    return out
+    sx = ix[order]
+    r0s = np.arange(0, len(values) - 1, rows)
+    bounds = np.append(np.searchsorted(sx, r0s), len(sx))
+    lx, wx = sx % rows, wx[order][:, None]
+    c, blk, spare = (np.empty((max(rows + 1, *np.diff(bounds)), len(iy))) for _ in range(3))
+    sups = []
+    # ix, iy <= R - 2 (grid.pullback, _axis_weights): no take clips, "clip" skips a buffered out
+    for r0, lo, hi in zip(r0s, bounds[:-1], bounds[1:]):
+        src, sl, dst, tmp = values[r0:r0 + rows + 1], slice(lo, hi), order[lo:hi], spare[:hi - lo]
+        c_blk = _lerp(src, iy, wy, 1, c[:len(src)], spare[:len(src)])  # along y
+        t = _lerp(c_blk, lx[sl], wx[sl], 0, blk[:hi - lo], tmp)  # along x
+        if s is not None:
+            t *= np.take(s, dst, axis=0, out=tmp, mode="clip")
+            t += np.take(b, dst, axis=0, out=tmp, mode="clip")
+        np.subtract(t, np.take(against, dst, axis=0, out=tmp, mode="clip"), out=tmp)
+        sups.append(np.max(np.abs(tmp, out=tmp), initial=0.0))  # a block may finish no row
+        if out is not None:
+            out[dst] = t
+    return float(np.max(sups))
 
 
 def _gather(values: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -258,11 +264,20 @@ def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
     return out
 
 
-def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``max |a - b|`` in row blocks, without a full-size temporary."""
+def _finite(sup: float, a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """The residual ``sup = max |a - b|``, or an error naming a node where it is not finite."""
+    if math.isfinite(sup):
+        return sup
+    i, j = np.argwhere(~np.isfinite(a - b))[0]
+    raise ConvergenceError(f"residual |T phi - phi| is not finite at the node "
+                           f"({float(x[i])!r}, {float(y[j])!r})", last_bound=math.nan)
+
+
+def _sup_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """``max |a - b|`` in row blocks, without a full-size temporary, through :func:`_finite`."""
     rows = max(1, _GATHER_CELLS // a.shape[1])
-    return max(float(np.max(np.abs(a[r0:r0 + rows] - b[r0:r0 + rows])))
-               for r0 in range(0, len(a), rows))
+    sups = [np.max(np.abs(a[r0:r0 + rows] - b[r0:r0 + rows])) for r0 in range(0, len(a), rows)]
+    return _finite(float(np.max(sups)), a, b, x, y)  # np.max, unlike max, keeps a NaN
 
 
 class OperatorGrid:
@@ -284,8 +299,8 @@ class OperatorGrid:
     a time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
     pull-back as a position on level 1; ``level_px``, ``level_py``: those
     of level 1).  :meth:`rows` evaluates them on every node, one row block
-    at a time.  Otherwise ``B`` is the two-pass :func:`_bilinear_gather`
-    (along y, then along x) with ``ix``, ``wx``, ``iy``, ``wy``, and ``s``,
+    at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
+    ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``,
     ``b`` and ``h`` are held on every node.
     """
 
@@ -319,6 +334,7 @@ class OperatorGrid:
                             tuple(values[r0:r0 + step] for values in level))
         else:
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
+            self.order = np.argsort(ix, kind="stable")
             nodes = np.arange(resolution)
             self.s_values, self.b_values, self.h_values = self._block(nodes, nodes)
 
@@ -366,22 +382,24 @@ class OperatorGrid:
         h, self.h_values = self.h_values, None
         return h
 
-    def apply(self, phi: np.ndarray, *, final: bool = False) -> np.ndarray:
+    def apply(self, phi: np.ndarray, *, out=None, final: bool = False) -> np.ndarray:
         """``T phi = s * B phi + b``: on every node, or on level 1 for lattice plans.
 
-        With ``final``, a lattice plan writes ``T phi`` over its ``s``, one
-        row block at a time, and drops ``s`` and ``b``: no new level-1 array
-        is made, and the plan cannot apply again.
+        Into ``out`` if given (not ``phi``); a bilinear plan leaves
+        ``max |T phi - phi|`` in ``residual``.  With ``final``, a lattice plan
+        writes ``T phi`` over its ``s``, one row block at a time, and drops
+        ``s`` and ``b``: no new level-1 array is made, and the plan cannot
+        apply again.
         """
         phi = np.asarray(phi, dtype=float)
         if self.lattice:
             s, b = self.s_values, self.b_values
             if final:
                 self.s_values = self.b_values = None
-            return _lift(phi, self.level_px, self.level_py, s, b, out=s if final else None)
-        out = _bilinear_gather(phi, self.ix, self.wx, self.iy, self.wy)
-        out *= self.s_values
-        out += self.b_values
+            return _lift(phi, self.level_px, self.level_py, s, b, out=s if final else out)
+        out = np.empty_like(phi) if out is None else out
+        self.residual = _bilinear(phi, self.ix, self.wx, self.iy, self.wy, self.order, phi,
+                                  s=self.s_values, b=self.b_values, out=out)
         return out
 
 
@@ -465,13 +483,14 @@ def _no_convergence(max_iter: int, bound: float, tol: float) -> ConvergenceError
 def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
     """Plain fixed-point iteration from the blend patchwork, which the plan hands over."""
     phi = plan.release_initial()
+    spare = np.empty_like(phi)  # T phi goes into the buffer phi does not hold
     diffs: list[float] = []
     bound = math.inf
     for iterations in range(1, max_iter + 1):
-        nxt = plan.apply(phi)
-        diff = _sup_distance(nxt, phi)
+        nxt = plan.apply(phi, out=spare)
+        diff = _finite(plan.residual, nxt, phi, plan.x_samples, plan.y_samples)
         diffs.append(diff)
-        phi = nxt
+        phi, spare = nxt, phi
         bound = factor * diff
         if bound <= tol:
             return phi, iterations, diffs, bound
@@ -479,7 +498,7 @@ def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
 
 
 def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
-            phi: np.ndarray, factor: float, tol: float, max_iter: int):
+            phi: np.ndarray, factor: float, tol: float, max_iter: int, nodes):
     """Pointer doubling of the gather ``T phi = s * phi[px, py] + b`` from ``phi_1 = phi``.
 
     ``(a, c, qx, qy)`` represents ``T^N phi = a * phi[qx, qy] + c`` and
@@ -488,7 +507,8 @@ def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
     ``phi_2N = T^N phi_N`` and squares the map: ``c <- a * c[Q] + c``,
     ``a <- a * a[Q]``, ``Q <- Q[Q]``.  Residuals shrink by ``c_s^N`` per
     round.  Returns ``T phi_N`` and ``N + 1`` equivalent applications
-    (``phi_1`` counts as one); ``phi`` is reused as scratch.
+    (``phi_1`` counts as one); ``phi`` is reused as scratch.  ``nodes``:
+    the sample coordinates ``(x, y)`` of ``phi``'s rows and columns.
     """
     a, c, qx, qy = s.copy(), b.copy(), px, py
     n = 1
@@ -497,7 +517,7 @@ def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
         nxt = _gather(phi, px, py, np.empty_like(phi))
         nxt *= s
         nxt += b
-        diff = _sup_distance(nxt, phi)
+        diff = _sup_distance(nxt, phi, *nodes)
         diffs.append(diff)
         bound = factor * diff
         if bound <= tol:
@@ -576,17 +596,22 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
             rx = plan.lx[r0:r0 + len(s)]
             yield r0, h, functools.partial(_lift_rows, rx=rx, ly=plan.ly, s=s, b=b)
 
+    def residual(r0, a, b):  # |a - b| on the rows r0, r0 + 1, ... of every node
+        return _sup_distance(a, b, plan.x_samples[r0:r0 + len(a)], plan.y_samples)
+
     xs, ys = _image_chain(plan.level_px), _image_chain(plan.level_py)  # on level 1
     below = max(len(xs), len(ys)) - 1
     core_x, core_y = xs[-1], ys[-1]
+    level_x, level_y = plan.x_samples[plan.x_level], plan.y_samples[plan.y_level]
     h = plan.release_initial()
     first, start = 0.0, np.empty((len(core_x), len(core_y)))  # round 0 on level 1
     for r0, th in _lift_blocks(h, plan.level_px, plan.level_py, plan.s_values, plan.b_values):
-        first = max(first, _sup_distance(th, h[r0:r0 + len(th)]))
+        first = max(first, _sup_distance(th, h[r0:r0 + len(th)], level_x[r0:r0 + len(th)],
+                                         level_y))
         lo, hi = np.searchsorted(core_x, (r0, r0 + len(th)))
         start[lo:hi] = th[core_x[lo:hi] - r0][:, core_y]
     if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
-        every = max(_sup_distance(lift(h), h0) for _, h0, lift in sweep())
+        every = max(residual(r0, lift(h), h0) for r0, h0, lift in sweep())
         bound = factor * every
         if bound <= tol:
             for r0, _, lift in sweep():
@@ -602,7 +627,8 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
     core = np.ix_(core_x, core_y)
     phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
-                                    start, factor, tol, max_iter - below - 2)
+                                    start, factor, tol, max_iter - below - 2,
+                                    (level_x[core_x], level_y[core_y]))
     for k in reversed(range(below)):  # level 0 of the chain is all of level 1
         phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values,
                     (xs[k], ys[k]) if k else None)
@@ -610,7 +636,7 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     last = 0.0
     for r0, _, lift in sweep():
         heights = lift(nxt)
-        last = max(last, _sup_distance(heights, lift(phi)))
+        last = max(last, residual(r0, heights, lift(phi)))
         emit(r0, heights)
     diffs = [first] + core_diffs + [last]
     bound = factor * last
@@ -640,7 +666,8 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     measured on every node (after one application, with a zero bound, when
     all scaling fields are zero).  ``iterations`` counts operator
     applications, equivalent ones on lattice plans; ``ConvergenceError`` is
-    raised before it would pass ``max_iter``.  ``estimate_bias``
+    raised before it would pass ``max_iter``, or at the first residual that
+    is not finite, with a node.  ``estimate_bias``
     additionally solves at half resolution and reports the largest
     disagreement after bilinear upsampling, an empirical estimate of the
     discretization bias that roughly halves when resolution doubles (None
@@ -678,8 +705,7 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     if coarse is not None:
         ix, wx = _axis_weights(coarse.x_samples, x_samples)
         iy, wy = _axis_weights(coarse.y_samples, y_samples)
-        up = _bilinear_gather(coarse.heights, ix, wx, iy, wy)
-        bias = _sup_distance(up, phi)
+        bias = _bilinear(coarse.heights, ix, wx, iy, wy, np.argsort(ix, kind="stable"), phi)
     return SurfaceSample(
         x_samples=x_samples, y_samples=y_samples, heights=phi,
         iterations=iterations, sup_diffs=tuple(diffs), error_bound=bound,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fractsurf.errors import FractsurfError, InvalidGridError, OutOfDomainError
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import (AxisMap, CellIndex, DataGrid, build_domain_maps,
-                            load_grid_text, pullback, sample_axes)
+                            load_grid_text, min_resolution, pullback, sample_axes)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,31 @@ def test_sample_axes_reject_a_knot_without_a_sample_interval():
     grid = DataGrid((0.0, 1e-10, 1.0), (0.0, 0.5, 1.0), np.zeros((3, 3)))
     with pytest.raises(FractsurfError, match=r"x knot 1e-10 gets no sample interval"):
         sample_axes(grid, 9)
+
+
+def test_resolution_floor_is_on_the_whole_axis_not_per_cell():
+    # 4 * max(n, m) + 1 = 9 samples per axis; the alignment base is 100, and
+    # at R = 101 the short first cell gets one sample interval, not four
+    grid = DataGrid((0.0, 0.01, 1.0), (0.0, 0.5, 1.0), np.zeros((3, 3)))
+    assert min_resolution(grid) == 9
+    (_, x_blocks), (_, y_blocks) = sample_axes(grid, 101)
+    assert x_blocks == [1, 99] and y_blocks == [50, 50]
+    square = DataGrid((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.5, 1.0), np.zeros((5, 3)))
+    with pytest.raises(FractsurfError,
+                       match=r"need at least 17 \(4 \* max\(n, m\) \+ 1 samples per axis\)"):
+        sample_axes(square, 13)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=8))
+def test_pullback_stays_inside_the_lattice(blocks):
+    # every pre-image lies in [0, R - 1]: ix in [0, R - 2] and w in [0, 1], so
+    # the bilinear kernel's "clip" takes never clip
+    ix, w = pullback(blocks)
+    resolution = sum(blocks) + 1
+    assert len(ix) == len(w) == resolution
+    assert ix.min() >= 0 and ix.max() <= resolution - 2
+    assert np.all((0 <= w) & (w <= 1))
 
 
 @settings(deadline=None)

@@ -6,6 +6,7 @@ so the gather ``B`` is ``phi[P]``; the solver doubles it on the core of the
 pull-back and lifts the result to every node.  Grids with other cells take
 fractional bilinear weights and keep the plain iteration.
 """
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,14 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from fractsurf import ifs
 from fractsurf.boundary import PatchBlend
-from fractsurf.config import parse_config_document
+from fractsurf.config import config_document, parse_config_document
 from fractsurf.dimension import ColumnExtrema, box_counts, natural_scales
 from fractsurf.errors import ConvergenceError
 from fractsurf.fixtures import PSI_A, X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config, fixture_names
-from fractsurf.grid import sample_axes
+from fractsurf.grid import pullback, sample_axes
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
+from cli_runner import run
 from lattice import (force_bilinear, four_corner_gather, full_apply, full_fields, level_nodes,
                      stack_into, traced_peak)
 
@@ -155,8 +157,8 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     # the core's result, lifted level by level with s * phi[P] + b, then T once more
     lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
-    phi, *_ = ifs._double(s[core], b[core], lx[-1], ly[-1],
-                          phi1[core], c / (1 - c), TOL, 10000)
+    phi, *_ = ifs._double(s[core], b[core], lx[-1], ly[-1], phi1[core], c / (1 - c), TOL,
+                          10000, (plan.x_samples[xs[-1]], plan.y_samples[ys[-1]]))
     for k in reversed(range(levels)):
         nodes = np.ix_(xs[k], ys[k])
         phi = s[nodes] * phi[np.ix_(lx[k], ly[k])] + b[nodes]
@@ -189,7 +191,8 @@ def test_descent_agrees_with_full_grid_doubling(name):
     plan = OperatorGrid(job.system, cfg.resolution)
     s, b, h = full_fields(plan)
     doubled, _, _, bound = ifs._double(s, b, plan.px, plan.py, full_apply(plan, h),
-                                       c / (1 - c), cfg.tol, cfg.max_iter)
+                                       c / (1 - c), cfg.tol, cfg.max_iter,
+                                       (plan.x_samples, plan.y_samples))
     assert surface.error_bound <= cfg.tol and bound <= cfg.tol
     gap = float(np.max(np.abs(surface.heights - doubled)))
     assert gap <= surface.error_bound + bound
@@ -229,6 +232,8 @@ class GatherPlan:
         self.lx = np.searchsorted(self.x_level, px)
         self.ly = np.searchsorted(self.y_level, py)
         self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
+        # node coordinates, which name the node of a residual that is not finite
+        self.x_samples = self.y_samples = np.arange(len(s), dtype=float)
 
     def rows(self):
         for r0 in range(0, len(self.s), self.block):
@@ -266,8 +271,10 @@ def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed, blo
                       uniform_pullback(n, resolution), uniform_pullback(m, resolution), block)
     factor, tol = c / (1 - c), 1e-9
     heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
+    nodes = np.arange(resolution, dtype=float)  # coordinates, for a residual's witness
     doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, plan.px, plan.py,
-                                               plan.full_apply(plan.h), factor, tol, 10000)
+                                               plan.full_apply(plan.h), factor, tol, 10000,
+                                               (nodes, nodes))
     assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
     # the bounds hold in exact arithmetic; each floating-point application adds
     # rounding of an ulp or two, which the contraction sums to at most
@@ -478,14 +485,16 @@ def test_fixtures_take_the_lattice_path_at_both_resolutions(name):
         assert OperatorGrid(job.system, resolution).lattice, resolution
 
 
-def test_bilinear_solve_holds_five_grids():
-    # s, b, the iterate, its image and the gather's pass along y: the plan
-    # hands h over as the first iterate and keeps no g (5.27 arrays measured
-    # at R = 513; 6.27 with g kept and h copied)
+def test_bilinear_solve_holds_four_grids():
+    # s, b, the iterate and its image, plus the streamed gather's blocks: the
+    # plan hands h over as the first iterate and keeps no g, and no pass
+    # along y is full size (4.44 arrays measured at R = 513, where a block
+    # buffer holds 63 rows; 5.27 with the full-size pass along y, 6.27 with
+    # g kept and h copied)
     job, resolution = nonuniform_job(), 513
     _, peak = traced_peak(lambda: solve_fixed_point(job.system, resolution, tol=1e-8,
                                                     estimate_bias=False), resolution ** 2)
-    assert peak < 5.5
+    assert peak < 4.5
 
 
 def test_nonuniform_grid_stays_bilinear_at_both_resolutions():
@@ -520,27 +529,89 @@ def test_cells_spanning_integer_fractions_take_the_descent(monkeypatch):
         assert gap <= descended.error_bound + iterated.error_bound, resolution
 
 
+def streamed(values, ix, wx, iy, wy, against, **fields):
+    """``ifs._bilinear`` into a new array: ``(t, max |t - against|)``."""
+    out = np.empty((len(ix), len(iy)))
+    residual = ifs._bilinear(values, ix, wx, iy, wy, np.argsort(ix, kind="stable"), against,
+                             out=out, **fields)
+    return out, residual
+
+
 @pytest.mark.parametrize("block_cells", [ifs._GATHER_CELLS, 1000],
                          ids=["one-block", "ragged-blocks"])
 def test_two_pass_gather_equals_the_four_corner_formula(block_cells, monkeypatch):
-    monkeypatch.setattr(ifs, "_GATHER_CELLS", block_cells)  # 1000: 15 rows per block
+    monkeypatch.setattr(ifs, "_GATHER_CELLS", block_cells)  # 1000: 15 source rows per block
     job = nonuniform_job()
     plan = OperatorGrid(job.system, job.config.solver.resolution)
     rng = np.random.default_rng(11)
     phi = rng.normal(size=(plan.resolution, plan.resolution))
     square = (plan.ix, plan.wx, plan.iy, plan.wy)
-    assert np.array_equal(ifs._bilinear_gather(phi, *square),
-                          four_corner_gather(phi, *square))
+    gathered, _ = streamed(phi, *square, phi)
+    assert np.array_equal(gathered, four_corner_gather(phi, *square))
     expected = plan.s_values * four_corner_gather(phi, *square) + plan.b_values
     assert np.array_equal(plan.apply(phi), expected)
+    assert plan.residual == float(np.max(np.abs(expected - phi)))
     assert np.array_equal(full_apply(plan, phi), expected)
-    # coarse -> fine, as in the bias estimate: 33 x 17 values onto 65 x 65 nodes
+    # coarse -> fine, as in the bias estimate: 33 x 17 values onto 65 x 65 nodes,
+    # with the residual taken against the fine values
     coarse_x, coarse_y = plan.x_samples[::2], plan.y_samples[::4]
     coarse = rng.normal(size=(len(coarse_x), len(coarse_y)))
     up = (*ifs._axis_weights(coarse_x, plan.x_samples),
           *ifs._axis_weights(coarse_y, plan.y_samples))
-    assert np.array_equal(ifs._bilinear_gather(coarse, *up),
-                          four_corner_gather(coarse, *up))
+    upsampled, residual = streamed(coarse, *up, phi)
+    assert np.array_equal(upsampled, four_corner_gather(coarse, *up))
+    assert residual == float(np.max(np.abs(four_corner_gather(coarse, *up) - phi)))
+    order = np.argsort(up[0], kind="stable")
+    assert ifs._bilinear(coarse, *up, order, phi) == residual  # no output kept
+
+
+def test_pre_image_on_the_last_row_of_a_source_block_reads_the_overlap_row(monkeypatch):
+    # blocks of 4 source rows at width 5: ix = 3 and 7 end a block, and their
+    # x pass reads rows 4 and 8, which open the next block
+    monkeypatch.setattr(ifs, "_GATHER_CELLS", 4 * 5)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(13, 5))
+    ix, wx = np.array([3, 7, 11, 3, 0, 7]), np.array([0.25, 0.5, 0.75, 1.0, 0.5, 0.125])
+    iy, wy = np.array([0, 3, 1, 2, 3]), np.array([0.5, 0.25, 1.0, 0.0, 0.75])
+    assert np.any((ix % 4 == 3) & (wx > 0))
+    out, residual = streamed(values, ix, wx, iy, wy, np.zeros((6, 5)))
+    expected = four_corner_gather(values, ix, wx, iy, wy)
+    assert np.array_equal(out, expected)
+    assert residual == float(np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_interleaved_pre_images_of_five_unequal_cells(rows, monkeypatch):
+    # the cells of 3, 7, 2, 11 and 5 sample intervals pull back onto the whole
+    # axis each, so consecutive output rows jump back and forth between source
+    # blocks; 1, 3 and 40 source rows per block (40: one block)
+    blocks = [3, 7, 2, 11, 5]
+    resolution = sum(blocks) + 1
+    monkeypatch.setattr(ifs, "_GATHER_CELLS", rows * resolution)
+    ix, wx = pullback(blocks)
+    iy, wy = pullback([4, 13, 11])
+    assert np.any(np.diff(ix) < 0) and np.any((wx > 0) & (wx < 1))
+    rng = np.random.default_rng(rows)
+    phi, s, b = (rng.normal(size=(resolution, resolution)) for _ in range(3))
+    out, residual = streamed(phi, ix, wx, iy, wy, phi, s=s, b=b)
+    expected = s * four_corner_gather(phi, ix, wx, iy, wy) + b
+    assert np.array_equal(out, expected)
+    assert residual == float(np.max(np.abs(expected - phi)))
+
+
+def test_bilinear_apply_leaves_its_input_alone():
+    # two applications to the same phi agree, into new arrays or given buffers
+    job = nonuniform_job()
+    plan = OperatorGrid(job.system, job.config.solver.resolution)
+    phi = np.random.default_rng(5).normal(size=(plan.resolution, plan.resolution))
+    kept = phi.copy()
+    first = plan.apply(phi)
+    residual = plan.residual
+    buffer = np.empty_like(phi)
+    second = plan.apply(phi, out=buffer)
+    assert second is buffer and first is not phi
+    assert np.array_equal(first, second) and plan.residual == residual
+    assert np.array_equal(phi, kept)
 
 
 def test_bilinear_solve_matches_the_four_corner_iteration():
@@ -567,3 +638,38 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
     up = four_corner_gather(coarse, *ifs._axis_weights(half.x_samples, plan.x_samples),
                             *ifs._axis_weights(half.y_samples, plan.y_samples))
     assert surface.bias_estimate == float(np.max(np.abs(up - heights)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+@pytest.mark.parametrize("case", ["lattice", "bilinear"])
+def test_a_residual_that_is_not_a_number_fails_at_once_with_its_node(case, tmp_path,
+                                                                     monkeypatch):
+    # the free field is not a number at some pre-images, so some heights are
+    # NaN.  The lattice solve printed "error bound 0.0" and exited 0, because
+    # max(0.0, nan) is 0.0; the bilinear iteration ran to max_iter (202 s at
+    # R = 1025).  Now the first residual that is not finite raises, with a node
+    if case == "lattice":
+        doc = fixture_config("example2a")
+        expr, resolution = "sqrt(abs(x - 0.08333333333333333) - 1e-9)", 97
+        node = "(0.020833333333333332, 0.0)"  # pulls back onto x = 1/12
+    else:
+        doc = config_document(nonuniform_job().config)
+        expr, resolution = "sqrt(0.6 - x)", 1025
+        node = "(0.150390625, 0.0)"  # the first node that pulls back beyond x = 0.6
+    doc["free_field"] = {"expr": expr, "lipschitz": 1.0, "sup_abs": 1.0}
+    doc["solver"]["resolution"] = resolution
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    applied = []
+    apply = OperatorGrid.apply
+
+    def counted(plan, phi, **kwargs):
+        applied.append(plan.resolution)
+        return apply(plan, phi, **kwargs)
+
+    monkeypatch.setattr(OperatorGrid, "apply", counted)
+    result = run("surface", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert f"residual |T phi - phi| is not finite at the node {node}" in result.stderr
+    assert "error bound" not in result.output
+    assert len(applied) <= 1
