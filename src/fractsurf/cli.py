@@ -87,6 +87,9 @@ def main(args=None, prog_name="fractsurf"):
     except FractsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    except MemoryError as exc:  # numpy's text gives the array's shape and size
+        print(f"error: {ns.command} ran out of memory: {exc}", file=sys.stderr)
+        sys.exit(1)
     sys.stdout.write(result.summary)
 
 

@@ -37,7 +37,7 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .boundary import QUADRATIC_MAX_DEGREE
-from .dimension import box_layout, natural_scales
+from .dimension import MIN_SCALES, box_layout, natural_scales
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
 from .grid import DataGrid, load_grid_text, sample_axes
@@ -375,7 +375,7 @@ class ChaosSpec:
 
 @dataclass(frozen=True)
 class DimensionSpec:
-    depth: int = _key(4, integer=True, minimum=1)
+    depth: int = _key(4, integer=True, minimum=MIN_SCALES)
     epsilon: None = _key(None, _retired("retired: the dimension band no longer shrinks cells, "
                                         "so only null is accepted"), omit_null=True)
     resolution: int | None = _key(None, integer=True, minimum=5)

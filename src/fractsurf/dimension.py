@@ -40,6 +40,7 @@ from .scaling import ScalingField
 UNIFORM_TOL = 1e-12
 COLLINEAR_TOL = 1e-10
 MIN_SAMPLES_PER_BOX = 4
+MIN_SCALES = 3  # a fitted slope needs three scales; dimension.depth gives one per level
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,7 @@ def _fit(log_inv: np.ndarray, log_counts: np.ndarray):
 
 
 def estimate_dimension(deltas: Sequence[float], counts: Sequence[int]) -> DimensionEstimate:
-    """OLS slope of log N against log (1/delta) over at least three scales.
+    """OLS slope of log N against log (1/delta) over at least ``MIN_SCALES`` scales.
 
     With at least four scales, a coarsest scale whose residual exceeds
     three times the median residual is dropped once and the line refit:
@@ -333,8 +334,8 @@ def estimate_dimension(deltas: Sequence[float], counts: Sequence[int]) -> Dimens
     """
     deltas = [float(d) for d in deltas]
     counts = [float(c) for c in counts]
-    if len(deltas) != len(counts) or len(deltas) < 3:
-        raise FractsurfError("need at least three (delta, count) pairs")
+    if len(deltas) != len(counts) or len(deltas) < MIN_SCALES:
+        raise FractsurfError(f"need at least {MIN_SCALES} (delta, count) pairs")
     if any(c < 1 for c in counts):
         raise FractsurfError("box counts must be at least 1")
     order = np.argsort(deltas)[::-1]  # coarsest first

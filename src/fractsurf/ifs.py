@@ -41,8 +41,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   Discretization bias from the bilinear pull-back is estimated separately
   against a half-resolution solve, when ``R - 1`` is even and that solve
   has a sample lattice of its own and converges.
-* :func:`chaos_game` drives a random orbit of the 3-D maps; started on the
-  graph (at a data knot) it stays on the graph exactly.
+* :func:`chaos_game` drives a random orbit of the 3-D maps from a data knot,
+  on the graph; its three affine recursions are scans, no Python loop per step.
 """
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ TILING_TOL = 1e-12
 _GATHER_CELLS = 1 << 15
 # Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
 _ROW_CELLS = 1 << 16
-# Chaos-game steps per block of Python floats.
-_CHAOS_BLOCK = 4096
 # Point pairs drawn by the sampled metric check.
 METRIC_PAIRS = 10000
 
@@ -358,7 +356,8 @@ class OperatorGrid:
             s[sl_x, sl_y] = system.scalings[cell](bx, by)
             h[sl_x, sl_y] = system.blend(cell)(bx, by)
             b[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])  # g, until b replaces it
-        b *= s
+        with np.errstate(invalid="ignore"):  # s = 0 times an infinite g: the residual names it
+            b *= s
         return s, np.subtract(h, b, out=b), h
 
     def rows(self):
@@ -712,13 +711,33 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
         bias_estimate=bias, contraction=c_s, fold=fold)
 
 
+def _affine_scan(a: np.ndarray, b: np.ndarray, start: float) -> np.ndarray:
+    """``start``, then ``x_k = a[k] * x_{k-1} + b[k]`` for every ``k`` from ``x_{-1} = start``.
+
+    An inclusive scan of the pairs ``(a, b)`` under composition (Blelloch,
+    1990): after the pass of stride ``d``, ``(a[k], b[k])`` composes steps
+    ``k - 2d + 1 .. k``, so ``ceil(log2 N)`` passes give ``x_k``.  Overwrites ``a``.
+    """
+    x = np.concatenate(([start], b))
+    b = x[1:]
+    b[0] += a[0] * start
+    d = 1
+    while d < len(b):
+        b[d:] += a[d:] * b[:-d]
+        a[d:] *= a[:-d]
+        d *= 2
+    return x
+
+
 def chaos_game(system: IfsSystem, point_count: int, seed: int,
                burn_in: int = 100) -> np.ndarray:
     """Random orbit of the 3-D maps, one map drawn uniformly per step.
 
     The orbit starts at the first data knot, a point of the attractor, so
-    every iterate lies on the surface graph; the burn-in discard is kept
-    anyway so arbitrary start points behave.  Returns an (N, 3) array.
+    every iterate lies on the surface graph up to rounding; the burn-in
+    discard is kept anyway so arbitrary start points behave.  Each axis is
+    one :func:`_affine_scan`, and so is ``z <- s * z + (h - s * g)``, the
+    form of :class:`OperatorGrid`.  Returns an (N, 3) array.
     """
     if point_count < 1:
         raise FractsurfError("point_count must be positive")
@@ -729,57 +748,27 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     steps = burn_in + point_count
     picks = rng.integers(0, len(cells), size=steps)
 
-    ax = [system.maps[c].axis_x.scale for c in cells]
-    bx = [system.maps[c].axis_x.offset for c in cells]
-    ay = [system.maps[c].axis_y.scale for c in cells]
-    by = [system.maps[c].axis_y.offset for c in cells]
-    xs = np.empty(steps + 1)
-    ys = np.empty(steps + 1)
-    x = float(system.grid.x_knots[0])
-    y = float(system.grid.y_knots[0])
-    xs[0], ys[0] = x, y
-    # The recursions run on Python floats, _CHAOS_BLOCK steps converted at a
-    # time, so no full-length list of Python floats is ever alive.
-    for k0 in range(0, steps, _CHAOS_BLOCK):
-        k1 = min(k0 + _CHAOS_BLOCK, steps)
-        block_x, block_y = [], []
-        for c in picks[k0:k1].tolist():
-            x = ax[c] * x + bx[c]
-            y = ay[c] * y + by[c]
-            block_x.append(x)
-            block_y.append(y)
-        xs[k0 + 1:k1 + 1] = block_x
-        ys[k0 + 1:k1 + 1] = block_y
+    def orbit(axes, start: float) -> np.ndarray:  # x <- a * x + b on one axis
+        return _affine_scan(np.array([m.scale for m in axes])[picks],
+                            np.array([m.offset for m in axes])[picks], float(start))
 
+    xs = orbit([system.maps[c].axis_x for c in cells], system.grid.x_knots[0])
+    ys = orbit([system.maps[c].axis_y for c in cells], system.grid.y_knots[0])
     # each cell's steps, ascending: one stable sort by pick, then a slice per cell
     bounds = np.concatenate([[0], np.cumsum(np.bincount(picks, minlength=len(cells)))])
     order = np.argsort(picks, kind="stable")
     del picks
-    s_step = np.empty(steps)
-    h_step = np.empty(steps)
-    g_step = np.empty(steps)
+    s, b = np.empty(steps), np.empty(steps)  # s and h at the new point, g at the old one
     for ci, cell in enumerate(cells):
         idx = order[bounds[ci]:bounds[ci + 1]]
         if not len(idx):
             continue
         new_x, new_y = xs[1:][idx], ys[1:][idx]
-        s_step[idx] = system.scalings[cell](new_x, new_y)
-        h_step[idx] = system.blend(cell)(new_x, new_y)
-        g_step[idx] = system.free(cell)(xs[:-1][idx], ys[:-1][idx])
-
-    zs = np.empty(steps + 1)
-    z = float(system.grid.z[0, 0])
-    zs[0] = z
-    for k0 in range(0, steps, _CHAOS_BLOCK):
-        k1 = min(k0 + _CHAOS_BLOCK, steps)
-        block_z = []
-        for s, g, h in zip(s_step[k0:k1].tolist(), g_step[k0:k1].tolist(),
-                           h_step[k0:k1].tolist()):
-            z = s * (z - g) + h
-            block_z.append(z)
-        zs[k0 + 1:k1 + 1] = block_z
-    pts = np.column_stack([xs[1:], ys[1:], zs[1:]])
-    return pts[burn_in:]
+        s[idx] = s_cell = system.scalings[cell](new_x, new_y)
+        b[idx] = system.blend(cell)(new_x, new_y) - s_cell * system.free(cell)(
+            xs[:-1][idx], ys[:-1][idx])
+    zs = _affine_scan(s, b, float(system.grid.z[0, 0]))
+    return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
 
 
 def certify_metric(system: IfsSystem, theta: float | None = None,

@@ -61,7 +61,8 @@ def compile_xy_expression(expr: str) -> Callable[[np.ndarray, np.ndarray], np.nd
     def fn(x, y):
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
-        val = np.asarray(eval(code, env, {"x": xa, "y": ya}), dtype=float)
+        with np.errstate(all="ignore"):  # a value that is not finite fails at its witness check
+            val = np.asarray(eval(code, env, {"x": xa, "y": ya}), dtype=float)
         shape = np.broadcast_shapes(xa.shape, ya.shape)
         if val.shape != shape:
             val = np.broadcast_to(val, shape).copy()

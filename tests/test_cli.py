@@ -236,7 +236,6 @@ def test_a_false_lipschitz_bound_fails_the_metric_check(tmp_path):
     assert "3-D map of cell (" in err and "at the pair (" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_scaling_field_exits_two_with_witness(tmp_path):
     # cell (1,1) is NaN on a disk of radius 0.1 around its midpoint, 0 on its edges
     doc = fixture_config("band2x2")
@@ -246,9 +245,9 @@ def test_nan_scaling_field_exits_two_with_witness(tmp_path):
     err = result.output + result.stderr
     assert "magnitude violation: scaling field on cell (1,1)" in err
     assert "witness" in err and "value nan" in err
+    assert len(result.stderr.splitlines()) == 1  # no numpy warning ahead of it
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sup_abs, message", [
     (None, "free field 'sqrt(x - 2)' is not finite"),
     (0.0, "is not a number at"),
@@ -260,6 +259,43 @@ def test_nan_free_field_exits_one(tmp_path, sup_abs, message):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # reported, not a traceback
     assert message in result.output + result.stderr
+    assert len(result.stderr.splitlines()) == 1  # no numpy warning ahead of it
+
+
+@pytest.mark.parametrize("fixture, expr, node", [
+    ("example2a", "sqrt(x - 0.5)", "(0.0, 0.0)"),  # NaN in the expression itself
+    # g is infinite at x = 0.5, the pre-image of the nodes x = 0.25, and s
+    # vanishes on the edge y = 0: b = h - s*g is inf * 0 there
+    ("band2x2", "1/(x - 0.5)", "(0.25, 0.0)"),
+])
+def test_a_free_field_that_is_not_finite_prints_one_error_line(tmp_path, fixture, expr, node):
+    # a child process: in process, pytest captures a warning before it prints
+    doc = fixture_config(fixture)
+    doc["free_field"] = {"expr": expr, "lipschitz": 0.0, "sup_abs": 1.0}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "fractsurf.cli", "surface", "--config", str(path),
+         "--out", str(tmp_path)], env=_src_env(), cwd=tmp_path, capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: residual |T phi - phi| is not finite at the node {node}"]
+
+
+def test_a_failed_allocation_exits_one_with_one_error_line(monkeypatch):
+    # the pipeline raises what a failed numpy allocation raises; nothing is allocated
+    text = ("Unable to allocate 11.9 GiB for an array with shape (40001, 40001) "
+            "and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr("fractsurf.cli.run_pipeline", refuse)
+    result = run("dimension", "--fixture", "flat2x2")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.stderr.splitlines() == [f"error: dimension ran out of memory: {text}"]
 
 
 def test_invalid_config_file_exits_one(tmp_path):

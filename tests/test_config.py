@@ -418,7 +418,7 @@ FLAT_KEY_ERRORS = [
     ("chaos", "burn_in", -1, "must be >= 0, got -1"),
     ("chaos", "burn_in", None, "expected a number, got None"),
     ("dimension", "depth", "4", "expected a number, got '4'"),
-    ("dimension", "depth", 0, "must be >= 1, got 0"),
+    ("dimension", "depth", 0, "must be >= 3, got 0"),
     ("dimension", "depth", None, "expected a number, got None"),
     ("dimension", "epsilon", "tiny", RETIRED_EPSILON),
     ("dimension", "epsilon", 0, RETIRED_EPSILON),
@@ -432,6 +432,7 @@ FLAT_KEY_ERRORS = [
     ("output", "stem", None, "expected a non-empty string"),
     ("chaos", "points", 2 ** 62, "must fit in 32 bits"),
     ("chaos", "burn_in", 2 ** 62, "must fit in 32 bits"),
+    ("dimension", "depth", 2, "must be >= 3, got 2"),  # two scales cannot fit a slope
 ]
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ from fractsurf.config import parse_config_document
 from fractsurf.errors import ConvergenceError, FractsurfError, InvalidGridError
 from fractsurf.fixtures import fixture_config
 from fractsurf.grid import CellIndex
-from fractsurf.ifs import (OperatorGrid, assemble_ifs, certify_metric, chaos_game,
-                           eval_F, solve_fixed_point)
+from fractsurf.ifs import (OperatorGrid, _affine_scan, assemble_ifs, certify_metric,
+                           chaos_game, eval_F, solve_fixed_point)
 from fractsurf.pipeline import build_system, certificate_text
 
 from lattice import full_apply
@@ -168,11 +170,14 @@ def test_chaos_game_refuses_counts_below_their_floor(flat_job, point_count, burn
         chaos_game(flat_job.system, point_count, seed=11, burn_in=burn_in)
 
 
-def scalar_chaos_game(system, point_count, seed, burn_in):
-    """The chaos game with whole-length Python float lists, step by step."""
+def scalar_chaos_game(system, steps, seed):
+    """The chaos game step by step on Python floats: the orbit from its start, every step.
+
+    Returns ``xs``, ``ys``, ``zs`` (``steps + 1`` points, the start first) and
+    each step's ``s`` and ``h`` at the new point and ``g`` at the old one.
+    """
     rng = np.random.default_rng(seed)
     cells = sorted(system.maps)
-    steps = burn_in + point_count
     picks = rng.integers(0, len(cells), size=steps)
     ax = [system.maps[c].axis_x.scale for c in cells]
     bx = [system.maps[c].axis_x.offset for c in cells]
@@ -204,7 +209,40 @@ def scalar_chaos_game(system, point_count, seed, burn_in):
     for k in range(steps):
         z = s_l[k] * (z - g_l[k]) + h_l[k]
         zs[k + 1] = z
-    return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
+    return xs, ys, zs, s_step, g_step, h_step
+
+
+def reference_scan(a, b, start):
+    """``_affine_scan``'s passes spelled out element by element on Python floats."""
+    a, b = a.tolist(), b.tolist()
+    b[0] = b[0] + a[0] * start
+    d = 1
+    while d < len(b):
+        b = b[:d] + [b[k] + a[k] * b[k - d] for k in range(d, len(b))]
+        a = a[:d] + [a[k] * a[k - d] for k in range(d, len(a))]
+        d *= 2
+    return [start] + b
+
+
+def rounding_bound(steps, z_max, c, local):
+    """First-order rounding bound on an orbit of ``steps`` affine steps against the exact one.
+
+    ``|x_k| <= z_max`` on the orbit and every step's inputs are at most
+    ``z_max``, every multiplier at most ``c < 1``, and ``u = 2**-53``.  A
+    partial composition of the scan is ``x_k - (prod a) x_j``, at most
+    ``2 z_max``, so each of its ``L = ceil(log2 steps)`` passes rounds one
+    product and one sum of that size per element, ``4 u z_max``.  The pass of
+    stride ``d`` reaches ``x_k`` through the elements ``k, k - 2d, ...`` with
+    weights at most ``c^(2dj)``, summing to at most ``1 / (1 - c)``: ``4 L``.
+    A multiplier after ``p`` passes carries ``p u`` relative error on a term
+    of at most ``2 z_max c^(2^p)`` that reaches ``x_k`` with weight
+    ``1 / (1 - c^(2^(p+1)))``; since ``c^n / (1 - c^(2n)) <= 1 / (2n (1 - c))``
+    and ``sum p / 2^(p+1) = 1``, that adds 2, and folding in the start 2
+    more: the scan is within ``(4 L + 4) u z_max / (1 - c)`` of exact
+    arithmetic.  ``local`` adds each step's own rounding outside the scan,
+    also carried with weight ``1 / (1 - c)``.
+    """
+    return (4 * math.ceil(math.log2(steps)) + 4 + local) * 2.0 ** -53 * z_max / (1 - c)
 
 
 def nonuniform_system(seed: int):
@@ -228,20 +266,53 @@ def test_bias_solve_that_needs_more_iterations_leaves_no_estimate():
     assert capped.bias_estimate is None
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 15, 16, 17, 1023, 1024, 1025])
+def test_affine_scan_runs_its_passes_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    a, b, start = rng.uniform(-1, 1, length), rng.normal(size=length), float(rng.normal())
+    expected = reference_scan(a, b, start)
+    assert _affine_scan(a.copy(), b.copy(), start).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_affine_scan_is_within_its_rounding_bound_of_exact_arithmetic(seed):
+    rng = np.random.default_rng(seed)
+    length = int(rng.integers(1, 40))
+    a, b, start = rng.uniform(-0.99, 0.99, length), rng.normal(size=length), float(rng.normal())
+    exact = [Fraction(start)]
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        exact.append(Fraction(ak) * exact[-1] + Fraction(bk))
+    scan = _affine_scan(a.copy(), b, start)
+    z_max = max(max(abs(v) for v in exact), float(np.max(np.abs(b))))
+    bound = rounding_bound(max(length, 2), z_max, float(np.max(np.abs(a))), local=0)
+    assert max(abs(Fraction(v) - e) for v, e in zip(scan.tolist(), exact)) <= bound
+
+
 @pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2", "nonuniform"])
-def test_blocked_chaos_game_equals_the_scalar_loop_bit_for_bit(name, example2a_job,
-                                                               example2b_job, band_job):
-    # 100 100 steps: 24 whole blocks of 4096 and a ragged last one, each cell's
-    # steps taken in order from one stable sort; example2b-sin has a nonzero
-    # free field g, band2x2 four cells and the non-uniform grid cells of
-    # unequal sizes
+def test_chaos_game_is_within_the_rounding_bound_of_the_scalar_loop(name, example2a_job,
+                                                                    example2b_job, band_job):
+    # example2b-sin has a nonzero free field g, band2x2 four cells and the
+    # non-uniform grid cells of unequal sizes.  Both orbits draw the same
+    # picks; each lies within its rounding of the exact orbit.  Beyond the
+    # scan (rounding_bound), z's scan input b = h - s*g rounds twice, 2 u Z,
+    # and the loop's step s*(z - g) + h three times on terms of at most
+    # 2 Z, Z and 2 Z, 5 u Z; x and y's loop rounds 2 u Z per step.
     system = (nonuniform_system(7) if name == "nonuniform" else
               {"example2a": example2a_job, "example2b-sin": example2b_job,
                "band2x2": band_job}[name].system)
+    steps = 100_100
     points = chaos_game(system, 100_000, seed=5, burn_in=100)
-    expected = scalar_chaos_game(system, 100_000, seed=5, burn_in=100)
+    xs, ys, zs, s, g, h = scalar_chaos_game(system, steps, seed=5)
     assert points.shape == (100_000, 3)
-    assert points.tobytes() == expected.tobytes()
+    for col, orbit, axis in ((0, xs, "axis_x"), (1, ys, "axis_y")):
+        maps = [getattr(m, axis) for m in system.maps.values()]
+        z_max = max(np.max(np.abs(orbit)), max(abs(m.offset) for m in maps))
+        c = max(abs(m.scale) for m in maps)
+        bound = rounding_bound(steps, z_max, c, local=2)
+        assert np.max(np.abs(points[:, col] - orbit[101:])) <= bound
+    z_max = max(np.max(np.abs(v)) for v in (zs, h, s * g, h - s * g))
+    bound = rounding_bound(steps, z_max, system.certificate.c_s, local=7)
+    assert np.max(np.abs(points[:, 2] - zs[101:])) <= bound
 
 
 def test_chaos_game_peak_memory_stays_below_ten_megabytes(example2a_job):

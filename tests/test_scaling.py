@@ -117,7 +117,6 @@ def test_expression_field_must_vanish_on_edges():
                                "0.5 + 0*x*y", lipschitz=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_on_one_edge_fails_the_edge_check():
     # NaN on the disk of radius 0.1 around (0.5, 0.25): on the edge x = 0.5, the
     # last of the four edges sampled, and on no corner
@@ -127,7 +126,6 @@ def test_a_nan_on_one_edge_fails_the_edge_check():
                                lipschitz=1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_inside_the_cell_fails_at_a_nan_sample():
     # NaN on the disk of radius 0.1 around the midpoint, 0 on the edges
     with pytest.raises(MagnitudeError) as err:

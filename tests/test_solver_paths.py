@@ -640,7 +640,6 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
     assert surface.bias_estimate == float(np.max(np.abs(up - heights)))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 @pytest.mark.parametrize("case", ["lattice", "bilinear"])
 def test_a_residual_that_is_not_a_number_fails_at_once_with_its_node(case, tmp_path,
                                                                      monkeypatch):
