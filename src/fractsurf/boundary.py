@@ -303,23 +303,25 @@ def build_free_field(rect, expr: str, lipschitz: float,
 
 @dataclass(frozen=True)
 class QField:
-    """Vertical offset of one IFS map: Q = -s(L(.)) * g + h(L(.)).
+    """Vertical terms of one IFS map: Q = -s(L(.)) * g + h(L(.)), read by :meth:`terms`.
 
-    ``lipschitz`` is a sound bound in the taxicab metric, assembled from
-    the component bounds by product/sum rules; it drives the metric
+    ``lipschitz`` is a sound bound on Q in the taxicab metric, assembled
+    from the component bounds by product/sum rules; it drives the metric
     certificate of the assembled system.
     """
 
     cell: CellIndex
-    dmap: DomainMap = field(compare=False)
     scaling: ScalingField = field(compare=False)
     free: FreeField = field(compare=False)
     blend: PatchBlend = field(compare=False)
     lipschitz: float = 0.0
 
-    def __call__(self, x, y):
-        lx, ly = self.dmap((x, y))
-        return -self.scaling(lx, ly) * self.free(x, y) + self.blend(lx, ly)
+    def terms(self, x, y, qx, qy):
+        """``(s, b, h)`` of ``z -> s * z + b``: ``s``, ``h`` at the image ``(x, y) = L(qx, qy)``
+        (passed in, so nodes stay exact); ``b = h - s * g = Q(qx, qy)``, ``g`` at the pre-image."""
+        s, h = self.scaling(x, y), self.blend(x, y)
+        with np.errstate(invalid="ignore"):  # s = 0 times an infinite g: its checks name it
+            return s, h - s * self.free(qx, qy), h
 
 
 def build_Q(dmap: DomainMap, scaling: ScalingField, free: FreeField,
@@ -331,4 +333,4 @@ def build_Q(dmap: DomainMap, scaling: ScalingField, free: FreeField,
     lip = (scaling.lipschitz * c_l * free.sup_abs
            + scaling.sup_bound * free.lipschitz
            + blend.lipschitz_bound() * c_l)
-    return QField(dmap.cell, dmap, scaling, free, blend, lip)
+    return QField(dmap.cell, scaling, free, blend, lip)

@@ -37,10 +37,10 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .boundary import QUADRATIC_MAX_DEGREE
-from .dimension import MIN_SCALES, box_layout, natural_scales
+from .dimension import MIN_SCALES, box_layout, dimension_resolution, natural_scales
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
-from .grid import DataGrid, load_grid_text, sample_axes
+from .grid import MAX_RESOLUTION, DataGrid, load_grid_text, sample_axes
 from .scaling import OUTER_MAPS, PRODUCT_EXPONENT_MIN
 from .utils import compile_xy_expression
 
@@ -474,10 +474,11 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
 
     The rules: each cell covered exactly once by ``scaling.fields`` (and by
     ``blend.tables`` in explicit mode), boundary curve and piece counts that
-    match the grid, ``solver.resolution`` and ``dimension.resolution`` on
-    the grid's sample lattice (:func:`~fractsurf.grid.sample_axes`), an
-    explicit ``dimension.resolution`` also fine enough for every scale down
-    to ``dimension.depth`` (:func:`~fractsurf.dimension.box_layout`).
+    match the grid, ``solver.resolution`` and ``dimension.resolution`` (or
+    the one ``dimension.depth`` implies) on the grid's sample lattice
+    (:func:`~fractsurf.grid.sample_axes`), an explicit ``dimension.resolution``
+    also fine enough for every scale down to ``dimension.depth``
+    (:func:`~fractsurf.dimension.box_layout`).
     Sections and keys that failed to parse (``None``) are skipped.
     """
     err = _Collector()
@@ -525,6 +526,14 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
                         box_layout(resolution, (grid.x_span, grid.y_span), delta)
             except FractsurfError as exc:
                 err.add(path, str(exc))
+    if cfg.dimension.resolution is None and (depth := cfg.dimension.depth) is not None:
+        # capped as R's bit length caps it above: past it, n**depth alone exceeds the ceiling
+        implied = dimension_resolution(grid, min(depth, MAX_RESOLUTION.bit_length()))
+        try:
+            sample_axes(grid, implied)
+        except FractsurfError as exc:
+            err.add("dimension.depth",
+                    f"depth {depth} needs a dimension resolution of at least {implied}: {exc}")
     return err.errors
 
 

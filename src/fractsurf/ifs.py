@@ -18,7 +18,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   ``c_s / (1 - c_s) * |T phi - phi|`` controls the error of ``T phi``
   against the exact fixed point at the sample nodes.  The pull-back of
   every node is exact (:func:`~fractsurf.grid.pullback`, in integers), and
-  the sampled operator is ``phi -> s * B phi + b`` with ``b = h - s * g``.
+  the sampled operator is ``phi -> s * B phi + b``, ``s`` and ``b`` from
+  :meth:`~fractsurf.boundary.QField.terms` at the node and its pre-image.
   When every pulled-back node lands on a sample node (every cell spans an
   integer fraction of its axis) the gather ``B`` is ``phi[P]``.  ``P`` maps
   every node into ``image(P)`` and ``image(P)`` into itself, so the solver
@@ -109,12 +110,6 @@ class IfsSystem:
     q_fields: Mapping[CellIndex, QField] = field(compare=False)
     certificate: ContractionCertificate
 
-    def blend(self, cell: CellIndex):
-        return self.q_fields[cell].blend
-
-    def free(self, cell: CellIndex):
-        return self.q_fields[cell].free
-
     def cells(self) -> list[CellIndex]:
         return self.grid.cells()
 
@@ -156,11 +151,16 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
     return IfsSystem(grid, dict(maps), dict(scalings), dict(q_fields), cert)
 
 
+def _map_3d(system: IfsSystem, cell: CellIndex, x, y, z):
+    """The 3-D map ``W(x, y, z) = (L(x, y), s * z + b)``, ``(s, b)`` of :meth:`QField.terms`."""
+    lx, ly = system.maps[cell]((x, y))
+    s, b, _ = system.q_fields[cell].terms(lx, ly, x, y)
+    return lx, ly, s * np.asarray(z, dtype=float) + b
+
+
 def eval_F(system: IfsSystem, cell: CellIndex, x, y, z):
     """Vertical part of the 3-D map: F(x, y, z) = s(L(x, y)) * z + Q(x, y)."""
-    dmap = system.maps[cell]
-    lx, ly = dmap((x, y))
-    return system.scalings[cell](lx, ly) * np.asarray(z, dtype=float) + system.q_fields[cell](x, y)
+    return _map_3d(system, cell, x, y, z)[2]
 
 
 def _axis_weights(axis: np.ndarray, t: np.ndarray):
@@ -283,9 +283,8 @@ class OperatorGrid:
 
     Every node's pull-back comes from :func:`~fractsurf.grid.pullback`, the
     exact rule, as a node index ``ix`` and a weight ``w`` per axis.  Both
-    plans apply ``T phi = s * B phi + b`` with ``b = h - s * g``, ``s`` and
-    the blend ``h`` at the node and the free field ``g`` at its pre-image
-    (:meth:`_block`); they differ only in the gather ``B``.
+    plans apply ``T phi = s * B phi + b``, with ``b = Q`` of the node's
+    pre-image (:meth:`_block`); they differ only in the gather ``B``.
 
     When every weight on both axes is 0 or 1 (every cell spans ``span / d``
     for an integer ``d``), the plan is a *lattice* plan: ``B phi = phi[P]``
@@ -299,7 +298,7 @@ class OperatorGrid:
     of level 1).  :meth:`rows` evaluates them on every node, one row block
     at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
     ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``,
-    ``b`` and ``h`` are held on every node.
+    ``b`` and ``h`` are held on every node, evaluated in row blocks too.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -323,42 +322,37 @@ class OperatorGrid:
             self.lx = np.searchsorted(self.x_level, self.px)
             self.ly = np.searchsorted(self.y_level, self.py)
             self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
-            shape = (len(self.x_level), len(self.y_level))
-            level = self.s_values, self.b_values, self.h_values = tuple(
-                np.empty(shape) for _ in range(3))
-            step = max(1, _ROW_CELLS // shape[1])
-            for r0 in range(0, shape[0], step):
-                self._block(self.x_level[r0:r0 + step], self.y_level,
-                            tuple(values[r0:r0 + step] for values in level))
+            rows, cols = self.x_level, self.y_level
         else:
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
             self.order = np.argsort(ix, kind="stable")
-            nodes = np.arange(resolution)
-            self.s_values, self.b_values, self.h_values = self._block(nodes, nodes)
+            rows = cols = np.arange(resolution)
+        held = self.s_values, self.b_values, self.h_values = tuple(
+            np.empty((len(rows), len(cols))) for _ in range(3))
+        step = max(1, _ROW_CELLS // len(cols))
+        for r0 in range(0, len(rows), step):
+            self._block(rows[r0:r0 + step], cols, tuple(values[r0:r0 + step] for values in held))
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
 
-        ``rows`` and ``cols`` are ascending node indices.  ``b = h - s * g``,
-        with ``g`` the free field at the pulled-back points.  Cells write
-        their parts in ``grid.cells()`` order, so a node on a shared knot
-        line takes the values of the later cell, whatever nodes are asked for.
+        ``rows`` and ``cols`` are ascending node indices, each cell's part
+        is :meth:`~fractsurf.boundary.QField.terms` at the nodes and their
+        pulled-back points.  Cells write their parts in ``grid.cells()``
+        order, so a node on a shared knot line takes the values of the later
+        cell, whatever nodes are asked for.
         """
         s, b, h = out or tuple(np.empty((len(rows), len(cols))) for _ in range(3))
-        system = self.system
         for cell, x0, x1, y0, y1 in self._cell_nodes:
             sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
             sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
             if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
                 continue
-            bx, by = self.x_samples[rows[sl_x]][:, None], self.y_samples[cols[sl_y]][None, :]
-            qx, qy = self.x_pre[rows[sl_x]], self.y_pre[cols[sl_y]]
-            s[sl_x, sl_y] = system.scalings[cell](bx, by)
-            h[sl_x, sl_y] = system.blend(cell)(bx, by)
-            b[sl_x, sl_y] = system.free(cell)(qx[:, None], qy[None, :])  # g, until b replaces it
-        with np.errstate(invalid="ignore"):  # s = 0 times an infinite g: the residual names it
-            b *= s
-        return s, np.subtract(h, b, out=b), h
+            x_nodes, y_nodes = rows[sl_x][:, None], cols[sl_y][None, :]
+            s[sl_x, sl_y], b[sl_x, sl_y], h[sl_x, sl_y] = self.system.q_fields[cell].terms(
+                self.x_samples[x_nodes], self.y_samples[y_nodes],
+                self.x_pre[x_nodes], self.y_pre[y_nodes])
+        return s, b, h
 
     def rows(self):
         """``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
@@ -736,8 +730,8 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     The orbit starts at the first data knot, a point of the attractor, so
     every iterate lies on the surface graph up to rounding; the burn-in
     discard is kept anyway so arbitrary start points behave.  Each axis is
-    one :func:`_affine_scan`, and so is ``z <- s * z + (h - s * g)``, the
-    form of :class:`OperatorGrid`.  Returns an (N, 3) array.
+    one :func:`_affine_scan`, and so is ``z <- s * z + b``, the form of
+    :class:`OperatorGrid`.  Returns an (N, 3) array.
     """
     if point_count < 1:
         raise FractsurfError("point_count must be positive")
@@ -758,15 +752,12 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     bounds = np.concatenate([[0], np.cumsum(np.bincount(picks, minlength=len(cells)))])
     order = np.argsort(picks, kind="stable")
     del picks
-    s, b = np.empty(steps), np.empty(steps)  # s and h at the new point, g at the old one
+    s, b = np.empty(steps), np.empty(steps)
     for ci, cell in enumerate(cells):
         idx = order[bounds[ci]:bounds[ci + 1]]
-        if not len(idx):
-            continue
-        new_x, new_y = xs[1:][idx], ys[1:][idx]
-        s[idx] = s_cell = system.scalings[cell](new_x, new_y)
-        b[idx] = system.blend(cell)(new_x, new_y) - s_cell * system.free(cell)(
-            xs[:-1][idx], ys[:-1][idx])
+        if len(idx):  # from the old point to the new one
+            s[idx], b[idx], _ = system.q_fields[cell].terms(xs[1:][idx], ys[1:][idx],
+                                                             xs[:-1][idx], ys[:-1][idx])
     zs = _affine_scan(s, b, float(system.grid.z[0, 0]))
     return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
 
@@ -800,11 +791,8 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
     keep = dist > 1e-12
     max_ratio = 0.0
     for cell in system.cells():
-        dmap = system.maps[cell]
-        plx, ply = dmap((p[:, 0], p[:, 1]))
-        qlx, qly = dmap((q[:, 0], q[:, 1]))
-        plz = eval_F(system, cell, p[:, 0], p[:, 1], p[:, 2])
-        qlz = eval_F(system, cell, q[:, 0], q[:, 1], q[:, 2])
+        plx, ply, plz = _map_3d(system, cell, *p.T)
+        qlx, qly, qlz = _map_3d(system, cell, *q.T)
         wdist = (np.abs(plx - qlx) + np.abs(ply - qly) + theta * np.abs(plz - qlz))
         ratios = wdist[keep] / dist[keep]
         if np.isnan(ratios).any():

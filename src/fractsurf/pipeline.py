@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import (CurveNetwork, FreeField, PatchBlend, build_boundary_curves,
+from .boundary import (CurveNetwork, PatchBlend, build_boundary_curves,
                        build_coons_blend, build_free_field, build_Q,
                        load_explicit_blend)
 from .config import SCALING_FORMS, JobConfig, grid_errors, realize_grid, serialize_config
@@ -42,7 +42,6 @@ class BuiltJob:
     grid: DataGrid
     curves: CurveNetwork
     blends: dict[CellIndex, PatchBlend]
-    free: FreeField
     system: IfsSystem
 
 
@@ -52,10 +51,10 @@ class PipelineResult:
     summary: str
     artifacts: dict[str, Path]
     job: BuiltJob
+    metric: MetricReport
     surface: SurfaceSample | None = None
     points: np.ndarray | None = None
     dimension: DimensionReport | None = None
-    metric: MetricReport | None = None
 
 
 # each form's builder, looked up by name in this module's globals at call time
@@ -111,8 +110,7 @@ def build_system(cfg: JobConfig) -> BuiltJob:
     q_fields = {cell: build_Q(maps[cell], scalings[cell], free, blends[cell])
                 for cell in grid.cells()}
     system = assemble_ifs(grid, maps, scalings, q_fields)
-    return BuiltJob(config=cfg, grid=grid, curves=curves, blends=blends,
-                    free=free, system=system)
+    return BuiltJob(config=cfg, grid=grid, curves=curves, blends=blends, system=system)
 
 
 def apply_overrides(cfg: JobConfig, *, seed: int | None = None,
@@ -204,6 +202,8 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
     surface   -> heightmap CSV + PGM image + xyz point cloud
     dimension -> box-count CSV + key=value dimension report
     report    -> all of the above plus a summary text file
+
+    Every command runs :func:`~fractsurf.ifs.certify_metric` once, before any solve.
     """
     if command not in COMMANDS:
         raise FractsurfError(
@@ -212,17 +212,16 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
     started = time.perf_counter()
     job = build_system(cfg)
     artifacts: dict[str, Path] = {}
-    result = PipelineResult(command=command, summary="", artifacts=artifacts, job=job)
+    result = PipelineResult(command=command, summary="", artifacts=artifacts, job=job,
+                            metric=certify_metric(job.system))
     stem = cfg.output.stem
     directory = _out_dir(cfg)
 
     if command == "validate":
-        result.metric = certify_metric(job.system)
         result.summary = _validate_summary(job, result.metric)
         return result
 
     if command == "build":
-        result.metric = certify_metric(job.system)
         artifacts["certificate"] = write_text(
             directory / f"{stem}.certificate.txt",
             certificate_text(job, result.metric))
@@ -264,7 +263,6 @@ def run_pipeline(cfg: JobConfig, command: str, *, seed: int | None = None,
                                             dimension_report_text(report))
 
     if command == "report":
-        result.metric = certify_metric(job.system)
         artifacts["certificate"] = write_text(
             directory / f"{stem}.certificate.txt",
             certificate_text(job, result.metric))

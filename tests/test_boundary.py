@@ -9,6 +9,7 @@ from fractsurf.errors import (BlendValidationError, CurveValidationError,
                               FractsurfError)
 from fractsurf.fixtures import H_TABLES, Q_PIECES, R_PIECES, X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import CellIndex, DataGrid, build_domain_maps
+from fractsurf.ifs import assemble_ifs, eval_F
 from fractsurf.scaling import build_quartic_field
 
 GRID = DataGrid.from_y_rows(X_KNOTS, Y_KNOTS, Z_ROWS)
@@ -203,18 +204,43 @@ def test_free_field_rejects_unknown_names():
 
 
 def test_q_field_combines_blend_scaling_and_free_term(network):
+    # terms gives s and h at the image point and b = Q at the pre-image, and
+    # eval_F is s * z + Q: each bit for bit against the formula written out
     maps = build_domain_maps(GRID)
-    cell = CellIndex(2, 2)
-    scaling = build_quartic_field(cell, GRID.cell_rect(cell), 2300.0)
-    blend = build_coons_blend(GRID, network, cell)
+    scalings = {c: build_quartic_field(c, GRID.cell_rect(c), 2300.0) for c in GRID.cells()}
     free = build_free_field(GRID.rect, "sin(pi**2*x*y)", lipschitz=np.pi ** 2,
                             sup_abs=1.0)
-    q = build_Q(maps[cell], scaling, free, blend)
-    x, y = 0.3, 0.7
+    q_fields = {c: build_Q(maps[c], scalings[c], free, build_coons_blend(GRID, network, c))
+                for c in GRID.cells()}
+    system = assemble_ifs(GRID, maps, scalings, q_fields)
+    cell = CellIndex(2, 2)
+    q, blend = q_fields[cell], q_fields[cell].blend
+    x, y, z = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 50))
+    z = 10.0 * z - 5.0
     lx, ly = maps[cell].axis_x(x), maps[cell].axis_y(y)
-    expected = -float(scaling(lx, ly)) * float(free(x, y)) + float(blend(lx, ly))
-    assert float(q(x, y)) == pytest.approx(expected, abs=1e-13)
+    s, h, g = scalings[cell](lx, ly), blend(lx, ly), free(x, y)
+    got_s, got_b, got_h = q.terms(lx, ly, x, y)
+    assert np.array_equal(got_s, s) and np.array_equal(got_h, h)
+    assert np.array_equal(got_b, -s * g + h)  # Q(x, y) = -s(L(x, y)) g(x, y) + h(L(x, y))
+    assert np.array_equal(eval_F(system, cell, x, y, z), s * z + (-s * g + h))
+    assert np.count_nonzero(s * g) == len(x)  # every term matters
     assert q.lipschitz > 0
+
+
+def test_q_field_terms_is_nan_without_a_warning_where_s_vanishes_and_g_is_infinite(network):
+    # s = 0 on the cell edge times g = inf at a pole of the free field is NaN:
+    # the solver's residual and the metric check name it, numpy stays quiet
+    # (Tier-1 turns a RuntimeWarning into an error)
+    maps = build_domain_maps(GRID)
+    cell = CellIndex(2, 2)
+    free = build_free_field(GRID.rect, "1/(x-0.5)", lipschitz=1.0, sup_abs=1.0)
+    q = build_Q(maps[cell], build_quartic_field(cell, GRID.cell_rect(cell), 2300.0), free,
+                build_coons_blend(GRID, network, cell))
+    x_lo, _, y_lo, _ = GRID.cell_rect(cell)
+    s, b, h = q.terms(np.array([x_lo]), np.array([y_lo + 0.1]), np.array([0.5]),
+                      np.array([0.5]))
+    assert s[0] == 0.0 and np.isfinite(h[0])
+    assert np.isnan(b[0])
 
 
 def test_q_field_rejects_cell_mismatch(network):

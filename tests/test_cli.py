@@ -12,6 +12,7 @@ import pytest
 from fractsurf.config import parse_config_document, serialize_config
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config
 from cli_runner import run
+from test_ifs import nonuniform_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -263,24 +264,62 @@ def test_nan_free_field_exits_one(tmp_path, sup_abs, message):
 
 
 @pytest.mark.parametrize("fixture, expr, node", [
-    ("example2a", "sqrt(x - 0.5)", "(0.0, 0.0)"),  # NaN in the expression itself
+    # g is not finite only at one pre-image, so the metric check's pairs pass
+    ("example2a", "0/x", "(0.0, 0.0)"),  # NaN in the expression itself
     # g is infinite at x = 0.5, the pre-image of the nodes x = 0.25, and s
     # vanishes on the edge y = 0: b = h - s*g is inf * 0 there
-    ("band2x2", "1/(x - 0.5)", "(0.25, 0.0)"),
+    ("band2x2", "1e-300/(x - 0.5)", "(0.25, 0.0)"),
 ])
 def test_a_free_field_that_is_not_finite_prints_one_error_line(tmp_path, fixture, expr, node):
     # a child process: in process, pytest captures a warning before it prints
     doc = fixture_config(fixture)
     doc["free_field"] = {"expr": expr, "lipschitz": 0.0, "sup_abs": 1.0}
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "fractsurf.cli", "surface", "--config", str(path),
-         "--out", str(tmp_path)], env=_src_env(), cwd=tmp_path, capture_output=True,
-        text=True, timeout=120)
+    result = _child("surface", doc, tmp_path)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
         f"error: residual |T phi - phi| is not finite at the node {node}"]
+
+
+def _child(command: str, doc: dict, tmp_path) -> subprocess.CompletedProcess:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "fractsurf.cli", command, "--config", str(path),
+         "--out", str(tmp_path)], env=_src_env(), cwd=tmp_path, capture_output=True,
+        text=True, timeout=120)
+
+
+@pytest.mark.parametrize("source, expr", [
+    ("nonuniform", "1/(x-0.6)"),  # |g| reaches 2560 at the sample nodes, not the asserted 1
+    ("example2a", "sqrt(x - 0.5)"),  # NaN on half the square
+    ("band2x2", "1/(x - 0.5)"),
+])
+def test_every_command_runs_the_metric_check_validate_runs(tmp_path, source, expr):
+    # surface and dimension never ran the check: on nonuniform_config(7) they
+    # exited 0, surface with a bias estimate of 3692.47, and surface solved the
+    # others up to a residual that is not finite.  Child processes: one error
+    # line, no warning, nothing written
+    doc = nonuniform_document(7) if source == "nonuniform" else fixture_config(source)
+    doc["free_field"] = {"expr": expr, "lipschitz": 1.0, "sup_abs": 1.0}
+    results = {command: _child(command, doc, tmp_path)
+               for command in ("validate", "build", "surface", "dimension", "report")}
+    (line,) = results["validate"].stderr.splitlines()
+    assert line.startswith("error: 3-D map of cell (1,1) is not a")
+    for command, result in results.items():
+        assert (result.returncode, result.stderr.splitlines()) == (1, [line]), command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+def test_validate_refuses_an_implicit_dimension_resolution_above_the_ceiling(tmp_path):
+    # example2a at depth 8 implies R = 393217; dimension died allocating 32 GiB
+    doc = fixture_config("example2a")
+    doc["dimension"]["depth"] = 8
+    result = _child("validate", doc, tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: invalid configuration:",
+        "  dimension.depth: depth 8 needs a dimension resolution of at least 393217: "
+        "resolution 393217 is above the ceiling 65537"]
 
 
 def test_a_failed_allocation_exits_one_with_one_error_line(monkeypatch):

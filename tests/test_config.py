@@ -562,6 +562,25 @@ def test_a_depth_too_deep_for_the_explicit_resolution_is_located(depth):
                                  "sample intervals per box edge, need at least 4")]
 
 
+@pytest.mark.parametrize("depth, implied", [(7, 98305), (8, 393217), (2 ** 64, 103079215105)])
+def test_an_implicit_dimension_resolution_above_the_ceiling_is_located_at_the_depth(depth,
+                                                                                     implied):
+    # example2a (4x3 cells) gives no dimension.resolution: the one its depth
+    # implies is checked at parse, before dimension would allocate for it.
+    # A depth past the ceiling's bit length is capped (4**17 already exceeds
+    # it), so 4**(2**64) is never computed
+    doc = fixture_config("example2a")
+    assert doc["dimension"].get("resolution") is None
+    doc["dimension"]["depth"] = depth
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config_document(doc)
+    assert excinfo.value.errors == [
+        ("dimension.depth", f"depth {depth} needs a dimension resolution of at least {implied}: "
+                            f"resolution {implied} is above the ceiling {MAX_RESOLUTION}")]
+    doc["dimension"]["depth"] = 6  # R = 24577
+    assert parse_config_document(doc).dimension.resolution is None
+
+
 def test_dimension_resolution_alignment_is_checked():
     for name, resolution, message in (("example2a", 100, "knot-aligned"),
                                       ("flat2x2", 5, "at least 9")):

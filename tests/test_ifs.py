@@ -15,6 +15,7 @@ from fractsurf.grid import CellIndex
 from fractsurf.ifs import (OperatorGrid, _affine_scan, assemble_ifs, certify_metric,
                            chaos_game, eval_F, solve_fixed_point)
 from fractsurf.pipeline import build_system, certificate_text
+from fractsurf.scaling import ScalingField
 
 from lattice import full_apply
 
@@ -200,8 +201,8 @@ def scalar_chaos_game(system, steps, seed):
         mask = picks == ci
         new_x, new_y = xs[1:][mask], ys[1:][mask]
         s_step[mask] = system.scalings[cell](new_x, new_y)
-        h_step[mask] = system.blend(cell)(new_x, new_y)
-        g_step[mask] = system.free(cell)(xs[:-1][mask], ys[:-1][mask])
+        h_step[mask] = system.q_fields[cell].blend(new_x, new_y)
+        g_step[mask] = system.q_fields[cell].free(xs[:-1][mask], ys[:-1][mask])
     zs = np.empty(steps + 1)
     z = float(system.grid.z[0, 0])
     zs[0] = z
@@ -245,14 +246,18 @@ def rounding_bound(steps, z_max, c, local):
     return (4 * math.ceil(math.log2(steps)) + 4 + local) * 2.0 ** -53 * z_max / (1 - c)
 
 
-def nonuniform_system(seed: int):
+def nonuniform_document(seed: int) -> dict:
     """The benchmark's generated non-uniform grid drawn from ``seed``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from workloads import nonuniform_config
     finally:
         sys.path.pop(0)
-    return build_system(parse_config_document(nonuniform_config(seed))).system
+    return nonuniform_config(seed)
+
+
+def nonuniform_system(seed: int):
+    return build_system(parse_config_document(nonuniform_document(seed))).system
 
 
 def test_bias_solve_that_needs_more_iterations_leaves_no_estimate():
@@ -371,6 +376,22 @@ def test_metric_flags_theta_outside_interval(example2a_job):
     theta_max = certify_metric(example2a_job.system, seed=1).theta_interval[1]
     report = certify_metric(example2a_job.system, theta=10 * theta_max, seed=1)
     assert not report.admissible
+
+
+def test_metric_check_and_eval_F_evaluate_each_scaling_field_once_per_map(example2a_job,
+                                                                          monkeypatch):
+    # QField.terms takes s at the image point it is given: the metric check maps
+    # each of its two point sets once per cell, and eval_F evaluates s once
+    calls = []
+    call = ScalingField.__call__
+    monkeypatch.setattr(ScalingField, "__call__",
+                        lambda field, x, y: calls.append(field.cell) or call(field, x, y))
+    system = example2a_job.system
+    certify_metric(system, seed=1)
+    assert sorted(calls) == sorted(2 * system.cells())
+    calls.clear()
+    eval_F(system, CellIndex(2, 2), 0.3, 0.7, 1.5)
+    assert calls == [CellIndex(2, 2)]
 
 
 @pytest.mark.parametrize("height_scale", [1.0, 2.0, 5.0])
