@@ -20,7 +20,7 @@ from .config import (JobConfig, parse_config, parse_config_document, realize_gri
                      serialize_config)
 from .dimension import (DimensionBounds, DimensionEstimate, DimensionReport,
                         HypothesisReport, alignment_base, bounds_from_fields,
-                        box_count_points, box_counts, check_hypotheses,
+                        box_counts, check_hypotheses,
                         dimension_report, dimension_resolution, estimate_dimension,
                         natural_scales)
 from .errors import (BlendCompatibilityError, BlendValidationError,

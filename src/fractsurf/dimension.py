@@ -301,20 +301,6 @@ def box_counts(surface: SurfaceSample, deltas: Sequence[float]) -> list[int]:
     return [columns.count(d) for d in deltas]
 
 
-def box_count_points(points: np.ndarray, delta: float,
-                     rect: tuple[float, float, float, float]) -> int:
-    """Cube count for a point cloud, anchored at the rectangle corner and
-    the lowest point; the cross-check oracle for :func:`box_counts`."""
-    x0, x1, y0, y1 = rect
-    pts = np.asarray(points, dtype=float)
-    ix = np.floor((pts[:, 0] - x0) / delta).astype(np.int64)
-    iy = np.floor((pts[:, 1] - y0) / delta).astype(np.int64)
-    iz = np.floor((pts[:, 2] - pts[:, 2].min()) / delta).astype(np.int64)
-    ix = np.minimum(ix, int(math.ceil((x1 - x0) / delta)) - 1)
-    iy = np.minimum(iy, int(math.ceil((y1 - y0) / delta)) - 1)
-    return int(np.unique(np.stack([ix, iy, iz], axis=1), axis=0).shape[0])
-
-
 def _fit(log_inv: np.ndarray, log_counts: np.ndarray):
     slope, intercept = np.polyfit(log_inv, log_counts, 1)
     fitted = slope * log_inv + intercept

@@ -31,8 +31,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   time, ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``
   are gathered from level 1, and the blocks go to a consumer (stacked into
   the heights, or folded into box-count column extrema) while the
-  certifying residual is measured on every node.  Level 1 is held by at
-  most three arrays at a time, plus one on level 2 while it is lifted.
+  certifying residual is measured on every node.  Level 1 is held by ``s``
+  and ``b``, beside ``h`` on the rows ``P`` reaches or two level-2 arrays.
   Otherwise it iterates ``s * B phi + b`` with the streamed bilinear
   gather :func:`_bilinear` on four full arrays.  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
@@ -291,11 +291,11 @@ class OperatorGrid:
     with the integer node indices ``px = ix + w``, ``py`` (one 1-D array per
     axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
     node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
-    and level 1 into itself, so a lattice plan holds ``s``, ``h`` and ``b``
-    on level 1 only, three level-1 arrays, evaluated there one row block at
-    a time, and ``apply`` is the gather there (``lx``, ``ly``: every node's
-    pull-back as a position on level 1; ``level_px``, ``level_py``: those
-    of level 1).  :meth:`rows` evaluates them on every node, one row block
+    and level 1 into itself, so a lattice plan holds ``s`` and ``b`` on
+    level 1 only, evaluated there one row block at a time while round 0
+    runs (:meth:`_fill_level`), and ``apply`` is the gather there (``lx``,
+    ``ly``: every node's pull-back as a position on level 1; ``level_px``,
+    ``level_py``: those of level 1).  :meth:`rows` evaluates them on every node, one row block
     at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
     ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``,
     ``b`` and ``h`` are held on every node, evaluated in row blocks too.
@@ -317,21 +317,59 @@ class OperatorGrid:
         self.y_pre = self.y_samples[iy] * (1 - wy) + self.y_samples[iy + 1] * wy
         self.lattice = all(np.all((w == 0) | (w == 1)) for w in (wx, wy))
         if self.lattice:
-            self.px, self.py = ix + (wx == 1), iy + (wy == 1)
-            self.x_level, self.y_level = _image(self.px), _image(self.py)
-            self.lx = np.searchsorted(self.x_level, self.px)
-            self.ly = np.searchsorted(self.y_level, self.py)
-            self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
-            rows, cols = self.x_level, self.y_level
-        else:
-            self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
-            self.order = np.argsort(ix, kind="stable")
-            rows = cols = np.arange(resolution)
+            self._fill_level(ix + (wx == 1), iy + (wy == 1))
+            return
+        self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
+        self.order = np.argsort(ix, kind="stable")
+        nodes = np.arange(resolution)
         held = self.s_values, self.b_values, self.h_values = tuple(
-            np.empty((len(rows), len(cols))) for _ in range(3))
-        step = max(1, _ROW_CELLS // len(cols))
-        for r0 in range(0, len(rows), step):
-            self._block(rows[r0:r0 + step], cols, tuple(values[r0:r0 + step] for values in held))
+            np.empty((resolution, resolution)) for _ in range(3))
+        step = max(1, _ROW_CELLS // resolution)
+        for r0 in range(0, resolution, step):
+            self._block(nodes[r0:r0 + step], nodes, tuple(values[r0:r0 + step] for values in held))
+
+    def _fill_level(self, px: np.ndarray, py: np.ndarray):
+        """Level 1 of a lattice plan: ``s`` and ``b``, filled in row blocks that run round 0.
+
+        ``T h = s * h[P] + b`` reads the blend patchwork ``h`` only on the rows
+        ``P`` reaches, which are filled first and keep ``h``; every other block's
+        ``h`` serves its round 0 and goes.  ``round_zero``: ``max |T h - h|`` on
+        level 1 and ``T h`` on the core of ``chains`` (:func:`_image_chain` per axis).
+        """
+        self.px, self.py = px, py
+        self.x_level, self.y_level = x, y = _image(px), _image(py)
+        self.lx, self.ly = np.searchsorted(x, px), np.searchsorted(y, py)
+        self.level_px, self.level_py = self.lx[x], self.ly[y]
+        self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
+        self._terms = np.empty((2, len(x), len(y)))  # s and b, which the last apply overwrites
+        s, b = self.s_values, self.b_values = self._terms
+        reached = _image(self.level_px)
+        others = np.delete(np.arange(len(x)), reached)
+        core_x, core_y = (chain[-1] for chain in self.chains)  # the core lies in reached
+        at, h_px = np.searchsorted(reached, core_x), np.searchsorted(reached, self.level_px)
+        h, start = np.empty((len(reached), len(y))), np.empty((len(core_x), len(core_y)))
+        step = max(1, _ROW_CELLS // len(y))
+
+        def fill(rows):  # (s, b, h) on rows of level 1; s and b are kept
+            terms = self._block(x[rows], y)
+            s[rows], b[rows] = terms[:2]
+            return terms
+
+        def round_zero(p0, rows, s_rows, b_rows, h_rows):  # p0: position in reached + others
+            th = _lift_rows(h, h_px[rows], self.level_py, s_rows, b_rows)
+            lo, hi = np.searchsorted(at, (p0, p0 + len(rows)))
+            start[lo:hi] = th[at[lo:hi] - p0][:, core_y]
+            return _sup_distance(th, h_rows, self.x_samples[x[rows]], self.y_samples[y])
+
+        def blocks(nodes):
+            return ((p0, nodes[p0:p0 + step]) for p0 in range(0, len(nodes), step))
+
+        for p0, rows in blocks(reached):
+            h[p0:p0 + len(rows)] = fill(rows)[2]
+        sups = [round_zero(p0, rows, s[rows], b[rows], h[p0:p0 + len(rows)])
+                for p0, rows in blocks(reached)]
+        sups += [round_zero(len(reached) + p0, rows, *fill(rows)) for p0, rows in blocks(others)]
+        self.round_zero = max(sups), start
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
@@ -354,23 +392,23 @@ class OperatorGrid:
                 self.x_pre[x_nodes], self.y_pre[y_nodes])
         return s, b, h
 
-    def rows(self):
-        """``(r0, s, b, h)`` on every node of the rows ``r0, r0 + 1, ...``.
+    def rows(self, rows=None, cols=None):
+        """``(r0, s, b, h)`` on the nodes ``np.ix_(rows, cols)``, every node by default.
 
-        One row block at a time, ``_ROW_CELLS`` nodes each, evaluated as
-        on level 1.
+        One block of rows ``rows[r0], rows[r0 + 1], ...`` at a time,
+        ``_ROW_CELLS`` nodes each.
         """
-        nodes = np.arange(self.resolution)
-        step = max(1, _ROW_CELLS // self.resolution)
-        for r0 in range(0, self.resolution, step):
-            yield r0, *self._block(nodes[r0:r0 + step], nodes)
+        every = np.arange(self.resolution)
+        rows, cols = (every if nodes is None else nodes for nodes in (rows, cols))
+        step = max(1, _ROW_CELLS // len(cols))
+        for r0 in range(0, len(rows), step):
+            yield r0, *self._block(rows[r0:r0 + step], cols)
 
     def release_initial(self) -> np.ndarray:
-        """Hand over the blend patchwork ``h`` and drop the plan's reference to it.
+        """Hand over a bilinear plan's blend patchwork ``h`` and drop the plan's reference to it.
 
         ``apply`` reads ``s`` and ``b``, not ``h``, so the caller decides how
-        long ``h`` lives: a lattice plan's ``h``, on level 1, only through
-        round 0.
+        long ``h`` lives.  A lattice plan keeps no ``h``: round 0 spends it.
         """
         h, self.h_values = self.h_values, None
         return h
@@ -379,17 +417,25 @@ class OperatorGrid:
         """``T phi = s * B phi + b``: on every node, or on level 1 for lattice plans.
 
         Into ``out`` if given (not ``phi``); a bilinear plan leaves
-        ``max |T phi - phi|`` in ``residual``.  With ``final``, a lattice plan
-        writes ``T phi`` over its ``s``, one row block at a time, and drops
-        ``s`` and ``b``: no new level-1 array is made, and the plan cannot
-        apply again.
+        ``max |T phi - phi|`` in ``residual``.  With ``final``, a lattice
+        plan's last application lifts ``phi``, given on level 2 (``image(P)``
+        of level 1), to ``phi_1 = s * phi[P] + b``: on level 2 first, all that
+        ``T phi_1`` reads, then in one pass that writes ``phi_1`` over ``b``
+        and ``T phi_1`` over ``s``.  Returns ``(T phi_1, phi_1)``; the plan cannot apply again.
         """
         phi = np.asarray(phi, dtype=float)
+        if self.lattice and not final:
+            return _lift(phi, self.level_px, self.level_py, self.s_values, self.b_values, out=out)
         if self.lattice:
-            s, b = self.s_values, self.b_values
-            if final:
-                self.s_values = self.b_values = None
-            return _lift(phi, self.level_px, self.level_py, s, b, out=s if final else out)
+            both, (s, b) = self._terms, self._terms
+            self._terms = self.s_values = self.b_values = None
+            x2, y2 = _image(self.level_px), _image(self.level_py)
+            px, py = np.searchsorted(x2, self.level_px), np.searchsorted(y2, self.level_py)
+            phi_1 = _lift(phi, px[x2], py[y2], s, b, (x2, y2))  # on level 2
+            for r0, t in _lift_blocks(phi_1, px, py, s, b):
+                sl = slice(r0, r0 + len(t))
+                b[sl], s[sl] = _lift_rows(phi, px[sl], py, s[sl], b[sl]), t
+            return both
         out = np.empty_like(phi) if out is None else out
         self.residual = _bilinear(phi, self.ix, self.wx, self.iy, self.wy, self.order, phi,
                                   s=self.s_values, b=self.b_values, out=out)
@@ -557,30 +603,29 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
 
     ``P = (px, py)`` maps every node into ``image(P)``, which ``P`` maps into
     itself, so the fixed point on level ``k`` of the image chain (nodes
-    ``X_k x Y_k``, :func:`_image_chain` per axis) follows from the one on
-    level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  The
-    plan holds ``s``, ``b`` and ``h`` on level 1; level 0, every node, is
+    ``X_k x Y_k``, :attr:`OperatorGrid.chains` per axis) follows from the
+    one on level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.
+    The plan holds ``s`` and ``b`` on level 1; level 0, every node, is
     visited in row blocks (:meth:`OperatorGrid.rows`) and handed to
-    ``emit(r0, rows)``, nothing of it kept.  No moment holds more than
-    three level-1 arrays, plus one on level 2 while it is lifted.
+    ``emit(r0, rows)``, nothing of it kept.  Beside ``s``, ``b`` and the
+    doubling's arrays on the core it holds at most two level-2 arrays.
 
-    Round 0 applies the plan to the blend patchwork ``h``: ``T h = s *
-    h_1[P] + b`` needs only ``h_1``, ``h`` on level 1.  It runs over level 1
-    in row blocks, which give its residual ``|T h - h|`` there (the first of
-    ``sup_diffs``) and ``T h`` on the core, the only part kept.  The
-    residual on every node is measured only if the outcome depends on it
-    (when the level-1 part meets the bound, and before raising at
-    ``max_iter``), and then a second pass emits ``T h`` if the bound is
-    met.  Otherwise ``h_1`` is dropped.  :func:`_double` solves on the
-    core, where ``P`` is a permutation, from ``T h`` there, and one gather
-    per level lifts the result to ``phi_1`` on level 1.  The last
-    application writes ``T_1 phi_1`` over the plan's ``s`` and drops ``s``
-    and ``b``.  On level 0, ``phi = s * phi_1[P] + b`` and ``T phi = s *
-    (T_1 phi_1)[P] + b``, so one pass over the row blocks measures
-    ``|T phi - phi|`` on every node (the last of ``sup_diffs``, which gives
-    the bound) and emits ``T phi``.  The count is ``N + 1`` on the core
-    plus one per level plus the last application, and stays within
-    ``max_iter``.  Should ``P`` permute every node (no grid does: a
+    Round 0, ``T h = s * h_1[P] + b``, ran as the plan filled level 1: its
+    residual there is the first of ``sup_diffs``, and ``T h`` on the core
+    is kept.  The residual on every node is measured only if the outcome
+    depends on it (when the level-1 part meets the bound, and before
+    raising at ``max_iter``), from ``h_1`` evaluated again, and then a
+    second pass emits ``T h`` if the bound is met.  Otherwise
+    :func:`_double` solves on the core, where ``P`` is a permutation, from
+    ``T h`` there, and one gather per level lifts the result to ``phi_2``
+    on level 2, ``image(P)`` of level 1.  The last application lifts that
+    to ``phi_1`` and writes it over ``b``, and ``T_1 phi_1`` over ``s``.
+    On level 0, ``phi = s * phi_1[P] + b``
+    and ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
+    measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
+    which gives the bound) and emits ``T phi``.  The count is ``N + 1`` on
+    the core plus one per level plus the last application, and stays
+    within ``max_iter``.  Should ``P`` permute every node (no grid does: a
     single-cell axis is rejected), level 1 is every node and the lift to
     level 0 is one more gather.  Returns ``(iterations, sup_diffs, bound)``.
     """
@@ -592,18 +637,13 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     def residual(r0, a, b):  # |a - b| on the rows r0, r0 + 1, ... of every node
         return _sup_distance(a, b, plan.x_samples[r0:r0 + len(a)], plan.y_samples)
 
-    xs, ys = _image_chain(plan.level_px), _image_chain(plan.level_py)  # on level 1
+    xs, ys = plan.chains  # on level 1
     below = max(len(xs), len(ys)) - 1
-    core_x, core_y = xs[-1], ys[-1]
-    level_x, level_y = plan.x_samples[plan.x_level], plan.y_samples[plan.y_level]
-    h = plan.release_initial()
-    first, start = 0.0, np.empty((len(core_x), len(core_y)))  # round 0 on level 1
-    for r0, th in _lift_blocks(h, plan.level_px, plan.level_py, plan.s_values, plan.b_values):
-        first = max(first, _sup_distance(th, h[r0:r0 + len(th)], level_x[r0:r0 + len(th)],
-                                         level_y))
-        lo, hi = np.searchsorted(core_x, (r0, r0 + len(th)))
-        start[lo:hi] = th[core_x[lo:hi] - r0][:, core_y]
+    first, start = plan.round_zero
     if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
+        h = np.empty_like(plan.s_values)  # h_1 again: only this branch reads all of it
+        for r0, *_, rows in plan.rows(plan.x_level, plan.y_level):
+            h[r0:r0 + len(rows)] = rows
         every = max(residual(r0, lift(h), h0) for r0, h0, lift in sweep())
         bound = factor * every
         if bound <= tol:
@@ -612,20 +652,23 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
             return 1, [every], bound
         if below + 4 > max_iter:  # two applications on the core, the levels, the last one
             raise _no_convergence(max_iter, bound, tol)
-    del h
-    xs += xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
-    ys += ys[-1:] * (below + 2 - len(ys))
+        del h
+    xs = xs + xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
+    ys = ys + ys[-1:] * (below + 2 - len(ys))
     # P from level k into positions on level k + 1
     lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
-    core = np.ix_(core_x, core_y)
+    core = np.ix_(xs[-1], ys[-1])
     phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
                                     start, factor, tol, max_iter - below - 2,
-                                    (level_x[core_x], level_y[core_y]))
-    for k in reversed(range(below)):  # level 0 of the chain is all of level 1
-        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values,
-                    (xs[k], ys[k]) if k else None)
-    nxt = plan.apply(phi, final=True)  # T_1 phi_1, over s
+                                    (plan.x_samples[plan.x_level[xs[-1]]],
+                                     plan.y_samples[plan.y_level[ys[-1]]]))
+    for k in reversed(range(1, below)):  # down to phi_2 on level 2, image(P) of level 1
+        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, (xs[k], ys[k]))
+    if below:  # the last lift runs inside the last application
+        nxt, phi = plan.apply(phi, final=True)  # T_1 phi_1 over s, phi_1 over b
+    else:  # level 1 is the core, and phi is phi_1
+        nxt = plan.apply(phi)
     last = 0.0
     for r0, _, lift in sweep():
         heights = lift(nxt)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractsurf.config import parse_config_document
-from fractsurf.dimension import (ColumnExtrema, alignment_base, box_count_points,
-                                 box_counts, bounds_from_fields, check_hypotheses,
+from fractsurf.dimension import (ColumnExtrema, alignment_base, box_counts,
+                                 bounds_from_fields, check_hypotheses,
                                  dimension_report, dimension_resolution,
                                  estimate_dimension, natural_scales)
 from fractsurf.errors import FractsurfError, ScaleResolutionError
@@ -23,6 +23,19 @@ def sample_surface(heights: np.ndarray) -> SurfaceSample:
     r = heights.shape[0]
     axis = np.linspace(0.0, 1.0, r)
     return SurfaceSample(x_samples=axis, y_samples=axis, heights=heights)
+
+
+def box_count_points(points: np.ndarray, delta: float,
+                     rect: tuple[float, float, float, float]) -> int:
+    """Cube count for a point cloud, anchored at the rectangle corner and the lowest point."""
+    x0, x1, y0, y1 = rect
+    pts = np.asarray(points, dtype=float)
+    ix = np.floor((pts[:, 0] - x0) / delta).astype(np.int64)
+    iy = np.floor((pts[:, 1] - y0) / delta).astype(np.int64)
+    iz = np.floor((pts[:, 2] - pts[:, 2].min()) / delta).astype(np.int64)
+    ix = np.minimum(ix, int(math.ceil((x1 - x0) / delta)) - 1)
+    iy = np.minimum(iy, int(math.ceil((y1 - y0) / delta)) - 1)
+    return int(np.unique(np.stack([ix, iy, iz], axis=1), axis=0).shape[0])
 
 
 def brute_force_count(heights: np.ndarray, delta: float) -> int:

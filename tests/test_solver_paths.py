@@ -8,13 +8,14 @@ fractional bilinear weights and keep the plain iteration.
 """
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractsurf import ifs
-from fractsurf.boundary import PatchBlend
+from fractsurf.boundary import FreeField, PatchBlend
 from fractsurf.config import config_document, parse_config_document
 from fractsurf.dimension import ColumnExtrema, box_counts, natural_scales
 from fractsurf.errors import ConvergenceError
@@ -74,7 +75,8 @@ def whole_grid_fields(system, resolution):
 @pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2"])
 def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     # a shared knot line takes the later cell's values, whichever rows a block
-    # holds (ragged blocks of 7 rows here) and on level 1 as on every node;
+    # holds (ragged blocks of 7 rows here, and on level 1 the rows that P
+    # reaches first, then the others) and on level 1 as on every node;
     # example2b-sin's free field g is nonzero, taken at the pulled-back node
     monkeypatch.setattr(ifs, "_ROW_CELLS", 7 * LATTICE_R)
     system = build_system(parse_config_document(fixture_config(name))).system
@@ -84,7 +86,12 @@ def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(full_fields(plan), (s, b, h)))
     level = np.ix_(plan.x_level, plan.y_level)
     assert np.array_equal(plan.s_values, s[level]) and np.array_equal(plan.b_values, b[level])
-    assert np.array_equal(plan.h_values, h[level])
+    # h on level 1 is spent on round 0 as the plan fills: T h = s * h[P] + b, its
+    # residual on level 1 and T h on the core are kept
+    th = (s * h[np.ix_(plan.px, plan.py)] + b)[level]
+    first, start = plan.round_zero
+    assert first == float(np.max(np.abs(th - h[level])))
+    assert np.array_equal(start, th[np.ix_(*(chain[-1] for chain in plan.chains))])
 
 
 def test_doubling_agrees_with_iteration(example2a_job, monkeypatch):
@@ -125,12 +132,11 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     plan = OperatorGrid(system, LATTICE_R)
     s, b, h = full_fields(plan)
     xs, ys = image_chain(plan.px), image_chain(plan.py)
-    # the plan keeps s, b and h on level 1 of the chain, image(P)
+    # the plan keeps s and b on level 1 of the chain, image(P), and spends h there on round 0
     level = np.ix_(xs[1], ys[1])
     assert np.array_equal(plan.x_level, xs[1]) and np.array_equal(plan.y_level, ys[1])
     assert np.array_equal(plan.s_values, s[level])
     assert np.array_equal(plan.b_values, b[level])
-    assert np.array_equal(plan.h_values, h[level])
 
     def apply(phi):
         return s * phi[np.ix_(plan.px, plan.py)] + b
@@ -148,7 +154,8 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     phi2 = apply(phi1)
     phi3 = apply(phi2)
     core = np.ix_(xs[-1], ys[-1])
-    assert diffs[0] == float(np.max(np.abs(phi1[level] - phi0[level])))
+    assert diffs[0] == plan.round_zero[0] == float(np.max(np.abs(phi1[level] - phi0[level])))
+    assert np.array_equal(plan.round_zero[1], phi1[core])
     assert diffs[1] == float(np.max(np.abs(phi2[core] - phi1[core])))
     assert diffs[2] == float(np.max(np.abs(phi3[core] - phi2[core])))
     assert diffs[1] <= c * diffs[0]
@@ -213,41 +220,25 @@ def test_uniform_pullback_matches_a_real_plan(example2a_job):
     assert np.array_equal(plan.py, uniform_pullback(3, LATTICE_R))
 
 
-class GatherPlan:
-    """A lattice plan from bare full-size arrays: ``T phi = s * phi[P] + b``.
+class GatherPlan(ifs.OperatorGrid):
+    """A lattice plan whose fields come from bare full-size arrays: ``T phi = s * phi[P] + b``.
 
-    Like ``OperatorGrid`` it keeps ``s``, ``b`` and ``h`` on level 1,
-    ``image(P)``, where ``apply`` gathers (the final application over ``s``,
-    dropping ``s`` and ``b``) and hands out every node in row blocks of
-    ``block`` rows.
+    Only the evaluation of ``s``, ``b`` and ``h`` on a row block is its own;
+    level 1, ``image(P)``, round 0 as it is filled, ``apply`` (the last one
+    over ``s`` and ``b``) and the row blocks of every node are the plan's.
     """
 
     lattice = True
 
-    def __init__(self, s, b, h, px, py, block=3):
-        self.s, self.b, self.h, self.px, self.py, self.block = s, b, h, px, py, block
-        self.x_level, self.y_level = np.unique(px), np.unique(py)
-        level = np.ix_(self.x_level, self.y_level)
-        self.s_values, self.b_values, self.h_values = s[level], b[level], h[level]
-        self.lx = np.searchsorted(self.x_level, px)
-        self.ly = np.searchsorted(self.y_level, py)
-        self.level_px, self.level_py = self.lx[self.x_level], self.ly[self.y_level]
+    def __init__(self, s, b, h, px, py):
+        self.s, self.b, self.h, self.resolution = s, b, h, len(s)
         # node coordinates, which name the node of a residual that is not finite
         self.x_samples = self.y_samples = np.arange(len(s), dtype=float)
+        self._fill_level(px, py)
 
-    def rows(self):
-        for r0 in range(0, len(self.s), self.block):
-            sl = slice(r0, r0 + self.block)
-            yield r0, self.s[sl], self.b[sl], self.h[sl]
-
-    def release_initial(self):
-        return self.h_values
-
-    def apply(self, phi, *, final=False):
-        out = self.s_values * phi[np.ix_(self.level_px, self.level_py)] + self.b_values
-        if final:  # spent, as the plan's s is overwritten
-            self.s_values = self.b_values = None
-        return out
+    def _block(self, rows, cols, out=None):
+        nodes = np.ix_(rows, cols)
+        return self.s[nodes], self.b[nodes], self.h[nodes]
 
     def full_apply(self, phi):
         return self.s * phi[np.ix_(self.px, self.py)] + self.b
@@ -263,14 +254,16 @@ class GatherPlan:
 def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed, block):
     # one cell on an axis is the identity pull-back; R - 1 off a power of the cell
     # count leaves a core that P permutes in cycles; level 0 goes by in blocks of
-    # any number of rows
+    # any number of rows, and level 1 is filled in blocks of at least as many
     resolution = n * m * k + 1
     rng = np.random.default_rng(seed)
     shape = (resolution, resolution)
-    plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), rng.normal(size=shape),
-                      uniform_pullback(n, resolution), uniform_pullback(m, resolution), block)
     factor, tol = c / (1 - c), 1e-9
-    heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
+    with mock.patch.object(ifs, "_ROW_CELLS", block * resolution):
+        plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape),
+                          rng.normal(size=shape), uniform_pullback(n, resolution),
+                          uniform_pullback(m, resolution))
+        heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
     nodes = np.arange(resolution, dtype=float)  # coordinates, for a residual's witness
     doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, plan.px, plan.py,
                                                plan.full_apply(plan.h), factor, tol, 10000,
@@ -305,13 +298,14 @@ def band_surface_solve(band_job):
 
 
 def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
-    # arrays live at the call do not count; the heights, three arrays on
-    # level 1 and the row blocks
+    # arrays live at the call do not count; the heights, s and b on level 1
+    # and the row blocks
     _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
     assert peak < 6
-    # the heights are one R^2 array and three level-1 arrays 0.75 of one,
-    # with a level-2 array while it is lifted and the row blocks (2.01 arrays
-    # measured; 2.76 with s, b, h and two iterates on level 1)
+    # the heights are one R^2 array and two level-1 arrays half of one; at
+    # R = 1025 the last pass's row blocks of every node set the peak (2.07
+    # arrays measured, as before the fill ran round 0; 2.76 with s, b, h and
+    # two iterates on level 1)
     assert peak < 2.25
 
 
@@ -330,15 +324,15 @@ def band_dimension_solve_and_count(band_job):
 
 
 def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
-    # with a fold nothing is full size: level 1 holds three arrays, R^2 / 4
-    # each on a 2x2 grid, and every node goes by in row blocks into the column
-    # extrema
+    # with a fold nothing is full size: level 1 holds s and b, R^2 / 4 each on
+    # a 2x2 grid, and every node goes by in row blocks into the column extrema
     (surface, counts, fold), peak = traced_peak(
         lambda: band_dimension_solve_and_count(band_job), MEMORY_R ** 2)
     assert surface.heights is None and surface.fold is fold
     assert peak < 2
-    # the plan's s, b and h, then s, b and the lifted iterate: three level-1
-    # arrays are 0.75 R^2 arrays (1.02 measured; 1.77 with five level-1 arrays)
+    # s and b on level 1 are 0.5 R^2 arrays; at R = 1025 the last pass's row
+    # blocks of every node set the peak (1.08 measured; 1.77 with five
+    # level-1 arrays)
     assert peak < 1.3
     materialised = band_surface_solve(band_job)
     deltas = natural_scales(band_job.grid, 6)
@@ -348,10 +342,11 @@ def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
 
 
 def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
-    # by the first block of level 0, h and b are released and T phi_1 is
-    # written over s: phi_1, T phi_1 and one block of s, b, h and the lifts
-    # are alive (3.06 level-1 arrays measured at R = 1025, where a row block
-    # is a quarter of a level-1 array; 6.05 with s, b, h and two iterates)
+    # by the first block of level 0, phi_1 is written over b and T phi_1 over
+    # s, and phi_2 and phi_1 on level 2 are released: phi_1, T phi_1 and one
+    # block of s, b, h and the lifts are alive (3.05 level-1 arrays measured
+    # at R = 1025, where a row block is a quarter of a level-1 array; 6.05
+    # with s, b, h and two iterates)
     alive = []
 
     def first_block(r0, rows):
@@ -368,8 +363,8 @@ def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
 
 
 def test_lattice_solve_evaluates_the_blend_once_per_node_per_pass(band_job, monkeypatch):
-    # the plan evaluates h on level 1 for round 0 and the last pass on every
-    # node; knot lines shared by two cells are evaluated by both (1.002 of
+    # the plan evaluates h on level 1 for round 0 as it fills, and the last
+    # pass on every node; knot lines shared by two cells are evaluated by both (1.002 of
     # the bound's nodes measured; 1.404 when the last pass evaluated level-1
     # rows of h again for round 0's residual on every node)
     evaluated = []
@@ -387,9 +382,62 @@ def test_lattice_solve_evaluates_the_blend_once_per_node_per_pass(band_job, monk
     assert sum(evaluated) <= 1.05 * (MEMORY_R ** 2 + level)
 
 
+def test_lattice_solve_evaluates_the_free_field_once_per_node_per_pass(band_job,
+                                                                      monkeypatch):
+    # g is evaluated at the pre-image of each level-1 node once, while the plan
+    # fills s and b and runs round 0, and of each node once in the last pass;
+    # knot lines shared by two cells are evaluated by both (1.004 of level 1
+    # for the plan and 1.002 of the solve's nodes measured)
+    evaluated = []
+    call = FreeField.__call__
+
+    def counted(free, x, y):
+        evaluated.append(np.broadcast(x, y).size)
+        return call(free, x, y)
+
+    monkeypatch.setattr(FreeField, "__call__", counted)
+    level = level_nodes(OperatorGrid(band_job.system, MEMORY_R))
+    assert sum(evaluated) <= 1.05 * level
+    evaluated.clear()
+    solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False, fold=lambda r0, rows: None)
+    assert sum(evaluated) <= 1.05 * (MEMORY_R ** 2 + level)
+
+
+DIMENSION_R = 4097  # band2x2's dimension resolution: level 1 holds 2049 x 2049 nodes
+
+
+def test_folded_solve_holds_two_level_arrays_and_half_of_one_at_the_dimension_resolution(
+        band_job):
+    # s and b on level 1 throughout; besides them, h on the rows P reaches
+    # (half of level 1) while the plan fills and runs round 0, then phi_2 and
+    # phi_1 on level 2 (a quarter each) while the last application lifts
+    # phi_1 row block by row block, and row blocks of 1.5 % of a level-1
+    # array (2.59 level-1 arrays measured; 3.29 when the plan held h on all
+    # of level 1 and the last lift made phi_1 whole beside s and b)
+    level = len(ifs._image(uniform_pullback(2, DIMENSION_R))) ** 2
+    surface, peak = traced_peak(
+        lambda: solve_fixed_point(band_job.system, DIMENSION_R, estimate_bias=False,
+                                  fold=lambda r0, rows: None), level)
+    assert surface.error_bound <= 1e-6
+    assert peak < 2.8
+
+
+@pytest.mark.parametrize("name", ["flat2x2", "bilinear2x2"])
+def test_round_zero_that_meets_the_bound_on_every_node_ends_the_solve(name):
+    # c_s = 0, so round 0 meets the bound on level 1 and the residual on every
+    # node decides, from h on level 1 evaluated again (only this branch reads
+    # all of it): one iteration, a zero bound and T h on every node
+    job = build_system(parse_config_document(fixture_config(name)))
+    cfg = job.config.solver
+    surface = solve_fixed_point(job.system, cfg.resolution, tol=cfg.tol, estimate_bias=False)
+    assert (surface.iterations, surface.sup_diffs, surface.error_bound) == (1, (0.0,), 0.0)
+    plan = OperatorGrid(job.system, cfg.resolution)
+    assert np.array_equal(surface.heights, full_apply(plan, full_fields(plan)[2]))
+
+
 def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
     # the half-resolution solve runs after the main plan is dropped, and the
-    # disagreement is measured in row blocks (2.88 arrays measured)
+    # disagreement is measured in row blocks (2.17 arrays measured)
     resolution = 769
     surface, peak = traced_peak(lambda: solve_fixed_point(example2a_job.system, resolution),
                                 resolution ** 2)
@@ -429,8 +477,9 @@ def test_knots_away_from_the_origin_keep_the_lattice_path():
         assert gap <= a.error_bound + b.error_bound, resolution
 
 
-def knot_job(x_knots, y_knots, z_rows, psi_sup: float = 0.6, shift: float = 0.0):
-    """Separable-quartic fields of sup|s| = ``psi_sup``, linear curves, R = 65, knots plus shift."""
+def knot_job(x_knots, y_knots, z_rows, psi_sup: float = 0.6, shift: float = 0.0,
+             resolution: int = 65):
+    """Separable-quartic fields of sup|s| = ``psi_sup``, linear curves, knots plus shift."""
     fields = []
     for i in range(1, len(x_knots)):
         for j in range(1, len(y_knots)):
@@ -448,7 +497,7 @@ def knot_job(x_knots, y_knots, z_rows, psi_sup: float = 0.6, shift: float = 0.0)
         "boundary": {"method": "linear"},
         "blend": {"mode": "coons"},
         "free_field": {"expr": "0", "lipschitz": 0.0, "sup_abs": 0.0},
-        "solver": {"resolution": 65, "tol": 1e-8, "max_iter": 10000},
+        "solver": {"resolution": resolution, "tol": 1e-8, "max_iter": 10000},
         "chaos": {"points": 1000, "seed": 1, "burn_in": 100},
         "dimension": {"depth": 3, "epsilon": None, "resolution": None},
         "output": {"directory": None, "stem": "nonuniform-small"},
@@ -527,6 +576,24 @@ def test_cells_spanning_integer_fractions_take_the_descent(monkeypatch):
         assert descended.iterations > len(descended.sup_diffs)  # equivalent applications
         gap = float(np.max(np.abs(descended.heights - iterated.heights)))
         assert gap <= descended.error_bound + iterated.error_bound, resolution
+
+
+def test_level_one_that_is_the_core_takes_the_plain_last_application(monkeypatch):
+    # three equal cells per axis at R = 97: each spans 32 sample intervals, prime
+    # to 3, so P permutes level 1 on both axes; the doubling runs on all of
+    # level 1, no level lies below it, and the last application is the plain one
+    third = [0.0, 1 / 3, 2 / 3, 1.0]
+    job = knot_job(third, third, [[0.0, 0.4, 0.1, 0.8], [0.6, 1.0, 0.2, 0.3],
+                                  [0.3, 0.9, 0.5, 0.0], [0.1, 0.2, 0.7, 0.4]], resolution=97)
+    plan = OperatorGrid(job.system, 97)
+    assert [len(chain) for chain in plan.chains] == [1, 1]
+    descended = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
+    force_bilinear(monkeypatch)
+    iterated = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
+    # N + 1 on the core, one gather to every node and the last application
+    assert descended.iterations == 2 ** (len(descended.sup_diffs) - 3) + 3
+    gap = float(np.max(np.abs(descended.heights - iterated.heights)))
+    assert gap <= descended.error_bound + iterated.error_bound
 
 
 def streamed(values, ix, wx, iy, wy, against, **fields):
