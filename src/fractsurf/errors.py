@@ -52,7 +52,12 @@ class ConfigurationError(FractsurfError):
 
 
 class ConvergenceError(FractsurfError):
-    """Fixed-point iteration hit the iteration cap before meeting tolerance."""
+    """The solve certified no surface within tolerance.
+
+    Either the iteration cap came first (``last_bound``: the last bound, inf
+    when none was measured), a residual was not finite (NaN, with a node),
+    or rounding kept a lattice solve's bound above tolerance (that bound).
+    """
 
     def __init__(self, message: str, last_bound: float):
         super().__init__(message)

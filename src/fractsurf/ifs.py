@@ -24,17 +24,18 @@ Two ways to materialize the attractor are provided and cross-checked:
   integer fraction of its axis) the gather ``B`` is ``phi[P]``.  ``P`` maps
   every node into ``image(P)`` and ``image(P)`` into itself, so the solver
   descends the chain of images to the core on which ``P`` is a permutation,
-  composes the gather with itself there (pointer doubling, iterate ``2^k``
-  in ``k`` rounds) and lifts the core's fixed point to level 1,
-  ``image(P)``, with one gather per level.  Level 0, every node, is never
-  held whole: ``s``, ``b`` and ``h`` are evaluated there one row block at a
-  time, ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``
-  are gathered from level 1, and the blocks go to a consumer (stacked into
-  the heights, or folded into box-count column extrema) while the
-  certifying residual is measured on every node.  Level 1 is held by ``s``
-  and ``b``, beside ``h`` on the rows ``P`` reaches or two level-2 arrays.
-  Otherwise it iterates ``s * B phi + b`` with the streamed bilinear
-  gather :func:`_bilinear` on four full arrays.  Either way ``iterations`` counts
+  composes the gather with itself there from ``phi_1 = T 0 = b`` (pointer
+  doubling, iterate ``2^k`` in ``k`` rounds) and lifts the core's fixed
+  point to level 1, ``image(P)``, with one gather per level.  Level 0, every
+  node, is never held whole: ``s`` and ``b`` are evaluated there one row
+  block at a time, ``phi = s * phi_1[P] + b`` and
+  ``T phi = s * (T_1 phi_1)[P] + b`` are gathered from level 1, and the
+  blocks go to a consumer (stacked into the heights, or folded into
+  box-count column extrema) while the certifying residual is measured on
+  every node.  Level 1 is held by ``s`` and ``b``, beside two level-2
+  arrays.  Otherwise it iterates ``s * B phi + b`` from the blend patchwork
+  ``h`` with the streamed bilinear gather :func:`_bilinear` on four full
+  arrays.  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
   ``sup_diffs`` holds the residuals ``|T phi - phi|``, each on the nodes
   its round computes; the last, measured on every node, gives the bound.
@@ -47,7 +48,6 @@ Two ways to materialize the attractor are provided and cross-checked:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -266,7 +266,8 @@ def _finite(sup: float, a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarr
     """The residual ``sup = max |a - b|``, or an error naming a node where it is not finite."""
     if math.isfinite(sup):
         return sup
-    i, j = np.argwhere(~np.isfinite(a - b))[0]
+    with np.errstate(invalid="ignore"):  # inf - inf: the error below says it, not a warning
+        i, j = np.argwhere(~np.isfinite(a - b))[0]
     raise ConvergenceError(f"residual |T phi - phi| is not finite at the node "
                            f"({float(x[i])!r}, {float(y[j])!r})", last_bound=math.nan)
 
@@ -274,7 +275,9 @@ def _finite(sup: float, a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarr
 def _sup_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """``max |a - b|`` in row blocks, without a full-size temporary, through :func:`_finite`."""
     rows = max(1, _GATHER_CELLS // a.shape[1])
-    sups = [np.max(np.abs(a[r0:r0 + rows] - b[r0:r0 + rows])) for r0 in range(0, len(a), rows)]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which _finite reports
+        sups = [np.max(np.abs(a[r0:r0 + rows] - b[r0:r0 + rows]))
+                for r0 in range(0, len(a), rows)]
     return _finite(float(np.max(sups)), a, b, x, y)  # np.max, unlike max, keeps a NaN
 
 
@@ -292,13 +295,14 @@ class OperatorGrid:
     axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
     node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
     and level 1 into itself, so a lattice plan holds ``s`` and ``b`` on
-    level 1 only, evaluated there one row block at a time while round 0
-    runs (:meth:`_fill_level`), and ``apply`` is the gather there (``lx``,
+    level 1 only, evaluated there one row block at a time
+    (:meth:`_fill_level`), and ``apply`` is the gather there (``lx``,
     ``ly``: every node's pull-back as a position on level 1; ``level_px``,
-    ``level_py``: those of level 1).  :meth:`rows` evaluates them on every node, one row block
-    at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
-    ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``,
-    ``b`` and ``h`` are held on every node, evaluated in row blocks too.
+    ``level_py``: those of level 1).  :meth:`rows` evaluates them on every
+    node, one row block at a time.  Otherwise ``B`` is the streamed
+    :func:`_bilinear` with ``ix``, ``wx``, ``iy``, ``wy`` and
+    ``order = argsort(ix)``, and ``s``, ``b`` and ``h`` are held on every
+    node, evaluated in row blocks too.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -329,12 +333,11 @@ class OperatorGrid:
             self._block(nodes[r0:r0 + step], nodes, tuple(values[r0:r0 + step] for values in held))
 
     def _fill_level(self, px: np.ndarray, py: np.ndarray):
-        """Level 1 of a lattice plan: ``s`` and ``b``, filled in row blocks that run round 0.
+        """Level 1 of a lattice plan: ``s`` and ``b``, evaluated one row block at a time.
 
-        ``T h = s * h[P] + b`` reads the blend patchwork ``h`` only on the rows
-        ``P`` reaches, which are filled first and keep ``h``; every other block's
-        ``h`` serves its round 0 and goes.  ``round_zero``: ``max |T h - h|`` on
-        level 1 and ``T h`` on the core of ``chains`` (:func:`_image_chain` per axis).
+        There ``b = T 0``, the residual of ``phi = 0``: where it is not finite,
+        ``T phi - phi`` is not finite for any finite ``phi``, so the fill raises
+        at the first such node (:func:`_finite`).
         """
         self.px, self.py = px, py
         self.x_level, self.y_level = x, y = _image(px), _image(py)
@@ -342,34 +345,13 @@ class OperatorGrid:
         self.level_px, self.level_py = self.lx[x], self.ly[y]
         self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
         self._terms = np.empty((2, len(x), len(y)))  # s and b, which the last apply overwrites
-        s, b = self.s_values, self.b_values = self._terms
-        reached = _image(self.level_px)
-        others = np.delete(np.arange(len(x)), reached)
-        core_x, core_y = (chain[-1] for chain in self.chains)  # the core lies in reached
-        at, h_px = np.searchsorted(reached, core_x), np.searchsorted(reached, self.level_px)
-        h, start = np.empty((len(reached), len(y))), np.empty((len(core_x), len(core_y)))
+        self.s_values, self.b_values = self._terms
         step = max(1, _ROW_CELLS // len(y))
-
-        def fill(rows):  # (s, b, h) on rows of level 1; s and b are kept
-            terms = self._block(x[rows], y)
-            s[rows], b[rows] = terms[:2]
-            return terms
-
-        def round_zero(p0, rows, s_rows, b_rows, h_rows):  # p0: position in reached + others
-            th = _lift_rows(h, h_px[rows], self.level_py, s_rows, b_rows)
-            lo, hi = np.searchsorted(at, (p0, p0 + len(rows)))
-            start[lo:hi] = th[at[lo:hi] - p0][:, core_y]
-            return _sup_distance(th, h_rows, self.x_samples[x[rows]], self.y_samples[y])
-
-        def blocks(nodes):
-            return ((p0, nodes[p0:p0 + step]) for p0 in range(0, len(nodes), step))
-
-        for p0, rows in blocks(reached):
-            h[p0:p0 + len(rows)] = fill(rows)[2]
-        sups = [round_zero(p0, rows, s[rows], b[rows], h[p0:p0 + len(rows)])
-                for p0, rows in blocks(reached)]
-        sups += [round_zero(len(reached) + p0, rows, *fill(rows)) for p0, rows in blocks(others)]
-        self.round_zero = max(sups), start
+        h = np.empty((min(step, len(x)), len(y)))  # each block's h, which level 1 does not keep
+        for r0 in range(0, len(x), step):
+            rows, sl = x[r0:r0 + step], slice(r0, r0 + step)
+            _, b, _ = self._block(rows, y, (self.s_values[sl], self.b_values[sl], h[:len(rows)]))
+            _finite(float(np.max(np.abs(b))), b, 0.0, self.x_samples[rows], self.y_samples[y])
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
@@ -392,23 +374,19 @@ class OperatorGrid:
                 self.x_pre[x_nodes], self.y_pre[y_nodes])
         return s, b, h
 
-    def rows(self, rows=None, cols=None):
-        """``(r0, s, b, h)`` on the nodes ``np.ix_(rows, cols)``, every node by default.
-
-        One block of rows ``rows[r0], rows[r0 + 1], ...`` at a time,
-        ``_ROW_CELLS`` nodes each.
-        """
-        every = np.arange(self.resolution)
-        rows, cols = (every if nodes is None else nodes for nodes in (rows, cols))
-        step = max(1, _ROW_CELLS // len(cols))
-        for r0 in range(0, len(rows), step):
-            yield r0, *self._block(rows[r0:r0 + step], cols)
+    def rows(self):
+        """``(r0, s, b, h)`` on every node, one block of rows ``r0, r0 + 1, ...``
+        at a time, ``_ROW_CELLS`` nodes each."""
+        nodes = np.arange(self.resolution)
+        step = max(1, _ROW_CELLS // self.resolution)
+        for r0 in range(0, self.resolution, step):
+            yield r0, *self._block(nodes[r0:r0 + step], nodes)
 
     def release_initial(self) -> np.ndarray:
         """Hand over a bilinear plan's blend patchwork ``h`` and drop the plan's reference to it.
 
         ``apply`` reads ``s`` and ``b``, not ``h``, so the caller decides how
-        long ``h`` lives.  A lattice plan keeps no ``h``: round 0 spends it.
+        long ``h`` lives.  A lattice plan keeps no ``h``.
         """
         h, self.h_values = self.h_values, None
         return h
@@ -610,59 +588,35 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     ``emit(r0, rows)``, nothing of it kept.  Beside ``s``, ``b`` and the
     doubling's arrays on the core it holds at most two level-2 arrays.
 
-    Round 0, ``T h = s * h_1[P] + b``, ran as the plan filled level 1: its
-    residual there is the first of ``sup_diffs``, and ``T h`` on the core
-    is kept.  The residual on every node is measured only if the outcome
-    depends on it (when the level-1 part meets the bound, and before
-    raising at ``max_iter``), from ``h_1`` evaluated again, and then a
-    second pass emits ``T h`` if the bound is met.  Otherwise
     :func:`_double` solves on the core, where ``P`` is a permutation, from
-    ``T h`` there, and one gather per level lifts the result to ``phi_2``
-    on level 2, ``image(P)`` of level 1.  The last application lifts that
-    to ``phi_1`` and writes it over ``b``, and ``T_1 phi_1`` over ``s``.
-    On level 0, ``phi = s * phi_1[P] + b``
-    and ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
+    ``phi_1 = T 0 = b``, and one gather per level lifts the result to
+    ``phi_2`` on level 2, ``image(P)`` of level 1.  The last application
+    lifts that to ``phi_1`` and writes it over ``b``, and ``T_1 phi_1`` over
+    ``s``.  On level 0, ``phi = s * phi_1[P] + b`` and
+    ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
     measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
     which gives the bound) and emits ``T phi``.  The count is ``N + 1`` on
-    the core plus one per level plus the last application, and stays
-    within ``max_iter``.  Should ``P`` permute every node (no grid does: a
-    single-cell axis is rejected), level 1 is every node and the lift to
-    level 0 is one more gather.  Returns ``(iterations, sup_diffs, bound)``.
+    the core plus one per level under level 1 plus the last application, so
+    at least four more than those levels; a smaller ``max_iter`` raises
+    before solving.
+    Should ``P`` permute every node (no grid does: a single-cell axis is
+    rejected), level 1 is every node and the lift to level 0 is one more
+    gather.  Returns ``(iterations, sup_diffs, bound)``.
     """
-    def sweep():  # per row block of level 0: r0, h, v -> s * v[P] + b
-        for r0, s, b, h in plan.rows():
-            rx = plan.lx[r0:r0 + len(s)]
-            yield r0, h, functools.partial(_lift_rows, rx=rx, ly=plan.ly, s=s, b=b)
-
-    def residual(r0, a, b):  # |a - b| on the rows r0, r0 + 1, ... of every node
-        return _sup_distance(a, b, plan.x_samples[r0:r0 + len(a)], plan.y_samples)
-
     xs, ys = plan.chains  # on level 1
     below = max(len(xs), len(ys)) - 1
-    first, start = plan.round_zero
-    if factor * first <= tol or below + 4 > max_iter:  # round 0 on every node decides
-        h = np.empty_like(plan.s_values)  # h_1 again: only this branch reads all of it
-        for r0, *_, rows in plan.rows(plan.x_level, plan.y_level):
-            h[r0:r0 + len(rows)] = rows
-        every = max(residual(r0, lift(h), h0) for r0, h0, lift in sweep())
-        bound = factor * every
-        if bound <= tol:
-            for r0, _, lift in sweep():
-                emit(r0, lift(h))
-            return 1, [every], bound
-        if below + 4 > max_iter:  # two applications on the core, the levels, the last one
-            raise _no_convergence(max_iter, bound, tol)
-        del h
+    if below + 4 > max_iter:  # two applications on the core, the levels, the last one
+        raise _no_convergence(max_iter, math.inf, tol)
     xs = xs + xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
     ys = ys + ys[-1:] * (below + 2 - len(ys))
     # P from level k into positions on level k + 1
     lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
     core = np.ix_(xs[-1], ys[-1])
-    phi, n, core_diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
-                                    start, factor, tol, max_iter - below - 2,
-                                    (plan.x_samples[plan.x_level[xs[-1]]],
-                                     plan.y_samples[plan.y_level[ys[-1]]]))
+    phi, n, diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
+                               plan.b_values[core], factor, tol, max_iter - below - 2,  # phi_1
+                               (plan.x_samples[plan.x_level[xs[-1]]],
+                                plan.y_samples[plan.y_level[ys[-1]]]))
     for k in reversed(range(1, below)):  # down to phi_2 on level 2, image(P) of level 1
         phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, (xs[k], ys[k]))
     if below:  # the last lift runs inside the last application
@@ -670,11 +624,13 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     else:  # level 1 is the core, and phi is phi_1
         nxt = plan.apply(phi)
     last = 0.0
-    for r0, _, lift in sweep():
-        heights = lift(nxt)
-        last = max(last, residual(r0, heights, lift(phi)))
+    for r0, s, b, _ in plan.rows():  # per row block of level 0: v -> s * v[P] + b
+        rx = plan.lx[r0:r0 + len(s)]
+        heights = _lift_rows(nxt, rx, plan.ly, s, b)
+        last = max(last, _sup_distance(heights, _lift_rows(phi, rx, plan.ly, s, b),
+                                       plan.x_samples[r0:r0 + len(s)], plan.y_samples))
         emit(r0, heights)
-    diffs = [first] + core_diffs + [last]
+    diffs.append(last)
     bound = factor * last
     if bound > tol:  # at most c_s^(levels + 2) times the core's bound, so only rounding
         raise ConvergenceError(
@@ -699,11 +655,11 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     the pull-back, one gather per level back to every node), others by
     iteration from the blend patchwork.  Both return ``T phi`` for a
     candidate ``phi`` with ``c_s / (1 - c_s) * |T phi - phi| <= tol``
-    measured on every node (after one application, with a zero bound, when
-    all scaling fields are zero).  ``iterations`` counts operator
-    applications, equivalent ones on lattice plans; ``ConvergenceError`` is
-    raised before it would pass ``max_iter``, or at the first residual that
-    is not finite, with a node.  ``estimate_bias``
+    measured on every node.  ``iterations`` counts operator applications,
+    equivalent ones on lattice plans; ``ConvergenceError`` is raised before
+    it would pass ``max_iter``, at the first residual that is not finite,
+    with a node, or when rounding keeps a lattice solve's bound above
+    ``tol``.  ``estimate_bias``
     additionally solves at half resolution and reports the largest
     disagreement after bilinear upsampling, an empirical estimate of the
     discretization bias that roughly halves when resolution doubles (None

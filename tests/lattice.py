@@ -1,10 +1,11 @@
 """A plan's operator on every node, assembled from its row blocks, a plan
 forced onto the bilinear branch, and traced memory in units of whole arrays.
 
-Both plans apply ``T phi = s * B phi + b``.  Lattice plans keep ``s``, ``b``
-and ``h`` on level 1 of the image chain and evaluate them on level 0 one row
-block at a time; these helpers stack the blocks, so tests can state the
-operator on every node, with the gather ``B`` written out as a reference.
+Both plans apply ``T phi = s * B phi + b``.  Lattice plans keep ``s`` and
+``b`` on level 1 of the image chain and evaluate ``s``, ``b`` and ``h`` on
+level 0 one row block at a time; these helpers stack the blocks, so tests
+can state the operator on every node, with the gather ``B`` written out as
+a reference.
 Memory tests state their bounds in float arrays of ``R²`` nodes or of level
 1's nodes, the units of the README.
 """

@@ -269,6 +269,9 @@ def test_nan_free_field_exits_one(tmp_path, sup_abs, message):
     # g is infinite at x = 0.5, the pre-image of the nodes x = 0.25, and s
     # vanishes on the edge y = 0: b = h - s*g is inf * 0 there
     ("band2x2", "1e-300/(x - 0.5)", "(0.25, 0.0)"),
+    # g is infinite at the pre-image of the node x = 1/1024, off level 1, so
+    # the residual there is inf - inf on both sides: no numpy warning either
+    ("band2x2", "1e-300/(x - 0.001953125)", "(0.0009765625, 0.0)"),
 ])
 def test_a_free_field_that_is_not_finite_prints_one_error_line(tmp_path, fixture, expr, node):
     # a child process: in process, pytest captures a warning before it prints

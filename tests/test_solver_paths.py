@@ -75,8 +75,7 @@ def whole_grid_fields(system, resolution):
 @pytest.mark.parametrize("name", ["example2a", "example2b-sin", "band2x2"])
 def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     # a shared knot line takes the later cell's values, whichever rows a block
-    # holds (ragged blocks of 7 rows here, and on level 1 the rows that P
-    # reaches first, then the others) and on level 1 as on every node;
+    # holds (ragged blocks of 7 rows here) and on level 1 as on every node;
     # example2b-sin's free field g is nonzero, taken at the pulled-back node
     monkeypatch.setattr(ifs, "_ROW_CELLS", 7 * LATTICE_R)
     system = build_system(parse_config_document(fixture_config(name))).system
@@ -86,12 +85,6 @@ def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(full_fields(plan), (s, b, h)))
     level = np.ix_(plan.x_level, plan.y_level)
     assert np.array_equal(plan.s_values, s[level]) and np.array_equal(plan.b_values, b[level])
-    # h on level 1 is spent on round 0 as the plan fills: T h = s * h[P] + b, its
-    # residual on level 1 and T h on the core are kept
-    th = (s * h[np.ix_(plan.px, plan.py)] + b)[level]
-    first, start = plan.round_zero
-    assert first == float(np.max(np.abs(th - h[level])))
-    assert np.array_equal(start, th[np.ix_(*(chain[-1] for chain in plan.chains))])
 
 
 def test_doubling_agrees_with_iteration(example2a_job, monkeypatch):
@@ -127,12 +120,12 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     c = system.certificate.c_s
     surface = solve_fixed_point(system, LATTICE_R, tol=TOL, estimate_bias=False)
     diffs = surface.sup_diffs
-    core_rounds = len(diffs) - 2
+    core_rounds = len(diffs) - 1
     assert core_rounds >= 3
     plan = OperatorGrid(system, LATTICE_R)
-    s, b, h = full_fields(plan)
+    s, b, _ = full_fields(plan)
     xs, ys = image_chain(plan.px), image_chain(plan.py)
-    # the plan keeps s and b on level 1 of the chain, image(P), and spends h there on round 0
+    # the plan keeps s and b on level 1 of the chain, image(P)
     level = np.ix_(xs[1], ys[1])
     assert np.array_equal(plan.x_level, xs[1]) and np.array_equal(plan.y_level, ys[1])
     assert np.array_equal(plan.s_values, s[level])
@@ -145,22 +138,19 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
     ys += ys[-1:] * (levels + 2 - len(ys))
     assert levels >= 1 and len(xs[-1]) < LATTICE_R
-    # core round j starts from phi_N with N = 2^j; then one gather per level, then T
+    # core round j starts from phi_N with N = 2^j, phi_1 = T 0 = b counted as one
+    # application; then one gather per level, then T
     assert surface.iterations == 2 ** (core_rounds - 1) + 1 + levels + 1
-    # round 0 is T h, measured on level 1, where it runs; core rounds 0 and 1
-    # equal plain iteration on the core
-    phi0 = h
-    phi1 = apply(phi0)
+    # core rounds 0 and 1 equal plain iteration on the core from b
+    phi1 = apply(np.zeros_like(b))
+    assert np.array_equal(phi1, b)
     phi2 = apply(phi1)
     phi3 = apply(phi2)
     core = np.ix_(xs[-1], ys[-1])
-    assert diffs[0] == plan.round_zero[0] == float(np.max(np.abs(phi1[level] - phi0[level])))
-    assert np.array_equal(plan.round_zero[1], phi1[core])
-    assert diffs[1] == float(np.max(np.abs(phi2[core] - phi1[core])))
-    assert diffs[2] == float(np.max(np.abs(phi3[core] - phi2[core])))
-    assert diffs[1] <= c * diffs[0]
+    assert diffs[0] == float(np.max(np.abs(phi2[core] - phi1[core])))
+    assert diffs[1] == float(np.max(np.abs(phi3[core] - phi2[core])))
     for j in range(core_rounds - 1):
-        assert diffs[j + 2] <= c ** (2 ** j) * diffs[j + 1]
+        assert diffs[j + 1] <= c ** (2 ** j) * diffs[j]
     # the core's result, lifted level by level with s * phi[P] + b, then T once more
     lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
@@ -186,6 +176,10 @@ def test_doubling_stops_before_passing_max_iter(example2a_job):
             solve_fixed_point(system, LATTICE_R, tol=TOL, max_iter=max_iter,
                               estimate_bias=False)
         assert err.value.last_bound > TOL
+    # too few for the levels: it raises before solving, with no residual measured
+    with pytest.raises(ConvergenceError) as err:
+        solve_fixed_point(system, LATTICE_R, tol=TOL, max_iter=1, estimate_bias=False)
+    assert err.value.last_bound == float("inf")
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -224,8 +218,8 @@ class GatherPlan(ifs.OperatorGrid):
     """A lattice plan whose fields come from bare full-size arrays: ``T phi = s * phi[P] + b``.
 
     Only the evaluation of ``s``, ``b`` and ``h`` on a row block is its own;
-    level 1, ``image(P)``, round 0 as it is filled, ``apply`` (the last one
-    over ``s`` and ``b``) and the row blocks of every node are the plan's.
+    level 1, ``image(P)``, and its fill, ``apply`` (the last one over ``s``
+    and ``b``) and the row blocks of every node are the plan's.
     """
 
     lattice = True
@@ -238,7 +232,12 @@ class GatherPlan(ifs.OperatorGrid):
 
     def _block(self, rows, cols, out=None):
         nodes = np.ix_(rows, cols)
-        return self.s[nodes], self.b[nodes], self.h[nodes]
+        fields = self.s[nodes], self.b[nodes], self.h[nodes]
+        if out is None:
+            return fields
+        for held, values in zip(out, fields):
+            held[...] = values
+        return out
 
     def full_apply(self, phi):
         return self.s * phi[np.ix_(self.px, self.py)] + self.b
@@ -304,13 +303,12 @@ def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
     assert peak < 6
     # the heights are one R^2 array and two level-1 arrays half of one; at
     # R = 1025 the last pass's row blocks of every node set the peak (2.07
-    # arrays measured, as before the fill ran round 0; 2.76 with s, b, h and
-    # two iterates on level 1)
+    # arrays measured; 2.76 with s, b, h and two iterates on level 1)
     assert peak < 2.25
 
 
-def test_lattice_solve_frees_the_blend_patchwork_after_round_zero(band_job):
-    # the plan holds h on level 1 only and hands it to the descent, so no
+def test_lattice_solve_holds_no_blend_patchwork(band_job):
+    # the plan evaluates h in row blocks only and keeps none of it, so no
     # full-size patchwork is ever kept (5.07 arrays with a full-size h kept)
     _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
     assert peak < 4.5
@@ -363,10 +361,10 @@ def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
 
 
 def test_lattice_solve_evaluates_the_blend_once_per_node_per_pass(band_job, monkeypatch):
-    # the plan evaluates h on level 1 for round 0 as it fills, and the last
-    # pass on every node; knot lines shared by two cells are evaluated by both (1.002 of
-    # the bound's nodes measured; 1.404 when the last pass evaluated level-1
-    # rows of h again for round 0's residual on every node)
+    # the plan evaluates h on level 1 as it fills s and b (b = h - s * g), and
+    # the last pass on every node; knot lines shared by two cells are evaluated
+    # by both (1.002 of the bound's nodes measured; 1.404 when the last pass
+    # evaluated the level-1 rows of h a second time)
     evaluated = []
     call = PatchBlend.__call__
 
@@ -382,12 +380,17 @@ def test_lattice_solve_evaluates_the_blend_once_per_node_per_pass(band_job, monk
     assert sum(evaluated) <= 1.05 * (MEMORY_R ** 2 + level)
 
 
-def test_lattice_solve_evaluates_the_free_field_once_per_node_per_pass(band_job,
+@pytest.mark.parametrize("name, resolution", [("band2x2", MEMORY_R), ("flat2x2", 257)],
+                         ids=["band2x2", "flat2x2"])
+def test_lattice_solve_evaluates_the_free_field_once_per_node_per_pass(name, resolution,
                                                                       monkeypatch):
     # g is evaluated at the pre-image of each level-1 node once, while the plan
-    # fills s and b and runs round 0, and of each node once in the last pass;
-    # knot lines shared by two cells are evaluated by both (1.004 of level 1
-    # for the plan and 1.002 of the solve's nodes measured)
+    # fills s and b, and of each node once in the last pass; knot lines shared
+    # by two cells are evaluated by both (1.004 of level 1 for the plan and
+    # 1.002 of the solve's nodes measured on band2x2, 1.009 on flat2x2, whose
+    # c_s = 0 takes the same path: 2.02 when an early exit measured every
+    # node's residual in one pass and emitted the heights in a second)
+    system = build_system(parse_config_document(fixture_config(name))).system
     evaluated = []
     call = FreeField.__call__
 
@@ -396,43 +399,45 @@ def test_lattice_solve_evaluates_the_free_field_once_per_node_per_pass(band_job,
         return call(free, x, y)
 
     monkeypatch.setattr(FreeField, "__call__", counted)
-    level = level_nodes(OperatorGrid(band_job.system, MEMORY_R))
+    level = level_nodes(OperatorGrid(system, resolution))
     assert sum(evaluated) <= 1.05 * level
     evaluated.clear()
-    solve_fixed_point(band_job.system, MEMORY_R, estimate_bias=False, fold=lambda r0, rows: None)
-    assert sum(evaluated) <= 1.05 * (MEMORY_R ** 2 + level)
+    solve_fixed_point(system, resolution, estimate_bias=False, fold=lambda r0, rows: None)
+    assert sum(evaluated) <= 1.05 * (resolution ** 2 + level)
 
 
 DIMENSION_R = 4097  # band2x2's dimension resolution: level 1 holds 2049 x 2049 nodes
 
 
-def test_folded_solve_holds_two_level_arrays_and_half_of_one_at_the_dimension_resolution(
-        band_job):
-    # s and b on level 1 throughout; besides them, h on the rows P reaches
-    # (half of level 1) while the plan fills and runs round 0, then phi_2 and
-    # phi_1 on level 2 (a quarter each) while the last application lifts
-    # phi_1 row block by row block, and row blocks of 1.5 % of a level-1
-    # array (2.59 level-1 arrays measured; 3.29 when the plan held h on all
-    # of level 1 and the last lift made phi_1 whole beside s and b)
+def test_folded_solve_holds_s_b_and_level_two_at_the_dimension_resolution(band_job):
+    # s and b on level 1 throughout; besides them, phi_2 and phi_1 on level 2
+    # (a quarter each) while the last application lifts phi_1 row block by
+    # row block, and row blocks of 1.5 % of a level-1 array (2.535 level-1
+    # arrays measured; 2.59 when the fill kept the blend patchwork h on the
+    # rows P reaches for a round 0, 3.29 when it kept h on all of level 1 and
+    # the last lift made phi_1 whole beside s and b)
     level = len(ifs._image(uniform_pullback(2, DIMENSION_R))) ** 2
     surface, peak = traced_peak(
         lambda: solve_fixed_point(band_job.system, DIMENSION_R, estimate_bias=False,
                                   fold=lambda r0, rows: None), level)
     assert surface.error_bound <= 1e-6
-    assert peak < 2.8
+    assert peak < 2.57
 
 
 @pytest.mark.parametrize("name", ["flat2x2", "bilinear2x2"])
 def test_round_zero_that_meets_the_bound_on_every_node_ends_the_solve(name):
-    # c_s = 0, so round 0 meets the bound on level 1 and the residual on every
-    # node decides, from h on level 1 evaluated again (only this branch reads
-    # all of it): one iteration, a zero bound and T h on every node
+    # c_s = 0 takes the one path: the doubling's round 0, from phi_1 = T 0 = b
+    # on the core, meets the bound, and each lift and the last application
+    # give b again, so every residual is zero and the heights are b bit for bit
     job = build_system(parse_config_document(fixture_config(name)))
     cfg = job.config.solver
     surface = solve_fixed_point(job.system, cfg.resolution, tol=cfg.tol, estimate_bias=False)
-    assert (surface.iterations, surface.sup_diffs, surface.error_bound) == (1, (0.0,), 0.0)
     plan = OperatorGrid(job.system, cfg.resolution)
-    assert np.array_equal(surface.heights, full_apply(plan, full_fields(plan)[2]))
+    below = max(len(chain) for chain in plan.chains) - 1  # levels under level 1
+    # two applications on the core, one gather per level, the last application
+    assert surface.iterations == below + 4 == 11
+    assert surface.error_bound == 0.0 and set(surface.sup_diffs) == {0.0}
+    assert np.array_equal(surface.heights, full_fields(plan)[1])
 
 
 def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
@@ -590,8 +595,9 @@ def test_level_one_that_is_the_core_takes_the_plain_last_application(monkeypatch
     descended = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
     force_bilinear(monkeypatch)
     iterated = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
-    # N + 1 on the core, one gather to every node and the last application
-    assert descended.iterations == 2 ** (len(descended.sup_diffs) - 3) + 3
+    # N + 1 on the core, one gather to every node and the last application;
+    # every residual but the last is a core round's
+    assert descended.iterations == 2 ** (len(descended.sup_diffs) - 2) + 3
     gap = float(np.max(np.abs(descended.heights - iterated.heights)))
     assert gap <= descended.error_bound + iterated.error_bound
 
