@@ -235,9 +235,11 @@ def load_explicit_blend(grid: DataGrid, curves: CurveNetwork, cell: CellIndex,
     """
     rect = grid.cell_rect(cell)
     x_lo, x_hi, y_lo, y_hi = rect
-    native = np.asarray(coeffs, dtype=float)
+    native = np.asarray(coeffs, dtype=object)  # ragged rows give a 1-D array, not an error
     if native.ndim != 2:
-        raise BlendValidationError(f"cell ({cell.i},{cell.j}): coefficient table must be 2-D")
+        raise BlendValidationError(f"cell ({cell.i},{cell.j}): coefficient table must be "
+                                   "2-D, its rows of one length")
+    native = native.astype(float)
     table = (substitution_matrix(x_lo, x_hi - x_lo, native.shape[0]).T @ native
              @ substitution_matrix(y_lo, y_hi - y_lo, native.shape[1]))
     blend = PatchBlend(cell, rect, table)
@@ -317,11 +319,11 @@ class QField:
     lipschitz: float = 0.0
 
     def terms(self, x, y, qx, qy):
-        """``(s, b, h)`` of ``z -> s * z + b``: ``s``, ``h`` at the image ``(x, y) = L(qx, qy)``
+        """``(s, b)`` of ``z -> s * z + b``: ``s`` and ``h`` at the image ``(x, y) = L(qx, qy)``
         (passed in, so nodes stay exact); ``b = h - s * g = Q(qx, qy)``, ``g`` at the pre-image."""
-        s, h = self.scaling(x, y), self.blend(x, y)
+        s = self.scaling(x, y)
         with np.errstate(invalid="ignore"):  # s = 0 times an infinite g: its checks name it
-            return s, h - s * self.free(qx, qy), h
+            return s, self.blend(x, y) - s * self.free(qx, qy)
 
 
 def build_Q(dmap: DomainMap, scaling: ScalingField, free: FreeField,

@@ -75,10 +75,11 @@ class DataGrid:
         object.__setattr__(self, "y_knots", ys)
         if len(xs) < 2 or len(ys) < 2:
             raise InvalidGridError("need at least two knots per axis")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidGridError("x_knots must be strictly increasing")
-        if any(b <= a for a, b in zip(ys, ys[1:])):
-            raise InvalidGridError("y_knots must be strictly increasing")
+        for axis, knots in (("x", xs), ("y", ys)):
+            if not all(map(math.isfinite, (*knots, knots[-1] - knots[0]))):
+                raise InvalidGridError(f"{axis}_knots and their span must be finite")
+            if any(b <= a for a, b in zip(knots, knots[1:])):
+                raise InvalidGridError(f"{axis}_knots must be strictly increasing")
         z = np.array(self.z, dtype=float)
         if z.shape != (len(xs), len(ys)):
             raise InvalidGridError(

@@ -33,9 +33,9 @@ Two ways to materialize the attractor are provided and cross-checked:
   blocks go to a consumer (stacked into the heights, or folded into
   box-count column extrema) while the certifying residual is measured on
   every node.  Level 1 is held by ``s`` and ``b``, beside two level-2
-  arrays.  Otherwise it iterates ``s * B phi + b`` from the blend patchwork
-  ``h`` with the streamed bilinear gather :func:`_bilinear` on four full
-  arrays.  Either way ``iterations`` counts
+  arrays.  Otherwise it iterates ``s * B phi + b`` from ``phi_1 = b`` too,
+  with the streamed bilinear gather :func:`_bilinear` on four full arrays:
+  ``s``, ``b``, the iterate and its image.  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
   ``sup_diffs`` holds the residuals ``|T phi - phi|``, each on the nodes
   its round computes; the last, measured on every node, gives the bound.
@@ -62,7 +62,7 @@ from .scaling import ScalingField
 TILING_TOL = 1e-12
 # Cells per row block of a gather: a 256 KiB temporary (three in _bilinear) stays in cache.
 _GATHER_CELLS = 1 << 15
-# Nodes per row block of a lattice plan's level 0: 512 KiB per evaluated field.
+# Nodes per row block of a fill and of level 0: 512 KiB per evaluated field.
 _ROW_CELLS = 1 << 16
 # Point pairs drawn by the sampled metric check.
 METRIC_PAIRS = 10000
@@ -154,7 +154,7 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
 def _map_3d(system: IfsSystem, cell: CellIndex, x, y, z):
     """The 3-D map ``W(x, y, z) = (L(x, y), s * z + b)``, ``(s, b)`` of :meth:`QField.terms`."""
     lx, ly = system.maps[cell]((x, y))
-    s, b, _ = system.q_fields[cell].terms(lx, ly, x, y)
+    s, b = system.q_fields[cell].terms(lx, ly, x, y)
     return lx, ly, s * np.asarray(z, dtype=float) + b
 
 
@@ -295,14 +295,13 @@ class OperatorGrid:
     axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
     node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
     and level 1 into itself, so a lattice plan holds ``s`` and ``b`` on
-    level 1 only, evaluated there one row block at a time
-    (:meth:`_fill_level`), and ``apply`` is the gather there (``lx``,
-    ``ly``: every node's pull-back as a position on level 1; ``level_px``,
-    ``level_py``: those of level 1).  :meth:`rows` evaluates them on every
-    node, one row block at a time.  Otherwise ``B`` is the streamed
-    :func:`_bilinear` with ``ix``, ``wx``, ``iy``, ``wy`` and
-    ``order = argsort(ix)``, and ``s``, ``b`` and ``h`` are held on every
-    node, evaluated in row blocks too.
+    level 1 only, and ``apply`` is the gather there (``lx``, ``ly``: every
+    node's pull-back as a position on level 1; ``level_px``, ``level_py``:
+    those of level 1).  :meth:`rows` evaluates them on every node, one row
+    block at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
+    ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``
+    and ``b`` are held on every node.  Either plan fills what it holds by
+    :meth:`_fill`, one row block at a time.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -321,40 +320,32 @@ class OperatorGrid:
         self.y_pre = self.y_samples[iy] * (1 - wy) + self.y_samples[iy + 1] * wy
         self.lattice = all(np.all((w == 0) | (w == 1)) for w in (wx, wy))
         if self.lattice:
-            self._fill_level(ix + (wx == 1), iy + (wy == 1))
-            return
-        self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
-        self.order = np.argsort(ix, kind="stable")
-        nodes = np.arange(resolution)
-        held = self.s_values, self.b_values, self.h_values = tuple(
-            np.empty((resolution, resolution)) for _ in range(3))
-        step = max(1, _ROW_CELLS // resolution)
-        for r0 in range(0, resolution, step):
-            self._block(nodes[r0:r0 + step], nodes, tuple(values[r0:r0 + step] for values in held))
+            self.px, self.py = px, py = ix + (wx == 1), iy + (wy == 1)
+            self.x_level, self.y_level = x, y = _image(px), _image(py)
+            self.lx, self.ly = np.searchsorted(x, px), np.searchsorted(y, py)
+            self.level_px, self.level_py = self.lx[x], self.ly[y]
+            self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
+        else:
+            self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
+            self.order = np.argsort(ix, kind="stable")
+            x = y = np.arange(resolution)
+        self._fill(x, y)
 
-    def _fill_level(self, px: np.ndarray, py: np.ndarray):
-        """Level 1 of a lattice plan: ``s`` and ``b``, evaluated one row block at a time.
+    def _fill(self, x: np.ndarray, y: np.ndarray):
+        """``s`` and ``b`` on the nodes ``np.ix_(x, y)``, evaluated one row block at a time.
 
         There ``b = T 0``, the residual of ``phi = 0``: where it is not finite,
         ``T phi - phi`` is not finite for any finite ``phi``, so the fill raises
         at the first such node (:func:`_finite`).
         """
-        self.px, self.py = px, py
-        self.x_level, self.y_level = x, y = _image(px), _image(py)
-        self.lx, self.ly = np.searchsorted(x, px), np.searchsorted(y, py)
-        self.level_px, self.level_py = self.lx[x], self.ly[y]
-        self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
-        self._terms = np.empty((2, len(x), len(y)))  # s and b, which the last apply overwrites
+        self._terms = np.empty((2, len(x), len(y)))  # s and b; apply(final=True) overwrites them
         self.s_values, self.b_values = self._terms
-        step = max(1, _ROW_CELLS // len(y))
-        h = np.empty((min(step, len(x)), len(y)))  # each block's h, which level 1 does not keep
-        for r0 in range(0, len(x), step):
-            rows, sl = x[r0:r0 + step], slice(r0, r0 + step)
-            _, b, _ = self._block(rows, y, (self.s_values[sl], self.b_values[sl], h[:len(rows)]))
-            _finite(float(np.max(np.abs(b))), b, 0.0, self.x_samples[rows], self.y_samples[y])
+        for r0, _, b in self.rows((x, y), self._terms):
+            _finite(float(np.max(np.abs(b))), b, 0.0, self.x_samples[x[r0:r0 + len(b)]],
+                    self.y_samples[y])
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
-        """``(s, b, h)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
+        """``(s, b)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
 
         ``rows`` and ``cols`` are ascending node indices, each cell's part
         is :meth:`~fractsurf.boundary.QField.terms` at the nodes and their
@@ -362,34 +353,27 @@ class OperatorGrid:
         order, so a node on a shared knot line takes the values of the later
         cell, whatever nodes are asked for.
         """
-        s, b, h = out or tuple(np.empty((len(rows), len(cols))) for _ in range(3))
+        s, b = np.empty((2, len(rows), len(cols))) if out is None else out
         for cell, x0, x1, y0, y1 in self._cell_nodes:
             sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
             sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
             if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
                 continue
             x_nodes, y_nodes = rows[sl_x][:, None], cols[sl_y][None, :]
-            s[sl_x, sl_y], b[sl_x, sl_y], h[sl_x, sl_y] = self.system.q_fields[cell].terms(
+            s[sl_x, sl_y], b[sl_x, sl_y] = self.system.q_fields[cell].terms(
                 self.x_samples[x_nodes], self.y_samples[y_nodes],
                 self.x_pre[x_nodes], self.y_pre[y_nodes])
-        return s, b, h
+        return s, b
 
-    def rows(self):
-        """``(r0, s, b, h)`` on every node, one block of rows ``r0, r0 + 1, ...``
-        at a time, ``_ROW_CELLS`` nodes each."""
-        nodes = np.arange(self.resolution)
-        step = max(1, _ROW_CELLS // self.resolution)
-        for r0 in range(0, self.resolution, step):
-            yield r0, *self._block(nodes[r0:r0 + step], nodes)
-
-    def release_initial(self) -> np.ndarray:
-        """Hand over a bilinear plan's blend patchwork ``h`` and drop the plan's reference to it.
-
-        ``apply`` reads ``s`` and ``b``, not ``h``, so the caller decides how
-        long ``h`` lives.  A lattice plan keeps no ``h``.
-        """
-        h, self.h_values = self.h_values, None
-        return h
+    def rows(self, nodes=None, out=None):
+        """``(r0, s, b)`` on the nodes ``np.ix_(*nodes)``, every node by default, one
+        block of rows ``r0, r0 + 1, ...`` at a time, ``_ROW_CELLS`` nodes each;
+        into ``out[:, r0:]``, shaped ``(2, rows, columns)``, if given."""
+        x, y = nodes or (np.arange(self.resolution),) * 2
+        step = max(1, _ROW_CELLS // len(y))
+        for r0 in range(0, len(x), step):
+            sl = slice(r0, r0 + step)
+            yield r0, *self._block(x[sl], y, None if out is None else out[:, sl])
 
     def apply(self, phi: np.ndarray, *, out=None, final: bool = False) -> np.ndarray:
         """``T phi = s * B phi + b``: on every node, or on level 1 for lattice plans.
@@ -498,8 +482,8 @@ def _no_convergence(max_iter: int, bound: float, tol: float) -> ConvergenceError
 
 
 def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
-    """Plain fixed-point iteration from the blend patchwork, which the plan hands over."""
-    phi = plan.release_initial()
+    """Plain iteration from ``phi_1 = T 0 = b``, as on lattice plans; one residual per apply."""
+    phi = plan.b_values.copy()
     spare = np.empty_like(phi)  # T phi goes into the buffer phi does not hold
     diffs: list[float] = []
     bound = math.inf
@@ -624,7 +608,7 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     else:  # level 1 is the core, and phi is phi_1
         nxt = plan.apply(phi)
     last = 0.0
-    for r0, s, b, _ in plan.rows():  # per row block of level 0: v -> s * v[P] + b
+    for r0, s, b in plan.rows():  # per row block of level 0: v -> s * v[P] + b
         rx = plan.lx[r0:r0 + len(s)]
         heights = _lift_rows(nxt, rx, plan.ly, s, b)
         last = max(last, _sup_distance(heights, _lift_rows(phi, rx, plan.ly, s, b),
@@ -653,7 +637,7 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
 
     Lattice plans are solved by :func:`_descend` (doubling on the core of
     the pull-back, one gather per level back to every node), others by
-    iteration from the blend patchwork.  Both return ``T phi`` for a
+    iteration, both from ``phi_1 = T 0 = b``.  Each returns ``T phi`` for a
     candidate ``phi`` with ``c_s / (1 - c_s) * |T phi - phi| <= tol``
     measured on every node.  ``iterations`` counts operator applications,
     equivalent ones on lattice plans; ``ConvergenceError`` is raised before
@@ -690,7 +674,7 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
             fold_rows(phi, fold)
             phi = None
     x_samples, y_samples = plan.x_samples, plan.y_samples
-    del plan  # its s, h and b would otherwise outlive the half-resolution solve
+    del plan  # its s and b would otherwise outlive the half-resolution solve
 
     bias = None
     coarse = _half_solve(system, resolution, tol, max_iter) if estimate_bias else None
@@ -755,8 +739,8 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     for ci, cell in enumerate(cells):
         idx = order[bounds[ci]:bounds[ci + 1]]
         if len(idx):  # from the old point to the new one
-            s[idx], b[idx], _ = system.q_fields[cell].terms(xs[1:][idx], ys[1:][idx],
-                                                             xs[:-1][idx], ys[:-1][idx])
+            s[idx], b[idx] = system.q_fields[cell].terms(xs[1:][idx], ys[1:][idx],
+                                                          xs[:-1][idx], ys[:-1][idx])
     zs = _affine_scan(s, b, float(system.grid.z[0, 0]))
     return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
 

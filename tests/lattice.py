@@ -2,8 +2,8 @@
 forced onto the bilinear branch, and traced memory in units of whole arrays.
 
 Both plans apply ``T phi = s * B phi + b``.  Lattice plans keep ``s`` and
-``b`` on level 1 of the image chain and evaluate ``s``, ``b`` and ``h`` on
-level 0 one row block at a time; these helpers stack the blocks, so tests
+``b`` on level 1 of the image chain and evaluate them on level 0 one row
+block at a time; these helpers stack the blocks, so tests
 can state the operator on every node, with the gather ``B`` written out as
 a reference.
 Memory tests state their bounds in float arrays of ``R²`` nodes or of level
@@ -17,9 +17,9 @@ from fractsurf import ifs
 
 
 def full_fields(plan):
-    """``s``, ``b`` and ``h`` on every node of a plan."""
+    """``s`` and ``b`` on every node of a plan."""
     blocks = list(plan.rows())
-    return tuple(np.vstack([block[k] for block in blocks]) for k in (1, 2, 3))
+    return tuple(np.vstack([block[k] for block in blocks]) for k in (1, 2))
 
 
 def four_corner_gather(values, ix, wx, iy, wy):
@@ -40,7 +40,7 @@ def full_apply(plan, phi):
     ``B phi`` is ``phi[P]`` on lattice plans and the four-corner formula
     with the plan's indices and weights otherwise.
     """
-    s, b, _ = full_fields(plan)
+    s, b = full_fields(plan)
     if plan.lattice:
         return s * phi[np.ix_(plan.px, plan.py)] + b
     return s * four_corner_gather(phi, plan.ix, plan.wx, plan.iy, plan.wy) + b

@@ -313,6 +313,16 @@ def test_every_command_runs_the_metric_check_validate_runs(tmp_path, source, exp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
+def test_a_ragged_blend_table_exits_one_with_one_error_line(tmp_path):
+    # numpy refused to build the table and validate printed its traceback
+    doc = fixture_config("example2a-explicit")
+    doc["blend"]["tables"][0]["coeffs"] = [[0.3, -6.0, 18.0], [1.6, 27.6], [6.4, 4.8, 0.0]]
+    result = _child("validate", doc, tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: cell (1,1): coefficient table must be 2-D, its rows of one length"]
+
+
 def test_validate_refuses_an_implicit_dimension_resolution_above_the_ceiling(tmp_path):
     # example2a at depth 8 implies R = 393217; dimension died allocating 32 GiB
     doc = fixture_config("example2a")
@@ -426,11 +436,20 @@ def _file_grid_short_row(tmp_path):
     return doc
 
 
-def _file_grid_bad_knot(tmp_path):
-    doc = _example2a_on_a_file_grid(tmp_path)
-    grid = tmp_path / "grid.txt"
-    text = grid.read_text(encoding="utf-8")
-    grid.write_text(text.replace("x: ", "x: zero ", 1), encoding="utf-8")
+def _file_grid_x_knots(knots: str):
+    def make_doc(tmp_path):
+        doc = _example2a_on_a_file_grid(tmp_path)
+        grid = tmp_path / "grid.txt"
+        lines = grid.read_text(encoding="utf-8").splitlines()
+        grid.write_text("\n".join([f"x: {knots}", *lines[1:]]) + "\n", encoding="utf-8")
+        return doc
+    return make_doc
+
+
+def _inline_grid_infinite_span(tmp_path):
+    doc = fixture_config("example2a")  # the span 2e308 overflows to inf
+    doc["grid"] = {"source": "inline", "x_knots": [-1e308, -5e307, 0.0, 5e307, 1e308],
+                   "y_knots": Y_KNOTS, "z_rows": Z_ROWS}
     return doc
 
 
@@ -451,11 +470,15 @@ def _dimension_too_coarse_for_depth(tmp_path):
     (_file_grid_short_curve, "boundary.r[0]"),
     (_file_grid_missing_file, "grid.path"),
     (_file_grid_short_row, "grid"),
-    (_file_grid_bad_knot, "grid"),
+    (_file_grid_x_knots("zero 0.0 0.25 0.5 0.75 1.0"), "grid"),
+    (_file_grid_x_knots("0.0 nan 0.5 0.75 1.0"), "grid"),
+    (_file_grid_x_knots("0.0 0.25 0.5 0.75 inf"), "grid"),
+    (_inline_grid_infinite_span, "grid"),
     (_dimension_below_floor, "dimension.resolution"),
     (_dimension_too_coarse_for_depth, "dimension.resolution"),
 ], ids=["file-grid-missing-cell", "file-grid-short-curve", "file-grid-missing-file",
-        "file-grid-short-row", "file-grid-bad-knot", "dimension-below-floor",
+        "file-grid-short-row", "file-grid-bad-knot", "file-grid-nan-knot",
+        "file-grid-infinite-knot", "inline-grid-infinite-span", "dimension-below-floor",
         "dimension-too-coarse-for-depth"])
 def test_grid_rule_violations_exit_one_with_their_path(tmp_path, make_doc, path):
     config = tmp_path / "job.json"
@@ -465,5 +488,5 @@ def test_grid_rule_violations_exit_one_with_their_path(tmp_path, make_doc, path)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # reported, not a traceback
         err = result.output + result.stderr
-        assert "error: invalid configuration" in err
+        assert "error: invalid configuration" in err and "Traceback" not in err
         assert f"  {path}: " in err

@@ -34,6 +34,17 @@ def test_grid_rejects_non_increasing_knots():
                              [[0.0] * 4, [0.0] * 4])
 
 
+@pytest.mark.parametrize("x_knots, y_knots", [
+    ((0.0, math.nan, 1.0), (0.0, 1.0)),
+    ((0.0, 0.5, math.inf), (0.0, 1.0)),
+    ((-1e308, 0.0, 1e308), (0.0, 1.0)),  # each knot finite, the span not
+    ((0.0, 1.0), (-math.inf, 0.0, 1.0)),
+], ids=["nan-knot", "infinite-knot", "infinite-span", "infinite-y-knot"])
+def test_grid_rejects_knots_or_spans_that_are_not_finite(x_knots, y_knots):
+    with pytest.raises(InvalidGridError, match="must be finite"):
+        DataGrid(x_knots, y_knots, np.zeros((len(x_knots), len(y_knots))))
+
+
 def test_grid_rejects_shape_mismatch():
     with pytest.raises(InvalidGridError):
         DataGrid.from_y_rows([0.0, 1.0], [0.0, 0.5, 1.0], [[0.0, 1.0], [2.0, 3.0]])

@@ -8,6 +8,7 @@ fractional bilinear weights and keep the plain iteration.
 """
 import json
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
 from cli_runner import run
+from test_ifs import nonuniform_document
 from lattice import (force_bilinear, four_corner_gather, full_apply, full_fields, level_nodes,
                      stack_into, traced_peak)
 
@@ -82,7 +84,8 @@ def test_row_blocks_evaluate_the_fields_of_the_whole_grid(name, monkeypatch):
     plan = OperatorGrid(system, LATTICE_R)
     s, h, g = whole_grid_fields(system, LATTICE_R)
     b = h - g * s
-    assert all(np.array_equal(x, y) for x, y in zip(full_fields(plan), (s, b, h)))
+    got_s, got_b = full_fields(plan)
+    assert np.array_equal(got_s, s) and np.array_equal(got_b, b)
     level = np.ix_(plan.x_level, plan.y_level)
     assert np.array_equal(plan.s_values, s[level]) and np.array_equal(plan.b_values, b[level])
 
@@ -123,7 +126,7 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     core_rounds = len(diffs) - 1
     assert core_rounds >= 3
     plan = OperatorGrid(system, LATTICE_R)
-    s, b, _ = full_fields(plan)
+    s, b = full_fields(plan)
     xs, ys = image_chain(plan.px), image_chain(plan.py)
     # the plan keeps s and b on level 1 of the chain, image(P)
     level = np.ix_(xs[1], ys[1])
@@ -190,8 +193,8 @@ def test_descent_agrees_with_full_grid_doubling(name):
                                 max_iter=cfg.max_iter, estimate_bias=False)
     c = surface.contraction
     plan = OperatorGrid(job.system, cfg.resolution)
-    s, b, h = full_fields(plan)
-    doubled, _, _, bound = ifs._double(s, b, plan.px, plan.py, full_apply(plan, h),
+    s, b = full_fields(plan)
+    doubled, _, _, bound = ifs._double(s, b, plan.px, plan.py, b.copy(),  # phi_1 = T 0
                                        c / (1 - c), cfg.tol, cfg.max_iter,
                                        (plan.x_samples, plan.y_samples))
     assert surface.error_bound <= cfg.tol and bound <= cfg.tol
@@ -217,27 +220,27 @@ def test_uniform_pullback_matches_a_real_plan(example2a_job):
 class GatherPlan(ifs.OperatorGrid):
     """A lattice plan whose fields come from bare full-size arrays: ``T phi = s * phi[P] + b``.
 
-    Only the evaluation of ``s``, ``b`` and ``h`` on a row block is its own;
-    level 1, ``image(P)``, and its fill, ``apply`` (the last one over ``s``
-    and ``b``) and the row blocks of every node are the plan's.
+    ``cells`` holds the number of equal cells per axis.  Only the evaluation
+    of ``s`` and ``b`` on a row block is its own; the pull-back, level 1,
+    ``image(P)``, and its fill, ``apply`` (the last one over ``s`` and ``b``)
+    and the row blocks of every node are the plan's.
     """
 
-    lattice = True
-
-    def __init__(self, s, b, h, px, py):
-        self.s, self.b, self.h, self.resolution = s, b, h, len(s)
+    def __init__(self, s, b, cells):
+        self.s, self.b = s, b
         # node coordinates, which name the node of a residual that is not finite
-        self.x_samples = self.y_samples = np.arange(len(s), dtype=float)
-        self._fill_level(px, py)
+        nodes = np.arange(len(s), dtype=float)
+        axes = tuple((nodes, [(len(s) - 1) // k] * k) for k in cells)
+        with mock.patch.object(ifs, "sample_axes", lambda grid, resolution: axes):
+            super().__init__(SimpleNamespace(grid=SimpleNamespace(cells=list)), len(s))
 
     def _block(self, rows, cols, out=None):
         nodes = np.ix_(rows, cols)
-        fields = self.s[nodes], self.b[nodes], self.h[nodes]
+        fields = np.stack((self.s[nodes], self.b[nodes]))
         if out is None:
-            return fields
-        for held, values in zip(out, fields):
-            held[...] = values
-        return out
+            return tuple(fields)
+        out[...] = fields
+        return tuple(out)
 
     def full_apply(self, phi):
         return self.s * phi[np.ix_(self.px, self.py)] + self.b
@@ -259,13 +262,13 @@ def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed, blo
     shape = (resolution, resolution)
     factor, tol = c / (1 - c), 1e-9
     with mock.patch.object(ifs, "_ROW_CELLS", block * resolution):
-        plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape),
-                          rng.normal(size=shape), uniform_pullback(n, resolution),
-                          uniform_pullback(m, resolution))
+        plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), (n, m))
         heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
+    assert plan.lattice and np.array_equal(plan.px, uniform_pullback(n, resolution))
+    assert np.array_equal(plan.py, uniform_pullback(m, resolution))
     nodes = np.arange(resolution, dtype=float)  # coordinates, for a residual's witness
     doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, plan.px, plan.py,
-                                               plan.full_apply(plan.h), factor, tol, 10000,
+                                               plan.b.copy(), factor, tol, 10000,  # phi_1
                                                (nodes, nodes))
     assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
     # the bounds hold in exact arithmetic; each floating-point application adds
@@ -282,8 +285,7 @@ def test_descent_raises_when_rounding_keeps_the_lifted_bound_above_tol():
     # on every node is one rounding step, which the bound must not hide
     rng = np.random.default_rng(459)  # one of 14 such seeds below 3000
     shape = (5, 5)
-    plan = GatherPlan(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape),
-                      rng.normal(size=shape), uniform_pullback(2, 5), uniform_pullback(2, 5))
+    plan = GatherPlan(rng.uniform(-0.5, 0.5, shape), rng.normal(size=shape), (2, 2))
     with pytest.raises(ConvergenceError, match="rounding") as err:
         plan.descend(1.0, 1e-16, 10000)
     assert err.value.last_bound > 1e-16
@@ -302,8 +304,9 @@ def test_lattice_solve_peak_memory_stays_below_six_grids(band_job):
     _, peak = traced_peak(lambda: band_surface_solve(band_job), MEMORY_R ** 2)
     assert peak < 6
     # the heights are one R^2 array and two level-1 arrays half of one; at
-    # R = 1025 the last pass's row blocks of every node set the peak (2.07
-    # arrays measured; 2.76 with s, b, h and two iterates on level 1)
+    # R = 1025 the last pass's row blocks of every node set the peak (1.95
+    # arrays measured; 2.07 when each block also evaluated h, 2.76 with s,
+    # b, h and two iterates on level 1)
     assert peak < 2.25
 
 
@@ -329,8 +332,8 @@ def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
     assert surface.heights is None and surface.fold is fold
     assert peak < 2
     # s and b on level 1 are 0.5 R^2 arrays; at R = 1025 the last pass's row
-    # blocks of every node set the peak (1.08 measured; 1.77 with five
-    # level-1 arrays)
+    # blocks of every node set the peak (0.96 measured; 1.08 when each block
+    # also evaluated h, 1.77 with five level-1 arrays)
     assert peak < 1.3
     materialised = band_surface_solve(band_job)
     deltas = natural_scales(band_job.grid, 6)
@@ -342,9 +345,9 @@ def test_dimension_solve_and_count_peak_at_about_two_grids(band_job):
 def test_last_sweep_starts_with_two_level_arrays_and_row_blocks(band_job):
     # by the first block of level 0, phi_1 is written over b and T phi_1 over
     # s, and phi_2 and phi_1 on level 2 are released: phi_1, T phi_1 and one
-    # block of s, b, h and the lifts are alive (3.05 level-1 arrays measured
-    # at R = 1025, where a row block is a quarter of a level-1 array; 6.05
-    # with s, b, h and two iterates)
+    # block of s, b and the lifts are alive (2.80 level-1 arrays measured at
+    # R = 1025, where a row block is a quarter of a level-1 array; 3.05 when
+    # the block also held h, 6.05 with s, b, h and two iterates)
     alive = []
 
     def first_block(r0, rows):
@@ -442,7 +445,8 @@ def test_round_zero_that_meets_the_bound_on_every_node_ends_the_solve(name):
 
 def test_bias_estimate_does_not_raise_the_solver_peak(example2a_job):
     # the half-resolution solve runs after the main plan is dropped, and the
-    # disagreement is measured in row blocks (2.17 arrays measured)
+    # disagreement is measured in row blocks (1.95 arrays measured; 2.17 when
+    # each row block also evaluated h)
     resolution = 769
     surface, peak = traced_peak(lambda: solve_fixed_point(example2a_job.system, resolution),
                                 resolution ** 2)
@@ -541,7 +545,7 @@ def test_fixtures_take_the_lattice_path_at_both_resolutions(name):
 
 def test_bilinear_solve_holds_four_grids():
     # s, b, the iterate and its image, plus the streamed gather's blocks: the
-    # plan hands h over as the first iterate and keeps no g, and no pass
+    # first iterate is a copy of b, the plan keeps no g or h, and no pass
     # along y is full size (4.44 arrays measured at R = 513, where a block
     # buffer holds 63 rows; 5.27 with the full-size pass along y, 6.27 with
     # g kept and h copied)
@@ -549,6 +553,35 @@ def test_bilinear_solve_holds_four_grids():
     _, peak = traced_peak(lambda: solve_fixed_point(job.system, resolution, tol=1e-8,
                                                     estimate_bias=False), resolution ** 2)
     assert peak < 4.5
+
+
+def test_bilinear_plan_holds_s_and_b_after_set_up():
+    # the plan keeps s and b on every node, no blend patchwork h beside them
+    # (2.02 arrays measured at R = 513; 3.02 with h kept for the first iterate)
+    resolution = 513
+    system = build_system(parse_config_document(nonuniform_document(7))).system
+    tracemalloc.start()
+    try:
+        plan = OperatorGrid(system, resolution)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not plan.lattice
+    assert held / (resolution ** 2 * np.dtype(float).itemsize) < 2.1
+
+
+def test_bilinear_iteration_starts_from_b():
+    # phi_1 = T 0 = b, as on lattice plans: the first residual is |T b - b|.
+    # With g != 0, b = h - s * g is not the blend patchwork h, the old start
+    # (sup_diffs[0] was 1.2783 from h, 1.3809 from b)
+    doc = nonuniform_document(7)
+    doc["free_field"] = {"expr": "0.1*sin(7*x*y)", "lipschitz": 0.7, "sup_abs": 0.1}
+    system = build_system(parse_config_document(doc)).system
+    surface = solve_fixed_point(system, 513, tol=1e-8, estimate_bias=False)
+    plan = OperatorGrid(system, 513)
+    b = plan.b_values
+    first = plan.s_values * four_corner_gather(b, plan.ix, plan.wx, plan.iy, plan.wy) + b
+    assert surface.sup_diffs[0] == float(np.max(np.abs(first - b)))
 
 
 def test_nonuniform_grid_stays_bilinear_at_both_resolutions():
@@ -695,7 +728,7 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
 
     def reference_solve(resolution):
         plan = OperatorGrid(job.system, resolution)
-        phi, diffs = plan.h_values, []
+        phi, diffs = plan.b_values, []  # phi_1 = T 0
         while True:
             nxt = plan.s_values * four_corner_gather(phi, plan.ix, plan.wx, plan.iy,
                                                      plan.wy) + plan.b_values
