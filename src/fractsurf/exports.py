@@ -14,13 +14,17 @@ files.
 * counts CSV — ``delta,count`` pairs from box counting.
 * dimension report — ``key=value`` lines, one per reported quantity.
 
-The two large text formats (heightmap CSV, xyz) are produced as iterables of
-ASCII byte blocks, which :func:`write_bytes` writes one after another, so
-their text is never whole in memory.  Their values are formatted in blocks
-of whole rows or points by one shortest-round-trip kernel (:func:`_formatted`).
+The three large formats (heightmap CSV, PGM, xyz) are produced as iterables
+of byte blocks of ``_BLOCK_FLOATS`` values each, which :func:`write_bytes`
+writes one after another, so none is ever whole in memory.  The text values
+are formatted in blocks of whole rows or points by one shortest-round-trip
+kernel (:func:`_formatted`); the image is scaled in blocks of whole rows.
+Every artifact is written to a temporary file beside it and moved into place
+after its last block, so a failed write leaves no partial file.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,7 +35,7 @@ from .errors import FractsurfError
 from .ifs import SurfaceSample
 from .utils import format_float
 
-# Values per formatted block: whole rows of the heightmap, whole xyz points.
+# Values per block: whole rows of the heightmap or the image, whole xyz points.
 _BLOCK_FLOATS = 2 ** 15
 
 
@@ -82,28 +86,35 @@ def heightmap_csv(surface: SurfaceSample) -> Iterator[bytes]:
     yield from _formatted(surface.heights[:, ::-1].T, ",")
 
 
-def heightmap_pgm(surface: SurfaceSample) -> bytes:
-    """16-bit grayscale image of the height field (top row at y_max)."""
+def heightmap_pgm(surface: SurfaceSample) -> Iterator[bytes]:
+    """16-bit grayscale image of the height field (top row at y_max).
+
+    Yields the header, then the pixels of one block of whole image rows
+    holding ``_BLOCK_FLOATS`` values (at least one row) at a time, in order.
+    """
     z = surface.heights
     lo = float(z.min())
     hi = float(z.max())
     span = hi - lo
-    if span > 0:
-        # in place, the same operations as rint((z - lo) / span * 65535)
-        gray = z - lo
-        gray /= span
-        gray *= 65535.0
-        np.rint(gray, out=gray)
-    else:
-        gray = np.zeros(z.shape)
-    image = gray.T[::-1]  # rows top-down = y descending
-    header = (
+    image = z[:, ::-1].T  # rows top-down = y descending
+    yield (
         f"P5\n"
         f"# gray = round((z - z_min) / (z_max - z_min) * 65535)\n"
         f"# z_min={format_float(lo)} z_max={format_float(hi)}\n"
         f"{image.shape[1]} {image.shape[0]}\n65535\n"
-    )
-    return header.encode("ascii") + image.astype(">u2").tobytes()
+    ).encode("ascii")
+    step = max(1, _BLOCK_FLOATS // image.shape[1])
+    for r0 in range(0, len(image), step):
+        rows = image[r0:r0 + step]
+        if span > 0:
+            # in place, the same operations as rint((z - lo) / span * 65535)
+            gray = rows - lo
+            gray /= span
+            gray *= 65535.0
+            np.rint(gray, out=gray)
+            yield gray.astype(">u2").tobytes()
+        else:
+            yield bytes(2 * rows.size)
 
 
 def xyz_text(points: np.ndarray) -> Iterator[bytes]:
@@ -165,13 +176,22 @@ def write_text(path: Path, text: str) -> Path:
 def write_bytes(path: Path, data: bytes | Iterable[bytes]) -> Path:
     """Write bytes, or an iterable of byte blocks one after another.
 
-    The directory is created if missing; a failure to create it or to write
+    The blocks go to a temporary file beside ``path``, which replaces
+    ``path`` only after the last block, so a write that fails part-way
+    leaves no truncated artifact and an earlier one as it was.  The
+    directory is created if missing; a failure to create it or to write
     raises ``FractsurfError`` naming ``path``.
     """
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
+        try:
+            with open(partial, "wb") as fh:
+                fh.writelines([data] if isinstance(data, bytes) else data)
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise FractsurfError(f"cannot write {path}: {exc}") from None
     return path

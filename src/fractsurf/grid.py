@@ -288,7 +288,7 @@ def pullback(blocks: Sequence[int]):
 def load_grid_text(text: str) -> DataGrid:
     """Parse the plain-text grid format.
 
-    Layout: optional ``#`` comment lines, a line ``x: <knots>``, a line
+    Layout: optional ``#`` comment lines, one line ``x: <knots>``, one line
     ``y: <knots>``, then one whitespace-separated row of heights per y
     level (top table row = first y knot), each with one entry per x knot.
     """
@@ -299,6 +299,9 @@ def load_grid_text(text: str) -> DataGrid:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        axis = line[:2]
+        if (axis == "x:" and xs is not None) or (axis == "y:" and ys is not None):
+            raise InvalidGridError(f"line {lineno}: a second '{axis}' knot line")
         try:
             if line.startswith("x:"):
                 xs = [float(v) for v in line[2:].split()]

@@ -44,7 +44,8 @@ Two ways to materialize the attractor are provided and cross-checked:
   against a half-resolution solve, when ``R - 1`` is even and that solve
   has a sample lattice of its own and converges.
 * :func:`chaos_game` drives a random orbit of the 3-D maps from a data knot,
-  on the graph; its three affine recursions are scans, no Python loop per step.
+  on the graph; its three affine recursions are scans, run in place on one
+  orbit array with no Python loop per step.
 """
 from __future__ import annotations
 
@@ -688,22 +689,22 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
         bias_estimate=bias, contraction=c_s, fold=fold)
 
 
-def _affine_scan(a: np.ndarray, b: np.ndarray, start: float) -> np.ndarray:
-    """``start``, then ``x_k = a[k] * x_{k-1} + b[k]`` for every ``k`` from ``x_{-1} = start``.
+def _affine_scan(a: np.ndarray, x: np.ndarray) -> None:
+    """``x[k] <- a[k-1] * x[k-1] + x[k]`` for every ``k >= 1`` in turn, in place.
 
-    An inclusive scan of the pairs ``(a, b)`` under composition (Blelloch,
-    1990): after the pass of stride ``d``, ``(a[k], b[k])`` composes steps
-    ``k - 2d + 1 .. k``, so ``ceil(log2 N)`` passes give ``x_k``.  Overwrites ``a``.
+    ``x`` holds the start, then the offsets ``b``, one per step; ``a`` one
+    multiplier per step.  An inclusive scan of the pairs ``(a, b)`` under
+    composition (Blelloch, 1990): after the pass of stride ``d``,
+    ``(a[k], b[k])`` composes steps ``k - 2d + 1 .. k``, so ``ceil(log2 N)``
+    passes give ``x_k``.  Overwrites ``a``.
     """
-    x = np.concatenate(([start], b))
     b = x[1:]
-    b[0] += a[0] * start
+    b[0] += a[0] * x[0]
     d = 1
     while d < len(b):
         b[d:] += a[d:] * b[:-d]
         a[d:] *= a[:-d]
         d *= 2
-    return x
 
 
 def chaos_game(system: IfsSystem, point_count: int, seed: int,
@@ -714,7 +715,10 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     every iterate lies on the surface graph up to rounding; the burn-in
     discard is kept anyway so arbitrary start points behave.  Each axis is
     one :func:`_affine_scan`, and so is ``z <- s * z + b``, the form of
-    :class:`OperatorGrid`.  Returns an (N, 3) array.
+    :class:`OperatorGrid`.  The scans run in place on the rows of one
+    ``(3, steps + 1)`` orbit array, their multipliers in one reused vector;
+    the picks are held in the smallest unsigned type that holds a cell
+    index.  Returns the (N, 3) view of the kept steps.
     """
     if point_count < 1:
         raise FractsurfError("point_count must be positive")
@@ -723,26 +727,30 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     rng = np.random.default_rng(seed)
     cells = sorted(system.maps)  # deterministic order
     steps = burn_in + point_count
-    picks = rng.integers(0, len(cells), size=steps)
-
-    def orbit(axes, start: float) -> np.ndarray:  # x <- a * x + b on one axis
-        return _affine_scan(np.array([m.scale for m in axes])[picks],
-                            np.array([m.offset for m in axes])[picks], float(start))
-
-    xs = orbit([system.maps[c].axis_x for c in cells], system.grid.x_knots[0])
-    ys = orbit([system.maps[c].axis_y for c in cells], system.grid.y_knots[0])
+    picks = rng.integers(0, len(cells), size=steps).astype(np.min_scalar_type(len(cells) - 1))
+    xs, ys, zs = orbit = np.empty((3, steps + 1))
+    a = np.empty(steps)
+    for row, axis, start in ((xs, "axis_x", system.grid.x_knots[0]),
+                             (ys, "axis_y", system.grid.y_knots[0])):
+        maps = [getattr(system.maps[c], axis) for c in cells]
+        row[0] = start  # x <- a * x + b on one axis
+        # the picks are in range; mode "raise" would fill a copy of out first
+        np.take([m.offset for m in maps], picks, out=row[1:], mode="clip")
+        np.take([m.scale for m in maps], picks, out=a, mode="clip")
+        _affine_scan(a, row)
     # each cell's steps, ascending: one stable sort by pick, then a slice per cell
     bounds = np.concatenate([[0], np.cumsum(np.bincount(picks, minlength=len(cells)))])
     order = np.argsort(picks, kind="stable")
     del picks
-    s, b = np.empty(steps), np.empty(steps)
     for ci, cell in enumerate(cells):
         idx = order[bounds[ci]:bounds[ci + 1]]
         if len(idx):  # from the old point to the new one
-            s[idx], b[idx] = system.q_fields[cell].terms(xs[1:][idx], ys[1:][idx],
-                                                          xs[:-1][idx], ys[:-1][idx])
-    zs = _affine_scan(s, b, float(system.grid.z[0, 0]))
-    return np.column_stack([xs[1:], ys[1:], zs[1:]])[burn_in:]
+            a[idx], zs[1:][idx] = system.q_fields[cell].terms(xs[1:][idx], ys[1:][idx],
+                                                               xs[:-1][idx], ys[:-1][idx])
+    del order, idx  # the last idx views order
+    zs[0] = system.grid.z[0, 0]
+    _affine_scan(a, zs)
+    return orbit[:, burn_in + 1:].T
 
 
 def certify_metric(system: IfsSystem, theta: float | None = None,

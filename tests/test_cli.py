@@ -446,6 +446,15 @@ def _file_grid_x_knots(knots: str):
     return make_doc
 
 
+def _file_grid_second_x_line(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    grid = tmp_path / "grid.txt"
+    lines = grid.read_text(encoding="utf-8").splitlines()
+    # the same knots again: the grid would load, with either line
+    grid.write_text("\n".join([*lines[:2], lines[0], *lines[2:]]) + "\n", encoding="utf-8")
+    return doc
+
+
 def _inline_grid_infinite_span(tmp_path):
     doc = fixture_config("example2a")  # the span 2e308 overflows to inf
     doc["grid"] = {"source": "inline", "x_knots": [-1e308, -5e307, 0.0, 5e307, 1e308],
@@ -473,13 +482,14 @@ def _dimension_too_coarse_for_depth(tmp_path):
     (_file_grid_x_knots("zero 0.0 0.25 0.5 0.75 1.0"), "grid"),
     (_file_grid_x_knots("0.0 nan 0.5 0.75 1.0"), "grid"),
     (_file_grid_x_knots("0.0 0.25 0.5 0.75 inf"), "grid"),
+    (_file_grid_second_x_line, "grid"),
     (_inline_grid_infinite_span, "grid"),
     (_dimension_below_floor, "dimension.resolution"),
     (_dimension_too_coarse_for_depth, "dimension.resolution"),
 ], ids=["file-grid-missing-cell", "file-grid-short-curve", "file-grid-missing-file",
         "file-grid-short-row", "file-grid-bad-knot", "file-grid-nan-knot",
-        "file-grid-infinite-knot", "inline-grid-infinite-span", "dimension-below-floor",
-        "dimension-too-coarse-for-depth"])
+        "file-grid-infinite-knot", "file-grid-second-x-line", "inline-grid-infinite-span",
+        "dimension-below-floor", "dimension-too-coarse-for-depth"])
 def test_grid_rule_violations_exit_one_with_their_path(tmp_path, make_doc, path):
     config = tmp_path / "job.json"
     config.write_text(json.dumps(make_doc(tmp_path)), encoding="utf-8")

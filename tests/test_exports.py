@@ -1,12 +1,15 @@
-"""Writers: byte-for-byte the per-element formulas, block by block."""
+"""Writers: byte-for-byte the per-element formulas, block by block, and atomic writes."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractsurf import exports
-from fractsurf.exports import heightmap_csv, heightmap_pgm, xyz_text
-from fractsurf.ifs import SurfaceSample
+from fractsurf.errors import FractsurfError
+from fractsurf.exports import heightmap_csv, heightmap_pgm, write_bytes, xyz_text
+from fractsurf.ifs import SurfaceSample, solve_fixed_point
 from fractsurf.utils import format_float
+
+from lattice import traced_peak
 
 EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e22, 1e-5, -1.5, 0.1, 2.0 / 3.0]
 
@@ -113,12 +116,47 @@ def old_heightmap_pgm_pixels(z: np.ndarray) -> bytes:
 
 @pytest.mark.parametrize("heights", [np.random.default_rng(5).normal(size=(17, 33)),
                                      np.full((17, 33), 0.7)], ids=["random", "flat"])
-def test_heightmap_pgm_pixels_match_the_old_formula(heights):
+def test_heightmap_pgm_pixels_match_the_old_formula(heights, monkeypatch):
     surface = SurfaceSample(x_samples=np.linspace(0.0, 1.0, heights.shape[0]),
                             y_samples=np.linspace(0.0, 1.0, heights.shape[1]),
                             heights=heights)
-    blob = heightmap_pgm(surface)
     pixels = old_heightmap_pgm_pixels(heights)
-    assert blob.endswith(pixels)
-    assert blob[:-len(pixels)].endswith(
-        f"\n{heights.shape[0]} {heights.shape[1]}\n65535\n".encode("ascii"))
+    # image rows of 17 pixels: one row per block (blocks of 1 and of 7
+    # values), two rows with a partial last block, and a single block
+    for block_floats in (1, 7, 40, 2 ** 15):
+        monkeypatch.setattr(exports, "_BLOCK_FLOATS", block_floats)
+        blob = b"".join(heightmap_pgm(surface))
+        assert blob.endswith(pixels), block_floats
+        assert blob[:-len(pixels)].endswith(
+            f"\n{heights.shape[0]} {heights.shape[1]}\n65535\n".encode("ascii"))
+
+
+def test_heightmap_pgm_writes_in_blocks_of_a_fraction_of_the_image(band_job, tmp_path):
+    # the scaled image, its 16-bit pixels and their bytes were 1.50 R^2
+    # arrays while the whole image was built before writing
+    resolution = 513
+    surface = solve_fixed_point(band_job.system, resolution, estimate_bias=False)
+    _, peak = traced_peak(lambda: write_bytes(tmp_path / "band.pgm", heightmap_pgm(surface)),
+                          resolution ** 2)
+    assert peak < 0.4
+
+
+def blocks_then(fault):
+    yield b"1,2,3\n"
+    raise fault
+
+
+@pytest.mark.parametrize("fault, raised", [
+    (MemoryError(), MemoryError),
+    (OSError(28, "No space left on device"), FractsurfError)], ids=["memory", "disk"])
+@pytest.mark.parametrize("earlier", [None, b"an earlier artifact\n"], ids=["new", "replaced"])
+def test_a_write_that_fails_part_way_leaves_no_partial_file(tmp_path, fault, raised, earlier):
+    path = tmp_path / "out" / "surface.heightmap.csv"
+    if earlier is not None:
+        write_bytes(path, earlier)
+    with pytest.raises(raised) as err:
+        write_bytes(path, blocks_then(fault))
+    if raised is FractsurfError:
+        assert str(err.value) == f"cannot write {path}: {fault}"
+    assert (path.read_bytes() if path.exists() else None) == earlier
+    assert [p.name for p in path.parent.iterdir()] == ([path.name] if earlier else [])

@@ -135,6 +135,15 @@ def test_load_grid_text_round_trip(grid):
     np.testing.assert_allclose(g.z, grid.z, atol=1e-15)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x: 0 1\ny: 0 1\nx: 0 0.5 1\n1 2 3\n4 5 6\n", 3),
+    ("# heights\ny: 0 1\nx: 0 1\n1 2\ny: 0 0.5 1\n3 4\n", 5)], ids=["x", "y"])
+def test_load_grid_text_rejects_a_second_knot_line(text, line):
+    axis = text.splitlines()[line - 1][:2]
+    with pytest.raises(InvalidGridError, match=f"line {line}: a second '{axis}' knot line"):
+        load_grid_text(text)
+
+
 def test_sample_axes_put_every_knot_on_a_sample(grid):
     # alignment base 12: x fractions are quarters, y fractions thirds
     (xs, x_blocks), (ys, y_blocks) = sample_axes(grid, 25)
