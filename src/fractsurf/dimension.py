@@ -249,7 +249,8 @@ class ColumnExtrema:
         return None
 
     def __call__(self, r0: int, rows: np.ndarray) -> None:
-        """Fold the sample rows ``r0, r0 + 1, ...`` (every column) in."""
+        """Fold the sample rows ``r0, r0 + 1, ...`` (every column) in: each row once, the
+        blocks in any order, since maxima and minima are exact and commutative."""
         last = r0 + len(rows) - 1
         for (bx, wx, by, wy), extrema in self.folded.items():
             for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):

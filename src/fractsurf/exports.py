@@ -42,37 +42,45 @@ _BLOCK_FLOATS = 2 ** 15
 def _formatted(rows: np.ndarray, sep: str) -> Iterator[bytes]:
     """One line per row, its values ``repr``-formatted and joined by ``sep``.
 
-    Yields the bytes of one block of whole rows holding ``_BLOCK_FLOATS``
-    values (at least one row) at a time, in order.  A block is one
-    ``orjson.dumps`` of its values, whose shortest-round-trip (Ryū) digits
-    are ``repr``'s digits; its commas are rewritten in place, every row's
-    last one to a newline and the others to ``sep``.  orjson's spelling
-    differs only where ``repr`` uses exponent form (a non-zero ``|x| < 1e-4``,
-    or ``|x| >= 1e16``) and for NaN and ±inf, which it writes as ``null``;
-    each such value is replaced by its ``repr``, one value at a time.
+    Yields one block of whole rows holding ``_BLOCK_FLOATS`` values (at
+    least one row) at a time, in order, as bytes or a bytes-like view; each
+    block (:func:`_format_block`) is formatted after the last is released.
+    """
+    cols = rows.shape[1]
+    step = max(1, _BLOCK_FLOATS // cols)
+    for r0 in range(0, len(rows), step):
+        yield _format_block(rows[r0:r0 + step].ravel(), cols, sep)
+
+
+def _format_block(values: np.ndarray, cols: int, sep: str):
+    """``values`` as text, ``cols`` to a line: one ``orjson.dumps``, copied once.
+
+    orjson's shortest-round-trip (Ryū) digits are ``repr``'s digits; its
+    commas are rewritten in place, every line's last one to a newline and
+    the others to ``sep``.  orjson's spelling differs only where ``repr``
+    uses exponent form (a non-zero ``|x| < 1e-4``, or ``|x| >= 1e16``) and
+    for NaN and ±inf, which it writes as ``null``; only a block with such
+    values is joined anew, each replaced by its ``repr``.
     """
     # imported only here: it takes about 15 ms, which runs that write no
     # large text must not pay
     import orjson
 
-    cols = rows.shape[1]
-    step = max(1, _BLOCK_FLOATS // cols)
-    for r0 in range(0, len(rows), step):
-        values = rows[r0:r0 + step].ravel()
-        # "[v,...,v]" without the "["; value k ends at ends[k], the "]" last
-        text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
-                             np.uint8, offset=1).copy()
-        ends = np.append(np.flatnonzero(text == ord(",")), len(text) - 1)
-        text[ends] = ord(sep)
-        text[ends[cols - 1::cols]] = ord("\n")
-        magnitude = np.abs(values)
-        odd = np.flatnonzero(~((magnitude < 1e16) & ((magnitude >= 1e-4) | (values == 0))))
-        pieces, done = [], 0
-        for k, value in zip(odd.tolist(), values[odd].tolist()):
-            pieces += [text[done:ends[k - 1] + 1 if k else 0], repr(value).encode("ascii")]
-            done = ends[k]
-        pieces.append(text[done:])
-        yield b"".join(pieces)
+    odd = np.flatnonzero(~((np.abs(values) < 1e16) & ((np.abs(values) >= 1e-4) | (values == 0))))
+    # "[v,...,v]" without the "["; value k ends at ends[k], the "]" last
+    text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
+                         np.uint8, offset=1).copy()
+    ends = np.append(np.flatnonzero(text == ord(",")), len(text) - 1)
+    text[ends] = ord(sep)
+    text[ends[cols - 1::cols]] = ord("\n")
+    if not len(odd):
+        return text.data
+    pieces, done = [], 0
+    for k, value in zip(odd.tolist(), values[odd].tolist()):
+        pieces += [text[done:ends[k - 1] + 1 if k else 0], repr(value).encode("ascii")]
+        done = ends[k]
+    pieces.append(text[done:])
+    return b"".join(pieces)
 
 
 def heightmap_csv(surface: SurfaceSample) -> Iterator[bytes]:

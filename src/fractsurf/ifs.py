@@ -26,14 +26,16 @@ Two ways to materialize the attractor are provided and cross-checked:
   descends the chain of images to the core on which ``P`` is a permutation,
   composes the gather with itself there from ``phi_1 = T 0 = b`` (pointer
   doubling, iterate ``2^k`` in ``k`` rounds) and lifts the core's fixed
-  point to level 1, ``image(P)``, with one gather per level.  Level 0, every
-  node, is never held whole: ``s`` and ``b`` are evaluated there one row
-  block at a time, ``phi = s * phi_1[P] + b`` and
-  ``T phi = s * (T_1 phi_1)[P] + b`` are gathered from level 1, and the
-  blocks go to a consumer (stacked into the heights, or folded into
-  box-count column extrema) while the certifying residual is measured on
-  every node.  Level 1 is held by ``s`` and ``b``, beside two level-2
-  arrays.  Otherwise it iterates ``s * B phi + b`` from ``phi_1 = b`` too,
+  point to level 2, ``image(P|image(P))``, with one gather per level.
+  ``s`` and ``b`` are held on level 2 only.  Level 1 and level 0 (every
+  node) are never held whole: ``s`` and ``b`` are evaluated one row
+  block of level 1 at a time, ``phi_1`` and ``T_1 phi_1`` are gathered
+  there from level 2, and each level-0 row whose pull-back lands in the
+  block is evaluated, gathered from it (``phi = s * phi_1[P] + b``,
+  ``T phi = s * (T_1 phi_1)[P] + b``) and handed to a consumer (stacked into
+  the heights, or folded into box-count column extrema) while the certifying
+  residual is measured on every node.  Otherwise it iterates
+  ``s * B phi + b`` from ``phi_1 = b`` too,
   with the streamed bilinear gather :func:`_bilinear` on four full arrays:
   ``s``, ``b``, the iterate and its image.  Either way ``iterations`` counts
   operator applications (equivalent ones on lattice plans) and
@@ -230,17 +232,18 @@ def _lift_rows(values: np.ndarray, rx: np.ndarray, ly: np.ndarray, s: np.ndarray
     return out
 
 
-def _lift_blocks(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
-                 b: np.ndarray, nodes=None):
-    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, as ``(r0, block)``.
+def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
+          b: np.ndarray, nodes=None, out=None) -> np.ndarray:
+    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, into ``out``.
 
     Without ``nodes``, ``s`` and ``b`` hold exactly the output nodes.
     Blocks hold as many rows as fit ``_GATHER_CELLS`` at the full width of
     ``s``; with ``nodes`` the rows of ``s`` and ``b`` are taken before their
     columns, so no temporary is larger than a block and no copy of ``s`` or
     ``b`` on a lower level is made.  A block's rows of ``s`` and ``b`` are
-    read before it is yielded, so the consumer may write it over them.
+    read before it is written, so ``out`` may be ``b``.
     """
+    out = np.empty((len(px), len(py))) if out is None else out
     step = max(1, _GATHER_CELLS // s.shape[1])
     for r0 in range(0, len(px), step):
         sl = slice(r0, r0 + step)
@@ -251,15 +254,7 @@ def _lift_blocks(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarr
             blk = np.take(values[px[sl]], py, axis=1)
             blk *= np.take(s[rows[sl]], cols, axis=1)
             blk += np.take(b[rows[sl]], cols, axis=1)
-        yield r0, blk
-
-
-def _lift(values: np.ndarray, px: np.ndarray, py: np.ndarray, s: np.ndarray,
-          b: np.ndarray, nodes=None, out=None) -> np.ndarray:
-    """``s * values[np.ix_(px, py)] + b`` on the nodes ``np.ix_(*nodes)``, into ``out``."""
-    out = np.empty((len(px), len(py))) if out is None else out
-    for r0, blk in _lift_blocks(values, px, py, s, b, nodes):
-        out[r0:r0 + len(blk)] = blk
+        out[sl] = blk
     return out
 
 
@@ -295,14 +290,14 @@ class OperatorGrid:
     with the integer node indices ``px = ix + w``, ``py`` (one 1-D array per
     axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
     node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
-    and level 1 into itself, so a lattice plan holds ``s`` and ``b`` on
-    level 1 only, and ``apply`` is the gather there (``lx``, ``ly``: every
-    node's pull-back as a position on level 1; ``level_px``, ``level_py``:
-    those of level 1).  :meth:`rows` evaluates them on every node, one row
-    block at a time.  Otherwise ``B`` is the streamed :func:`_bilinear` with
-    ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and ``s``
-    and ``b`` are held on every node.  Either plan fills what it holds by
-    :meth:`_fill`, one row block at a time.
+    and level 1 into level 2, its image (``lx``, ``ly``: every node's
+    pull-back as a position on level 1; ``level_px``, ``level_py``: those
+    of level 1).  A lattice plan holds ``s`` and ``b`` on level 2 only
+    (``level_2``, per axis, as positions on level 1), and ``apply`` is the
+    gather there; :meth:`rows` evaluates them on other nodes, one row
+    block at a time.  Otherwise ``B`` is the streamed :func:`_bilinear`
+    with ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and
+    ``s`` and ``b`` are held on every node, filled as level 2 is.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
@@ -326,24 +321,26 @@ class OperatorGrid:
             self.lx, self.ly = np.searchsorted(x, px), np.searchsorted(y, py)
             self.level_px, self.level_py = self.lx[x], self.ly[y]
             self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
+            # level 2, image(P) of level 1, per axis; level 1 where the chain ends there
+            self.level_2 = [chain[min(1, len(chain) - 1)] for chain in self.chains]
+            x, y = x[self.level_2[0]], y[self.level_2[1]]
         else:
             self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
             self.order = np.argsort(ix, kind="stable")
             x = y = np.arange(resolution)
-        self._fill(x, y)
+        # s and b, filled one row block at a time; apply(final=True) overwrites b
+        self.s_values, self.b_values = self._terms = np.empty((2, len(x), len(y)))
+        for _ in self._level_rows(x, y, self._terms):
+            pass
 
-    def _fill(self, x: np.ndarray, y: np.ndarray):
-        """``s`` and ``b`` on the nodes ``np.ix_(x, y)``, evaluated one row block at a time.
-
-        There ``b = T 0``, the residual of ``phi = 0``: where it is not finite,
-        ``T phi - phi`` is not finite for any finite ``phi``, so the fill raises
-        at the first such node (:func:`_finite`).
-        """
-        self._terms = np.empty((2, len(x), len(y)))  # s and b; apply(final=True) overwrites them
-        self.s_values, self.b_values = self._terms
-        for r0, _, b in self.rows((x, y), self._terms):
+    def _level_rows(self, x: np.ndarray, y: np.ndarray, out=None):
+        """:meth:`rows` on the nodes ``np.ix_(x, y)``, raising at the first node where
+        ``b = T 0``, the residual of ``phi = 0``, is not finite (:func:`_finite`): there
+        ``T phi - phi`` is not finite for any finite ``phi``."""
+        for r0, s, b in self.rows((x, y), out):
             _finite(float(np.max(np.abs(b))), b, 0.0, self.x_samples[x[r0:r0 + len(b)]],
                     self.y_samples[y])
+            yield r0, s, b
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
         """``(s, b)`` on the nodes ``np.ix_(rows, cols)``, written into ``out`` if given.
@@ -368,37 +365,30 @@ class OperatorGrid:
 
     def rows(self, nodes=None, out=None):
         """``(r0, s, b)`` on the nodes ``np.ix_(*nodes)``, every node by default, one
-        block of rows ``r0, r0 + 1, ...`` at a time, ``_ROW_CELLS`` nodes each;
-        into ``out[:, r0:]``, shaped ``(2, rows, columns)``, if given."""
+        block of rows ``r0, r0 + 1, ...`` at a time, ``_ROW_CELLS // R`` rows on every
+        level; into ``out[:, r0:]``, shaped ``(2, rows, columns)``, if given."""
         x, y = nodes or (np.arange(self.resolution),) * 2
-        step = max(1, _ROW_CELLS // len(y))
+        step = max(1, _ROW_CELLS // self.resolution)
         for r0 in range(0, len(x), step):
             sl = slice(r0, r0 + step)
             yield r0, *self._block(x[sl], y, None if out is None else out[:, sl])
 
     def apply(self, phi: np.ndarray, *, out=None, final: bool = False) -> np.ndarray:
-        """``T phi = s * B phi + b``: on every node, or on level 1 for lattice plans.
+        """``T phi = s * B phi + b``: on every node, or on level 2 for lattice plans.
 
         Into ``out`` if given (not ``phi``); a bilinear plan leaves
         ``max |T phi - phi|`` in ``residual``.  With ``final``, a lattice
-        plan's last application lifts ``phi``, given on level 2 (``image(P)``
-        of level 1), to ``phi_1 = s * phi[P] + b``: on level 2 first, all that
-        ``T phi_1`` reads, then in one pass that writes ``phi_1`` over ``b``
-        and ``T phi_1`` over ``s``.  Returns ``(T phi_1, phi_1)``; the plan cannot apply again.
+        plan's last application writes ``T phi`` over ``b``, and the plan
+        cannot apply again: given ``phi_2``, the fixed point on level 2, that
+        is ``phi_1 = s * phi_2[P] + b`` on level 2, all that ``T_1 phi_1`` reads.
         """
         phi = np.asarray(phi, dtype=float)
-        if self.lattice and not final:
-            return _lift(phi, self.level_px, self.level_py, self.s_values, self.b_values, out=out)
         if self.lattice:
-            both, (s, b) = self._terms, self._terms
-            self._terms = self.s_values = self.b_values = None
-            x2, y2 = _image(self.level_px), _image(self.level_py)
-            px, py = np.searchsorted(x2, self.level_px), np.searchsorted(y2, self.level_py)
-            phi_1 = _lift(phi, px[x2], py[y2], s, b, (x2, y2))  # on level 2
-            for r0, t in _lift_blocks(phi_1, px, py, s, b):
-                sl = slice(r0, r0 + len(t))
-                b[sl], s[sl] = _lift_rows(phi, px[sl], py, s[sl], b[sl]), t
-            return both
+            (s, b), (x, y) = self._terms, self.level_2
+            if final:
+                out, self._terms, self.s_values, self.b_values = b, None, None, None
+            return _lift(phi, np.searchsorted(x, self.level_px[x]),
+                         np.searchsorted(y, self.level_py[y]), s, b, out=out)
         out = np.empty_like(phi) if out is None else out
         self.residual = _bilinear(phi, self.ix, self.wx, self.iy, self.wy, self.order, phi,
                                   s=self.s_values, b=self.b_values, out=out)
@@ -450,14 +440,6 @@ class SurfaceSample:
         ys = np.asarray(grid.y_knots)
         vals = self.evaluate(xs[:, None], ys[None, :])
         return float(np.max(np.abs(vals - grid.z)))
-
-    def lipschitz_slack(self) -> float:
-        """Empirical max difference quotient between adjacent sample nodes."""
-        dx = np.diff(self.x_samples)[:, None]
-        dy = np.diff(self.y_samples)[None, :]
-        gx = np.max(np.abs(np.diff(self.heights, axis=0)) / dx)
-        gy = np.max(np.abs(np.diff(self.heights, axis=1)) / dy)
-        return float(max(gx, gy))
 
 
 def _half_solve(system: IfsSystem, resolution: int, tol: float,
@@ -568,25 +550,28 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     itself, so the fixed point on level ``k`` of the image chain (nodes
     ``X_k x Y_k``, :attr:`OperatorGrid.chains` per axis) follows from the
     one on level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.
-    The plan holds ``s`` and ``b`` on level 1; level 0, every node, is
-    visited in row blocks (:meth:`OperatorGrid.rows`) and handed to
-    ``emit(r0, rows)``, nothing of it kept.  Beside ``s``, ``b`` and the
-    doubling's arrays on the core it holds at most two level-2 arrays.
+    The plan holds ``s`` and ``b`` on level 2, beside which this holds the
+    doubling's arrays on the core and at most two more level-2 arrays.
+    Levels 1 and 0 go by in row blocks, level 0's to ``emit(r0, rows)``,
+    each row once, in no fixed order.
 
     :func:`_double` solves on the core, where ``P`` is a permutation, from
     ``phi_1 = T 0 = b``, and one gather per level lifts the result to
-    ``phi_2`` on level 2, ``image(P)`` of level 1.  The last application
-    lifts that to ``phi_1`` and writes it over ``b``, and ``T_1 phi_1`` over
-    ``s``.  On level 0, ``phi = s * phi_1[P] + b`` and
-    ``T phi = s * (T_1 phi_1)[P] + b``, so one pass over the row blocks
-    measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
-    which gives the bound) and emits ``T phi``.  The count is ``N + 1`` on
-    the core plus one per level under level 1 plus the last application, so
-    at least four more than those levels; a smaller ``max_iter`` raises
-    before solving.
-    Should ``P`` permute every node (no grid does: a single-cell axis is
-    rejected), level 1 is every node and the lift to level 0 is one more
-    gather.  Returns ``(iterations, sup_diffs, bound)``.
+    ``phi_2`` on level 2.  The last application writes ``phi_1`` there over
+    ``b``.  Each block of level 1 then gives ``phi_1`` and ``T_1 phi_1``
+    (:func:`_level_1`), and the level-0 rows that ``P`` takes into it give
+    ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``, so one
+    pass measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
+    which gives the bound) and emits ``T phi``.  Those rows are one block of
+    each run of rows on which ``lx`` does not decrease, one run per cell
+    (:func:`~fractsurf.grid.pullback`).  The count is ``N + 1`` on the core
+    plus one per level under level 1 plus the last application, so at least
+    four more than those levels; a smaller ``max_iter`` raises before
+    solving.  Where ``P`` permutes level 1, level 2 is level 1 and the last
+    application gives ``T_1 phi_1``.  Should ``P`` permute every node (no
+    grid does: a single-cell axis is rejected), level 1 is every node and
+    the lift to level 0 is one more gather.  Returns ``(iterations,
+    sup_diffs, bound)``.
     """
     xs, ys = plan.chains  # on level 1
     below = max(len(xs), len(ys)) - 1
@@ -597,24 +582,33 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     # P from level k into positions on level k + 1
     lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
     ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
-    core = np.ix_(xs[-1], ys[-1])
-    phi, n, diffs, _ = _double(plan.s_values[core], plan.b_values[core], lx[-1], ly[-1],
-                               plan.b_values[core], factor, tol, max_iter - below - 2,  # phi_1
+    # levels 2, 3, ... as positions on level 2, xs[1] x ys[1], which the plan holds
+    held = [(np.searchsorted(xs[1], x), np.searchsorted(ys[1], y)) for x, y in zip(xs[1:], ys[1:])]
+    s, b, core = plan.s_values, plan.b_values, np.ix_(*held[-1])
+    phi, n, diffs, _ = _double(s[core], b[core], lx[-1], ly[-1], b[core],  # phi_1 = b
+                               factor, tol, max_iter - below - 2,
                                (plan.x_samples[plan.x_level[xs[-1]]],
                                 plan.y_samples[plan.y_level[ys[-1]]]))
     for k in reversed(range(1, below)):  # down to phi_2 on level 2, image(P) of level 1
-        phi = _lift(phi, lx[k], ly[k], plan.s_values, plan.b_values, (xs[k], ys[k]))
-    if below:  # the last lift runs inside the last application
-        nxt, phi = plan.apply(phi, final=True)  # T_1 phi_1 over s, phi_1 over b
+        phi = _lift(phi, lx[k], ly[k], s, b, held[k - 1])
+    if below:  # the last application writes phi_1 over b on level 2; level 1 streams
+        blocks = _level_1(plan, phi, plan.apply(phi, final=True), lx[0], ly[0])
     else:  # level 1 is the core, and phi is phi_1
-        nxt = plan.apply(phi)
-    last = 0.0
-    for r0, s, b in plan.rows():  # per row block of level 0: v -> s * v[P] + b
-        rx = plan.lx[r0:r0 + len(s)]
-        heights = _lift_rows(nxt, rx, plan.ly, s, b)
-        last = max(last, _sup_distance(heights, _lift_rows(phi, rx, plan.ly, s, b),
-                                       plan.x_samples[r0:r0 + len(s)], plan.y_samples))
-        emit(r0, heights)
+        blocks = [(0, plan.apply(phi), phi)]
+    # level 0 in runs of rows on which lx does not decrease, one per cell (pullback)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(plan.lx) < 0) + 1, [plan.resolution]])
+    cols, last = np.arange(plan.resolution), 0.0
+    for w0, t_1, phi_1 in blocks:  # T_1 phi_1 and phi_1 on the level-1 rows w0, w0 + 1, ...
+        for a, e in zip(bounds[:-1], bounds[1:]):  # each run's rows that P takes into them
+            lo, hi = (a + np.searchsorted(plan.lx[a:e], (w0, w0 + len(t_1)))).tolist()
+            for r0, s, b in plan.rows((np.arange(lo, hi), cols)):  # v -> s * v[P] + b
+                sl = slice(lo + r0, lo + r0 + len(s))
+                rx = plan.lx[sl] - w0
+                heights = _lift_rows(t_1, rx, plan.ly, s, b)
+                last = max(last, _sup_distance(heights, _lift_rows(phi_1, rx, plan.ly, s, b),
+                                               plan.x_samples[sl], plan.y_samples))
+                emit(sl.start, heights)
+                del s, b, heights  # before the next block is evaluated
     diffs.append(last)
     bound = factor * last
     if bound > tol:  # at most c_s^(levels + 2) times the core's bound, so only rounding
@@ -624,8 +618,23 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     return n + below + 2, diffs, bound
 
 
+def _level_1(plan: OperatorGrid, phi_2: np.ndarray, phi_1: np.ndarray, px: np.ndarray,
+             py: np.ndarray):
+    """``(w0, T_1 phi_1, phi_1)`` on level 1 in blocks of rows ``w0, w0 + 1, ...``, from
+    ``phi_2`` and ``phi_1`` on level 2 (``px``, ``py``: ``P`` as positions there)."""
+    for w0, s, b in plan._level_rows(plan.x_level, plan.y_level):
+        rx = px[w0:w0 + len(s)]
+        gathered = np.take(phi_1[rx], py, axis=1)
+        gathered *= s  # s * phi_1[P], before s is overwritten
+        s *= np.take(phi_2[rx], py, axis=1)
+        s += b  # phi_1, over s
+        b += gathered  # T_1 phi_1, over b: + and * commute exactly, so bit for bit
+        del gathered
+        yield w0, b, s
+
+
 def fold_rows(values: np.ndarray, fold) -> None:
-    """Hand ``values`` to ``fold(r0, rows)`` in row blocks of ``_ROW_CELLS`` cells."""
+    """Hand ``values`` to ``fold(r0, rows)``, each row once, in blocks of ``_ROW_CELLS`` cells."""
     step = max(1, _ROW_CELLS // values.shape[1])
     for r0 in range(0, len(values), step):
         fold(r0, values[r0:r0 + step])
@@ -650,9 +659,10 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
     discretization bias that roughly halves when resolution doubles (None
     without a converged half-resolution solve, :func:`_half_solve`).
 
-    With ``fold``, the heights go to ``fold(r0, rows)`` row block by row
-    block (rows ``r0, r0 + 1, ...``, in order) instead of into ``heights``,
-    which is then None; lattice plans then never hold a full-size array.
+    With ``fold``, the heights go to ``fold(r0, rows)`` in blocks of rows
+    ``r0, r0 + 1, ...``, each row once, in any order, instead of into
+    ``heights``, which is then None; lattice plans then never hold a
+    full-size array.
     The bias estimate needs the heights, so it cannot be combined with
     ``fold``.
     """

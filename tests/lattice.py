@@ -2,10 +2,10 @@
 forced onto the bilinear branch, and traced memory in units of whole arrays.
 
 Both plans apply ``T phi = s * B phi + b``.  Lattice plans keep ``s`` and
-``b`` on level 1 of the image chain and evaluate them on level 0 one row
-block at a time; these helpers stack the blocks, so tests
-can state the operator on every node, with the gather ``B`` written out as
-a reference.
+``b`` on level 2 of the image chain, ``image(P)`` of level 1, and evaluate
+them on levels 1 and 0 one row block at a time; these helpers stack the
+blocks, so tests can state the operator on every node, with the gather
+``B`` written out as a reference.
 Memory tests state their bounds in float arrays of ``R²`` nodes or of level
 1's nodes, the units of the README.
 """
@@ -82,3 +82,14 @@ def traced_peak(run, nodes: int):
 def level_nodes(plan) -> int:
     """The nodes of level 1, ``image(P)``, of a lattice plan."""
     return len(plan.x_level) * len(plan.y_level)
+
+
+def level_2(plan):
+    """Level 2 of a lattice plan, where it holds ``s`` and ``b``, as ``np.ix_`` node indices."""
+    x2, y2 = plan.level_2
+    return np.ix_(plan.x_level[x2], plan.y_level[y2])
+
+
+def level_2_nodes(plan) -> int:
+    """The nodes of level 2, ``image(P)`` of level 1, of a lattice plan."""
+    return len(plan.level_2[0]) * len(plan.level_2[1])

@@ -1,4 +1,5 @@
-"""A scaling field's sup found by dense sampling and golden-section polish.
+"""Estimates by sampling: a scaling field's sup, by dense sampling and
+golden-section polish, and a solved surface's slope between sample nodes.
 
 Fields with a closed form are certified without sampling; tests compare
 the closed form with this independent estimate.
@@ -27,3 +28,12 @@ def polished_sup(fld):
         py, best = golden_section_min(lambda t: neg_abs(px, t),
                                       max(y_lo, py - hy), min(y_hi, py + hy))
     return -best, (px, py)
+
+
+def lipschitz_slack(surface) -> float:
+    """Empirical max difference quotient between adjacent sample nodes of a surface."""
+    dx = np.diff(surface.x_samples)[:, None]
+    dy = np.diff(surface.y_samples)[None, :]
+    gx = np.max(np.abs(np.diff(surface.heights, axis=0)) / dx)
+    gy = np.max(np.abs(np.diff(surface.heights, axis=1)) / dy)
+    return float(max(gx, gy))

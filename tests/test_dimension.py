@@ -277,6 +277,28 @@ def test_folding_in_row_blocks_of_any_size_equals_one_fold(case, sizes):
         assert np.array_equal(blocks.folded[layout][1], col_min)
 
 
+@settings(max_examples=60, deadline=None)
+@given(nested_scales(), st.lists(st.integers(1, 40), min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_folding_row_blocks_in_any_order_equals_folding_them_in_order(case, sizes, seed):
+    # a lattice solve emits level 0's rows cell by cell within each level-1 block,
+    # so the blocks of different cells interleave; maxima and minima commute
+    heights, spans, deltas = case
+    resolution = len(heights)
+    starts = np.cumsum([0] + [sizes[k % len(sizes)] for k in range(resolution)])
+    blocks = [(int(r0), heights[r0:r1]) for r0, r1 in zip(starts[:-1], starts[1:])
+              if r0 < resolution]
+    in_order, shuffled = (ColumnExtrema(resolution, spans, deltas) for _ in range(2))
+    for r0, rows in blocks:
+        in_order(r0, rows)
+    for k in np.random.default_rng(seed).permutation(len(blocks)):
+        shuffled(*blocks[k])
+    for layout, (col_max, col_min) in in_order.folded.items():
+        assert np.array_equal(shuffled.folded[layout][0], col_max)
+        assert np.array_equal(shuffled.folded[layout][1], col_min)
+    assert [shuffled.count(d) for d in deltas] == [in_order.count(d) for d in deltas]
+
+
 def test_box_counts_fold_unnested_scales_separately():
     # R - 1 = 48: 4 and 6 boxes (12 and 8 intervals) do not nest; 12 boxes refine both
     rng = np.random.default_rng(4)

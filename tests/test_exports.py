@@ -141,6 +141,20 @@ def test_heightmap_pgm_writes_in_blocks_of_a_fraction_of_the_image(band_job, tmp
     assert peak < 0.4
 
 
+def test_heightmap_csv_holds_each_block_text_once(example2a_solved, tmp_path):
+    # a block's text is orjson's bytes copied once and edited in place, joined
+    # anew only when a value needs repr's spelling, and a block's arrays go
+    # before the next block is formatted (0.41 R^2 arrays measured at R = 769;
+    # 0.65 when the text was held three times, as orjson's bytes, their copy
+    # and the join, and the last block's arrays lived on)
+    surface = example2a_solved.surface
+    assert surface.resolution == 769
+    write_bytes(tmp_path / "warm.csv", heightmap_csv(surface))  # imports orjson
+    _, peak = traced_peak(lambda: write_bytes(tmp_path / "example2a.csv", heightmap_csv(surface)),
+                          surface.resolution ** 2)
+    assert peak < 0.45
+
+
 def blocks_then(fault):
     yield b"1,2,3\n"
     raise fault

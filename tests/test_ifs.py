@@ -18,6 +18,7 @@ from fractsurf.pipeline import build_system, certificate_text
 from fractsurf.scaling import ScalingField
 
 from lattice import full_apply
+from sampling import lipschitz_slack
 
 
 def small_fractal_job(psi=150.0):
@@ -362,7 +363,7 @@ def test_chaos_game_stays_in_the_bounding_box(example2a_job, example2a_solved):
     pts = chaos_game(example2a_job.system, 100_000, seed=2026)
     assert pts[:, 0].min() >= -1e-12 and pts[:, 0].max() <= 1 + 1e-12
     assert pts[:, 1].min() >= -1e-12 and pts[:, 1].max() <= 1 + 1e-12
-    slack = surface.error_bound + 2 / surface.resolution * surface.lipschitz_slack()
+    slack = surface.error_bound + 2 / surface.resolution * lipschitz_slack(surface)
     assert pts[:, 2].min() >= surface.z_min - slack
     assert pts[:, 2].max() <= surface.z_max + slack
 
