@@ -13,6 +13,8 @@ Solvers sample the rectangle on an ``R x R`` lattice with every knot on a
 sample line.  :func:`sample_axes` is the one place that decides which ``R``
 admit such a lattice: at most ``MAX_RESOLUTION``, at least
 :func:`min_resolution`, with ``R - 1`` a multiple of :func:`alignment_base`.
+The maps are products, so each axis pulls back on its own: :func:`sample_axes`
+builds one :class:`Axis` per axis, once.
 
 Example
 -------
@@ -38,7 +40,8 @@ from .errors import FractsurfError, InvalidGridError, OutOfDomainError
 #: absolute tolerance for inverse round-trips and image/tiling checks
 MAP_TOL = 1e-12
 #: most samples per axis of any lattice: one R x R float array is then 34 GB,
-#: and a solve holds about 2.25 of them on the lattice path, 4.4 on the bilinear one
+#: and a solve holds about 1.6 of them on the lattice path (0.6 when its heights
+#: are folded, never held), 4.4 on the bilinear one
 MAX_RESOLUTION = 2 ** 16 + 1
 
 
@@ -227,16 +230,14 @@ def min_resolution(grid: DataGrid) -> int:
     return 4 * max(grid.n, grid.m) + 1
 
 
-def sample_axes(grid: DataGrid, resolution: int):
+def sample_axes(grid: DataGrid, resolution: int) -> tuple[Axis, Axis]:
     """The sample lattice: ``resolution`` samples per axis, every knot on one.
 
     The lattice exists iff ``resolution`` is at most ``MAX_RESOLUTION``, at
     least :func:`min_resolution`, and ``resolution - 1`` is a multiple of
     :func:`alignment_base`, and every cell gets a sample interval; otherwise
-    this raises.  Returns ``((x_samples, x_blocks), (y_samples, y_blocks))``
-    where ``blocks[k]`` is the number of sample intervals inside cell
-    ``k + 1`` of that axis; each cell is sampled by its own linspace, so the
-    knots are exact sample values.
+    this raises.  Returns the x and y :class:`Axis`; each cell is sampled by
+    its own linspace, so the knots are exact sample values.
     """
     if resolution > MAX_RESOLUTION:
         raise FractsurfError(f"resolution {resolution} is above the ceiling {MAX_RESOLUTION}")
@@ -252,15 +253,16 @@ def sample_axes(grid: DataGrid, resolution: int):
             f"of the grid's alignment base {base}")
     axes = []
     for axis, knots in (("x", grid.x_knots), ("y", grid.y_knots)):
-        stops = [int(f * (resolution - 1)) for f in _knot_fractions(knots)]
-        blocks = [b - a for a, b in zip(stops, stops[1:])]
+        starts = [int(f * (resolution - 1)) for f in _knot_fractions(knots)]
+        blocks = [b - a for a, b in zip(starts, starts[1:])]
         if min(blocks) < 1:
             k = blocks.index(min(blocks)) + 1
             raise FractsurfError(
                 f"{axis} knot {knots[k]!r} gets no sample interval at resolution {resolution}: "
                 f"its fraction of the span rounds onto that of the knot {knots[k - 1]!r}")
         parts = [np.linspace(lo, hi, k + 1) for lo, hi, k in zip(knots, knots[1:], blocks)]
-        axes.append((np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), blocks))
+        axes.append(Axis.build(np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]),
+                               np.array(starts)))
     return tuple(axes)
 
 
@@ -283,6 +285,59 @@ def pullback(blocks: Sequence[int]):
     t = np.arange(last + 1) - first
     ix = np.minimum(t * last // k, last - 1)
     return ix, (t * last - ix * k) / k
+
+
+def _image(p: np.ndarray, nodes=slice(None)) -> np.ndarray:
+    """``image(p|nodes)``, ascending.  (A mask, not ``np.unique``, which
+    imports ``numpy.ma``: about 1 MB of peak RSS.)"""
+    hit = np.zeros(len(p), dtype=bool)
+    hit[p[nodes]] = True
+    return np.flatnonzero(hit)
+
+
+@dataclass(frozen=True, eq=False)
+class Axis:
+    """One axis of the sample lattice and its exact pull-back (:func:`pullback`).
+
+    ``samples`` are the node coordinates; ``starts`` each cell's first node,
+    then the last node.  ``(ix, w)`` is every node's pre-image and ``pre``
+    its coordinate, where the free field is evaluated.
+
+    On a *lattice* axis every ``w`` is 0 or 1, so each node pulls back onto
+    the node ``p = ix + w``, and ``levels`` is the image chain of ``p``,
+    ascending node indices: level 0 is every node and level ``k + 1`` is
+    ``image(p|level k)``, present for ``k = 0`` even when it is every node
+    and strictly smaller after, down to the core, which ``p`` permutes.
+    Elsewhere ``p`` is None and ``levels`` is empty.
+    """
+
+    samples: np.ndarray
+    starts: np.ndarray
+    ix: np.ndarray
+    w: np.ndarray
+    pre: np.ndarray
+    p: np.ndarray | None
+    levels: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, samples: np.ndarray, starts: np.ndarray) -> "Axis":
+        ix, w = pullback(np.diff(starts))
+        pre = samples[ix] * (1 - w) + samples[ix + 1] * w
+        if not np.all((w == 0) | (w == 1)):
+            return cls(samples, starts, ix, w, pre, None, ())
+        p = ix + (w == 1)
+        levels = [np.arange(len(p)), _image(p)]
+        while len(image := _image(p, levels[-1])) < len(levels[-1]):
+            levels.append(image)
+        return cls(samples, starts, ix, w, pre, p, tuple(levels))
+
+    def level(self, k: int) -> np.ndarray:
+        """Level ``k`` of the chain, the core for every ``k`` at or below it."""
+        return self.levels[min(k, len(self.levels) - 1)]
+
+    def at(self, nodes: np.ndarray, k: int) -> np.ndarray:
+        """Positions on level ``k`` of ``nodes``, which lie on it."""
+        return np.searchsorted(self.level(k), nodes)
 
 
 def load_grid_text(text: str) -> DataGrid:

@@ -21,18 +21,13 @@ Two ways to materialize the attractor are provided and cross-checked:
   the sampled operator is ``phi -> s * B phi + b``, ``s`` and ``b`` from
   :meth:`~fractsurf.boundary.QField.terms` at the node and its pre-image.
   When every pulled-back node lands on a sample node (every cell spans an
-  integer fraction of its axis) the gather ``B`` is ``phi[P]``.  ``P`` maps
-  every node into ``image(P)`` and ``image(P)`` into itself, so the solver
-  descends the chain of images to the core on which ``P`` is a permutation,
-  composes the gather with itself there from ``phi_1 = T 0 = b`` (pointer
-  doubling, iterate ``2^k`` in ``k`` rounds) and lifts the core's fixed
-  point to level 2, ``image(P|image(P))``, with one gather per level.
-  ``s`` and ``b`` are held on level 2 only.  Level 1 and level 0 (every
-  node) are never held whole: ``s`` and ``b`` are evaluated one row
-  block of level 1 at a time, ``phi_1`` and ``T_1 phi_1`` are gathered
-  there from level 2, and each level-0 row whose pull-back lands in the
-  block is evaluated, gathered from it (``phi = s * phi_1[P] + b``,
-  ``T phi = s * (T_1 phi_1)[P] + b``) and handed to a consumer (stacked into
+  integer fraction of its axis) the gather ``B`` is ``phi[P]``.  The solver
+  descends the image chain of ``P`` (:class:`~fractsurf.grid.Axis`) to the
+  core, where ``P`` is a permutation, composes the gather with itself there
+  from ``phi_1 = T 0 = b`` (pointer doubling, iterate ``2^k`` in ``k``
+  rounds) and lifts the core's fixed point to level 2 with one gather per level.
+  ``s`` and ``b`` are held on level 2 only; levels 1 and 0 (every node) go
+  by in row blocks (:func:`_descend`), level 0's to a consumer (stacked into
   the heights, or folded into box-count column extrema) while the certifying
   residual is measured on every node.  Otherwise it iterates
   ``s * B phi + b`` from ``phi_1 = b`` too,
@@ -59,7 +54,7 @@ import numpy as np
 
 from .boundary import QField
 from .errors import ConvergenceError, FractsurfError, InvalidGridError
-from .grid import CellIndex, DataGrid, DomainMap, pullback, sample_axes
+from .grid import CellIndex, DataGrid, DomainMap, sample_axes
 from .scaling import ScalingField
 
 TILING_TOL = 1e-12
@@ -280,53 +275,30 @@ def _sup_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) ->
 class OperatorGrid:
     """Precomputed sampled form of the surface transform at one resolution.
 
-    Every node's pull-back comes from :func:`~fractsurf.grid.pullback`, the
-    exact rule, as a node index ``ix`` and a weight ``w`` per axis.  Both
-    plans apply ``T phi = s * B phi + b``, with ``b = Q`` of the node's
-    pre-image (:meth:`_block`); they differ only in the gather ``B``.
+    ``axes`` holds the x and y :class:`~fractsurf.grid.Axis`, each node's
+    exact pull-back per axis.  Both plans apply ``T phi = s * B phi + b``,
+    with ``b = Q`` of the node's pre-image (:meth:`_block`); they differ
+    only in the gather ``B``.
 
-    When every weight on both axes is 0 or 1 (every cell spans ``span / d``
-    for an integer ``d``), the plan is a *lattice* plan: ``B phi = phi[P]``
-    with the integer node indices ``px = ix + w``, ``py`` (one 1-D array per
-    axis), and ``g`` is taken at the sample node itself.  ``P`` maps every
-    node into level 1, ``x_level x y_level`` with ``x_level = image(px)``,
-    and level 1 into level 2, its image (``lx``, ``ly``: every node's
-    pull-back as a position on level 1; ``level_px``, ``level_py``: those
-    of level 1).  A lattice plan holds ``s`` and ``b`` on level 2 only
-    (``level_2``, per axis, as positions on level 1), and ``apply`` is the
-    gather there; :meth:`rows` evaluates them on other nodes, one row
-    block at a time.  Otherwise ``B`` is the streamed :func:`_bilinear`
-    with ``ix``, ``wx``, ``iy``, ``wy`` and ``order = argsort(ix)``, and
-    ``s`` and ``b`` are held on every node, filled as level 2 is.
+    On two lattice axes the plan is a *lattice* plan: ``B phi = phi[P]``
+    with ``P = (p_x, p_y)``, level ``k`` is the product of the axes' levels,
+    and ``g`` is taken at the sample node itself.  It holds ``s`` and ``b``
+    on level 2 only, and ``apply`` is the gather there; :meth:`rows`
+    evaluates them on other nodes, one row block at a time.  Otherwise
+    ``B`` is the streamed :func:`_bilinear` with the axes' ``ix`` and ``w``
+    and ``order = argsort(ix)`` of x, and ``s`` and ``b`` are held on every
+    node, filled as level 2 is.
     """
 
     def __init__(self, system: IfsSystem, resolution: int):
-        grid = system.grid
         self.system = system
         self.resolution = resolution
-        ((self.x_samples, x_blocks), (self.y_samples, y_blocks)) = sample_axes(grid, resolution)
-        x_starts = np.concatenate([[0], np.cumsum(x_blocks)])
-        y_starts = np.concatenate([[0], np.cumsum(y_blocks)])
-        # each cell's first and last node per axis, the knots included
-        self._cell_nodes = [(cell, x_starts[cell.i - 1], x_starts[cell.i],
-                             y_starts[cell.j - 1], y_starts[cell.j]) for cell in grid.cells()]
-        (ix, wx), (iy, wy) = pullback(x_blocks), pullback(y_blocks)
-        # each node's pre-image, where g is evaluated: the sample node itself when w is 0 or 1
-        self.x_pre = self.x_samples[ix] * (1 - wx) + self.x_samples[ix + 1] * wx
-        self.y_pre = self.y_samples[iy] * (1 - wy) + self.y_samples[iy + 1] * wy
-        self.lattice = all(np.all((w == 0) | (w == 1)) for w in (wx, wy))
+        self.axes = sample_axes(system.grid, resolution)
+        self.lattice = all(a.levels for a in self.axes)
         if self.lattice:
-            self.px, self.py = px, py = ix + (wx == 1), iy + (wy == 1)
-            self.x_level, self.y_level = x, y = _image(px), _image(py)
-            self.lx, self.ly = np.searchsorted(x, px), np.searchsorted(y, py)
-            self.level_px, self.level_py = self.lx[x], self.ly[y]
-            self.chains = _image_chain(self.level_px), _image_chain(self.level_py)
-            # level 2, image(P) of level 1, per axis; level 1 where the chain ends there
-            self.level_2 = [chain[min(1, len(chain) - 1)] for chain in self.chains]
-            x, y = x[self.level_2[0]], y[self.level_2[1]]
+            x, y = (a.level(2) for a in self.axes)
         else:
-            self.ix, self.wx, self.iy, self.wy = ix, wx, iy, wy
-            self.order = np.argsort(ix, kind="stable")
+            self.order = np.argsort(self.axes[0].ix, kind="stable")
             x = y = np.arange(resolution)
         # s and b, filled one row block at a time; apply(final=True) overwrites b
         self.s_values, self.b_values = self._terms = np.empty((2, len(x), len(y)))
@@ -337,9 +309,10 @@ class OperatorGrid:
         """:meth:`rows` on the nodes ``np.ix_(x, y)``, raising at the first node where
         ``b = T 0``, the residual of ``phi = 0``, is not finite (:func:`_finite`): there
         ``T phi - phi`` is not finite for any finite ``phi``."""
+        ax, ay = self.axes
         for r0, s, b in self.rows((x, y), out):
-            _finite(float(np.max(np.abs(b))), b, 0.0, self.x_samples[x[r0:r0 + len(b)]],
-                    self.y_samples[y])
+            _finite(float(np.max(np.abs(b))), b, 0.0, ax.samples[x[r0:r0 + len(b)]],
+                    ay.samples[y])
             yield r0, s, b
 
     def _block(self, rows: np.ndarray, cols: np.ndarray, out=None):
@@ -352,15 +325,15 @@ class OperatorGrid:
         cell, whatever nodes are asked for.
         """
         s, b = np.empty((2, len(rows), len(cols))) if out is None else out
-        for cell, x0, x1, y0, y1 in self._cell_nodes:
-            sl_x = slice(*np.searchsorted(rows, (x0, x1 + 1)))
-            sl_y = slice(*np.searchsorted(cols, (y0, y1 + 1)))
+        ax, ay = self.axes
+        for cell in self.system.grid.cells():
+            sl_x = slice(*np.searchsorted(rows, ax.starts[cell.i - 1:cell.i + 1] + [0, 1]))
+            sl_y = slice(*np.searchsorted(cols, ay.starts[cell.j - 1:cell.j + 1] + [0, 1]))
             if sl_x.start == sl_x.stop or sl_y.start == sl_y.stop:
                 continue
             x_nodes, y_nodes = rows[sl_x][:, None], cols[sl_y][None, :]
             s[sl_x, sl_y], b[sl_x, sl_y] = self.system.q_fields[cell].terms(
-                self.x_samples[x_nodes], self.y_samples[y_nodes],
-                self.x_pre[x_nodes], self.y_pre[y_nodes])
+                ax.samples[x_nodes], ay.samples[y_nodes], ax.pre[x_nodes], ay.pre[y_nodes])
         return s, b
 
     def rows(self, nodes=None, out=None):
@@ -384,13 +357,13 @@ class OperatorGrid:
         """
         phi = np.asarray(phi, dtype=float)
         if self.lattice:
-            (s, b), (x, y) = self._terms, self.level_2
+            s, b = self._terms
             if final:
                 out, self._terms, self.s_values, self.b_values = b, None, None, None
-            return _lift(phi, np.searchsorted(x, self.level_px[x]),
-                         np.searchsorted(y, self.level_py[y]), s, b, out=out)
+            return _lift(phi, *(a.at(a.p[a.level(2)], 2) for a in self.axes), s, b, out=out)
         out = np.empty_like(phi) if out is None else out
-        self.residual = _bilinear(phi, self.ix, self.wx, self.iy, self.wy, self.order, phi,
+        ax, ay = self.axes
+        self.residual = _bilinear(phi, ax.ix, ax.w, ay.ix, ay.w, self.order, phi,
                                   s=self.s_values, b=self.b_values, out=out)
         return out
 
@@ -447,14 +420,10 @@ def _half_solve(system: IfsSystem, resolution: int, tol: float,
     """The solve on every other node, or None without that lattice or without convergence."""
     if (resolution - 1) % 2:
         return None
-    half = (resolution - 1) // 2 + 1
     try:
-        sample_axes(system.grid, half)
-    except FractsurfError:  # the half resolution has no sample lattice of its own
-        return None
-    try:
-        return solve_fixed_point(system, half, tol=tol, max_iter=max_iter, estimate_bias=False)
-    except ConvergenceError:  # the estimate is optional; the requested solve converged
+        return solve_fixed_point(system, (resolution - 1) // 2 + 1, tol=tol, max_iter=max_iter,
+                                 estimate_bias=False)
+    except FractsurfError:  # no sample lattice at half resolution, or no convergence there
         return None
 
 
@@ -472,7 +441,7 @@ def _iterate(plan: OperatorGrid, factor: float, tol: float, max_iter: int):
     bound = math.inf
     for iterations in range(1, max_iter + 1):
         nxt = plan.apply(phi, out=spare)
-        diff = _finite(plan.residual, nxt, phi, plan.x_samples, plan.y_samples)
+        diff = _finite(plan.residual, nxt, phi, *(a.samples for a in plan.axes))
         diffs.append(diff)
         phi, spare = nxt, phi
         bound = factor * diff
@@ -521,39 +490,16 @@ def _double(s: np.ndarray, b: np.ndarray, px: np.ndarray, py: np.ndarray,
         n *= 2
 
 
-def _image(p: np.ndarray, nodes=slice(None)) -> np.ndarray:
-    """``image(p|nodes)``, ascending.  (A mask, not ``np.unique``, which
-    imports ``numpy.ma``: about 1 MB of peak RSS.)"""
-    hit = np.zeros(len(p), dtype=bool)
-    hit[p[nodes]] = True
-    return np.flatnonzero(hit)
-
-
-def _image_chain(p: np.ndarray) -> list[np.ndarray]:
-    """Nodes of all, ``image(p)``, ``image(p|image(p))``, ... down to the core.
-
-    Each entry is ``p`` of the one before and lies inside it, so the chain
-    shrinks until ``p`` permutes its last entry, the core.
-    """
-    chain = [np.arange(len(p))]
-    while True:
-        image = _image(p, chain[-1])
-        if len(image) == len(chain[-1]):
-            return chain
-        chain.append(image)
-
-
 def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit):
     """Fixed point of a lattice plan: doubling on the core of ``P``, one gather per level.
 
-    ``P = (px, py)`` maps every node into ``image(P)``, which ``P`` maps into
-    itself, so the fixed point on level ``k`` of the image chain (nodes
-    ``X_k x Y_k``, :attr:`OperatorGrid.chains` per axis) follows from the
-    one on level ``k + 1`` by one gather, ``phi_k = s * phi_(k+1)[P] + b``.
-    The plan holds ``s`` and ``b`` on level 2, beside which this holds the
-    doubling's arrays on the core and at most two more level-2 arrays.
-    Levels 1 and 0 go by in row blocks, level 0's to ``emit(r0, rows)``,
-    each row once, in no fixed order.
+    ``P`` maps level ``k`` (:class:`OperatorGrid`) into level ``k + 1``, so
+    the fixed point on level ``k`` follows from the one on level ``k + 1``
+    by one gather, ``phi_k = s * phi_(k+1)[P] + b``.  The plan holds ``s``
+    and ``b`` on level 2, beside which this holds the doubling's arrays on
+    the core and at most two more level-2 arrays.  Levels 1 and 0 go by in
+    row blocks, level 0's to ``emit(r0, rows)``, each row once, in no fixed
+    order.
 
     :func:`_double` solves on the core, where ``P`` is a permutation, from
     ``phi_1 = T 0 = b``, and one gather per level lifts the result to
@@ -563,7 +509,7 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     ``phi = s * phi_1[P] + b`` and ``T phi = s * (T_1 phi_1)[P] + b``, so one
     pass measures ``|T phi - phi|`` on every node (the last of ``sup_diffs``,
     which gives the bound) and emits ``T phi``.  Those rows are one block of
-    each run of rows on which ``lx`` does not decrease, one run per cell
+    each run of rows on which ``P`` does not decrease, one run per cell
     (:func:`~fractsurf.grid.pullback`).  The count is ``N + 1`` on the core
     plus one per level under level 1 plus the last application, so at least
     four more than those levels; a smaller ``max_iter`` raises before
@@ -573,40 +519,36 @@ def _descend(plan: OperatorGrid, factor: float, tol: float, max_iter: int, emit)
     the lift to level 0 is one more gather.  Returns ``(iterations,
     sup_diffs, bound)``.
     """
-    xs, ys = plan.chains  # on level 1
-    below = max(len(xs), len(ys)) - 1
+    axes = plan.axes
+    below = max(len(a.levels) for a in axes) - 2  # levels under level 1; the last is the core
     if below + 4 > max_iter:  # two applications on the core, the levels, the last one
         raise _no_convergence(max_iter, math.inf, tol)
-    xs = xs + xs[-1:] * (below + 2 - len(xs))  # the core maps into itself
-    ys = ys + ys[-1:] * (below + 2 - len(ys))
-    # P from level k into positions on level k + 1
-    lx = [np.searchsorted(xs[k + 1], plan.level_px[xs[k]]) for k in range(below + 1)]
-    ly = [np.searchsorted(ys[k + 1], plan.level_py[ys[k]]) for k in range(below + 1)]
-    # levels 2, 3, ... as positions on level 2, xs[1] x ys[1], which the plan holds
-    held = [(np.searchsorted(xs[1], x), np.searchsorted(ys[1], y)) for x, y in zip(xs[1:], ys[1:])]
-    s, b, core = plan.s_values, plan.b_values, np.ix_(*held[-1])
-    phi, n, diffs, _ = _double(s[core], b[core], lx[-1], ly[-1], b[core],  # phi_1 = b
+    # P from level k into positions on level k + 1, down to the core, which P permutes
+    steps = [[a.at(a.p[a.level(k)], k + 1) for a in axes] for k in range(below + 2)]
+    s, b = plan.s_values, plan.b_values
+    core = np.ix_(*(a.at(a.level(below + 1), 2) for a in axes))  # as positions on level 2
+    phi, n, diffs, _ = _double(s[core], b[core], *steps[below + 1], b[core],  # phi_1 = b
                                factor, tol, max_iter - below - 2,
-                               (plan.x_samples[plan.x_level[xs[-1]]],
-                                plan.y_samples[plan.y_level[ys[-1]]]))
-    for k in reversed(range(1, below)):  # down to phi_2 on level 2, image(P) of level 1
-        phi = _lift(phi, lx[k], ly[k], s, b, held[k - 1])
+                               tuple(a.samples[a.level(below + 1)] for a in axes))
+    for k in reversed(range(2, below + 1)):  # down to phi_2 on level 2, which the plan holds
+        phi = _lift(phi, *steps[k], s, b, nodes=[a.at(a.level(k), 2) for a in axes])
     if below:  # the last application writes phi_1 over b on level 2; level 1 streams
-        blocks = _level_1(plan, phi, plan.apply(phi, final=True), lx[0], ly[0])
+        blocks = _level_1(plan, phi, plan.apply(phi, final=True), *steps[1])
     else:  # level 1 is the core, and phi is phi_1
         blocks = [(0, plan.apply(phi), phi)]
+    (lx, ly), (ax, ay) = steps[0], axes
     # level 0 in runs of rows on which lx does not decrease, one per cell (pullback)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(plan.lx) < 0) + 1, [plan.resolution]])
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(lx) < 0) + 1, [plan.resolution]])
     cols, last = np.arange(plan.resolution), 0.0
     for w0, t_1, phi_1 in blocks:  # T_1 phi_1 and phi_1 on the level-1 rows w0, w0 + 1, ...
         for a, e in zip(bounds[:-1], bounds[1:]):  # each run's rows that P takes into them
-            lo, hi = (a + np.searchsorted(plan.lx[a:e], (w0, w0 + len(t_1)))).tolist()
+            lo, hi = (a + np.searchsorted(lx[a:e], (w0, w0 + len(t_1)))).tolist()
             for r0, s, b in plan.rows((np.arange(lo, hi), cols)):  # v -> s * v[P] + b
                 sl = slice(lo + r0, lo + r0 + len(s))
-                rx = plan.lx[sl] - w0
-                heights = _lift_rows(t_1, rx, plan.ly, s, b)
-                last = max(last, _sup_distance(heights, _lift_rows(phi_1, rx, plan.ly, s, b),
-                                               plan.x_samples[sl], plan.y_samples))
+                rx = lx[sl] - w0
+                heights = _lift_rows(t_1, rx, ly, s, b)
+                last = max(last, _sup_distance(heights, _lift_rows(phi_1, rx, ly, s, b),
+                                               ax.samples[sl], ay.samples))
                 emit(sl.start, heights)
                 del s, b, heights  # before the next block is evaluated
     diffs.append(last)
@@ -622,7 +564,7 @@ def _level_1(plan: OperatorGrid, phi_2: np.ndarray, phi_1: np.ndarray, px: np.nd
              py: np.ndarray):
     """``(w0, T_1 phi_1, phi_1)`` on level 1 in blocks of rows ``w0, w0 + 1, ...``, from
     ``phi_2`` and ``phi_1`` on level 2 (``px``, ``py``: ``P`` as positions there)."""
-    for w0, s, b in plan._level_rows(plan.x_level, plan.y_level):
+    for w0, s, b in plan._level_rows(*(a.level(1) for a in plan.axes)):
         rx = px[w0:w0 + len(s)]
         gathered = np.take(phi_1[rx], py, axis=1)
         gathered *= s  # s * phi_1[P], before s is overwritten
@@ -684,7 +626,7 @@ def solve_fixed_point(system: IfsSystem, resolution: int, tol: float = 1e-6,
         if fold is not None:
             fold_rows(phi, fold)
             phi = None
-    x_samples, y_samples = plan.x_samples, plan.y_samples
+    x_samples, y_samples = (a.samples for a in plan.axes)
     del plan  # its s and b would otherwise outlive the half-resolution solve
 
     bias = None

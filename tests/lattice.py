@@ -5,10 +5,12 @@ Both plans apply ``T phi = s * B phi + b``.  Lattice plans keep ``s`` and
 ``b`` on level 2 of the image chain, ``image(P)`` of level 1, and evaluate
 them on levels 1 and 0 one row block at a time; these helpers stack the
 blocks, so tests can state the operator on every node, with the gather
-``B`` written out as a reference.
+``B`` written out as a reference.  A plan's levels are the products of
+its axes' (``plan.axes``, :class:`fractsurf.grid.Axis`).
 Memory tests state their bounds in float arrays of ``R²`` nodes or of level
 1's nodes, the units of the README.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,8 +44,14 @@ def full_apply(plan, phi):
     """
     s, b = full_fields(plan)
     if plan.lattice:
-        return s * phi[np.ix_(plan.px, plan.py)] + b
-    return s * four_corner_gather(phi, plan.ix, plan.wx, plan.iy, plan.wy) + b
+        return s * phi[np.ix_(*(a.p for a in plan.axes))] + b
+    return s * four_corner_gather(phi, *weights(plan)) + b
+
+
+def weights(plan):
+    """``(ix, wx, iy, wy)``: each axis's pull-back, the bilinear gather's indices and weights."""
+    ax, ay = plan.axes
+    return ax.ix, ax.w, ay.ix, ay.w
 
 
 def force_bilinear(monkeypatch):
@@ -81,15 +89,14 @@ def traced_peak(run, nodes: int):
 
 def level_nodes(plan) -> int:
     """The nodes of level 1, ``image(P)``, of a lattice plan."""
-    return len(plan.x_level) * len(plan.y_level)
+    return math.prod(len(a.level(1)) for a in plan.axes)
 
 
 def level_2(plan):
     """Level 2 of a lattice plan, where it holds ``s`` and ``b``, as ``np.ix_`` node indices."""
-    x2, y2 = plan.level_2
-    return np.ix_(plan.x_level[x2], plan.y_level[y2])
+    return np.ix_(*(a.level(2) for a in plan.axes))
 
 
 def level_2_nodes(plan) -> int:
     """The nodes of level 2, ``image(P)`` of level 1, of a lattice plan."""
-    return len(plan.level_2[0]) * len(plan.level_2[1])
+    return math.prod(len(a.level(2)) for a in plan.axes)

@@ -95,7 +95,7 @@ def test_criterion_03_zero_scaling_degenerates_to_blends(name):
     surface = solve_fixed_point(job.system, 97, tol=1e-6)
     # the lattice solve's one path: two applications on the core, one gather
     # per level below level 1 and the last application, every residual zero
-    below = max(len(chain) for chain in OperatorGrid(job.system, 97).chains) - 1
+    below = max(len(a.levels) for a in OperatorGrid(job.system, 97).axes) - 2
     assert surface.iterations == below + 4 and set(surface.sup_diffs) == {0.0}
     grid, xs, ys = job.grid, surface.x_samples, surface.y_samples
     worst = 0.0

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fractsurf.errors import FractsurfError, InvalidGridError, OutOfDomainError
 from fractsurf.fixtures import X_KNOTS, Y_KNOTS, Z_ROWS
-from fractsurf.grid import (AxisMap, CellIndex, DataGrid, build_domain_maps,
+from fractsurf.grid import (Axis, AxisMap, CellIndex, DataGrid, build_domain_maps,
                             load_grid_text, min_resolution, pullback, sample_axes)
+
+from test_solver_paths import image_chain
 
 
 @pytest.fixture(scope="module")
@@ -144,16 +146,22 @@ def test_load_grid_text_rejects_a_second_knot_line(text, line):
         load_grid_text(text)
 
 
+def blocks(axis) -> list[int]:
+    """The sample intervals per cell of an axis."""
+    return np.diff(axis.starts).tolist()
+
+
 def test_sample_axes_put_every_knot_on_a_sample(grid):
     # alignment base 12: x fractions are quarters, y fractions thirds
-    (xs, x_blocks), (ys, y_blocks) = sample_axes(grid, 25)
-    assert x_blocks == [6, 6, 6, 6] and y_blocks == [8, 8, 8]
+    ax, ay = sample_axes(grid, 25)
+    assert blocks(ax) == [6, 6, 6, 6] and blocks(ay) == [8, 8, 8]
+    xs, ys = ax.samples, ay.samples
     assert len(xs) == len(ys) == 25
     assert [xs[6 * k] for k in range(5)] == list(grid.x_knots)
     assert [ys[8 * k] for k in range(4)] == list(grid.y_knots)
     nonuniform = DataGrid((0.0, 0.25, 1.0), (0.0, 0.375, 0.75, 1.0), np.zeros((3, 4)))
-    (_, x_blocks), (_, y_blocks) = sample_axes(nonuniform, 17)
-    assert x_blocks == [4, 12] and y_blocks == [6, 6, 4]
+    ax, ay = sample_axes(nonuniform, 17)
+    assert blocks(ax) == [4, 12] and blocks(ay) == [6, 6, 4]
 
 
 @pytest.mark.parametrize("resolution, message", [(13, "at least 17"),
@@ -179,8 +187,8 @@ def test_resolution_floor_is_on_the_whole_axis_not_per_cell():
     # at R = 101 the short first cell gets one sample interval, not four
     grid = DataGrid((0.0, 0.01, 1.0), (0.0, 0.5, 1.0), np.zeros((3, 3)))
     assert min_resolution(grid) == 9
-    (_, x_blocks), (_, y_blocks) = sample_axes(grid, 101)
-    assert x_blocks == [1, 99] and y_blocks == [50, 50]
+    ax, ay = sample_axes(grid, 101)
+    assert blocks(ax) == [1, 99] and blocks(ay) == [50, 50]
     square = DataGrid((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.5, 1.0), np.zeros((5, 3)))
     with pytest.raises(FractsurfError,
                        match=r"need at least 17 \(4 \* max\(n, m\) \+ 1 samples per axis\)"):
@@ -212,18 +220,61 @@ def test_pullback_is_the_exact_pre_image_of_every_node(knots_over_d, x0, span, m
     grid = DataGrid(knots, knots, np.zeros((len(knots), len(knots))))
     base = math.lcm(*(d // math.gcd(j, d) for j in js))
     resolution = base * math.ceil(4 * grid.n / base) * multiple + 1
-    (xs, blocks), _ = sample_axes(grid, resolution)
-    ix, w = pullback(blocks)
+    axis, _ = sample_axes(grid, resolution)
+    xs, ix, w, starts = axis.samples, axis.ix, axis.w, axis.starts
+    assert np.array_equal(ix, pullback(blocks(axis))[0])
     maps = build_domain_maps(grid)
-    starts = np.cumsum([0] + blocks)
-    expected = np.empty(resolution)
+    expected, pre = np.empty(resolution), np.empty(resolution)
     for i in range(1, grid.n + 1):  # in order: a knot node takes the later cell
         nodes = slice(starts[i - 1], starts[i] + 1)
-        pre = maps[CellIndex(i, 1)].axis_x.invert(xs[nodes], tol=1e-9)
-        expected[nodes] = (pre - x0) * (resolution - 1) / span
+        pre[nodes] = maps[CellIndex(i, 1)].axis_x.invert(xs[nodes], tol=1e-9)
+        expected[nodes] = (pre[nodes] - x0) * (resolution - 1) / span
     assert float(np.max(np.abs(ix + w - expected))) <= 1e-9
+    # the pre-image's coordinate, where the free field is evaluated
+    assert float(np.max(np.abs(axis.pre - pre))) <= 1e-9 * span
     assert np.all(ix[starts[1:-1]] == 0) and np.all(w[starts[1:-1]] == 0)
     assert ix[-1] == resolution - 2 and w[-1] == 1
     assert ix.max() <= resolution - 2 and np.all((0 <= w) & (w <= 1))
     on_nodes = bool(np.all((w == 0) | (w == 1)))
     assert on_nodes == all(d % (b - a) == 0 for a, b in zip(js, js[1:]))
+
+
+@st.composite
+def lattice_blocks(draw):
+    """Blocks that each divide their sum: one block of N, split into 2 or 3 equal ones."""
+    blocks = [draw(st.sampled_from([12, 36, 48, 72, 96, 100]))]
+    for _ in range(draw(st.integers(0, 5))):
+        k, q = draw(st.integers(0, len(blocks) - 1)), draw(st.sampled_from([2, 3]))
+        if blocks[k] % q == 0:
+            blocks[k:k + 1] = [blocks[k] // q] * q
+    return blocks
+
+
+@settings(deadline=None)
+@given(st.one_of(lattice_blocks(), st.lists(st.integers(1, 40), min_size=1, max_size=8)))
+def test_axis_levels_are_the_image_chain_of_its_pullback(blocks):
+    # one block is the one-cell axis, whose p permutes every node: level 1 is
+    # every node then, and the chain ends there
+    starts = np.cumsum([0] + blocks)
+    axis = Axis.build(np.linspace(-1.0, 3.0, starts[-1] + 1), starts)
+    ix, w = pullback(blocks)
+    assert np.array_equal(axis.ix, ix) and np.array_equal(axis.w, w)
+    if not np.all((w == 0) | (w == 1)):
+        assert axis.p is None and axis.levels == ()
+        return
+    p, levels = axis.p, axis.levels
+    assert np.array_equal(p, ix + w) and np.array_equal(axis.pre, axis.samples[p])
+    assert np.array_equal(levels[0], np.arange(len(p)))
+    assert np.array_equal(levels[1], np.unique(p))
+    for above, below in zip(levels[1:], levels[2:]):
+        assert np.array_equal(below, np.unique(p[above])) and len(below) < len(above)
+    core = levels[-1]
+    assert np.array_equal(np.sort(p[core]), core)  # p permutes the core
+    for k in range(len(levels) + 2):  # clamped at the core below it
+        nodes = axis.level(k)
+        assert np.array_equal(nodes, levels[min(k, len(levels) - 1)])
+        assert np.array_equal(axis.level(k + 1)[axis.at(p[nodes], k + 1)], p[nodes])
+    chain = image_chain(p)
+    if len(chain) == 1:  # p permutes every node, which the reference stops at
+        chain.append(chain[0])
+    assert len(levels) == len(chain) and all(map(np.array_equal, levels, chain))

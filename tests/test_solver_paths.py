@@ -8,7 +8,6 @@ fractional bilinear weights and keep the plain iteration.
 """
 import json
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,14 +20,14 @@ from fractsurf.config import config_document, parse_config_document
 from fractsurf.dimension import ColumnExtrema, box_counts, natural_scales
 from fractsurf.errors import ConvergenceError
 from fractsurf.fixtures import PSI_A, X_KNOTS, Y_KNOTS, Z_ROWS, fixture_config, fixture_names
-from fractsurf.grid import pullback, sample_axes
+from fractsurf.grid import Axis, _image, pullback, sample_axes
 from fractsurf.ifs import OperatorGrid, solve_fixed_point
 from fractsurf.pipeline import _dimension_resolution, build_system
 
 from cli_runner import run
 from test_ifs import nonuniform_document
 from lattice import (force_bilinear, four_corner_gather, full_apply, full_fields, level_2,
-                     level_2_nodes, level_nodes, stack_into, traced_peak)
+                     level_2_nodes, level_nodes, stack_into, traced_peak, weights)
 
 LATTICE_R = 97
 TOL = 1e-6
@@ -58,14 +57,14 @@ def whole_grid_fields(system, resolution):
     On a uniform grid node ``t`` of a cell with ``k`` sample intervals pulls
     back onto node ``t * (R - 1) / k``, where ``g`` is evaluated.
     """
-    (xs, x_blocks), (ys, y_blocks) = sample_axes(system.grid, resolution)
-    x_starts, y_starts = np.cumsum([0] + x_blocks), np.cumsum([0] + y_blocks)
+    ax, ay = sample_axes(system.grid, resolution)
+    xs, ys = ax.samples, ay.samples
     s, h, g = (np.empty((resolution, resolution)) for _ in range(3))
     for cell in system.cells():
-        sl_x = slice(x_starts[cell.i - 1], x_starts[cell.i] + 1)
-        sl_y = slice(y_starts[cell.j - 1], y_starts[cell.j] + 1)
+        sl_x = slice(ax.starts[cell.i - 1], ax.starts[cell.i] + 1)
+        sl_y = slice(ay.starts[cell.j - 1], ay.starts[cell.j] + 1)
         bx, by = xs[sl_x], ys[sl_y]
-        kx, ky = x_blocks[cell.i - 1], y_blocks[cell.j - 1]
+        kx, ky = np.diff(ax.starts)[cell.i - 1], np.diff(ay.starts)[cell.j - 1]
         assert (resolution - 1) % kx == 0 and (resolution - 1) % ky == 0
         qx = xs[np.arange(kx + 1) * ((resolution - 1) // kx)]
         qy = ys[np.arange(ky + 1) * ((resolution - 1) // ky)]
@@ -128,21 +127,22 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     core_rounds = len(diffs) - 1
     assert core_rounds >= 3
     plan = OperatorGrid(system, LATTICE_R)
+    ax, ay = plan.axes
     s, b = full_fields(plan)
-    xs, ys = image_chain(plan.px), image_chain(plan.py)
+    xs, ys = image_chain(ax.p), image_chain(ay.p)
     # level 1 is image(P); the plan keeps s and b on level 2 of the chain,
     # image(P) of level 1, or level 1 on an axis whose chain ends there (y
     # here).  It kept them on level 1 until level 1 was streamed.
-    assert np.array_equal(plan.x_level, xs[1]) and np.array_equal(plan.y_level, ys[1])
+    assert np.array_equal(ax.level(1), xs[1]) and np.array_equal(ay.level(1), ys[1])
     assert len(xs) > 2 and len(ys) == 2
     level = np.ix_(xs[2], ys[1])
-    assert np.array_equal(plan.x_level[plan.level_2[0]], xs[2])
-    assert np.array_equal(plan.y_level[plan.level_2[1]], ys[1])
+    assert np.array_equal(ax.level(2), xs[2])
+    assert np.array_equal(ay.level(2), ys[1])
     assert np.array_equal(plan.s_values, s[level])
     assert np.array_equal(plan.b_values, b[level])
 
     def apply(phi):
-        return s * phi[np.ix_(plan.px, plan.py)] + b
+        return s * phi[np.ix_(ax.p, ay.p)] + b
 
     levels = max(len(xs), len(ys)) - 1
     xs += xs[-1:] * (levels + 2 - len(xs))  # the core maps into itself
@@ -162,10 +162,10 @@ def test_doubling_history_follows_its_definitions(example2a_job):
     for j in range(core_rounds - 1):
         assert diffs[j + 1] <= c ** (2 ** j) * diffs[j]
     # the core's result, lifted level by level with s * phi[P] + b, then T once more
-    lx = [np.searchsorted(xs[k + 1], plan.px[xs[k]]) for k in range(levels + 1)]
-    ly = [np.searchsorted(ys[k + 1], plan.py[ys[k]]) for k in range(levels + 1)]
+    lx = [np.searchsorted(xs[k + 1], ax.p[xs[k]]) for k in range(levels + 1)]
+    ly = [np.searchsorted(ys[k + 1], ay.p[ys[k]]) for k in range(levels + 1)]
     phi, *_ = ifs._double(s[core], b[core], lx[-1], ly[-1], phi1[core], c / (1 - c), TOL,
-                          10000, (plan.x_samples[xs[-1]], plan.y_samples[ys[-1]]))
+                          10000, (ax.samples[xs[-1]], ay.samples[ys[-1]]))
     for k in reversed(range(levels)):
         nodes = np.ix_(xs[k], ys[k])
         phi = s[nodes] * phi[np.ix_(lx[k], ly[k])] + b[nodes]
@@ -201,9 +201,10 @@ def test_descent_agrees_with_full_grid_doubling(name):
     c = surface.contraction
     plan = OperatorGrid(job.system, cfg.resolution)
     s, b = full_fields(plan)
-    doubled, _, _, bound = ifs._double(s, b, plan.px, plan.py, b.copy(),  # phi_1 = T 0
+    ax, ay = plan.axes
+    doubled, _, _, bound = ifs._double(s, b, ax.p, ay.p, b.copy(),  # phi_1 = T 0
                                        c / (1 - c), cfg.tol, cfg.max_iter,
-                                       (plan.x_samples, plan.y_samples))
+                                       (ax.samples, ay.samples))
     assert surface.error_bound <= cfg.tol and bound <= cfg.tol
     gap = float(np.max(np.abs(surface.heights - doubled)))
     assert gap <= surface.error_bound + bound
@@ -219,27 +220,31 @@ def uniform_pullback(cells: int, resolution: int) -> np.ndarray:
 
 
 def test_uniform_pullback_matches_a_real_plan(example2a_job):
-    plan = OperatorGrid(example2a_job.system, LATTICE_R)
-    assert np.array_equal(plan.px, uniform_pullback(4, LATTICE_R))
-    assert np.array_equal(plan.py, uniform_pullback(3, LATTICE_R))
+    ax, ay = OperatorGrid(example2a_job.system, LATTICE_R).axes
+    assert np.array_equal(ax.p, uniform_pullback(4, LATTICE_R))
+    assert np.array_equal(ay.p, uniform_pullback(3, LATTICE_R))
 
 
 class GatherPlan(ifs.OperatorGrid):
     """A lattice plan whose fields come from bare full-size arrays: ``T phi = s * phi[P] + b``.
 
-    ``cells`` holds the number of equal cells per axis.  Only the evaluation
-    of ``s`` and ``b`` on a row block is its own; the pull-back, level 2,
-    ``image(P)`` of level 1, and its fill, ``apply`` (the last one over
-    ``b``) and the row blocks of levels 1 and 0 are the plan's.
+    ``cells`` holds the number of equal cells per axis.  Its own are its
+    axes, built from ``Axis.build`` with no grid (no grid admits every size
+    drawn here), and the evaluation of ``s`` and ``b`` on a row block; it
+    fills ``s`` and ``b`` on level 2 as the plan does.  ``apply`` (the last
+    one over ``b``) and the row blocks of levels 1 and 0 are the plan's.
     """
 
     def __init__(self, s, b, cells):
-        self.s, self.b = s, b
+        self.s, self.b, self.resolution, self.lattice = s, b, len(s), True
         # node coordinates, which name the node of a residual that is not finite
         nodes = np.arange(len(s), dtype=float)
-        axes = tuple((nodes, [(len(s) - 1) // k] * k) for k in cells)
-        with mock.patch.object(ifs, "sample_axes", lambda grid, resolution: axes):
-            super().__init__(SimpleNamespace(grid=SimpleNamespace(cells=list)), len(s))
+        self.axes = tuple(Axis.build(nodes, np.arange(0, len(s), (len(s) - 1) // k))
+                          for k in cells)
+        x, y = (a.level(2) for a in self.axes)
+        self.s_values, self.b_values = self._terms = np.empty((2, len(x), len(y)))
+        for _ in self._level_rows(x, y, self._terms):
+            pass
 
     def _block(self, rows, cols, out=None):
         nodes = np.ix_(rows, cols)
@@ -250,7 +255,7 @@ class GatherPlan(ifs.OperatorGrid):
         return tuple(out)
 
     def full_apply(self, phi):
-        return self.s * phi[np.ix_(self.px, self.py)] + self.b
+        return self.s * phi[np.ix_(*(a.p for a in self.axes))] + self.b
 
     def descend(self, factor, tol, max_iter):
         heights = np.empty_like(self.s)
@@ -271,10 +276,11 @@ def test_descent_agrees_with_doubling_on_uniform_pullbacks(n, m, k, c, seed, blo
     with mock.patch.object(ifs, "_ROW_CELLS", block * resolution):
         plan = GatherPlan(rng.uniform(-c, c, shape), rng.normal(size=shape), (n, m))
         heights, iterations, diffs, bound = plan.descend(factor, tol, 10000)
-    assert plan.lattice and np.array_equal(plan.px, uniform_pullback(n, resolution))
-    assert np.array_equal(plan.py, uniform_pullback(m, resolution))
+    ax, ay = plan.axes
+    assert plan.lattice and np.array_equal(ax.p, uniform_pullback(n, resolution))
+    assert np.array_equal(ay.p, uniform_pullback(m, resolution))
     nodes = np.arange(resolution, dtype=float)  # coordinates, for a residual's witness
-    doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, plan.px, plan.py,
+    doubled, _, _, doubled_bound = ifs._double(plan.s, plan.b, ax.p, ay.p,
                                                plan.b.copy(), factor, tol, 10000,  # phi_1
                                                (nodes, nodes))
     assert bound <= tol and bound == factor * diffs[-1] and iterations <= 10000
@@ -309,8 +315,9 @@ def test_b_not_finite_on_level_one_outside_level_two_names_its_node():
     b[6, 12] = np.nan
     with mock.patch.object(ifs, "_ROW_CELLS", 3 * 17):  # level 1 in blocks of 3 rows
         plan = GatherPlan(s, b, (2, 2))
-        assert np.array_equal(plan.x_level[plan.level_2[0]], np.arange(0, 17, 4))
-        assert 6 in plan.x_level and 6 not in plan.x_level[plan.level_2[0]]
+        ax = plan.axes[0]
+        assert np.array_equal(ax.level(2), np.arange(0, 17, 4))
+        assert 6 in ax.level(1) and 6 not in ax.level(2)
         with pytest.raises(ConvergenceError, match=r"not finite at the node \(6\.0, 12\.0\)"):
             plan.descend(1.0, 1e-9, 10000)
 
@@ -488,7 +495,7 @@ def test_folded_solve_holds_s_b_and_level_two_at_the_dimension_resolution(band_j
     # 2.59 when the fill kept the blend patchwork h on the rows P reaches for
     # a round 0, 3.29 when it kept h on all of level 1 and the last lift made
     # phi_1 whole beside s and b)
-    level = len(ifs._image(uniform_pullback(2, DIMENSION_R))) ** 2
+    level = len(_image(uniform_pullback(2, DIMENSION_R))) ** 2
     surface, peak = traced_peak(
         lambda: solve_fixed_point(band_job.system, DIMENSION_R, estimate_bias=False,
                                   fold=lambda r0, rows: None), level)
@@ -505,7 +512,7 @@ def test_round_zero_that_meets_the_bound_on_every_node_ends_the_solve(name):
     cfg = job.config.solver
     surface = solve_fixed_point(job.system, cfg.resolution, tol=cfg.tol, estimate_bias=False)
     plan = OperatorGrid(job.system, cfg.resolution)
-    below = max(len(chain) for chain in plan.chains) - 1  # levels under level 1
+    below = max(len(a.levels) for a in plan.axes) - 2  # levels under level 1
     # two applications on the core, one gather per level, the last application
     assert surface.iterations == below + 4 == 11
     assert surface.error_bound == 0.0 and set(surface.sup_diffs) == {0.0}
@@ -652,7 +659,7 @@ def test_bilinear_iteration_starts_from_b():
     surface = solve_fixed_point(system, 513, tol=1e-8, estimate_bias=False)
     plan = OperatorGrid(system, 513)
     b = plan.b_values
-    first = plan.s_values * four_corner_gather(b, plan.ix, plan.wx, plan.iy, plan.wy) + b
+    first = plan.s_values * four_corner_gather(b, *weights(plan)) + b
     assert surface.sup_diffs[0] == float(np.max(np.abs(first - b)))
 
 
@@ -696,7 +703,7 @@ def test_level_one_that_is_the_core_takes_the_plain_last_application(monkeypatch
     job = knot_job(third, third, [[0.0, 0.4, 0.1, 0.8], [0.6, 1.0, 0.2, 0.3],
                                   [0.3, 0.9, 0.5, 0.0], [0.1, 0.2, 0.7, 0.4]], resolution=97)
     plan = OperatorGrid(job.system, 97)
-    assert [len(chain) for chain in plan.chains] == [1, 1]
+    assert [len(a.levels) for a in plan.axes] == [2, 2]
     descended = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
     force_bilinear(monkeypatch)
     iterated = solve_fixed_point(job.system, 97, tol=1e-8, estimate_bias=False)
@@ -723,7 +730,7 @@ def test_two_pass_gather_equals_the_four_corner_formula(block_cells, monkeypatch
     plan = OperatorGrid(job.system, job.config.solver.resolution)
     rng = np.random.default_rng(11)
     phi = rng.normal(size=(plan.resolution, plan.resolution))
-    square = (plan.ix, plan.wx, plan.iy, plan.wy)
+    square = weights(plan)
     gathered, _ = streamed(phi, *square, phi)
     assert np.array_equal(gathered, four_corner_gather(phi, *square))
     expected = plan.s_values * four_corner_gather(phi, *square) + plan.b_values
@@ -732,10 +739,10 @@ def test_two_pass_gather_equals_the_four_corner_formula(block_cells, monkeypatch
     assert np.array_equal(full_apply(plan, phi), expected)
     # coarse -> fine, as in the bias estimate: 33 x 17 values onto 65 x 65 nodes,
     # with the residual taken against the fine values
-    coarse_x, coarse_y = plan.x_samples[::2], plan.y_samples[::4]
+    xs, ys = (a.samples for a in plan.axes)
+    coarse_x, coarse_y = xs[::2], ys[::4]
     coarse = rng.normal(size=(len(coarse_x), len(coarse_y)))
-    up = (*ifs._axis_weights(coarse_x, plan.x_samples),
-          *ifs._axis_weights(coarse_y, plan.y_samples))
+    up = (*ifs._axis_weights(coarse_x, xs), *ifs._axis_weights(coarse_y, ys))
     upsampled, residual = streamed(coarse, *up, phi)
     assert np.array_equal(upsampled, four_corner_gather(coarse, *up))
     assert residual == float(np.max(np.abs(four_corner_gather(coarse, *up) - phi)))
@@ -802,8 +809,7 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
         plan = OperatorGrid(job.system, resolution)
         phi, diffs = plan.b_values, []  # phi_1 = T 0
         while True:
-            nxt = plan.s_values * four_corner_gather(phi, plan.ix, plan.wx, plan.iy,
-                                                     plan.wy) + plan.b_values
+            nxt = plan.s_values * four_corner_gather(phi, *weights(plan)) + plan.b_values
             diffs.append(float(np.max(np.abs(nxt - phi))))
             phi = nxt
             if c / (1 - c) * diffs[-1] <= cfg.tol:
@@ -813,8 +819,9 @@ def test_bilinear_solve_matches_the_four_corner_iteration():
     assert surface.sup_diffs == tuple(diffs)
     assert np.array_equal(surface.heights, heights)
     half, coarse, _ = reference_solve((cfg.resolution - 1) // 2 + 1)
-    up = four_corner_gather(coarse, *ifs._axis_weights(half.x_samples, plan.x_samples),
-                            *ifs._axis_weights(half.y_samples, plan.y_samples))
+    (hx, hy), (ax, ay) = half.axes, plan.axes
+    up = four_corner_gather(coarse, *ifs._axis_weights(hx.samples, ax.samples),
+                            *ifs._axis_weights(hy.samples, ay.samples))
     assert surface.bias_estimate == float(np.max(np.abs(up - heights)))
 
 
