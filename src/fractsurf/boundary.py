@@ -36,8 +36,6 @@ from .utils import PiecewisePoly, compile_xy_expression, substitution_matrix
 INTERP_TOL = 1e-12
 EDGE_MATCH_TOL = 1e-9
 EDGE_MATCH_SAMPLES = 1024
-#: highest piece degree that boundary method 'quadratic' accepts
-QUADRATIC_MAX_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -84,43 +82,25 @@ def build_boundary_curves(grid: DataGrid, method: str = "linear",
     """Construct and validate the full curve network.
 
     method 'linear' interpolates the data rows/columns piecewise linearly.
-    method 'quadratic' takes explicit degree<=2 coefficients per piece
-    (fitting quadratics to two data points per interval is underdetermined,
-    so coefficients must be supplied, not fitted).  method 'pieces' is the
-    same with no degree cap.  Every curve is validated: it must hit its
-    data points to 1e-12 and be continuous at junctions.
+    Methods 'quadratic' and 'pieces' take the configured coefficients per
+    piece (fitting quadratics to two data points per interval is
+    underdetermined, so they are supplied, not fitted); the configuration
+    has checked their counts and the quadratic degree cap.  Every curve is
+    validated: it must hit its data points to 1e-12 and be continuous at
+    junctions.
     """
-    if method not in ("linear", "quadratic", "pieces"):
-        raise FractsurfError(f"unknown boundary method {method!r}")
     if method == "linear":
-        q_lists = [_linear_pieces(grid.y_knots, grid.z[i, :]) for i in range(grid.n + 1)]
-        r_lists = [_linear_pieces(grid.x_knots, grid.z[:, j]) for j in range(grid.m + 1)]
-    else:
-        if q_coeffs is None or r_coeffs is None:
-            raise FractsurfError(f"method {method!r} requires q/r piece coefficients")
-        if len(q_coeffs) != grid.n + 1 or len(r_coeffs) != grid.m + 1:
-            raise FractsurfError(
-                f"need {grid.n + 1} q curves and {grid.m + 1} r curves, "
-                f"got {len(q_coeffs)} and {len(r_coeffs)}")
-        if method == "quadratic":
-            for label, group in (("q", q_coeffs), ("r", r_coeffs)):
-                for idx, pieces in enumerate(group):
-                    for p, c in enumerate(pieces):
-                        if len(c) > QUADRATIC_MAX_DEGREE + 1:
-                            raise FractsurfError(
-                                f"{label}[{idx}] piece {p + 1} has degree {len(c) - 1} "
-                                f"> {QUADRATIC_MAX_DEGREE} for method 'quadratic'")
-        q_lists = [[tuple(float(v) for v in c) for c in pieces] for pieces in q_coeffs]
-        r_lists = [[tuple(float(v) for v in c) for c in pieces] for pieces in r_coeffs]
+        q_coeffs = [_linear_pieces(grid.y_knots, grid.z[i, :]) for i in range(grid.n + 1)]
+        r_coeffs = [_linear_pieces(grid.x_knots, grid.z[:, j]) for j in range(grid.m + 1)]
 
     qs = []
-    for i, pieces in enumerate(q_lists):
+    for i, pieces in enumerate(q_coeffs):
         curve = PiecewisePoly(grid.y_knots, tuple(tuple(c) for c in pieces))
         _validate_curve(f"q[{i}] (knot line x={grid.x_knots[i]})", curve,
                         grid.y_knots, grid.z[i, :])
         qs.append(curve)
     rs = []
-    for j, pieces in enumerate(r_lists):
+    for j, pieces in enumerate(r_coeffs):
         curve = PiecewisePoly(grid.x_knots, tuple(tuple(c) for c in pieces))
         _validate_curve(f"r[{j}] (knot line y={grid.y_knots[j]})", curve,
                         grid.x_knots, grid.z[:, j])
@@ -329,8 +309,6 @@ class QField:
 def build_Q(dmap: DomainMap, scaling: ScalingField, free: FreeField,
             blend: PatchBlend) -> QField:
     """Assemble the offset field and its Lipschitz bound for one cell."""
-    if scaling.cell != dmap.cell or blend.cell != dmap.cell:
-        raise FractsurfError("scaling/blend cell indices disagree with the map")
     c_l = dmap.contraction
     lip = (scaling.lipschitz * c_l * free.sup_abs
            + scaling.sup_bound * free.lipschitz

@@ -54,7 +54,6 @@ def main(args=None, prog_name="fractsurf"):
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     seed = _in_range(int, lambda v: 0 <= v < 2 ** 64, "in 0..2**64-1")
-    resolution = _in_range(int, lambda v: v >= 5, ">= 5")
     tol = _in_range(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
     for name, help_text in COMMANDS.items():
         cmd = commands.add_parser(name, help=help_text, description=help_text,
@@ -64,8 +63,9 @@ def main(args=None, prog_name="fractsurf"):
                          help="Use a built-in named configuration instead of --config.")
         cmd.add_argument("--out", help="Output directory (default: the configured one, else cwd).")
         cmd.add_argument("--seed", type=seed, help="Override the point-cloud sampler seed.")
-        cmd.add_argument("--resolution", type=resolution,
-                         help="Override the solver resolution (must stay knot-aligned).")
+        cmd.add_argument("--resolution", type=int,
+                         help="Override the solver resolution; the configuration's "
+                              "solver.resolution rules apply to it.")
         cmd.add_argument("--tol", type=tol, help="Override the solver tolerance.")
     ns = parser.parse_args(args)
     usage_error = commands.choices[ns.command].error

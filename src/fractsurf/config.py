@@ -36,12 +36,11 @@ import sys
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
-from .boundary import QUADRATIC_MAX_DEGREE
 from .dimension import MIN_SCALES, box_layout, dimension_resolution, natural_scales
 from .errors import ConfigurationError, FractsurfError
 from .fixtures import fixture_config, fixture_names
 from .grid import MAX_RESOLUTION, DataGrid, load_grid_text, sample_axes
-from .scaling import OUTER_MAPS, PRODUCT_EXPONENT_MIN
+from .scaling import OUTER_MAPS
 from .utils import compile_xy_expression
 
 _REQUIRED_SECTIONS = ("grid", "scaling", "boundary", "blend", "solver")
@@ -59,6 +58,10 @@ SCALING_FORMS = {
 BOUNDARY_METHODS = {"linear": ("method",), "quadratic": ("method", "q", "r"),
                     "pieces": ("method", "q", "r")}
 BLEND_MODES = {"coons": ("mode",), "explicit": ("mode", "tables")}
+#: highest piece degree that boundary method 'quadratic' accepts
+QUADRATIC_MAX_DEGREE = 2
+# product-field exponents below this make the field non-Lipschitz at the edges
+PRODUCT_EXPONENT_MIN = 1
 
 
 class _Collector:
@@ -361,7 +364,7 @@ class FreeFieldSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    resolution: int = _key(integer=True, minimum=5)
+    resolution: int = _key(integer=True)
     tol: float = _key(1e-6, strict_min=0.0)
     max_iter: int = _key(10000, integer=True, minimum=1)
 
@@ -378,7 +381,7 @@ class DimensionSpec:
     depth: int = _key(4, integer=True, minimum=MIN_SCALES)
     epsilon: None = _key(None, _retired("retired: the dimension band no longer shrinks cells, "
                                         "so only null is accepted"), omit_null=True)
-    resolution: int | None = _key(None, integer=True, minimum=5)
+    resolution: int | None = _key(None, integer=True)
 
 
 @dataclass(frozen=True)
@@ -483,36 +486,26 @@ def grid_errors(cfg: JobConfig, grid: DataGrid) -> list[tuple[str, str]]:
     """
     err = _Collector()
     cells = {(c.i, c.j) for c in grid.cells()}
-    if cfg.scaling:
-        got = {s.cell for s in cfg.scaling}
+    tables = cfg.blend.tables if cfg.blend is not None else None  # None in coons mode
+    for path, records, what in (("scaling.fields", cfg.scaling, "scaling specs"),
+                                ("blend.tables", tables, "blend tables")):
+        if not records:
+            continue
+        got = {record.cell for record in records}
         for cell in sorted(got - cells):
-            err.add("scaling.fields",
-                    f"cell {_shown(cell)} is outside the {grid.n}x{grid.m} grid")
+            err.add(path, f"cell {_shown(cell)} is outside the {grid.n}x{grid.m} grid")
         missing = sorted(cells - got)
         if missing and not (got - cells):
-            err.add("scaling.fields",
-                    f"missing scaling specs for cells {[list(c) for c in missing]}")
+            err.add(path, f"missing {what} for cells {[list(c) for c in missing]}")
     boundary = cfg.boundary
     if boundary is not None and boundary.method != "linear":
-        if len(boundary.q) != grid.n + 1:
-            err.add("boundary.q", f"need {grid.n + 1} curves, got {len(boundary.q)}")
-        if len(boundary.r) != grid.m + 1:
-            err.add("boundary.r", f"need {grid.m + 1} curves, got {len(boundary.r)}")
-        for k, curve in enumerate(boundary.q):
-            if len(curve) != grid.m:
-                err.add(f"boundary.q[{k}]", f"need {grid.m} pieces, got {len(curve)}")
-        for k, curve in enumerate(boundary.r):
-            if len(curve) != grid.n:
-                err.add(f"boundary.r[{k}]", f"need {grid.n} pieces, got {len(curve)}")
-    blend = cfg.blend
-    if blend is not None and blend.mode == "explicit" and blend.tables:
-        got = {table.cell for table in blend.tables}
-        for cell in sorted(got - cells):
-            err.add("blend.tables", f"cell {_shown(cell)} is outside the grid")
-        missing = sorted(cells - got)
-        if missing and not (got - cells):
-            err.add("blend.tables",
-                    f"missing blend tables for cells {[list(c) for c in missing]}")
+        for label, curves, pieces in (("q", grid.n + 1, grid.m), ("r", grid.m + 1, grid.n)):
+            got = getattr(boundary, label)
+            if len(got) != curves:
+                err.add(f"boundary.{label}", f"need {curves} curves, got {len(got)}")
+            for k, curve in enumerate(got):
+                if len(curve) != pieces:
+                    err.add(f"boundary.{label}[{k}]", f"need {pieces} pieces, got {len(curve)}")
     resolutions = {"solver.resolution": cfg.solver.resolution if cfg.solver else None,
                    "dimension.resolution": cfg.dimension.resolution}
     for path, resolution in resolutions.items():

@@ -222,55 +222,53 @@ class ColumnExtrema:
 
     A ``delta`` layout has ``bx x by`` base columns; column ``(a, b)`` covers
     the samples ``[a*wx, (a+1)*wx] x [b*wy, (b+1)*wy]``, boundary samples
-    shared with its neighbours.  Only the finest layout of each nested
-    family of the given scales is folded: a coarser column is the union of
-    whole fine columns, shared samples included, so its extrema are exactly
-    the maxima and minima over them.  ``spans`` are the sample axes' spans.
+    shared with its neighbours.  Only the finest of the given scales is
+    folded, into ``col_max`` and ``col_min``: a coarser column is the union
+    of whole fine columns, shared samples included, so its extrema are
+    exactly the maxima and minima over them.  A scale whose columns are not
+    such unions raises ScaleResolutionError.  ``spans`` are the sample axes'
+    spans.
     """
 
     def __init__(self, resolution: int, spans: tuple[float, float], deltas: Sequence[float]):
         self.resolution = resolution
         self.spans = spans
-        self.folded: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for bx, wx, by, wy in sorted({self.layout(d) for d in deltas},
-                                     key=lambda layout: (layout[1], layout[3])):
-            if self._finer((bx, wx, by, wy)) is None:
-                self.folded[bx, wx, by, wy] = (np.full((bx, by), -np.inf),
-                                               np.full((bx, by), np.inf))
+        self.fine = bx, _, by, _ = min(map(self.layout, deltas), key=lambda lay: (lay[1], lay[3]))
+        for delta in deltas:
+            self._nested(delta)
+        self.col_max = np.full((bx, by), -np.inf)
+        self.col_min = np.full((bx, by), np.inf)
 
     def layout(self, delta: float) -> tuple[int, int, int, int]:
         """``(bx, wx, by, wy)``: boxes and sample intervals per box along x and y."""
         return box_layout(self.resolution, self.spans, delta)
 
-    def _finer(self, layout):
-        for fine in self.folded:
-            if layout[1] % fine[1] == 0 and layout[3] % fine[3] == 0:
-                return fine
-        return None
+    def _nested(self, delta: float) -> tuple[int, int, int, int]:
+        """The layout of ``delta``, whose columns must be unions of the finest ones."""
+        layout = self.layout(delta)
+        if layout[1] % self.fine[1] or layout[3] % self.fine[3]:
+            raise ScaleResolutionError(f"scale {delta!r} does not nest in the finest scale")
+        return layout
 
     def __call__(self, r0: int, rows: np.ndarray) -> None:
         """Fold the sample rows ``r0, r0 + 1, ...`` (every column) in: each row once, the
         blocks in any order, since maxima and minima are exact and commutative."""
         last = r0 + len(rows) - 1
-        for (bx, wx, by, wy), extrema in self.folded.items():
-            for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):
-                strip = rows[max(a * wx, r0) - r0:min((a + 1) * wx, last) - r0 + 1]
-                for reduce, out in zip((np.maximum, np.minimum), extrema):
-                    # the strip's rows first, then each column's samples [b*wy, (b+1)*wy]
-                    line = reduce.reduce(strip, axis=0)
-                    reduce(out[a], reduce.reduce(line[:-1].reshape(by, wy), axis=1), out=out[a])
-                    reduce(out[a], line[wy::wy], out=out[a])
+        bx, wx, by, wy = self.fine
+        for a in range(max((r0 - 1) // wx, 0), min(last // wx, bx - 1) + 1):
+            strip = rows[max(a * wx, r0) - r0:min((a + 1) * wx, last) - r0 + 1]
+            for reduce, out in ((np.maximum, self.col_max), (np.minimum, self.col_min)):
+                # the strip's rows first, then each column's samples [b*wy, (b+1)*wy]
+                line = reduce.reduce(strip, axis=0)
+                reduce(out[a], reduce.reduce(line[:-1].reshape(by, wy), axis=1), out=out[a])
+                reduce(out[a], line[wy::wy], out=out[a])
 
     def extrema(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Column maxima and minima at ``delta``, reduced from a folded finer layout."""
-        bx, wx, by, wy = layout = self.layout(delta)
-        fine = self._finer(layout)
-        if fine is None:
-            raise ScaleResolutionError(f"scale {delta!r} was not folded")
-        col_max, col_min = self.folded[fine]
-        shape = (bx, wx // fine[1], by, wy // fine[3])
-        return (col_max.reshape(shape).max(axis=(1, 3)),
-                col_min.reshape(shape).min(axis=(1, 3)))
+        """Column maxima and minima at ``delta``, reduced from the folded finest layout."""
+        bx, wx, by, wy = self._nested(delta)
+        shape = (bx, wx // self.fine[1], by, wy // self.fine[3])
+        return (self.col_max.reshape(shape).max(axis=(1, 3)),
+                self.col_min.reshape(shape).min(axis=(1, 3)))
 
     def count(self, delta: float) -> int:
         """Cubes of side ``delta``: ``ceil(range / delta) + 1`` per base column."""

@@ -97,7 +97,6 @@ class MetricReport:
     admissible: bool
     max_ratio: float
     pairs: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -115,20 +114,13 @@ class IfsSystem:
 def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
                  scalings: Mapping[CellIndex, ScalingField],
                  q_fields: Mapping[CellIndex, QField]) -> IfsSystem:
-    """Validate the per-cell pieces and compute the contraction certificate.
+    """Check that the maps tile the rectangle and compute the contraction certificate.
 
-    Checks: every cell covered exactly once by maps/scalings/offsets, each
-    map's image equals its cell to 1e-12 (the images tile the rectangle),
-    and every scaling field is certified below 1 (a NaN bound is not).
+    Each map's image must equal its cell to 1e-12.  The rest is decided
+    earlier: one piece per cell (:func:`~fractsurf.config.grid_errors`,
+    :func:`~fractsurf.pipeline.build_system`) and sup|s| < 1 for each
+    scaling field (:func:`~fractsurf.scaling.certify_magnitude`).
     """
-    cells = set(grid.cells())
-    for name, mapping in (("maps", maps), ("scalings", scalings), ("q_fields", q_fields)):
-        got = set(mapping)
-        if got != cells:
-            missing = sorted((c.i, c.j) for c in cells - got)
-            extra = sorted((c.i, c.j) for c in got - cells)
-            raise InvalidGridError(
-                f"{name} do not cover the grid exactly (missing {missing}, extra {extra})")
     x0, x1, y0, y1 = grid.rect
     for cell, dmap in maps.items():
         cx_lo, cx_hi, cy_lo, cy_hi = grid.cell_rect(cell)
@@ -139,9 +131,7 @@ def assemble_ifs(grid: DataGrid, maps: Mapping[CellIndex, DomainMap],
         if err > TILING_TOL:
             raise InvalidGridError(
                 f"map image for cell ({cell.i},{cell.j}) misses its cell by {err:.3g}")
-    c_s = float(np.max([s.sup_bound for s in scalings.values()]))  # NaN wins
-    if not c_s < 1.0:
-        raise FractsurfError(f"vertical contraction c_s = {c_s!r} is not below 1")
+    c_s = float(max(s.sup_bound for s in scalings.values()))
     c_l = float(max(m.contraction for m in maps.values()))
     l_q = float(max(q.lipschitz for q in q_fields.values()))
     l_s = float(max(s.lipschitz for s in scalings.values()))
@@ -705,27 +695,27 @@ def chaos_game(system: IfsSystem, point_count: int, seed: int,
     return orbit[:, burn_in + 1:].T
 
 
-def certify_metric(system: IfsSystem, theta: float | None = None,
-                   seed: int = 0) -> MetricReport:
+def certify_metric(system: IfsSystem) -> MetricReport:
     """Sampled contraction ratios of all 3-D maps under rho_theta.
 
     ``METRIC_PAIRS`` point pairs are drawn from the rectangle times the slab
     ``[z0, z1]``, the data range padded by 1.  On that slab the admissible
     interval is ``(0, (1 - c_l) / (l_q + c_l * l_s * Z))`` with
     ``Z = max(|z0|, |z1|)`` (:meth:`ContractionCertificate.theta_max`), and
-    theta defaults to its midpoint.  A ratio >= 1 for an admissible theta
-    falsifies the certificate, so a Lipschitz bound it trusts is false: that
-    raises, with the cell and the pair; outside the interval it is only
-    reported.  A NaN ratio (a map's height is not a number at a sampled
-    point) raises, with the cell and the point.
+    theta is its midpoint (1 when unbounded), the pairs drawn with seed 0.
+    A ratio >= 1 for an admissible theta falsifies the certificate, so a
+    Lipschitz bound it trusts is false: that raises, with the cell and the
+    pair.  An empty interval (``theta_max`` 0: a Lipschitz product
+    overflowed) admits no theta, and then the ratios are only reported.  A
+    NaN ratio (a map's height is not a number at a sampled point) raises,
+    with the cell and the point.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x0, x1, y0, y1 = system.grid.rect
     z0 = float(system.grid.z.min()) - 1.0
     z1 = float(system.grid.z.max()) + 1.0
     theta_hi = system.certificate.theta_max(max(abs(z0), abs(z1)))
-    if theta is None:
-        theta = theta_hi / 2 if math.isfinite(theta_hi) else 1.0
+    theta = theta_hi / 2 if math.isfinite(theta_hi) else 1.0
     admissible = 0 < theta < theta_hi
     p = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(METRIC_PAIRS, 3))
     q = rng.uniform([x0, y0, z0], [x1, y1, z1], size=(METRIC_PAIRS, 3))
@@ -754,4 +744,4 @@ def certify_metric(system: IfsSystem, theta: float | None = None,
         max_ratio = max(max_ratio, float(ratios[k]))
     return MetricReport(theta_interval=(0.0, theta_hi), theta=float(theta),
                         admissible=admissible, max_ratio=max_ratio,
-                        pairs=METRIC_PAIRS, seed=seed)
+                        pairs=METRIC_PAIRS)

@@ -76,13 +76,15 @@ def _build_scaling(cfg: JobConfig, grid: DataGrid) -> dict[CellIndex, ScalingFie
 def build_system(cfg: JobConfig) -> BuiltJob:
     """Realize the grid and assemble the certified function system.
 
-    Checks the configuration against the realized grid first
-    (:func:`~fractsurf.config.grid_errors`), so file grids and command-line
-    overrides fail with the same located ``ConfigurationError`` as inline
-    grids at parse time; an unreadable grid file fails at ``grid.path`` and
-    a malformed one at ``grid``.  Then raises the underlying validation
-    error (curve interpolation, blend edge mismatch, magnitude violation
-    with its witness, ...) if any ingredient fails certification.
+    ``cfg`` comes from ``parse_config*`` (plus :func:`apply_overrides`), the
+    gate that decides every rule of the document; the builders trust what
+    it admitted.  Its grid rules (:func:`~fractsurf.config.grid_errors`) run
+    again here, so file grids and command-line overrides fail with the same
+    located ``ConfigurationError`` as inline grids at parse time; an
+    unreadable grid file fails at ``grid.path`` and a malformed one at
+    ``grid``.  Then raises the underlying validation error
+    (curve interpolation, blend edge mismatch, magnitude violation with its
+    witness, ...) if any ingredient fails certification.
     """
     try:
         grid = realize_grid(cfg.grid)

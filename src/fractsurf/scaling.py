@@ -33,8 +33,6 @@ from .utils import compile_xy_expression, golden_section_min
 EDGE_TOL = 1e-10
 EDGE_SAMPLES = 1024
 CERT_SAMPLES = 512
-# product-field exponents below this make the field non-Lipschitz at the edges
-PRODUCT_EXPONENT_MIN = 1
 ROUNDING_RTOL = 1e-12  # relative rounding a sample may exceed psi_sup's bound by
 
 Rect = tuple[float, float, float, float]
@@ -124,11 +122,10 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
                         psi_sup: float | None = None) -> ScalingField:
     """General vanishing-product form wrapped by a named outer map.
 
-    ``psi`` may be a constant or an expression string in x and y; for an
-    expression, ``psi_lipschitz`` (and ideally ``psi_sup``) must be given.
-    ``exponents`` orders the factors (x_lo, x_hi, y_lo, y_hi).  Exponents
-    below 1 would make the field non-Lipschitz at the edges and are
-    rejected.
+    ``psi`` may be a constant or an expression string in x and y, which
+    comes with ``psi_lipschitz`` (and ideally ``psi_sup``).  ``exponents``
+    orders the factors (x_lo, x_hi, y_lo, y_hi), each at least
+    ``config.PRODUCT_EXPONENT_MIN``; the configuration checks both.
 
     The x-factor ``u(t) = |t-lo|^a |hi-t|^b`` on a cell of width ``w`` has
     ``|u'| <= max(a, b) * w^(a+b-1)``: on the cell,
@@ -140,16 +137,9 @@ def build_product_field(cell: CellIndex, rect: Rect, psi,
     """
     x_lo, x_hi, y_lo, y_hi = rect
     ax, bx, ay, by = (float(e) for e in exponents)
-    if min(ax, bx, ay, by) < PRODUCT_EXPONENT_MIN:
-        raise FractsurfError(f"product-field exponents must be >= {PRODUCT_EXPONENT_MIN} "
-                             "to keep the Lipschitz certification sound")
-    if outer not in OUTER_MAPS:
-        raise FractsurfError(f"unknown outer map {outer!r}; options: {sorted(OUTER_MAPS)}")
     omap = OUTER_MAPS[outer]
 
     if isinstance(psi, str):
-        if psi_lipschitz is None:
-            raise FractsurfError("expression psi needs an explicit psi_lipschitz bound")
         psi_fn = compile_xy_expression(psi)
         psi_lip = float(psi_lipschitz)
         if psi_sup is None:

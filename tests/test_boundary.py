@@ -5,8 +5,7 @@ from numpy.polynomial import polynomial as npp
 from fractsurf.boundary import (EDGE_MATCH_TOL, build_boundary_curves,
                                 build_coons_blend, build_free_field, build_Q,
                                 load_explicit_blend)
-from fractsurf.errors import (BlendValidationError, CurveValidationError,
-                              FractsurfError)
+from fractsurf.errors import BlendValidationError, CurveValidationError
 from fractsurf.fixtures import H_TABLES, Q_PIECES, R_PIECES, X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import CellIndex, DataGrid, build_domain_maps
 from fractsurf.ifs import assemble_ifs, eval_F
@@ -242,12 +241,3 @@ def test_q_field_terms_is_nan_without_a_warning_where_s_vanishes_and_g_is_infini
     s, b = q.terms(x, y, np.array([0.5]), np.array([0.5]))
     assert s[0] == 0.0 and np.isfinite(q.blend(x, y)[0])
     assert np.isnan(b[0])
-
-
-def test_q_field_rejects_cell_mismatch(network):
-    maps = build_domain_maps(GRID)
-    scaling = build_quartic_field(CellIndex(1, 1), GRID.cell_rect(CellIndex(1, 1)), 100.0)
-    blend = build_coons_blend(GRID, network, CellIndex(1, 1))
-    with pytest.raises(FractsurfError):
-        build_Q(maps[CellIndex(2, 1)], scaling,
-                build_free_field(GRID.rect, "0", 0.0, sup_abs=0.0), blend)

@@ -63,14 +63,13 @@ def test_unknown_fixture_is_rejected_by_the_option():
 @pytest.mark.parametrize("args, option", [
     (["--seed", "-1"], "--seed"),
     (["--seed", str(2 ** 64)], "--seed"),
-    (["--resolution", "4"], "--resolution"),
     (["--tol", "0"], "--tol"),
     (["--tol", "inf"], "--tol"),
     (["--config", "{tmp}/missing.json"], "--config"),
     (["--config", "{tmp}"], "--config"),
     (["--out", "{tmp}/job.json"], "--out"),
     ([], "command"),
-], ids=["seed-negative", "seed-2^64", "resolution-4", "tol-0", "tol-inf", "config-missing",
+], ids=["seed-negative", "seed-2^64", "tol-0", "tol-inf", "config-missing",
         "config-directory", "out-file", "no-command"])
 def test_usage_errors_exit_two_and_name_their_option(tmp_path, args, option):
     (tmp_path / "job.json").write_text("{}", encoding="utf-8")
@@ -398,6 +397,15 @@ def test_misaligned_resolution_override_exits_one(tmp_path):
         assert "knot-aligned" in err
 
 
+@pytest.mark.parametrize("resolution", ["-1", "4", "6"])
+def test_a_resolution_below_the_floor_is_refused_with_the_floor(tmp_path, resolution):
+    # one rule for every resolution below 4 * max(n, m) + 1, the former ">= 5" included
+    result = run("validate", "--fixture", "flat2x2", "--resolution", resolution)
+    assert result.exit_code == 1
+    assert (f"  solver.resolution: resolution {resolution} is too coarse for a 2x2 grid; "
+            "need at least 9 (4 * max(n, m) + 1 samples per axis)") in result.stderr
+
+
 def _example2a_on_a_file_grid(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("x: " + " ".join(map(repr, X_KNOTS)) + "\n"
@@ -474,27 +482,56 @@ def _dimension_too_coarse_for_depth(tmp_path):
     return doc
 
 
-@pytest.mark.parametrize("make_doc, path", [
-    (_file_grid_missing_cell, "scaling.fields"),
-    (_file_grid_short_curve, "boundary.r[0]"),
-    (_file_grid_missing_file, "grid.path"),
-    (_file_grid_short_row, "grid"),
-    (_file_grid_x_knots("zero 0.0 0.25 0.5 0.75 1.0"), "grid"),
-    (_file_grid_x_knots("0.0 nan 0.5 0.75 1.0"), "grid"),
-    (_file_grid_x_knots("0.0 0.25 0.5 0.75 inf"), "grid"),
-    (_file_grid_second_x_line, "grid"),
-    (_inline_grid_infinite_span, "grid"),
-    (_dimension_below_floor, "dimension.resolution"),
-    (_dimension_too_coarse_for_depth, "dimension.resolution"),
+def _file_grid_extra_q_curve(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["boundary"]["q"].append(doc["boundary"]["q"][-1])
+    return doc
+
+
+def _file_grid_scaling_cell_outside(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["scaling"]["fields"][-1]["cell"] = [5, 3]  # in place of [4, 3]
+    return doc
+
+
+def _file_grid_missing_blend_table(tmp_path):
+    doc = _example2a_on_a_file_grid(tmp_path)
+    doc["blend"] = fixture_config("example2a-explicit")["blend"]
+    doc["blend"]["tables"].pop()
+    return doc
+
+
+def _flat2x2(tmp_path):
+    return fixture_config("flat2x2")
+
+
+@pytest.mark.parametrize("make_doc, path, args", [
+    (_file_grid_missing_cell, "scaling.fields", ()),
+    (_file_grid_short_curve, "boundary.r[0]", ()),
+    (_file_grid_missing_file, "grid.path", ()),
+    (_file_grid_short_row, "grid", ()),
+    (_file_grid_x_knots("zero 0.0 0.25 0.5 0.75 1.0"), "grid", ()),
+    (_file_grid_x_knots("0.0 nan 0.5 0.75 1.0"), "grid", ()),
+    (_file_grid_x_knots("0.0 0.25 0.5 0.75 inf"), "grid", ()),
+    (_file_grid_second_x_line, "grid", ()),
+    (_inline_grid_infinite_span, "grid", ()),
+    (_dimension_below_floor, "dimension.resolution", ()),
+    (_dimension_too_coarse_for_depth, "dimension.resolution", ()),
+    (_file_grid_extra_q_curve, "boundary.q", ()),
+    (_file_grid_scaling_cell_outside, "scaling.fields", ()),
+    (_file_grid_missing_blend_table, "blend.tables", ()),
+    (_flat2x2, "solver.resolution", ("--resolution", "4")),
 ], ids=["file-grid-missing-cell", "file-grid-short-curve", "file-grid-missing-file",
         "file-grid-short-row", "file-grid-bad-knot", "file-grid-nan-knot",
         "file-grid-infinite-knot", "file-grid-second-x-line", "inline-grid-infinite-span",
-        "dimension-below-floor", "dimension-too-coarse-for-depth"])
-def test_grid_rule_violations_exit_one_with_their_path(tmp_path, make_doc, path):
+        "dimension-below-floor", "dimension-too-coarse-for-depth", "file-grid-extra-q-curve",
+        "file-grid-scaling-cell-outside", "file-grid-missing-blend-table", "resolution-4"])
+def test_grid_rule_violations_exit_one_with_their_path(tmp_path, make_doc, path, args):
+    # a file grid or an override meets the grid rules only in build_system, after parsing
     config = tmp_path / "job.json"
     config.write_text(json.dumps(make_doc(tmp_path)), encoding="utf-8")
     for command in ("validate", "dimension"):
-        result = run(command, "--config", str(config), "--out", str(tmp_path))
+        result = run(command, "--config", str(config), "--out", str(tmp_path), *args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # reported, not a traceback
         err = result.output + result.stderr

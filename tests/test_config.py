@@ -398,7 +398,9 @@ FLAT_KEY_ERRORS = [
     ("free_field", "sup_abs", -0.5, "must be >= 0.0, got -0.5"),
     ("solver", "resolution", "257", "expected a number, got '257'"),
     ("solver", "resolution", 257.5, "expected an integer, got 257.5"),
-    ("solver", "resolution", 4, "must be >= 5, got 4"),
+    pytest.param("solver", "resolution", 4,
+                 "resolution 4 is too coarse for a 2x2 grid; need at least 9 "
+                 "(4 * max(n, m) + 1 samples per axis)", id="solver-resolution-4-too coarse"),
     ("solver", "resolution", None, "expected a number, got None"),
     ("solver", "tol", "small", "expected a number, got 'small'"),
     ("solver", "tol", 0, "must be > 0.0, got 0"),
@@ -424,7 +426,9 @@ FLAT_KEY_ERRORS = [
     ("dimension", "epsilon", 0, RETIRED_EPSILON),
     ("dimension", "epsilon", math.nan, RETIRED_EPSILON),
     ("dimension", "resolution", 257.5, "expected an integer, got 257.5"),
-    ("dimension", "resolution", 3, "must be >= 5, got 3"),
+    pytest.param("dimension", "resolution", 3,
+                 "resolution 3 is too coarse for a 2x2 grid; need at least 9 "
+                 "(4 * max(n, m) + 1 samples per axis)", id="dimension-resolution-3-too coarse"),
     ("output", "directory", 5, "expected a path string or null"),
     ("output", "directory", ["out"], "expected a path string or null"),
     ("output", "stem", 5, "expected a non-empty string"),

@@ -248,7 +248,8 @@ def test_finest_fold_reduces_to_the_extrema_of_every_scale(case):
     heights, spans, deltas = case
     resolution = len(heights)
     fold = ColumnExtrema(resolution, spans, deltas)
-    assert len(fold.folded) == 1  # nested scales: only the finest is folded
+    bx, _, by, _ = fold.layout(min(deltas))
+    assert fold.col_max.shape == fold.col_min.shape == (bx, by)  # only the finest is folded
     fold(0, heights)
     for delta in deltas:
         bx, wx, by, wy = fold.layout(delta)
@@ -272,9 +273,8 @@ def test_folding_in_row_blocks_of_any_size_equals_one_fold(case, sizes):
         size = sizes[k % len(sizes)]
         blocks(r0, heights[r0:r0 + size])
         r0, k = r0 + size, k + 1
-    for layout, (col_max, col_min) in whole.folded.items():
-        assert np.array_equal(blocks.folded[layout][0], col_max)
-        assert np.array_equal(blocks.folded[layout][1], col_min)
+    assert np.array_equal(blocks.col_max, whole.col_max)
+    assert np.array_equal(blocks.col_min, whole.col_min)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,21 +293,26 @@ def test_folding_row_blocks_in_any_order_equals_folding_them_in_order(case, size
         in_order(r0, rows)
     for k in np.random.default_rng(seed).permutation(len(blocks)):
         shuffled(*blocks[k])
-    for layout, (col_max, col_min) in in_order.folded.items():
-        assert np.array_equal(shuffled.folded[layout][0], col_max)
-        assert np.array_equal(shuffled.folded[layout][1], col_min)
+    assert np.array_equal(shuffled.col_max, in_order.col_max)
+    assert np.array_equal(shuffled.col_min, in_order.col_min)
     assert [shuffled.count(d) for d in deltas] == [in_order.count(d) for d in deltas]
 
 
-def test_box_counts_fold_unnested_scales_separately():
+def test_scales_that_do_not_nest_in_the_finest_are_refused():
     # R - 1 = 48: 4 and 6 boxes (12 and 8 intervals) do not nest; 12 boxes refine both
     rng = np.random.default_rng(4)
     heights = np.cumsum(rng.normal(size=(49, 49)), axis=1)
     surf = sample_surface(heights)
     deltas = [1 / 4, 1 / 6]
+    with pytest.raises(ScaleResolutionError, match="scale 0.25 does not nest"):
+        ColumnExtrema(49, (1.0, 1.0), deltas)
+    with pytest.raises(ScaleResolutionError, match="does not nest"):
+        box_counts(surf, deltas)
+    deltas.append(1 / 12)
     fold = ColumnExtrema(49, (1.0, 1.0), deltas)
-    assert len(fold.folded) == 2
-    assert len(ColumnExtrema(49, (1.0, 1.0), deltas + [1 / 12]).folded) == 1
+    assert fold.col_max.shape == (12, 12)
+    with pytest.raises(ScaleResolutionError, match="scale 0.125 does not nest"):
+        fold.count(1 / 8)  # 6 intervals per box, not a multiple of the finest 4
     assert box_counts(surf, deltas) == [brute_force_count(heights, d) for d in deltas]
 
 

@@ -32,9 +32,6 @@ ALLOWED = {
     **{("build_product_field", key): "a key of the polynomial-product form: the pipeline "
                                      "passes each form's keys by ** from the config table"
        for key in ("exponents", "outer", "psi_lipschitz", "psi_sup")},
-    ("certify_metric", "theta"): "tests set theta outside the admissible interval to "
-                                 "show that the sampled check can fail",
-    ("certify_metric", "seed"): "tests draw other pairs than the pipeline's seed 0",
     **{("main", key): "perfbench/trace.py and the tests pass it; the console script "
                       "passes none" for key in ("args", "prog_name")},
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fractsurf import scaling
-from fractsurf.errors import FractsurfError, MagnitudeError
+from fractsurf.errors import MagnitudeError
 from fractsurf.fixtures import PSI_A, PSI_B, X_KNOTS, Y_KNOTS, Z_ROWS
 from fractsurf.grid import CellIndex, DataGrid
 from fractsurf.scaling import (EDGE_SAMPLES, OuterMap, build_expression_field,
@@ -80,13 +80,6 @@ def test_product_form_reproduces_quartic():
     ys = np.linspace(rect[2], rect[3], 41)[None, :]
     np.testing.assert_allclose(p(xs, ys), q(xs, ys), atol=1e-15)
     assert p.certificate.sup_bound == pytest.approx(q.certificate.sup_bound, abs=1e-12)
-
-
-def test_product_rejects_exponents_below_one():
-    cell = CellIndex(1, 1)
-    with pytest.raises(FractsurfError):
-        build_product_field(cell, GRID.cell_rect(cell), 10.0,
-                            exponents=(0.5, 1.0, 1.0, 1.0))
 
 
 def test_outer_map_squashes_large_psi():
